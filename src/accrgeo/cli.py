@@ -83,6 +83,13 @@ class RunConfig:
             raise ParseError(f"tolerance must be positive, got {self.tol}")
         if self.fmt not in ("text", "json"):
             raise ParseError(f"unknown format {self.fmt!r}")
+        # the conformal formulas divide by 2n
+        n = self.options.get("n")
+        if n is not None and n < 1:
+            raise ParseError(f"--n must be at least 1, got {n}")
+        for value in self.grids.get("n", ()):
+            if value < 1:
+                raise ParseError(f"--grid-n values must be at least 1, got {value}")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":

@@ -1,8 +1,9 @@
 """Dense tensors over a fixed odd-dimensional frame.
 
-Everything downstream works with small dense float64 arrays (dimension
-2n+1, with n <= 5 in practice), wrapped with just enough structure to
-catch frame and rank mismatches early and to keep data immutable.
+Everything downstream works with dense float64 arrays of dimension 2n+1
+(n = 2 for the paper's examples, up to about n = 16, dim 33, for
+definition files), wrapped with just enough structure to catch frame and
+rank mismatches early and to keep data immutable.
 """
 
 from __future__ import annotations

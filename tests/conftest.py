@@ -8,7 +8,7 @@ with the library's vectorized implementations. Slow but unambiguous.
 import numpy as np
 import pytest
 
-from accrgeo import build_example2, example2_state, flat_carrier_structure
+from accrgeo import Frame, LieAlgebra, build_example2, example2_state, flat_carrier_structure
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,21 @@ def ex2_structures():
 @pytest.fixture(scope="session")
 def carrier_n2():
     return flat_carrier_structure(2)
+
+
+@pytest.fixture(scope="session")
+def semidirect_n4():
+    """[e_0, e_a] = e_{n+a}, [e_0, e_{n+a}] = -e_a on the dim-9 flat carrier.
+
+    Sasaki-like for every n, so every fundamental-tensor postcondition holds.
+    """
+    n = 4
+    dim = 2 * n + 1
+    c = np.zeros((dim, dim, dim))
+    for a in range(1, n + 1):
+        c[n + a, 0, a], c[n + a, a, 0] = 1.0, -1.0
+        c[a, 0, n + a], c[a, n + a, 0] = -1.0, 1.0
+    return LieAlgebra(Frame(dim), c), flat_carrier_structure(n)
 
 
 # --- loop oracles ------------------------------------------------------------
@@ -124,3 +139,44 @@ def oracle_lie_derivative(theta, gamma, g):
             dj = D_along(basis[j], theta, gamma)
             out[i, j] = float(di @ g @ basis[j]) + float(basis[i] @ g @ dj)
     return out
+
+
+def oracle_fundamental_tensor(gamma, phi, g):
+    """F(x, y, z) = g((D_x phi) y, z) with (D_x phi) y = D_x (phi y) - phi (D_x y)."""
+    dim = g.shape[0]
+    basis = np.eye(dim)
+    f = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            d_phi_y = D_along(basis[i], phi @ basis[j], gamma) - phi @ D_along(
+                basis[i], basis[j], gamma
+            )
+            for k in range(dim):
+                f[i, j, k] = float(d_phi_y @ g @ basis[k])
+    return f
+
+
+def oracle_jacobiator(c):
+    """jac[r, i, j, l]: e_r-component of [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]."""
+    dim = c.shape[0]
+    basis = np.eye(dim)
+
+    def bracket(u, v):
+        out = np.zeros(dim)
+        for a in range(dim):
+            if u[a] != 0.0:
+                for b in range(dim):
+                    out += u[a] * v[b] * c[:, a, b]
+        return out
+
+    jac = np.zeros((dim,) * 4)
+    for i in range(dim):
+        for j in range(dim):
+            for l in range(dim):
+                e_i, e_j, e_l = basis[i], basis[j], basis[l]
+                jac[:, i, j, l] = (
+                    bracket(bracket(e_i, e_j), e_l)
+                    + bracket(bracket(e_j, e_l), e_i)
+                    + bracket(bracket(e_l, e_i), e_j)
+                )
+    return jac

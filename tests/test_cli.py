@@ -148,6 +148,21 @@ def test_bad_tol_rejected(capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("soliton", "--scenario", "example1", "--n", "0"), "--n"),
+        (("sweep", "--scenario", "example1", "--grid-n", "2,0"), "--grid-n"),
+    ],
+)
+def test_n_below_one_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} ")
+    assert "Traceback" not in err
+
+
 def test_both_input_and_scenario_rejected(capsys, tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{}")

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from accrgeo import (
+    Connection,
     Frame,
     LieAlgebra,
+    Tensor,
     build_example2,
     classify_sasaki_like,
     curvature_package,
     example2_state,
     flat_carrier_structure,
     fundamental_tensor,
+    invert_metric,
     levi_civita,
     reeb_derivative_residual,
     ricci,
@@ -21,7 +24,13 @@ from accrgeo import (
 )
 from accrgeo.errors import AntisymmetryViolation, GeometryError, JacobiViolation
 
-from conftest import oracle_connection, oracle_ricci, oracle_riemann_lowered
+from conftest import (
+    oracle_connection,
+    oracle_fundamental_tensor,
+    oracle_jacobiator,
+    oracle_ricci,
+    oracle_riemann_lowered,
+)
 
 
 def test_antisymmetry_enforced():
@@ -40,9 +49,24 @@ def test_jacobi_violation_names_worst_triple():
     c[3, 2, 1] = -1.0
     with pytest.raises(JacobiViolation) as err:
         LieAlgebra(f, c)
-    assert err.value.residual > 1.0
-    assert len(err.value.triple) == 3
+    assert err.value.residual == 2.0
+    assert err.value.triple == (0, 1, 2)
     assert all(isinstance(i, int) for i in err.value.triple)
+
+
+def test_jacobi_residual_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal((9, 9, 9))
+    c = c - np.swapaxes(c, 1, 2)
+    expected = oracle_jacobiator(c)
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(Frame(9), c)
+    worst = np.max(np.abs(expected))
+    assert err.value.residual == pytest.approx(worst, rel=1e-12)
+    # the Jacobiator is alternating in (i, j, l), so rounding may pick any
+    # ordering of the worst triple
+    flat = np.argmax(np.abs(expected))
+    assert sorted(err.value.triple) == sorted(np.unravel_index(flat, expected.shape)[1:])
 
 
 @pytest.mark.parametrize("p,q", [(0.0, 0.0), (1.0, 0.5), (-2.0, 2.0)])
@@ -70,6 +94,105 @@ def test_ricci_matches_loop_oracle(p, q):
     rho = ricci(riem, s.g)
     expected = oracle_ricci(riem.data, s.g.inverse)
     assert np.max(np.abs(rho.data - expected)) < 1e-12
+
+
+def _dense_metric(s):
+    """A seeded dense perturbation of the structure's metric: every gamma entry is live."""
+    m = np.random.default_rng(3).standard_normal((s.frame.dim,) * 2)
+    return invert_metric(Tensor(s.frame, s.g.matrix + 0.3 * (m + m.T)))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["carrier", "dense"])
+def test_dim9_curvature_matches_loop_oracles(semidirect_n4, dense):
+    alg, s = semidirect_n4
+    metric = _dense_metric(s) if dense else s.g
+    conn = levi_civita(alg, metric)
+    gamma = conn.gamma.data
+    assert np.max(np.abs(gamma - oracle_connection(alg.c.data, metric.matrix, metric.inverse))) < 1e-12
+    riem = riemann(conn, alg, metric)
+    expected = oracle_riemann_lowered(alg.c.data, gamma, metric.matrix)
+    assert np.max(np.abs(riem.data - expected)) < 1e-12
+    rho = ricci(riem, metric)
+    assert np.max(np.abs(rho.data - oracle_ricci(riem.data, metric.inverse))) < 1e-12
+
+
+def _heisenberg(defect=0.0):
+    """[e_1, e_2] = [e_3, e_4] = e_0; defect is added to c[0, 2, 1]."""
+    c = np.zeros((5, 5, 5))
+    c[0, 1, 2], c[0, 2, 1] = 1.0, -1.0 + defect
+    c[0, 3, 4], c[0, 4, 3] = 1.0, -1.0
+    return LieAlgebra(Frame(5), c)
+
+
+@pytest.mark.parametrize("case", [(0.0, 0.0), (1.0, 0.5), (-2.0, 2.0), "dim9", "heisenberg"])
+def test_fundamental_tensor_matches_loop_oracle(semidirect_n4, carrier_n2, case):
+    # on the Heisenberg algebra F(x, phi y, phi z) != 0, so the
+    # phi-recomposition postcondition is exercised with a nonzero term
+    if case == "dim9":
+        alg, s = semidirect_n4
+    elif case == "heisenberg":
+        alg, s = _heisenberg(), carrier_n2
+    else:
+        alg, s = build_example2(*case)
+    conn = levi_civita(alg, s.g)
+    expected = oracle_fundamental_tensor(conn.gamma.data, s.phi.data, s.g.matrix)
+    fund = fundamental_tensor(conn, s)
+    assert np.max(np.abs(fund.data - expected)) < 1e-12
+    assert classify_sasaki_like(fund, s).is_sasaki_like == (case != "heisenberg")
+
+
+def _symmetry_residuals(r):
+    """The four curvature postconditions of riemann, in the order it checks them."""
+    return [
+        np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))),
+        np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))),
+        np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1)))),
+        np.max(np.abs(r + np.transpose(r, (2, 0, 1, 3)) + np.transpose(r, (1, 2, 0, 3)))),
+    ]
+
+
+def _form(*pairs, scale=1.0):
+    """Bilinear form on R^5 with entries (k, l, value), skew pairs listed once."""
+    b = np.zeros((5, 5))
+    for k, l, value in pairs:
+        b[k, l] += scale * value
+    return b
+
+
+@pytest.mark.parametrize(
+    "failing,b0,bracket_defect",
+    [
+        # the bracket is antisymmetric only to LINALG_TOL, and a huge
+        # connection amplifies that defect past DEFAULT_TOL
+        (0, _form((1, 2, 1.0), (2, 1, -1.0), (3, 4, 1.0), (4, 3, -1.0), scale=1e4), 5e-13),
+        # a symmetric D_0: not metric, so R is not skew in (k, l)
+        (1, _form((1, 1, 1.0)), 0.0),
+        # a skew D_0 that is not the bracket form: R = -omega (x) sigma
+        (2, _form((1, 3, 1.0), (3, 1, -1.0)), 0.0),
+        # D_0 = the bracket form omega: R = -omega (x) omega has every pair
+        # symmetry, but omega ^ omega != 0 breaks the first Bianchi identity
+        (3, _form((1, 2, 1.0), (2, 1, -1.0), (3, 4, 1.0), (4, 3, -1.0)), 0.0),
+    ],
+    ids=["ij-antisymmetry", "kl-antisymmetry", "pair-swap", "bianchi"],
+)
+def test_curvature_postconditions_reject_corrupt_connection(carrier_n2, failing, b0, bracket_defect):
+    # Heisenberg algebra and a connection whose only nonzero derivative is
+    # g(D_0 e_k, e_l) = b0[k, l]. D_i D_j = 0 unless i = j = 0, so
+    # R_ijkl = -omega_ij b0[k, l] with omega = e^12 + e^34.
+    alg = _heisenberg(bracket_defect)
+    frame, c = alg.frame, alg.c.data
+    metric = carrier_n2.g
+    gamma = np.zeros((5, 5, 5))
+    gamma[:, 0, :] = metric.inverse @ b0.T
+    conn = Connection(frame, Tensor(frame, gamma))
+
+    # every check before the named one holds, so the named check is the one
+    # that raises
+    residuals = _symmetry_residuals(oracle_riemann_lowered(c, gamma, metric.matrix))
+    assert all(r < 1e-9 for r in residuals[:failing])
+    assert residuals[failing] > 1e-9
+    with pytest.raises(GeometryError, match="curvature symmetry postcondition failed"):
+        riemann(conn, alg, metric)
 
 
 def test_curvature_symmetries(ex2_generic):

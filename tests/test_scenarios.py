@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accrgeo import (
@@ -108,6 +108,7 @@ def test_example1_degenerate_t_raises():
     st.floats(min_value=0.0, max_value=2.0 * math.pi),
     st.integers(min_value=1, max_value=5),
 )
+@example(t=2.359375, n=1)
 def test_example1_curve_constraint(t, n):
     try:
         point = example1_curve(t, n, 0.0)
