@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -66,6 +67,15 @@ def _fmt_res(value) -> str:
     return f"{float(value) + 0.0:.3e}"
 
 
+#: command-line flags of the options whose flag is not "--" + dest
+_OPTION_FLAGS = {
+    "k_prime": "--k-prime",
+    "psi_tilde": "--psi-tilde",
+    "lam": "--lambda",
+    "lam_tilde": "--lambda-tilde",
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated invocation parameters shared by all commands."""
@@ -79,10 +89,20 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:
-            raise ParseError(f"tolerance must be positive, got {self.tol}")
+        if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ParseError(f"--tol must be a positive finite tolerance, got {self.tol}")
         if self.fmt not in ("text", "json"):
             raise ParseError(f"unknown format {self.fmt!r}")
+        # a non-finite value would reach the checks as a NaN residual, or
+        # as bare NaN in the JSON output
+        for name, value in self.options.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                flag = _OPTION_FLAGS.get(name, f"--{name}")
+                raise ParseError(f"{flag} must be finite, got {value}")
+        for name, values in self.grids.items():
+            for value in values:
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ParseError(f"--grid-{name} values must be finite, got {value}")
         # the conformal formulas divide by 2n
         n = self.options.get("n")
         if n is not None and n < 1:
@@ -317,6 +337,20 @@ def _report_payload(report: TheoremReport, tol_override=None) -> dict:
         "notes": list(report.notes),
         "passed": all(c["passed"] for c in checks),
     }
+
+
+def _verdict(report: TheoremReport, tol_override=None) -> tuple:
+    """(passed, worst check) of a report, judged as _report_payload judges it.
+
+    The worst check is the first one with the largest residual / tol.
+    """
+    if tol_override is None:
+        return report.passed, report.worst()
+    checks = report.checks
+    return (
+        all(check.residual < tol_override for check in checks),
+        max(checks, key=lambda check: check.residual / tol_override, default=None),
+    )
 
 
 def cmd_soliton(config: RunConfig):
@@ -570,11 +604,7 @@ def cmd_sweep(config: RunConfig):
                 }
             )
             continue
-        payload = _report_payload(row.report, config.tol)
-        worst = None
-        if payload["checks"]:
-            worst = max(payload["checks"], key=lambda c: c["residual"] / c["tol"])
-        passed = payload["passed"]
+        passed, worst = _verdict(row.report, config.tol)
         if not passed:
             n_fail += 1
         rows.append(
@@ -584,8 +614,8 @@ def cmd_sweep(config: RunConfig):
                 "scalars": dict(row.scalars),
                 "degenerate": False,
                 "passed": passed,
-                "worst_check": worst["name"] if worst else None,
-                "worst_residual": worst["residual"] if worst else None,
+                "worst_check": worst.name if worst else None,
+                "worst_residual": worst.residual if worst else None,
             }
         )
     summary = {

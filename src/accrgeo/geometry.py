@@ -171,10 +171,16 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     d = gamma.shape[0]
     # gl[i, m, l] = g(D_i e_m, e_l)
     gl = np.tensordot(gamma, metric.matrix, ([0], [0]))
+    # low, which the returned Tensor keeps, is allocated before the scratch
+    # buf: freed, buf then lies above low on the heap, where later small
+    # arrays do not split it and the next call can reuse it (in the other
+    # order, peak RSS of inspect at dim 33 grows by one dim^4 array)
+    low = np.empty((d,) * 4)
+    buf = np.empty((d,) * 4)
     # buf[i, j, k, l] = sum_m gamma[m, j, k] gl[i, m, l] = g(D_i D_j e_k, e_l);
     # one gemm per i
-    buf = np.matmul(gamma.reshape(d, d * d).T, gl).reshape((d,) * 4)
-    low = np.subtract(buf, buf.transpose(1, 0, 2, 3), out=np.empty_like(buf))
+    np.matmul(gamma.reshape(d, d * d).T, gl, out=buf.reshape(d, d * d, d))
+    np.subtract(buf, buf.transpose(1, 0, 2, 3), out=low)
     # buf[i, j, k, l] = sum_m c[m, i, j] gl[m, k, l] = g(D_[e_i,e_j] e_k, e_l)
     np.matmul(
         alg.c.data.reshape(d, d * d).T, gl.reshape(d, d * d), out=buf.reshape(d * d, d * d)
@@ -190,6 +196,8 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     buf += low.transpose(1, 2, 0, 3)
     _require_vanishing(buf, message)
     del buf
+    # frozen, low is handed to the Tensor without a copy
+    low.setflags(write=False)
     return Tensor(alg.frame, low)
 
 

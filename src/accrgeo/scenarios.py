@@ -26,6 +26,18 @@ Ricci-level checks run on a flat pointwise carrier structure of the right
 dimension, with the Ricci tensor built from the published formula in
 (p, q). The denominator sqrt2 + cos t - sin t vanishes at t = (8l+3)pi/4,
 which is excluded.
+
+Reports are assembled level by level, and each check is computed once per
+value of the parameters it depends on. For example2 the levels are (p, q)
+(curvature, scalars, classification, the Einstein-like fit, rho rebuilt
+from the scalars), the potential k = -2 t0 (Lie derivatives and their
+family values), and beta (the solve, the constants and the soliton
+residual). For example1 they are (n, t) (the curve, the carrier's Ricci
+tensor, tau_star and the beta-free checks) and beta. A single-point
+report and a sweep row are built by the same helpers; a sweep evaluates
+each level once and shares its immutable Check objects between the rows'
+reports, and every SweepRow.report is still a full TheoremReport with the
+checks in the same order as the single-point report.
 """
 
 from __future__ import annotations
@@ -34,12 +46,15 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateParameter, EmptyGrid, GeometryError
 from .geometry import (
+    CurvaturePackage,
     LieAlgebra,
+    SasakiLikeResult,
     classify_sasaki_like,
     curvature_package,
     fundamental_tensor,
@@ -47,18 +62,22 @@ from .geometry import (
 )
 from .structure import AccRStructure, validate_structure
 from .solitons import (
+    Check,
     SolitonSpec,
     TheoremReport,
     VerticalPotential,
     VerticalScalar,
+    conformal_curvature_checks,
+    conformal_sum_checks,
     eta_rb_residual,
     einstein_like_fit,
     is_degenerate_beta,
     lie_derivative_metric,
-    rb_like_residual,
-    solve_vertical_soliton,
-    verify_conformal_theorem,
+    rb_like_residual_norms,
+    ricci_reconstruction_check,
     vertical_lie_closed_form,
+    vertical_scalar_sum_check,
+    vertical_soliton_constants,
 )
 from .tensors import Frame, Tensor, max_abs
 
@@ -187,6 +206,206 @@ def example2_state(p: float, q: float):
     return _example2_bundle(float(p), float(q))
 
 
+class _Example2Geometry(NamedTuple):
+    """One (p, q) of example2 with the report's checks that depend on it alone.
+
+    head holds the checks that open the report, tail the Einstein-like fit
+    checks that close it.
+    """
+
+    s: AccRStructure
+    pkg: CurvaturePackage
+    assoc_pkg: CurvaturePackage
+    classification: SasakiLikeResult
+    head: tuple
+    ricci_reconstruction: Check
+    tail: tuple
+
+
+def _example2_geometry(p: float, q: float) -> _Example2Geometry:
+    _, s, pkg, _, classification, assoc_pkg = _example2_bundle(p, q)
+    n = s.n
+    head = TheoremReport()
+    head.add(
+        "curvature_table",
+        max_abs(pkg.riemann - example2_expected_curvature(s.frame)),
+        tol=1e-12,
+        note="all nonzero components and their symmetry images",
+    )
+    eta_outer = s.eta_outer
+    head.add("ricci_form", max_abs(pkg.ricci - 4.0 * eta_outer), tol=1e-12)
+    head.add("tau_value", pkg.tau - 4.0, tol=1e-10)
+    head.add("tau_star_value", pkg.tau_star, tol=1e-10)
+    head.add(
+        "tau_assoc_pipeline",
+        assoc_pkg.tau - 4.0,
+        tol=1e-10,
+        note="scalar curvature of the associated metric via its own connection",
+    )
+    head.add(
+        "tau_assoc_two_routes",
+        assoc_pkg.tau - (2.0 * n - pkg.tau_star),
+        tol=1e-10,
+        note="pipeline value against 2n - tau_star",
+    )
+    head.add("sasaki_like", classification.residual, tol=1e-12)
+    head.add("reeb_derivative", reeb_derivative_residual(pkg.conn, s))
+    head.add(
+        "reeb_derivative_assoc",
+        reeb_derivative_residual(assoc_pkg.conn, s),
+        note="the associated connection acts on xi the same way",
+    )
+    head.add(
+        "ricci_reeb_line",
+        float(np.max(np.abs(pkg.ricci.data @ s.xi.data - 2.0 * n * s.eta.data))),
+    )
+
+    fit = einstein_like_fit(pkg.ricci, s)
+    tail = TheoremReport()
+    tail.add("einstein_fit_residual", fit.residual, tol=1e-12)
+    tail.add(
+        "einstein_fit_coefficients",
+        max(abs(fit.a), abs(fit.b), abs(fit.c - 4.0)),
+        tol=1e-10,
+        note=f"fit kind: {fit.kind}",
+    )
+    return _Example2Geometry(
+        s,
+        pkg,
+        assoc_pkg,
+        classification,
+        tuple(head.checks),
+        ricci_reconstruction_check(pkg.ricci, pkg.tau, assoc_pkg.tau, n, s),
+        tuple(tail.checks),
+    )
+
+
+class _Example2Potential(NamedTuple):
+    """The potential k xi at one (p, q) with the report's checks that depend on it.
+
+    t0 is set for the scenario family k = -2 t0, k' = -2, and None for a
+    supplied k. lie_g and lie_assoc are the closed-form Lie derivatives,
+    lie_g_conn the connection-based one of g.
+    """
+
+    k: VerticalScalar
+    t0: float
+    lie_g: Tensor
+    lie_assoc: Tensor
+    lie_g_conn: Tensor
+    checks: tuple
+    scalar_sum: Check
+
+
+def _example2_potential(
+    geom: _Example2Geometry, t0: float, k: VerticalScalar = None
+) -> _Example2Potential:
+    """k defaults to the scenario family at t0, whose values are then checked too."""
+    if k is None:
+        k = VerticalScalar(value=-2.0 * t0, xi_derivative=-2.0)
+    else:
+        t0 = None
+    s = geom.s
+    lie_g_closed, lie_assoc_closed = vertical_lie_closed_form(k, s, geom.classification)
+    potential = VerticalPotential(k)
+    lie_g_conn = lie_derivative_metric(s.g, geom.pkg.conn, potential, s)
+    lie_assoc_conn = lie_derivative_metric(s.g_assoc, geom.pkg.conn, potential, s)
+    report = TheoremReport()
+    report.add(
+        "lie_g_closed_vs_connection", max_abs(lie_g_closed - lie_g_conn), tol=1e-10
+    )
+    report.add(
+        "lie_assoc_closed_vs_connection",
+        max_abs(lie_assoc_closed - lie_assoc_conn),
+        tol=1e-10,
+    )
+    if t0 is not None:
+        eta_outer = s.eta_outer
+        h_tensor = 2.0 * k.xi_derivative * eta_outer
+        report.add("h_form", max_abs(h_tensor + 4.0 * eta_outer), tol=1e-12)
+        lie_g_family = 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer
+        report.add("lie_g_family_value", max_abs(lie_g_closed - lie_g_family), tol=1e-10)
+        lie_assoc_family = -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer
+        report.add(
+            "lie_assoc_family_value",
+            max_abs(lie_assoc_closed - lie_assoc_family),
+            tol=1e-10,
+        )
+    return _Example2Potential(
+        k,
+        t0,
+        lie_g_closed,
+        lie_assoc_closed,
+        lie_g_conn,
+        tuple(report.checks),
+        vertical_scalar_sum_check(k.xi_derivative, geom.pkg.tau, geom.assoc_pkg.tau, s.n),
+    )
+
+
+def _example2_rows(
+    geom: _Example2Geometry,
+    pot: _Example2Potential,
+    betas,
+    lam: float = None,
+    lam_assoc: float = None,
+) -> list:
+    """(lam, lam_assoc, report) of the two-metric vertical theorem at each beta.
+
+    Each report shares the Check objects of its geometry and potential; the
+    soliton residuals of all betas come from one array operation. lam and
+    lam_assoc, when given, are verified against the solved values and used
+    in the soliton residual.
+    """
+    s, pkg = geom.s, geom.pkg
+    tau, tau_assoc, n = pkg.tau, geom.assoc_pkg.tau, s.n
+    solved = [vertical_soliton_constants(beta, pot.k, tau, tau_assoc, n) for beta in betas]
+    lams = [solved_lam if lam is None else lam for solved_lam, _, _ in solved]
+    lam_assocs = [
+        solved_lam_assoc if lam_assoc is None else lam_assoc for _, solved_lam_assoc, _ in solved
+    ]
+    norms = rb_like_residual_norms(
+        pkg.ricci, pot.lie_g, pot.lie_assoc, s, betas, lams, lam_assocs, tau, tau_assoc
+    )
+    rows = []
+    for beta, (solved_lam, solved_lam_assoc, solution), row_lam, row_lam_assoc, norm in zip(
+        betas, solved, lams, lam_assocs, norms
+    ):
+        report = TheoremReport(
+            [*geom.head, *pot.checks, pot.scalar_sum, *solution.checks, geom.ricci_reconstruction],
+            solution.notes,
+        )
+        if lam is not None or lam_assoc is not None:
+            report.add(
+                "lambda_matches_solution",
+                row_lam - solved_lam,
+                tol=1e-10,
+                note="supplied lam against the solved value",
+            )
+            report.add(
+                "lambda_assoc_matches_solution",
+                row_lam_assoc - solved_lam_assoc,
+                tol=1e-10,
+                note="supplied lam_assoc against the solved value",
+            )
+        elif pot.t0 is not None:
+            report.add(
+                "lambda_family_value",
+                row_lam - 2.0 * (pot.t0 - 2.0 * beta),
+                tol=1e-10,
+                note="lam = 2(t0 - 2 beta)",
+            )
+            report.add(
+                "lambda_assoc_family_value",
+                row_lam_assoc + 2.0 * (pot.t0 + 2.0 * beta),
+                tol=1e-10,
+                note="lam_assoc = -2(t0 + 2 beta)",
+            )
+        report.add("soliton_residual", norm, tol=1e-10)
+        report.checks.extend(geom.tail)
+        rows.append((row_lam, row_lam_assoc, report))
+    return rows
+
+
 def run_example2_report(
     params: Example2Params,
     *,
@@ -204,140 +423,18 @@ def run_example2_report(
     instead of the solved ones. Passing mu switches the claim to the
     single-metric equation with the eta (.) eta term: the two-metric solve
     is skipped and lam defaults to 0 there.
+
+    The report is built by the same per-level helpers as sweep's rows.
     """
-    alg, s, pkg, fund, classification, assoc_pkg = _example2_bundle(params.p, params.q)
-    n = s.n
-    report = TheoremReport()
-
-    expected = example2_expected_curvature(s.frame)
-    report.add(
-        "curvature_table",
-        max_abs(pkg.riemann - expected),
-        tol=1e-12,
-        note="all nonzero components and their symmetry images",
-    )
-    eta_outer = s.eta_outer
-    report.add("ricci_form", max_abs(pkg.ricci - 4.0 * eta_outer), tol=1e-12)
-    report.add("tau_value", pkg.tau - 4.0, tol=1e-10)
-    report.add("tau_star_value", pkg.tau_star, tol=1e-10)
-    report.add(
-        "tau_assoc_pipeline",
-        assoc_pkg.tau - 4.0,
-        tol=1e-10,
-        note="scalar curvature of the associated metric via its own connection",
-    )
-    report.add(
-        "tau_assoc_two_routes",
-        assoc_pkg.tau - (2.0 * n - pkg.tau_star),
-        tol=1e-10,
-        note="pipeline value against 2n - tau_star",
-    )
-    report.add("sasaki_like", classification.residual, tol=1e-12)
-    report.add("reeb_derivative", reeb_derivative_residual(pkg.conn, s))
-    report.add(
-        "reeb_derivative_assoc",
-        reeb_derivative_residual(assoc_pkg.conn, s),
-        note="the associated connection acts on xi the same way",
-    )
-    report.add(
-        "ricci_reeb_line",
-        float(np.max(np.abs(pkg.ricci.data @ s.xi.data - 2.0 * n * s.eta.data))),
-    )
-
-    canonical = k is None
-    if canonical:
-        k = VerticalScalar(value=-2.0 * params.t0, xi_derivative=-2.0)
-    potential = VerticalPotential(k)
-
-    lie_g_closed, lie_assoc_closed = vertical_lie_closed_form(k, s, classification)
-    lie_g_conn = lie_derivative_metric(s.g, pkg.conn, potential, s)
-    lie_assoc_conn = lie_derivative_metric(s.g_assoc, pkg.conn, potential, s)
-    report.add(
-        "lie_g_closed_vs_connection", max_abs(lie_g_closed - lie_g_conn), tol=1e-10
-    )
-    report.add(
-        "lie_assoc_closed_vs_connection",
-        max_abs(lie_assoc_closed - lie_assoc_conn),
-        tol=1e-10,
-    )
-    if canonical:
-        t0 = params.t0
-        h_tensor = 2.0 * k.xi_derivative * eta_outer
-        report.add("h_form", max_abs(h_tensor + 4.0 * eta_outer), tol=1e-12)
-        lie_g_family = 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer
-        report.add("lie_g_family_value", max_abs(lie_g_closed - lie_g_family), tol=1e-10)
-        lie_assoc_family = -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer
-        report.add(
-            "lie_assoc_family_value",
-            max_abs(lie_assoc_closed - lie_assoc_family),
-            tol=1e-10,
-        )
-
-    if mu is not None:
-        spec = SolitonSpec(beta=params.beta, lam=0.0 if lam is None else lam, mu=mu)
-        report.add(
-            "eta_soliton_residual",
-            max_abs(eta_rb_residual(pkg.ricci, lie_g_conn, s, spec, pkg.tau)),
-            tol=1e-10,
-        )
-    else:
-        solved_lam, solved_lam_assoc, solve_report = solve_vertical_soliton(
-            params.beta,
-            k,
-            pkg.tau,
-            assoc_pkg.tau,
-            n,
-            classification=classification,
-            ricci_tensor=pkg.ricci,
-            structure=s,
-        )
-        report.extend(solve_report)
-        if lam is None and lam_assoc is None:
-            lam, lam_assoc = solved_lam, solved_lam_assoc
-            if canonical:
-                report.add(
-                    "lambda_family_value",
-                    lam - 2.0 * (params.t0 - 2.0 * params.beta),
-                    tol=1e-10,
-                    note="lam = 2(t0 - 2 beta)",
-                )
-                report.add(
-                    "lambda_assoc_family_value",
-                    lam_assoc + 2.0 * (params.t0 + 2.0 * params.beta),
-                    tol=1e-10,
-                    note="lam_assoc = -2(t0 + 2 beta)",
-                )
-        else:
-            lam = solved_lam if lam is None else lam
-            lam_assoc = solved_lam_assoc if lam_assoc is None else lam_assoc
-            report.add(
-                "lambda_matches_solution",
-                lam - solved_lam,
-                tol=1e-10,
-                note="supplied lam against the solved value",
-            )
-            report.add(
-                "lambda_assoc_matches_solution",
-                lam_assoc - solved_lam_assoc,
-                tol=1e-10,
-                note="supplied lam_assoc against the solved value",
-            )
-
-        spec = SolitonSpec(beta=params.beta, lam=lam, lam_assoc=lam_assoc)
-        residual = rb_like_residual(
-            pkg.ricci, lie_g_closed, lie_assoc_closed, s, spec, pkg.tau, assoc_pkg.tau
-        )
-        report.add("soliton_residual", max_abs(residual), tol=1e-10)
-
-    fit = einstein_like_fit(pkg.ricci, s)
-    report.add("einstein_fit_residual", fit.residual, tol=1e-12)
-    report.add(
-        "einstein_fit_coefficients",
-        max(abs(fit.a), abs(fit.b), abs(fit.c - 4.0)),
-        tol=1e-10,
-        note=f"fit kind: {fit.kind}",
-    )
-    return report
+    geom = _example2_geometry(params.p, params.q)
+    pot = _example2_potential(geom, params.t0, k)
+    if mu is None:
+        ((_, _, report),) = _example2_rows(geom, pot, (params.beta,), lam, lam_assoc)
+        return report
+    spec = SolitonSpec(beta=params.beta, lam=0.0 if lam is None else lam, mu=mu)
+    residual = eta_rb_residual(geom.pkg.ricci, pot.lie_g_conn, geom.s, spec, geom.pkg.tau)
+    eta_check = Check.measure("eta_soliton_residual", max_abs(residual), tol=1e-10)
+    return TheoremReport([*geom.head, *pot.checks, eta_check, *geom.tail])
 
 
 @lru_cache(maxsize=16)
@@ -361,14 +458,8 @@ def flat_carrier_structure(n: int) -> AccRStructure:
     return validate_structure(phi, xi, eta, g, frame)
 
 
-def example1_curve(t: float, n: int, beta: float) -> Example1Point:
-    """Evaluate the formula-level curve at parameter t for dimension 2n+1.
-
-    Scalar curvatures are computed twice, through (p, q) and directly in
-    t, and must agree to 1e-9 relative to their size: both grow like the
-    reciprocal of the shared denominator near its zeros, which are exactly
-    the excluded parameter values.
-    """
+def _curve_scalars(t: float, n: int) -> tuple:
+    """(p, q, tau, tau_assoc) of the curve at t for dimension 2n+1; see example1_curve."""
     den = SQRT2 + math.cos(t) - math.sin(t)
     if abs(den) <= 1e-9:
         raise DegenerateParameter(
@@ -395,25 +486,133 @@ def example1_curve(t: float, n: int, beta: float) -> Example1Point:
             raise GeometryError(
                 f"{label} routes disagree by {abs(left - right):.3e} at t={t!r}"
             )
+    return p, q, tau_direct, tau_assoc_direct
 
+
+def _curve_sums(beta: float, n: int, tau: float, tau_assoc: float) -> tuple:
+    """(psi + lam, psi_assoc + lam_assoc) that the conformal theorem forces."""
     if is_degenerate_beta(beta, n):
-        sum_g = 1.0
-        sum_assoc = 1.0
-    else:
-        factor = 1.0 + 2.0 * n * beta
-        sum_g = 1.0 - factor * tau_direct / (2.0 * n)
-        sum_assoc = 1.0 - factor * tau_assoc_direct / (2.0 * n)
+        return 1.0, 1.0
+    factor = 1.0 + 2.0 * n * beta
+    return 1.0 - factor * tau / (2.0 * n), 1.0 - factor * tau_assoc / (2.0 * n)
+
+
+def example1_curve(t: float, n: int, beta: float) -> Example1Point:
+    """Evaluate the formula-level curve at parameter t for dimension 2n+1.
+
+    Scalar curvatures are computed twice, through (p, q) and directly in
+    t, and must agree to 1e-9 relative to their size: both grow like the
+    reciprocal of the shared denominator near its zeros, which are exactly
+    the excluded parameter values.
+    """
+    p, q, tau, tau_assoc = _curve_scalars(t, n)
+    sum_g, sum_assoc = _curve_sums(beta, n, tau, tau_assoc)
     return Example1Point(
         t=t,
         n=n,
         beta=beta,
         p=p,
         q=q,
-        tau=tau_direct,
-        tau_assoc=tau_assoc_direct,
+        tau=tau,
+        tau_assoc=tau_assoc,
         sum_g=sum_g,
         sum_assoc=sum_assoc,
     )
+
+
+class _Example1Curvature(NamedTuple):
+    """One (t, n) of example1 with the report's checks that are free of beta.
+
+    head holds the checks that open the report, through scalar_sum;
+    einstein_like closes it.
+    """
+
+    n: int
+    p: float
+    q: float
+    tau: float
+    tau_assoc: float
+    tau_star: float
+    s: AccRStructure
+    ricci: Tensor
+    head: tuple
+    einstein_like: Check
+
+
+def _example1_curvature(t: float, n: int) -> _Example1Curvature:
+    p, q, tau, tau_assoc = _curve_scalars(t, n)
+    s = flat_carrier_structure(n)
+    square_sum = p ** 2 + q ** 2
+    scale = 2.0 * n / square_sum
+    ricci = Tensor(
+        s.frame,
+        scale
+        * (
+            p * s.g.matrix
+            - q * s.g_assoc.matrix
+            + (square_sum - p + q) * np.outer(s.eta.data, s.eta.data)
+        ),
+    )
+    head = TheoremReport()
+    head.add("curve_constraint", p ** 2 + q ** 2 - p + q, tol=1e-12)
+    head.add(
+        "tau_route_agreement",
+        2.0 * n * (1.0 + 2.0 * n * p / square_sum) - tau,
+        note="through (p, q) against direct in t",
+    )
+    head.add(
+        "tau_assoc_route_agreement",
+        2.0 * n * (1.0 - 2.0 * n * q / square_sum) - tau_assoc,
+        note="through (p, q) against direct in t",
+    )
+    head.add(
+        "ricci_reeb_value",
+        float(ricci.data @ s.xi.data @ s.xi.data) - 2.0 * n,
+        note="rho(xi, xi) = 2n",
+    )
+    # with a Ricci tensor supplied there are no notes
+    scalar_sum, einstein_like, tau_star, _ = conformal_curvature_checks(
+        tau, tau_assoc, n, ricci_tensor=ricci, structure=s
+    )
+    return _Example1Curvature(
+        n, p, q, tau, tau_assoc, tau_star, s, ricci, (*head.checks, scalar_sum), einstein_like
+    )
+
+
+_SUMS_NOTE = (
+    "only the sums psi+lam and psi_assoc+lam_assoc are determined; "
+    "they are passed through psi with lam = 0"
+)
+
+
+def _example1_row(curv: _Example1Curvature, beta: float, sums_override=None) -> tuple:
+    """(sum_g, sum_assoc, report) at one beta; the report shares curv's checks.
+
+    sum_g and sum_assoc are the curve's forced sums, also when
+    sums_override supplies the split the report checks.
+    """
+    sum_g, sum_assoc = _curve_sums(beta, curv.n, curv.tau, curv.tau_assoc)
+    report = TheoremReport(list(curv.head))
+    if sums_override is None:
+        psi, psi_assoc, lam, lam_assoc = sum_g, sum_assoc, 0.0, 0.0
+        report.add_note(_SUMS_NOTE)
+    else:
+        psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
+    report.extend(
+        conformal_sum_checks(
+            beta,
+            psi + lam,
+            psi_assoc + lam_assoc,
+            curv.tau,
+            curv.tau_assoc,
+            curv.tau_star,
+            curv.n,
+            ricci_tensor=curv.ricci,
+            structure=curv.s,
+        )
+    )
+    report.checks.append(curv.einstein_like)
+    return sum_g, sum_assoc, report
 
 
 def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) -> TheoremReport:
@@ -427,65 +626,10 @@ def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) ->
     split supplied by the caller; the theorem is then checked against
     that split instead of the curve's forced sums, so an inconsistent
     split shows up as failing checks.
-    """
-    point = example1_curve(t, n, beta)
-    s = flat_carrier_structure(n)
-    report = TheoremReport()
-    report.add(
-        "curve_constraint",
-        point.p ** 2 + point.q ** 2 - point.p + point.q,
-        tol=1e-12,
-    )
-    square_sum = point.p ** 2 + point.q ** 2
-    report.add(
-        "tau_route_agreement",
-        2.0 * n * (1.0 + 2.0 * n * point.p / square_sum) - point.tau,
-        note="through (p, q) against direct in t",
-    )
-    report.add(
-        "tau_assoc_route_agreement",
-        2.0 * n * (1.0 - 2.0 * n * point.q / square_sum) - point.tau_assoc,
-        note="through (p, q) against direct in t",
-    )
 
-    scale = 2.0 * n / square_sum
-    ricci = Tensor(
-        s.frame,
-        scale
-        * (
-            point.p * s.g.matrix
-            - point.q * s.g_assoc.matrix
-            + (square_sum - point.p + point.q) * np.outer(s.eta.data, s.eta.data)
-        ),
-    )
-    report.add(
-        "ricci_reeb_value",
-        float(ricci.data @ s.xi.data @ s.xi.data) - 2.0 * n,
-        note="rho(xi, xi) = 2n",
-    )
-    if sums_override is None:
-        psi, psi_assoc, lam, lam_assoc = point.sum_g, point.sum_assoc, 0.0, 0.0
-        report.add_note(
-            "only the sums psi+lam and psi_assoc+lam_assoc are determined; "
-            "they are passed through psi with lam = 0"
-        )
-    else:
-        psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
-    report.extend(
-        verify_conformal_theorem(
-            beta,
-            psi=psi,
-            psi_assoc=psi_assoc,
-            lam=lam,
-            lam_assoc=lam_assoc,
-            tau=point.tau,
-            tau_assoc=point.tau_assoc,
-            n=n,
-            ricci_tensor=ricci,
-            structure=s,
-        )
-    )
-    return report
+    The report is built by the same per-level helpers as sweep's rows.
+    """
+    return _example1_row(_example1_curvature(t, n), beta, sums_override)[2]
 
 
 @dataclass(frozen=True)
@@ -543,42 +687,39 @@ def sweep(
     Rows are ordered lexicographically in the grid indices. Degenerate
     example1 points (excluded t values) become marked rows that do not
     count toward pass/fail.
+
+    Each check is evaluated once per value of the parameters it depends
+    on, by the helpers that build the single-point reports: example2's
+    geometry checks once per (p, q), its potential checks once per
+    (p, q, t0), and only the solve, the constants and the soliton residual
+    per row; example1's curve, carrier Ricci tensor and beta-free checks
+    once per (n, t). Every row still carries its full TheoremReport, whose
+    Check objects are shared between rows.
     """
     if scenario == "example2":
-        grids = {
-            "p": _grid(p_grid, DEFAULT_P_GRID),
-            "q": _grid(q_grid, DEFAULT_Q_GRID),
-            "beta": _grid(beta_grid, DEFAULT_BETA_GRID),
-            "t0": _grid(t0_grid, DEFAULT_T0_GRID),
-        }
+        betas = _grid(beta_grid, DEFAULT_BETA_GRID)
+        t0s = _grid(t0_grid, DEFAULT_T0_GRID)
         rows = []
-        for index, (p, q, beta, t0) in enumerate(
-            product(grids["p"], grids["q"], grids["beta"], grids["t0"])
-        ):
-            params = Example2Params(p=p, q=q, beta=beta, t0=t0)
-            report = run_example2_report(params)
-            _, _, pkg, _, classification, assoc_pkg = _example2_bundle(p, q)
-            lam, lam_assoc, _ = solve_vertical_soliton(
-                beta,
-                VerticalScalar(value=-2.0 * t0, xi_derivative=-2.0),
-                pkg.tau,
-                assoc_pkg.tau,
-                2,
-                classification=classification,
-            )
-            rows.append(
-                SweepRow(
-                    index=index,
-                    params={"p": p, "q": q, "beta": beta, "t0": t0},
-                    scalars={
-                        "tau": pkg.tau,
-                        "tau_tilde": assoc_pkg.tau,
-                        "lambda": lam,
-                        "lambda_tilde": lam_assoc,
-                    },
-                    report=report,
-                )
-            )
+        for p, q in product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)):
+            geom = _example2_geometry(p, q)
+            # by_t0[j][i]: (lam, lam_assoc, report) at betas[i], t0s[j]
+            by_t0 = [_example2_rows(geom, _example2_potential(geom, t0), betas) for t0 in t0s]
+            for i, beta in enumerate(betas):
+                for t0, t0_rows in zip(t0s, by_t0):
+                    lam, lam_assoc, report = t0_rows[i]
+                    rows.append(
+                        SweepRow(
+                            index=len(rows),
+                            params={"p": p, "q": q, "beta": beta, "t0": t0},
+                            scalars={
+                                "tau": geom.pkg.tau,
+                                "tau_tilde": geom.assoc_pkg.tau,
+                                "lambda": lam,
+                                "lambda_tilde": lam_assoc,
+                            },
+                            report=report,
+                        )
+                    )
         result = SweepResult("example2", rows)
         constants = {
             (round(row.scalars["lambda"], 12), round(row.scalars["lambda_tilde"], 12))
@@ -595,46 +736,47 @@ def sweep(
         n_values = tuple(int(v) for v in (DEFAULT_N_GRID if n_grid is None else n_grid))
         if not n_values:
             raise EmptyGrid("a sweep grid must contain at least one value")
-        grids = {
-            "beta": _grid(beta_grid, DEFAULT_BETA_GRID),
-            "t": _grid(t_grid, DEFAULT_T_GRID),
-        }
+        betas = _grid(beta_grid, DEFAULT_BETA_GRID)
+        ts = _grid(t_grid, DEFAULT_T_GRID)
         rows = []
-        for index, (n, beta, t) in enumerate(
-            product(n_values, grids["beta"], grids["t"])
-        ):
-            params = {"n": n, "beta": beta, "t": t}
-            try:
-                point = example1_curve(t, int(n), beta)
-            except DegenerateParameter as exc:
-                degenerate_report = TheoremReport()
-                degenerate_report.add_note(str(exc))
-                rows.append(
-                    SweepRow(
-                        index=index,
-                        params=params,
-                        scalars={},
-                        report=degenerate_report,
-                        degenerate=True,
+        for n in n_values:
+            # a DegenerateParameter in place of an excluded t's curvature
+            curvatures = []
+            for t in ts:
+                try:
+                    curvatures.append(_example1_curvature(t, n))
+                except DegenerateParameter as exc:
+                    curvatures.append(exc)
+            for beta in betas:
+                for t, curv in zip(ts, curvatures):
+                    params = {"n": n, "beta": beta, "t": t}
+                    if isinstance(curv, DegenerateParameter):
+                        rows.append(
+                            SweepRow(
+                                index=len(rows),
+                                params=params,
+                                scalars={},
+                                report=TheoremReport(notes=[str(curv)]),
+                                degenerate=True,
+                            )
+                        )
+                        continue
+                    sum_g, sum_assoc, report = _example1_row(curv, beta)
+                    rows.append(
+                        SweepRow(
+                            index=len(rows),
+                            params=params,
+                            scalars={
+                                "p": curv.p,
+                                "q": curv.q,
+                                "tau": curv.tau,
+                                "tau_tilde": curv.tau_assoc,
+                                "psi_plus_lambda": sum_g,
+                                "psi_tilde_plus_lambda_tilde": sum_assoc,
+                            },
+                            report=report,
+                        )
                     )
-                )
-                continue
-            report = run_example1_report(t, int(n), beta)
-            rows.append(
-                SweepRow(
-                    index=index,
-                    params=params,
-                    scalars={
-                        "p": point.p,
-                        "q": point.q,
-                        "tau": point.tau,
-                        "tau_tilde": point.tau_assoc,
-                        "psi_plus_lambda": point.sum_g,
-                        "psi_tilde_plus_lambda_tilde": point.sum_assoc,
-                    },
-                    report=report,
-                )
-            )
         return SweepResult("example1", rows)
 
     raise GeometryError(f"unknown scenario {scenario!r}; choose example1 or example2")

@@ -113,6 +113,13 @@ class Check:
     def passed(self) -> bool:
         return self.residual < self.tol
 
+    @classmethod
+    def measure(
+        cls, name: str, residual: float, tol: float = DEFAULT_TOL, note: str = ""
+    ) -> "Check":
+        """The check of |residual| against tol."""
+        return cls(name, abs(float(residual)), tol, note)
+
 
 @dataclass
 class TheoremReport:
@@ -122,7 +129,7 @@ class TheoremReport:
     notes: list = field(default_factory=list)
 
     def add(self, name: str, residual: float, tol: float = DEFAULT_TOL, note: str = "") -> None:
-        self.checks.append(Check(name, abs(float(residual)), tol, note))
+        self.checks.append(Check.measure(name, residual, tol, note))
 
     def add_note(self, text: str) -> None:
         self.notes.append(text)
@@ -212,14 +219,50 @@ def rb_like_residual(
     tau_assoc: float,
 ) -> Tensor:
     """Left-hand side of the two-metric soliton equation; zero means soliton."""
-    arr = (
+    lhs = _rb_like_lhs(
+        ricci_tensor, lie_g, lie_assoc, s, spec.beta, spec.lam, spec.lam_assoc, tau, tau_assoc
+    )
+    return Tensor(s.frame, lhs)
+
+
+def rb_like_residual_norms(
+    ricci_tensor: Tensor,
+    lie_g: Tensor,
+    lie_assoc: Tensor,
+    s: AccRStructure,
+    beta,
+    lam,
+    lam_assoc,
+    tau: float,
+    tau_assoc: float,
+) -> np.ndarray:
+    """max_abs of rb_like_residual for each entry of the equal-length
+    sequences beta, lam and lam_assoc, evaluated in one array operation."""
+    lhs = _rb_like_lhs(
+        ricci_tensor,
+        lie_g,
+        lie_assoc,
+        s,
+        np.asarray(beta, dtype=float),
+        np.asarray(lam, dtype=float),
+        np.asarray(lam_assoc, dtype=float),
+        tau,
+        tau_assoc,
+    )
+    return np.max(np.abs(lhs), axis=(-2, -1))
+
+
+def _rb_like_lhs(ricci_tensor, lie_g, lie_assoc, s, beta, lam, lam_assoc, tau, tau_assoc):
+    # beta, lam and lam_assoc are scalars, or 1-d arrays that stack the
+    # results along a leading axis; each entry takes the same floating-point
+    # operations in the same order either way
+    return (
         ricci_tensor.data
         + 0.5 * lie_g.data
         + 0.5 * lie_assoc.data
-        + (spec.lam + spec.beta * tau) * s.g.matrix
-        + (spec.lam_assoc + spec.beta * tau_assoc) * s.g_assoc.matrix
+        + np.multiply.outer(lam + beta * tau, s.g.matrix)
+        + np.multiply.outer(lam_assoc + beta * tau_assoc, s.g_assoc.matrix)
     )
-    return Tensor(s.frame, arr)
 
 
 def eta_rb_residual(
@@ -376,10 +419,56 @@ def solve_vertical_soliton(
     lam = 1 - k and lam_assoc = 1 + k with (tau, tau_assoc) constrained
     only through their sum. Returns (lam, lam_assoc, report); the report
     re-derives the constants through every independent identity the
-    theorem provides.
+    theorem provides. Callers that evaluate many beta at one geometry use
+    its parts directly: vertical_scalar_sum_check and
+    ricci_reconstruction_check are free of beta, vertical_soliton_constants
+    is the rest.
     """
     if classification is not None and not classification.is_sasaki_like:
         raise NotSasakiLike("the vertical-potential theorem needs a Sasaki-like structure")
+    lam, lam_assoc, solution = vertical_soliton_constants(beta, k, tau, tau_assoc, n)
+    report = TheoremReport([vertical_scalar_sum_check(k.xi_derivative, tau, tau_assoc, n)])
+    report.extend(solution)
+    if ricci_tensor is not None and structure is not None:
+        report.checks.append(
+            ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
+        )
+    return lam, lam_assoc, report
+
+
+def vertical_scalar_sum_check(k_prime: float, tau: float, tau_assoc: float, n: int) -> Check:
+    """tau + tau_assoc = 4n(k' + n + 1), which holds at every beta."""
+    return Check.measure(
+        "scalar_sum_from_k_derivative",
+        tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
+        note="tau + tau_assoc = 4n(k' + n + 1)",
+    )
+
+
+def ricci_reconstruction_check(
+    ricci_tensor: Tensor, tau: float, tau_assoc: float, n: int, structure: AccRStructure
+) -> Check:
+    """rho rebuilt from (tau, tau_assoc) alone, which holds at every beta."""
+    expected = (
+        (tau / (2.0 * n) - 1.0) * structure.g.matrix
+        + (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
+        - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0))
+        * np.outer(structure.eta.data, structure.eta.data)
+    )
+    return Check.measure(
+        "ricci_reconstruction",
+        float(np.max(np.abs(ricci_tensor.data - expected))),
+        note="rho rebuilt from (tau, tau_assoc) alone",
+    )
+
+
+def vertical_soliton_constants(
+    beta: float, k: VerticalScalar, tau: float, tau_assoc: float, n: int
+) -> tuple:
+    """(lam, lam_assoc, report) at one beta; see solve_vertical_soliton.
+
+    The report holds the identities that involve the solved constants.
+    """
     report = TheoremReport()
     factor = 1.0 + 2.0 * n * beta
     degenerate = is_degenerate_beta(beta, n)
@@ -397,11 +486,6 @@ def solve_vertical_soliton(
         lam_assoc = 1.0 + k.value - tau_assoc * factor / (2.0 * n)
 
     report.add(
-        "scalar_sum_from_k_derivative",
-        tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
-        note="tau + tau_assoc = 4n(k' + n + 1)",
-    )
-    report.add(
         "k_derivative_from_trace",
         k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
         note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
@@ -416,18 +500,6 @@ def solve_vertical_soliton(
             "scalar_sum_from_lambdas",
             tau + tau_assoc + 2.0 * n * (lam + lam_assoc - 2.0) / factor,
             note="tau + tau_assoc recovered from the solved constants",
-        )
-    if ricci_tensor is not None and structure is not None:
-        expected = (
-            (tau / (2.0 * n) - 1.0) * structure.g.matrix
-            + (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
-            - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0))
-            * np.outer(structure.eta.data, structure.eta.data)
-        )
-        report.add(
-            "ricci_reconstruction",
-            float(np.max(np.abs(ricci_tensor.data - expected))),
-            note="rho rebuilt from (tau, tau_assoc) alone",
         )
     return lam, lam_assoc, report
 
@@ -453,18 +525,85 @@ def verify_conformal_theorem(
     1 + 2 n beta, 1 + (2n+1) beta, or beta are guarded and skipped at the
     respective parameter values; the degenerate beta = -1/(2n) branch gets
     its own pair of checks instead.
-    """
-    report = TheoremReport()
-    factor = 1.0 + 2.0 * n * beta
-    sum_g = psi + lam
-    sum_assoc = psi_assoc + lam_assoc
-    degenerate = is_degenerate_beta(beta, n)
 
-    report.add(
+    Callers that evaluate many beta at one curvature point use its parts
+    directly: conformal_curvature_checks is free of beta and the
+    potential, conformal_sum_checks is the rest.
+    """
+    scalar_sum, einstein_like, tau_star, notes = conformal_curvature_checks(
+        tau, tau_assoc, n, ricci_tensor=ricci_tensor, structure=structure
+    )
+    report = TheoremReport([scalar_sum], notes)
+    report.extend(
+        conformal_sum_checks(
+            beta,
+            psi + lam,
+            psi_assoc + lam_assoc,
+            tau,
+            tau_assoc,
+            tau_star,
+            n,
+            ricci_tensor=ricci_tensor,
+            structure=structure,
+        )
+    )
+    if einstein_like is not None:
+        report.checks.append(einstein_like)
+    return report
+
+
+def conformal_curvature_checks(
+    tau: float,
+    tau_assoc: float,
+    n: int,
+    *,
+    ricci_tensor: Tensor = None,
+    structure: AccRStructure = None,
+) -> tuple:
+    """(scalar_sum, ricci_einstein_like, tau_star, notes) of verify_conformal_theorem.
+
+    ricci_einstein_like is None without a Ricci tensor and structure; tau_star
+    is then derived as 2n - tau_assoc instead of the Ricci tensor's phi-trace.
+    """
+    scalar_sum = Check.measure(
         "scalar_sum",
         tau + tau_assoc - 4.0 * n * (n + 1.0),
         note="tau + tau_assoc = 4n(n+1)",
     )
+    if ricci_tensor is None or structure is None:
+        notes = ["tau_star derived from tau_assoc; no Ricci tensor supplied"]
+        return scalar_sum, None, 2.0 * n - tau_assoc, notes
+    einstein_form = (
+        ricci_tensor.data
+        - (tau / (2.0 * n) - 1.0) * structure.g.matrix
+        - (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
+    )
+    einstein_like = Check.measure(
+        "ricci_einstein_like",
+        float(np.max(np.abs(einstein_form))),
+        note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
+    )
+    return scalar_sum, einstein_like, phi_trace(ricci_tensor, structure.g, structure.phi), []
+
+
+def conformal_sum_checks(
+    beta: float,
+    sum_g: float,
+    sum_assoc: float,
+    tau: float,
+    tau_assoc: float,
+    tau_star: float,
+    n: int,
+    *,
+    ricci_tensor: Tensor = None,
+    structure: AccRStructure = None,
+) -> TheoremReport:
+    """The checks of verify_conformal_theorem that involve beta or the sums
+    sum_g = psi + lam and sum_assoc = psi_assoc + lam_assoc."""
+    report = TheoremReport()
+    factor = 1.0 + 2.0 * n * beta
+    degenerate = is_degenerate_beta(beta, n)
+
     report.add(
         "g_trace_closure",
         (1.0 + (2.0 * n + 1.0) * beta) * tau
@@ -478,11 +617,6 @@ def verify_conformal_theorem(
         beta * (tau + tau_assoc) + sum_g + sum_assoc + 2.0 * n,
         note="evaluation on (xi, xi)",
     )
-    tau_star = 2.0 * n - tau_assoc
-    if ricci_tensor is not None and structure is not None:
-        tau_star = phi_trace(ricci_tensor, structure.g, structure.phi)
-    else:
-        report.add_note("tau_star derived from tau_assoc; no Ricci tensor supplied")
     report.add(
         "phi_trace_relation",
         tau_star - 2.0 * n * (sum_assoc + beta * tau_assoc),
@@ -549,15 +683,5 @@ def verify_conformal_theorem(
             "ricci_from_soliton_coeffs",
             float(np.max(np.abs(soliton_form))),
             note="rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0",
-        )
-        einstein_form = (
-            ricci_tensor.data
-            - (tau / (2.0 * n) - 1.0) * structure.g.matrix
-            - (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
-        )
-        report.add(
-            "ricci_einstein_like",
-            float(np.max(np.abs(einstein_form))),
-            note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
         )
     return report

@@ -53,18 +53,30 @@ class Tensor:
     Components are stored fully covariant or fully contravariant at the
     caller's discretion; the wrapper only tracks the frame and the shape.
     Rank-0 tensors behave as plain scalars via ``float()``.
+
+    The data is copied into a read-only float64 array, except an array
+    that is already read-only float64 and owns its memory: that one is
+    kept as it is, so a caller that built a large array can hand it over
+    by freezing it, and must not write to it afterwards.
     """
 
     frame: Frame
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=float, copy=True)
-        if any(d != self.frame.dim for d in arr.shape):
+        arr = self.data
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.float64
+            and arr.base is None
+            and not arr.flags.writeable
+        ):
+            arr = np.array(arr, dtype=float, copy=True)
+            arr.setflags(write=False)
+        if arr.shape != (self.frame.dim,) * arr.ndim:
             raise DimensionMismatch(
                 f"tensor shape {arr.shape} does not match frame dimension {self.frame.dim}"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -88,7 +100,7 @@ class Tensor:
             raise DimensionMismatch(
                 f"rank mismatch: {self.data.shape} vs {other.data.shape}"
             )
-        return Tensor(self.frame, op(self.data, other.data))
+        return Tensor(self.frame, _handed_over(op(self.data, other.data)))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -97,16 +109,23 @@ class Tensor:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return Tensor(self.frame, self.data * float(scalar))
+        return Tensor(self.frame, _handed_over(self.data * float(scalar)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Tensor(self.frame, -self.data)
+        return Tensor(self.frame, _handed_over(-self.data))
 
     @classmethod
     def zeros(cls, frame: Frame, rank: int) -> "Tensor":
         return cls(frame, np.zeros((frame.dim,) * rank))
+
+
+def _handed_over(result):
+    """Freeze a freshly computed array, so Tensor keeps it without a copy."""
+    if isinstance(result, np.ndarray):
+        result.setflags(write=False)
+    return result
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from accrgeo import ManifoldDefinition, build_example2, save_definition
+from accrgeo import ManifoldDefinition, build_example2, save_definition, sweep
 from accrgeo.cli import main
 
 
@@ -245,3 +245,61 @@ def test_mu_single_metric_route(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("soliton", "--scenario", "example2", "--beta", "nan", "--format", "json"), "--beta"),
+        (("sweep", "--scenario", "example2", "--grid-beta", "nan"), "--grid-beta"),
+        (("soliton", "--scenario", "example2", "--tol", "inf", "--lambda", "99"), "--tol"),
+        (("sweep", "--scenario", "example1", "--grid-t", "inf"), "--grid-t"),
+        (("soliton", "--scenario", "example2", "--k", "1", "--k-prime=-inf"), "--k-prime"),
+        (("soliton", "--scenario", "example1", "--lambda-tilde", "nan"), "--lambda-tilde"),
+        (("soliton", "--scenario", "example2", "--tol", "nan", "--solve"), "--tol"),
+    ],
+)
+def test_non_finite_input_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} ")
+    assert "Traceback" not in err
+
+
+def _first_maximal(checks, tol_override):
+    keys = [c.residual / (c.tol if tol_override is None else tol_override) for c in checks]
+    return checks[keys.index(max(keys))]
+
+
+@pytest.mark.parametrize("tol", [None, "1e-16", "1e-3"])
+def test_sweep_worst_check_is_first_maximal_margin(capsys, tol):
+    grids = {"p": [0.0, 1.5], "q": [-2.0], "beta": [-0.25, 0.0, 0.5], "t0": [1.0, -1.0]}
+    argv = ["sweep", "--scenario", "example2", "--format", "json"]
+    argv += [f"--grid-{name}={','.join(map(repr, values))}" for name, values in grids.items()]
+    if tol is not None:
+        argv += ["--tol", tol]
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    tol_override = None if tol is None else float(tol)
+    result = sweep(
+        "example2",
+        p_grid=grids["p"],
+        q_grid=grids["q"],
+        beta_grid=grids["beta"],
+        t0_grid=grids["t0"],
+    )
+    assert len(payload["rows"]) == len(result.rows) == 12
+    for row, expected in zip(payload["rows"], result.rows):
+        checks = expected.report.checks
+        worst = _first_maximal(checks, tol_override)
+        assert row["worst_check"] == worst.name
+        assert row["worst_residual"] == worst.residual
+        limit = [c.tol if tol_override is None else tol_override for c in checks]
+        assert row["passed"] == all(c.residual < lim for c, lim in zip(checks, limit))
+    assert code == (0 if payload["summary"]["fail"] == 0 else 1)
+    # the strict override fails rows, the loose one passes them all
+    if tol == "1e-16":
+        assert payload["summary"]["fail"] > 0
+    if tol == "1e-3":
+        assert payload["summary"]["fail"] == 0

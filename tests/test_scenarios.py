@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from accrgeo import (
     Example2Params,
+    VerticalScalar,
     example1_curve,
     example2_expected_curvature,
     example2_state,
     run_example1_report,
     run_example2_report,
+    solve_vertical_soliton,
     sweep,
 )
 from accrgeo.errors import DegenerateParameter, EmptyGrid, GeometryError
@@ -200,3 +202,104 @@ def test_sweep_unknown_scenario():
 def test_default_t_grid_avoids_degenerate_point():
     for t in DEFAULT_T_GRID:
         assert abs(t - DEG_T) > 1e-3
+
+
+def _assert_same_report(row_report, single):
+    """Exact equality, check by check, of a sweep row and a single point."""
+    assert [
+        (c.name, c.residual, c.tol, c.note) for c in row_report.checks
+    ] == [(c.name, c.residual, c.tol, c.note) for c in single.checks]
+    assert row_report.notes == single.notes
+
+
+def _assert_example2_rows_match_single_points(result):
+    for row in result.rows:
+        params = Example2Params(**row.params)
+        _assert_same_report(row.report, run_example2_report(params))
+        _, _, pkg, _, classification, assoc_pkg = example2_state(params.p, params.q)
+        lam, lam_assoc, _ = solve_vertical_soliton(
+            params.beta,
+            VerticalScalar(-2.0 * params.t0, -2.0),
+            pkg.tau,
+            assoc_pkg.tau,
+            2,
+            classification=classification,
+        )
+        assert (row.scalars["lambda"], row.scalars["lambda_tilde"]) == (lam, lam_assoc)
+
+
+def _assert_example1_rows_match_single_points(result):
+    for row in result.rows:
+        t, n, beta = row.params["t"], row.params["n"], row.params["beta"]
+        if row.degenerate:
+            with pytest.raises(DegenerateParameter) as excinfo:
+                run_example1_report(t, n, beta)
+            assert row.report.checks == []
+            assert row.report.notes == [str(excinfo.value)]
+            continue
+        _assert_same_report(row.report, run_example1_report(t, n, beta))
+        point = example1_curve(t, n, beta)
+        assert row.scalars == {
+            "p": point.p,
+            "q": point.q,
+            "tau": point.tau,
+            "tau_tilde": point.tau_assoc,
+            "psi_plus_lambda": point.sum_g,
+            "psi_tilde_plus_lambda_tilde": point.sum_assoc,
+        }
+
+
+def test_default_example2_sweep_rows_equal_single_points():
+    result = sweep("example2")
+    assert len(result.rows) == 700
+    _assert_example2_rows_match_single_points(result)
+
+
+def test_default_example1_sweep_rows_equal_single_points():
+    result = sweep("example1")
+    assert len(result.rows) == 1295
+    _assert_example1_rows_match_single_points(result)
+
+
+def test_small_example2_grid_rows_equal_single_points():
+    # -1/(2n) = -0.25 and -1/(2n+1) = -0.2 for n = 2
+    result = sweep(
+        "example2",
+        p_grid=[0.5, -3.0],
+        q_grid=[1.25],
+        beta_grid=[-0.25, -0.2, 0.0, -0.25 + 5e-10, 0.7],
+        t0_grid=[2.5, -0.5],
+    )
+    assert len(result.rows) == 20
+    assert "branch point" in result.rows[0].report.notes[0]
+    _assert_example2_rows_match_single_points(result)
+
+
+def test_small_example1_grid_rows_equal_single_points():
+    n_grid = [1, 2, 3]
+    special = [-1.0 / (2 * n) for n in n_grid] + [-1.0 / (2 * n + 1) for n in n_grid]
+    result = sweep(
+        "example1",
+        n_grid=n_grid,
+        beta_grid=[*special, 0.0, 0.4],
+        t_grid=[0.0, DEG_T, 1.3, DEG_T + 2.0 * math.pi],
+    )
+    assert len(result.rows) == 3 * 8 * 4
+    assert result.n_degenerate == 3 * 8 * 2
+    notes = {note for row in result.rows for note in row.report.notes}
+    assert any("branch point" in note for note in notes)
+    assert any("nested tau elimination skipped" in note for note in notes)
+    assert any("tau_assoc elimination skipped" in note for note in notes)
+    _assert_example1_rows_match_single_points(result)
+
+
+def test_sweep_rows_share_checks_of_their_level():
+    result = sweep(
+        "example2", p_grid=[0.0], q_grid=[0.0], beta_grid=[0.0, 0.5], t0_grid=[1.0, 2.0]
+    )
+    first, second = result.rows[0].report, result.rows[1].report
+    # same (p, q): the curvature check is one object; other t0: other Lie checks
+    assert first["curvature_table"] is second["curvature_table"]
+    assert first["lie_g_family_value"] is not second["lie_g_family_value"]
+    third = result.rows[2].report  # beta = 0.5, t0 = 1
+    assert first["lie_g_family_value"] is third["lie_g_family_value"]

@@ -39,6 +39,40 @@ def test_tensor_is_read_only():
         t.data[0, 0] = 1.0
 
 
+def test_tensor_copies_writeable_source():
+    f = Frame(3)
+    source = np.eye(3)
+    t = Tensor(f, source)
+    source[0, 0] = 7.0
+    assert t.data[0, 0] == 1.0
+    assert not np.shares_memory(t.data, source)
+
+
+def test_tensor_keeps_frozen_owned_array():
+    f = Frame(3)
+    source = np.eye(3)
+    source.setflags(write=False)
+    assert np.shares_memory(Tensor(f, source).data, source)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.eye(4)[:3, :3],  # a view: its base could still be written
+        lambda: np.eye(3, dtype=np.float32),  # not float64
+        lambda: np.eye(3, dtype=np.int64),
+    ],
+)
+def test_tensor_copies_other_frozen_arrays(make):
+    f = Frame(3)
+    source = make()
+    source.setflags(write=False)
+    t = Tensor(f, source)
+    assert not np.shares_memory(t.data, source)
+    assert t.data.dtype == np.float64
+    assert not t.data.flags.writeable
+
+
 def test_tensor_shape_checked():
     f = Frame(3)
     with pytest.raises(DimensionMismatch):
