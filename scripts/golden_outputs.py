@@ -1,10 +1,22 @@
 #!/usr/bin/env python3
 """Write the CLI's JSON output for a fixed set of commands into a directory.
 
-The set is both default sweeps plus the example2 `inspect` and
-`soliton --solve` acceptance points at three (p, q). Each command's stdout
-goes to its own file, and `exit_codes.txt` lists every exit code. Run it on
-two checkouts and compare the directories with `diff -r` to show that a
+The set covers every path from (algebra, structure) to a report:
+
+- both default sweeps;
+- example2 `inspect` and `soliton --solve` at three (p, q), and `soliton`
+  with supplied constants, a supplied potential, the single-metric
+  equation and the two special betas;
+- example1 `soliton` at two curve points and with supplied scalars;
+- `--input` files, written here from literals: example2 at (0, 0), the
+  Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and the
+  abelian dim-5 algebra on the same carrier, which is not Sasaki-like.
+  Each gets `inspect` and `soliton` with `--solve`, with
+  `--lambda/--lambda-tilde`, with `--mu` and with `--psi/--psi-tilde`.
+
+Each command's stdout goes to `<stem>.json`, its stderr to `<stem>.stderr`
+when it exits nonzero, and `exit_codes.txt` lists every exit code. Run it
+on two checkouts and compare the directories with `diff -r` to show that a
 change keeps the output byte-identical.
 
 Example (from the repository root):
@@ -14,6 +26,7 @@ Example (from the repository root):
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -22,7 +35,60 @@ from accrgeo.cli import main as cli_main
 PQ_POINTS = ((0.0, 0.0), (1.5, -2.0), (-2.0, 1.0))
 
 
-def commands():
+def carrier_definition(n: int, brackets: list) -> dict:
+    """g = diag(1, I_n, -I_n), xi = eta = e_0, phi e_a = e_{n+a}, phi e_{n+a} = -e_a."""
+    dim = 2 * n + 1
+    reeb = [1.0] + [0.0] * (dim - 1)
+    return {
+        "dim": dim,
+        "structure_constants": brackets,
+        "phi": [[n + a, a, 1.0] for a in range(1, n + 1)]
+        + [[a, n + a, -1.0] for a in range(1, n + 1)],
+        "xi": reeb,
+        "eta": list(reeb),
+        "g": [[i, i, 1.0 if i <= n else -1.0] for i in range(dim)],
+    }
+
+
+def semidirect_brackets(n: int) -> list:
+    """[e_0, e_a] = e_{n+a}, [e_0, e_{n+a}] = -e_a: Sasaki-like, tau = 2n."""
+    return [[0, a, n + a, 1.0] for a in range(1, n + 1)] + [
+        [0, n + a, a, -1.0] for a in range(1, n + 1)
+    ]
+
+
+#: (file stem, contact dimension n, brackets, Sasaki-like)
+INPUTS = (
+    # example2 at (p, q) = (0, 0), bracket by bracket as its scenario lists them
+    (
+        "example2-p0-q0",
+        2,
+        [[0, 1, 3, 1.0], [0, 2, 4, 1.0], [0, 3, 1, -1.0], [0, 4, 2, -1.0]],
+        True,
+    ),
+    ("semidirect-n4", 4, semidirect_brackets(4), True),
+    ("semidirect-n16", 16, semidirect_brackets(16), True),
+    ("abelian-n2", 2, [], False),
+)
+
+
+def input_commands(path: str, stem: str, n: int, sasaki_like: bool):
+    """(file stem, argv) of the commands run on one definition file."""
+    base = ["soliton", "--input", path, "--beta", "0.3"]
+    # on the Sasaki-like files tau + tau_tilde = 4n(k' + n + 1) needs k' = -n
+    k = ["--k", "0.5", "--k-prime", repr(float(-n))]
+    if not sasaki_like:
+        k = ["--k", "1", "--k-prime", "0"]
+    yield f"{stem}-inspect", ["inspect", "--input", path]
+    yield f"{stem}-solve", [*base, *k, "--solve"]
+    yield f"{stem}-lambda", [*base, *k, "--lambda", "0.25", "--lambda-tilde=-1.5"]
+    yield f"{stem}-mu", [*base, *k, "--mu=-4", "--lambda", "0.5"]
+    yield f"{stem}-psi", [
+        *base, "--psi", "1", "--psi-tilde=-1", "--lambda", "0.5", "--lambda-tilde", "0.25",
+    ]
+
+
+def commands(inputs_dir: Path):
     """(file stem, argv) for every output written."""
     yield "sweep-example2", ["sweep", "--scenario", "example2"]
     yield "sweep-example1", ["sweep", "--scenario", "example1"]
@@ -32,6 +98,22 @@ def commands():
         yield f"soliton-p{p:g}-q{q:g}", [
             "soliton", "--scenario", "example2", *pq, "--beta", "0.25", "--t0", "1", "--solve",
         ]
+    ex2 = ["soliton", "--scenario", "example2"]
+    yield "soliton-ex2-lambda", [*ex2, "--lambda", "2", "--lambda-tilde=-2"]
+    yield "soliton-ex2-k-solve", [*ex2, "--k", "0.5", "--k-prime=-2", "--solve"]
+    yield "soliton-ex2-mu", [*ex2, "--k", "0", "--k-prime", "0", "--mu=-4"]
+    yield "soliton-ex2-beta-0.25", [*ex2, "--beta=-0.25", "--solve"]
+    yield "soliton-ex2-beta-0.2", [*ex2, "--beta=-0.2", "--solve"]
+    ex1 = ["soliton", "--scenario", "example1"]
+    yield "soliton-ex1-t0-n2", [*ex1, "--t", "0", "--n", "2", "--beta", "0"]
+    yield "soliton-ex1-t1-n2", [*ex1, "--t", "1", "--n", "2", "--beta=-0.25"]
+    yield "soliton-ex1-override", [
+        *ex1, "--t", "0.5", "--n", "3", "--beta", "0.1", "--psi", "1", "--lambda", "0.5",
+    ]
+    for stem, n, brackets, sasaki_like in INPUTS:
+        path = inputs_dir / f"{stem}.json"
+        path.write_text(json.dumps(carrier_definition(n, brackets), indent=2) + "\n")
+        yield from input_commands(str(path), stem, n, sasaki_like)
 
 
 def main(argv=None):
@@ -40,13 +122,16 @@ def main(argv=None):
         print(f"usage: {Path(sys.argv[0]).name} OUTDIR", file=sys.stderr)
         return 2
     outdir = Path(argv[0])
-    outdir.mkdir(parents=True, exist_ok=True)
+    inputs_dir = outdir / "inputs"
+    inputs_dir.mkdir(parents=True, exist_ok=True)
     codes = []
-    for stem, args in commands():
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
+    for stem, args in commands(inputs_dir):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main([*args, "--format", "json"])
-        (outdir / f"{stem}.json").write_text(buffer.getvalue())
+        (outdir / f"{stem}.json").write_text(out.getvalue())
+        if code != 0:
+            (outdir / f"{stem}.stderr").write_text(err.getvalue())
         codes.append(f"{stem} {code}\n")
     (outdir / "exit_codes.txt").write_text("".join(codes))
     return 0

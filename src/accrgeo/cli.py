@@ -8,8 +8,11 @@ Three commands:
     sweep    -- run a scenario over a parameter grid
 
 Input is either a built-in scenario (--scenario example1 | example2) or a
-JSON manifold definition (--input). Exit codes: 0 all checks passed,
-1 at least one residual above tolerance, 2 input or parse error.
+JSON manifold definition (--input). A definition file and example2 both
+go through geometry.analyze; the reports come from the scenario and
+soliton builders, so this module parses options and renders results but
+assembles no theorem. Exit codes: 0 all checks passed, 1 at least one
+residual above tolerance, 2 input or parse error.
 """
 
 from __future__ import annotations
@@ -24,35 +27,23 @@ import numpy as np
 
 from .definitions import load_definition
 from .errors import GeometryError, ParseError
-from .geometry import (
-    classify_sasaki_like,
-    curvature_package,
-    fundamental_tensor,
-    reeb_derivative_residual,
-)
+from .geometry import analyze, reeb_derivative_residual
 from .scenarios import (
     Example2Params,
-    example1_curve,
+    example1_point,
+    example2_point,
     example2_state,
-    run_example1_report,
-    run_example2_report,
     sweep,
 )
 from .solitons import (
-    SolitonSpec,
     TheoremReport,
-    VerticalPotential,
     VerticalScalar,
+    conformal_report,
     einstein_like_fit,
-    eta_rb_residual,
-    lie_derivative_metric,
-    rb_like_residual,
-    solve_vertical_soliton,
-    verify_conformal_theorem,
-    vertical_lie_closed_form,
+    vertical_level,
+    vertical_rows,
 )
 from .structure import metric_signature
-from .tensors import max_abs
 
 #: component magnitudes below this are not listed as nonzero
 DISPLAY_EPS = 1e-12
@@ -251,32 +242,26 @@ def main(argv=None) -> int:
 # --- command implementations -------------------------------------------------
 
 
-def _load_or_build(config: RunConfig):
-    """Resolve --input / --scenario into (algebra, structure, label)."""
-    if (config.input_path is None) == (config.scenario is None):
-        raise ParseError("exactly one of --input and --scenario is required")
-    if config.input_path is not None:
-        definition = load_definition(config.input_path)
-        alg, s = definition.build()
-        return alg, s
-    if config.scenario != "example2":
-        raise ParseError(
-            "only example2 defines a concrete manifold; example1 is a "
-            "formula-level curve (use the soliton or sweep commands)"
-        )
-    p = config.options.get("p") or 0.0
-    q = config.options.get("q") or 0.0
-    alg, s, _, _, _, _ = example2_state(p, q)
-    return alg, s
+def _input_analysis(config: RunConfig):
+    """The analysis of the --input definition file."""
+    return analyze(*load_definition(config.input_path).build())
 
 
 def cmd_inspect(config: RunConfig):
     """Structure validity, curvature table, scalars, classification, fit."""
-    alg, s = _load_or_build(config)
-    pkg = curvature_package(alg, s.g, s.phi)
-    fund = fundamental_tensor(pkg.conn, s)
-    classification = classify_sasaki_like(fund, s, conn=pkg.conn, ricci_tensor=pkg.ricci)
-    assoc_pkg = curvature_package(alg, s.g_assoc, s.phi)
+    if (config.input_path is None) == (config.scenario is None):
+        raise ParseError("exactly one of --input and --scenario is required")
+    if config.input_path is not None:
+        _, s, pkg, _, classification, assoc_pkg = _input_analysis(config)
+    elif config.scenario != "example2":
+        raise ParseError(
+            "only example2 defines a concrete manifold; example1 is a "
+            "formula-level curve (use the soliton or sweep commands)"
+        )
+    else:
+        p = config.options.get("p") or 0.0
+        q = config.options.get("q") or 0.0
+        _, s, pkg, _, classification, assoc_pkg = example2_state(p, q)
     fit = einstein_like_fit(pkg.ricci, s)
     pos, neg = metric_signature(s.g.g)
 
@@ -360,10 +345,7 @@ def cmd_soliton(config: RunConfig):
 
     if config.scenario == "example2":
         params = Example2Params(
-            p=opts["p"] if opts["p"] is not None else 0.0,
-            q=opts["q"] if opts["q"] is not None else 0.0,
-            beta=opts["beta"] if opts["beta"] is not None else 0.0,
-            t0=opts["t0"] if opts["t0"] is not None else 1.0,
+            **{name: opts[name] for name in ("p", "q", "beta", "t0") if opts[name] is not None}
         )
         k = None
         if opts["k"] is not None or opts["k_prime"] is not None:
@@ -372,11 +354,10 @@ def cmd_soliton(config: RunConfig):
             k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
         lam = None if opts["solve"] else opts["lam"]
         lam_assoc = None if opts["solve"] else opts["lam_tilde"]
-        report = run_example2_report(
+        used_k, row_lam, row_lam_assoc, report = example2_point(
             params, k=k, lam=lam, lam_assoc=lam_assoc, mu=opts["mu"]
         )
-        _, s, pkg, _, classification, assoc_pkg = example2_state(params.p, params.q)
-        used_k = k if k is not None else VerticalScalar(-2.0 * params.t0, -2.0)
+        _, _, pkg, _, _, assoc_pkg = example2_state(params.p, params.q)
         scalars = {
             "p": params.p,
             "q": params.q,
@@ -391,21 +372,12 @@ def cmd_soliton(config: RunConfig):
         if opts["mu"] is not None:
             scalars["mu"] = opts["mu"]
             scalars["lambda"] = opts["lam"] if opts["lam"] is not None else 0.0
+        elif lam is None and lam_assoc is None:
+            scalars["lambda"] = row_lam
+            scalars["lambda_tilde"] = row_lam_assoc
         else:
-            if lam is None and lam_assoc is None:
-                solved_lam, solved_assoc, _ = solve_vertical_soliton(
-                    params.beta,
-                    used_k,
-                    pkg.tau,
-                    assoc_pkg.tau,
-                    s.n,
-                    classification=classification,
-                )
-                scalars["lambda"] = solved_lam
-                scalars["lambda_tilde"] = solved_assoc
-            else:
-                scalars["lambda"] = lam if lam is not None else 0.0
-                scalars["lambda_tilde"] = lam_assoc if lam_assoc is not None else 0.0
+            scalars["lambda"] = lam if lam is not None else 0.0
+            scalars["lambda_tilde"] = lam_assoc if lam_assoc is not None else 0.0
         payload = {"scenario": "example2", "scalars": scalars}
         payload.update(_report_payload(report, config.tol))
         return payload, 0 if payload["passed"] else 1
@@ -422,8 +394,7 @@ def cmd_soliton(config: RunConfig):
                 opts["lam"] or 0.0,
                 opts["lam_tilde"] or 0.0,
             )
-        point = example1_curve(t, n, beta)
-        report = run_example1_report(t, n, beta, sums_override=sums_override)
+        point, report = example1_point(t, n, beta, sums_override=sums_override)
         scalars = {
             "t": point.t,
             "n": point.n,
@@ -448,22 +419,17 @@ def cmd_soliton(config: RunConfig):
 def _soliton_from_input(config: RunConfig):
     """Soliton checks for a user-supplied manifold definition."""
     opts = config.options
-    definition = load_definition(config.input_path)
-    alg, s = definition.build()
-    pkg = curvature_package(alg, s.g, s.phi)
-    fund = fundamental_tensor(pkg.conn, s)
-    classification = classify_sasaki_like(fund, s, conn=pkg.conn, ricci_tensor=pkg.ricci)
-    assoc_pkg = curvature_package(alg, s.g_assoc, s.phi)
+    a = _input_analysis(config)
+    s = a.s
     beta = opts["beta"] if opts["beta"] is not None else 0.0
-    report = TheoremReport()
     scalars = {
         "dim": s.frame.dim,
         "n": s.n,
         "beta": beta,
-        "sasaki_like": bool(classification.is_sasaki_like),
-        "tau": pkg.tau,
-        "tau_star": pkg.tau_star,
-        "tau_tilde": assoc_pkg.tau,
+        "sasaki_like": bool(a.classification.is_sasaki_like),
+        "tau": a.pkg.tau,
+        "tau_star": a.pkg.tau_star,
+        "tau_tilde": a.assoc_pkg.tau,
     }
 
     vertical = opts["k"] is not None or opts["k_prime"] is not None
@@ -484,94 +450,32 @@ def _soliton_from_input(config: RunConfig):
         scalars.update(
             {"psi": psi, "psi_tilde": psi_assoc, "lambda": lam, "lambda_tilde": lam_assoc}
         )
-        report.extend(
-            verify_conformal_theorem(
-                beta,
-                psi=psi,
-                psi_assoc=psi_assoc,
-                lam=lam,
-                lam_assoc=lam_assoc,
-                tau=pkg.tau,
-                tau_assoc=assoc_pkg.tau,
-                n=s.n,
-                ricci_tensor=pkg.ricci,
-                structure=s,
-            )
-        )
-        # the defining assumption fixes both Lie derivatives
-        lie_g = 2.0 * psi * s.g.g
-        lie_assoc = 2.0 * psi_assoc * s.g_assoc.g
-        spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
-        report.add(
-            "soliton_residual",
-            max_abs(
-                rb_like_residual(pkg.ricci, lie_g, lie_assoc, s, spec, pkg.tau, assoc_pkg.tau)
-            ),
-            tol=1e-10,
-        )
-        payload = {"scenario": None, "scalars": scalars}
-        payload.update(_report_payload(report, config.tol))
-        return payload, 0 if payload["passed"] else 1
-
-    if opts["k"] is None or opts["k_prime"] is None:
-        raise ParseError("a vertical potential needs both --k and --k-prime")
-    k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
-    potential = VerticalPotential(k)
-    scalars.update({"k": k.value, "k_prime": k.xi_derivative})
-    lie_g = lie_derivative_metric(s.g, pkg.conn, potential, s)
-    lie_assoc = lie_derivative_metric(s.g_assoc, pkg.conn, potential, s)
-    if classification.is_sasaki_like:
-        closed_g, closed_assoc = vertical_lie_closed_form(k, s, classification)
-        report.add("lie_g_closed_vs_connection", max_abs(closed_g - lie_g), tol=1e-10)
-        report.add(
-            "lie_assoc_closed_vs_connection",
-            max_abs(closed_assoc - lie_assoc),
-            tol=1e-10,
-        )
+        report = conformal_report(a, beta, psi, psi_assoc, lam, lam_assoc)
     else:
-        report.add_note(
-            "structure is not Sasaki-like: closed-form Lie derivatives do not "
-            "apply, connection-based values used throughout"
-        )
-
-    if opts["mu"] is not None:
-        lam = opts["lam"] if opts["lam"] is not None else 0.0
-        spec = SolitonSpec(beta=beta, lam=lam, mu=opts["mu"])
-        scalars.update({"lambda": lam, "mu": opts["mu"]})
-        report.add(
-            "eta_soliton_residual",
-            max_abs(eta_rb_residual(pkg.ricci, lie_g, s, spec, pkg.tau)),
-            tol=1e-10,
-        )
-    else:
-        if opts["solve"]:
-            lam, lam_assoc, solve_report = solve_vertical_soliton(
-                beta,
-                k,
-                pkg.tau,
-                assoc_pkg.tau,
-                s.n,
-                classification=classification,
-                ricci_tensor=pkg.ricci,
-                structure=s,
-            )
-            report.extend(solve_report)
-        else:
-            if opts["lam"] is None or opts["lam_tilde"] is None:
+        if opts["k"] is None or opts["k_prime"] is None:
+            raise ParseError("a vertical potential needs both --k and --k-prime")
+        k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
+        scalars.update({"k": k.value, "k_prime": k.xi_derivative})
+        lam, lam_assoc = opts["lam"], opts["lam_tilde"]
+        if opts["mu"] is None:
+            if opts["solve"]:
+                lam = lam_assoc = None
+            elif lam is None or lam_assoc is None:
                 raise ParseError(
                     "pass --lambda and --lambda-tilde, or --solve, or --mu for "
                     "the single-metric equation"
                 )
-            lam, lam_assoc = opts["lam"], opts["lam_tilde"]
-        scalars.update({"lambda": lam, "lambda_tilde": lam_assoc})
-        spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
-        report.add(
-            "soliton_residual",
-            max_abs(
-                rb_like_residual(pkg.ricci, lie_g, lie_assoc, s, spec, pkg.tau, assoc_pkg.tau)
-            ),
-            tol=1e-10,
+        level = vertical_level(a, k)
+        ((row,),) = vertical_rows(
+            a, (level,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]
         )
+        row_lam, row_lam_assoc, checks, residual, notes = row
+        scalars["lambda"] = row_lam
+        if opts["mu"] is None:
+            scalars["lambda_tilde"] = row_lam_assoc
+        else:
+            scalars["mu"] = opts["mu"]
+        report = TheoremReport([*checks, residual], notes)
     payload = {"scenario": None, "scalars": scalars}
     payload.update(_report_payload(report, config.tol))
     return payload, 0 if payload["passed"] else 1

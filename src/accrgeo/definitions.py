@@ -24,6 +24,7 @@ entries are zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +200,7 @@ def _sparse_entries(raw, name, index_count, dim):
                 raise ParseError(
                     f"'{name}' entry {position}: index {index} out of range for dim {dim}"
                 )
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"'{name}' entry {position}: value must be a number")
-        entries.append(tuple(indices) + (float(value),))
+        entries.append(tuple(indices) + (_number(value, f"'{name}' entry {position}: value"),))
     return tuple(entries)
 
 
@@ -210,12 +209,23 @@ def _dense_vector(raw, name, dim):
         raise ParseError(f"'{name}' must be a list of {dim} numbers")
     if len(raw) != dim:
         raise ParseError(f"'{name}' must have exactly {dim} components, got {len(raw)}")
-    values = []
-    for position, value in enumerate(raw):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"'{name}' component {position} must be a number")
-        values.append(float(value))
-    return tuple(values)
+    return tuple(
+        _number(value, f"'{name}' component {position}") for position, value in enumerate(raw)
+    )
+
+
+def _number(value, where: str) -> float:
+    """value as a float; JSON admits NaN, Infinity and literals past the
+    float range, none of which is a coordinate."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where} must be finite, got {number}")
+    return number
 
 
 def _fill_matrix(entries, name, dim):

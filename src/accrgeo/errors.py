@@ -50,10 +50,6 @@ class JacobiViolation(GeometryError):
         )
 
 
-class ZeroTransform(GeometryError):
-    """Contact homothetic transform called with p = q = 0."""
-
-
 class UnsupportedPotential(GeometryError):
     """The potential kind does not carry the data this operation needs."""
 

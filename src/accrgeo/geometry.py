@@ -21,6 +21,11 @@ The sign conventions are fixed once here and everything downstream
 Structure constants are stored as c[k, i, j], the e_k-component of
 [e_i, e_j].
 
+analyze(alg, s) is the one pipeline every report starts from: the
+curvature of g, the fundamental tensor F, the Sasaki-like classification
+and the curvature of the associated metric, returned as an Analysis.
+Scenarios, definition files and sweeps all go through it.
+
 The O(dim^5) contractions (the Jacobi identity, the curvature tensor and
 the phi-recomposition of the fundamental tensor) run as reshapes plus
 matrix products, so BLAS does the work; they are meant for dim up to about
@@ -32,6 +37,7 @@ at most about three dim^4 float64 arrays at once (9.5 MB each at dim 33).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +46,6 @@ from .errors import (
     DimensionMismatch,
     GeometryError,
     JacobiViolation,
-    NotSasakiLike,
 )
 from .structure import AccRStructure
 from .tensors import (
@@ -52,6 +57,9 @@ from .tensors import (
     phi_trace,
     trace_g,
 )
+
+
+_SQRT_FLOAT_MAX = float(np.finfo(np.float64).max) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -72,12 +80,22 @@ class LieAlgebra:
         if self.c.rank != 3 or self.c.frame != self.frame:
             raise DimensionMismatch("structure constants must be rank 3 on the frame")
         arr = self.c.data
+        d = self.frame.dim
+        # the Jacobi identity, curvature and Ricci sum products of two
+        # constants (or of connection coefficients of their size) over dim
+        # terms at a time; with |c| below sqrt(float max) / dim^3 these sums,
+        # and the metric factors between them, stay inside float64
+        largest, limit = float(np.max(np.abs(arr))), _SQRT_FLOAT_MAX / d**3
+        if not largest <= limit:
+            raise GeometryError(
+                f"structure constants too large: max |c[k,i,j]| = {largest:.3e} "
+                f"exceeds {limit:.3e}, past which products overflow float64 at dim {d}"
+            )
         asym = float(np.max(np.abs(arr + np.swapaxes(arr, 1, 2))))
         if not asym < LINALG_TOL:
             raise AntisymmetryViolation(
                 f"c[k,i,j] + c[k,j,i] has residual {asym:.3e}"
             )
-        d = self.frame.dim
         # u[r, i, j, l] = sum_m c[m, i, j] c[r, m, l], the e_r-component of
         # [[e_i, e_j], e_l]; one gemm per r
         u = np.matmul(arr.reshape(d, d * d).T, arr).reshape((d,) * 4)
@@ -118,17 +136,6 @@ class CurvaturePackage:
     tau: float
     tau_star: float
     metric: MetricPair
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    """The (0,3)-tensor F(x, y, z) = g((D_x phi) y, z)."""
-
-    tensor: Tensor
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
 
 
 @dataclass(frozen=True)
@@ -219,48 +226,18 @@ def ricci(riem: Tensor, metric: MetricPair) -> Tensor:
     return Tensor(riem.frame, rho)
 
 
-def scalar_invariants(ricci_tensor: Tensor, metric: MetricPair, phi: Tensor) -> tuple:
-    """Scalar curvature tau and its phi-twisted companion tau_star."""
-    return trace_g(ricci_tensor, metric), phi_trace(ricci_tensor, metric, phi)
-
-
 def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> CurvaturePackage:
     """Run the full pipeline for one metric: connection through scalars."""
     conn = levi_civita(alg, metric)
     riem = riemann(conn, alg, metric)
     rho = ricci(riem, metric)
-    tau, tau_star = scalar_invariants(rho, metric, phi)
+    tau, tau_star = trace_g(rho, metric), phi_trace(rho, metric, phi)
     return CurvaturePackage(
         conn=conn, riemann=riem, ricci=rho, tau=tau, tau_star=tau_star, metric=metric
     )
 
 
-def tau_tilde(s: AccRStructure, alg: LieAlgebra) -> float:
-    """Scalar curvature of the associated metric, cross-checked between two routes.
-
-    The value comes from the associated metric's own Levi-Civita pipeline and
-    must agree with the independent route tau_tilde = 2n - tau_star to 1e-9.
-    That identity is specific to the Sasaki-like class, so structures outside
-    it are rejected; use curvature_package on g_assoc directly when no
-    cross-check is wanted.
-    """
-    assoc_pkg = curvature_package(alg, s.g_assoc, s.phi)
-    g_pkg = curvature_package(alg, s.g, s.phi)
-    classification = classify_sasaki_like(fundamental_tensor(g_pkg.conn, s), s)
-    if not classification.is_sasaki_like:
-        raise NotSasakiLike(
-            "tau_tilde cross-check needs a Sasaki-like structure; residual "
-            f"{classification.residual:.3e}"
-        )
-    gap = abs(assoc_pkg.tau - (2 * s.n - g_pkg.tau_star))
-    if not gap < DEFAULT_TOL:
-        raise GeometryError(
-            f"tau_tilde routes disagree by {gap:.3e} on a Sasaki-like structure"
-        )
-    return assoc_pkg.tau
-
-
-def fundamental_tensor(conn: Connection, s: AccRStructure) -> FundamentalTensor:
+def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
     """F(x, y, z) = g((D_x phi) y, z), with its symmetries asserted.
 
     F is symmetric in the last two slots, satisfies
@@ -293,11 +270,11 @@ def fundamental_tensor(conn: Connection, s: AccRStructure) -> FundamentalTensor:
     ):
         if not float(np.max(np.abs(arr))) < DEFAULT_TOL:
             raise GeometryError(f"fundamental tensor postcondition failed: {name}")
-    return FundamentalTensor(Tensor(s.frame, f))
+    return Tensor(s.frame, f)
 
 
 def classify_sasaki_like(
-    F: FundamentalTensor,
+    F: Tensor,
     s: AccRStructure,
     *,
     conn: Connection = None,
@@ -338,3 +315,27 @@ def classify_sasaki_like(
 def reeb_derivative_residual(conn: Connection, s: AccRStructure) -> float:
     """max |D_x xi + phi x|; zero characterizes the Sasaki-like connection action."""
     return float(np.max(np.abs(conn.derivative_of_field(s.xi.data) + s.phi.data)))
+
+
+class Analysis(NamedTuple):
+    """Everything derived from one (algebra, structure) that reports read."""
+
+    alg: LieAlgebra
+    s: AccRStructure
+    pkg: CurvaturePackage
+    fund: Tensor
+    classification: SasakiLikeResult
+    assoc_pkg: CurvaturePackage
+
+
+def analyze(alg: LieAlgebra, s: AccRStructure) -> Analysis:
+    """The one pipeline: curvature of g, the fundamental tensor F, the
+    Sasaki-like classification, then curvature of the associated metric.
+
+    Every field is computed, in the order of the fields.
+    """
+    pkg = curvature_package(alg, s.g, s.phi)
+    fund = fundamental_tensor(pkg.conn, s)
+    classification = classify_sasaki_like(fund, s, conn=pkg.conn, ricci_tensor=pkg.ricci)
+    assoc_pkg = curvature_package(alg, s.g_assoc, s.phi)
+    return Analysis(alg, s, pkg, fund, classification, assoc_pkg)

@@ -27,13 +27,18 @@ dimension, with the Ricci tensor built from the published formula in
 (p, q). The denominator sqrt2 + cos t - sin t vanishes at t = (8l+3)pi/4,
 which is excluded.
 
+example2 starts from the cached Analysis of its (p, q) (example2_state)
+and builds its vertical-potential checks with solitons.vertical_level and
+vertical_rows, the builders definition files use too; the scenario wraps
+them in its expected-value checks.
+
 Reports are assembled level by level, and each check is computed once per
 value of the parameters it depends on. For example2 the levels are (p, q)
 (curvature, scalars, classification, the Einstein-like fit, rho rebuilt
 from the scalars), the potential k = -2 t0 (Lie derivatives and their
 family values), and beta (the solve, the constants and the soliton
-residual). For example1 they are (n, t) (the curve, the carrier's Ricci
-tensor, tau_star and the beta-free checks) and beta. A single-point
+residual). For example1 they are (n, t) (the curve, the carrier's
+Ricci tensor, tau_star and the beta-free checks) and beta. A single-point
 report and a sweep row are built by the same helpers; a sweep evaluates
 each level once and shares its immutable Check objects between the rows'
 reports, and every SweepRow.report is still a full TheoremReport with the
@@ -51,33 +56,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateParameter, EmptyGrid, GeometryError
-from .geometry import (
-    CurvaturePackage,
-    LieAlgebra,
-    SasakiLikeResult,
-    classify_sasaki_like,
-    curvature_package,
-    fundamental_tensor,
-    reeb_derivative_residual,
-)
+from .geometry import Analysis, LieAlgebra, analyze, reeb_derivative_residual
 from .structure import AccRStructure, validate_structure
 from .solitons import (
     Check,
-    SolitonSpec,
     TheoremReport,
-    VerticalPotential,
     VerticalScalar,
     conformal_curvature_checks,
     conformal_sum_checks,
-    eta_rb_residual,
     einstein_like_fit,
     is_degenerate_beta,
-    lie_derivative_metric,
-    rb_like_residual_norms,
-    ricci_reconstruction_check,
-    vertical_lie_closed_form,
-    vertical_scalar_sum_check,
-    vertical_soliton_constants,
+    vertical_level,
+    vertical_rows,
 )
 from .tensors import Frame, Tensor, max_abs
 
@@ -190,20 +180,9 @@ def example2_expected_curvature(frame: Frame) -> Tensor:
 
 
 @lru_cache(maxsize=64)
-def _example2_bundle(p: float, q: float):
-    """Everything about the scenario that depends on (p, q) alone."""
-    alg, s = build_example2(p, q)
-    pkg = curvature_package(alg, s.g, s.phi)
-    fund = fundamental_tensor(pkg.conn, s)
-    classification = classify_sasaki_like(fund, s, conn=pkg.conn, ricci_tensor=pkg.ricci)
-    assoc_pkg = curvature_package(alg, s.g_assoc, s.phi)
-    return alg, s, pkg, fund, classification, assoc_pkg
-
-
-def example2_state(p: float, q: float):
-    """Cached (algebra, structure, curvature package, fundamental tensor,
-    classification, associated-metric package) for one (p, q)."""
-    return _example2_bundle(float(p), float(q))
+def example2_state(p: float, q: float) -> Analysis:
+    """The analysis of the scenario at (p, q), cached."""
+    return analyze(*build_example2(float(p), float(q)))
 
 
 class _Example2Geometry(NamedTuple):
@@ -213,17 +192,14 @@ class _Example2Geometry(NamedTuple):
     checks that close it.
     """
 
-    s: AccRStructure
-    pkg: CurvaturePackage
-    assoc_pkg: CurvaturePackage
-    classification: SasakiLikeResult
+    analysis: Analysis
     head: tuple
-    ricci_reconstruction: Check
     tail: tuple
 
 
 def _example2_geometry(p: float, q: float) -> _Example2Geometry:
-    _, s, pkg, _, classification, assoc_pkg = _example2_bundle(p, q)
+    a = example2_state(p, q)
+    s, pkg, assoc_pkg = a.s, a.pkg, a.assoc_pkg
     n = s.n
     head = TheoremReport()
     head.add(
@@ -248,7 +224,7 @@ def _example2_geometry(p: float, q: float) -> _Example2Geometry:
         tol=1e-10,
         note="pipeline value against 2n - tau_star",
     )
-    head.add("sasaki_like", classification.residual, tol=1e-12)
+    head.add("sasaki_like", a.classification.residual, tol=1e-12)
     head.add("reeb_derivative", reeb_derivative_residual(pkg.conn, s))
     head.add(
         "reeb_derivative_assoc",
@@ -269,141 +245,104 @@ def _example2_geometry(p: float, q: float) -> _Example2Geometry:
         tol=1e-10,
         note=f"fit kind: {fit.kind}",
     )
-    return _Example2Geometry(
-        s,
-        pkg,
-        assoc_pkg,
-        classification,
-        tuple(head.checks),
-        ricci_reconstruction_check(pkg.ricci, pkg.tau, assoc_pkg.tau, n, s),
-        tuple(tail.checks),
-    )
-
-
-class _Example2Potential(NamedTuple):
-    """The potential k xi at one (p, q) with the report's checks that depend on it.
-
-    t0 is set for the scenario family k = -2 t0, k' = -2, and None for a
-    supplied k. lie_g and lie_assoc are the closed-form Lie derivatives,
-    lie_g_conn the connection-based one of g.
-    """
-
-    k: VerticalScalar
-    t0: float
-    lie_g: Tensor
-    lie_assoc: Tensor
-    lie_g_conn: Tensor
-    checks: tuple
-    scalar_sum: Check
-
-
-def _example2_potential(
-    geom: _Example2Geometry, t0: float, k: VerticalScalar = None
-) -> _Example2Potential:
-    """k defaults to the scenario family at t0, whose values are then checked too."""
-    if k is None:
-        k = VerticalScalar(value=-2.0 * t0, xi_derivative=-2.0)
-    else:
-        t0 = None
-    s = geom.s
-    lie_g_closed, lie_assoc_closed = vertical_lie_closed_form(k, s, geom.classification)
-    potential = VerticalPotential(k)
-    lie_g_conn = lie_derivative_metric(s.g, geom.pkg.conn, potential, s)
-    lie_assoc_conn = lie_derivative_metric(s.g_assoc, geom.pkg.conn, potential, s)
-    report = TheoremReport()
-    report.add(
-        "lie_g_closed_vs_connection", max_abs(lie_g_closed - lie_g_conn), tol=1e-10
-    )
-    report.add(
-        "lie_assoc_closed_vs_connection",
-        max_abs(lie_assoc_closed - lie_assoc_conn),
-        tol=1e-10,
-    )
-    if t0 is not None:
-        eta_outer = s.eta_outer
-        h_tensor = 2.0 * k.xi_derivative * eta_outer
-        report.add("h_form", max_abs(h_tensor + 4.0 * eta_outer), tol=1e-12)
-        lie_g_family = 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer
-        report.add("lie_g_family_value", max_abs(lie_g_closed - lie_g_family), tol=1e-10)
-        lie_assoc_family = -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer
-        report.add(
-            "lie_assoc_family_value",
-            max_abs(lie_assoc_closed - lie_assoc_family),
-            tol=1e-10,
-        )
-    return _Example2Potential(
-        k,
-        t0,
-        lie_g_closed,
-        lie_assoc_closed,
-        lie_g_conn,
-        tuple(report.checks),
-        vertical_scalar_sum_check(k.xi_derivative, geom.pkg.tau, geom.assoc_pkg.tau, s.n),
-    )
+    return _Example2Geometry(a, tuple(head.checks), tuple(tail.checks))
 
 
 def _example2_rows(
     geom: _Example2Geometry,
-    pot: _Example2Potential,
+    t0s,
     betas,
+    k: VerticalScalar = None,
     lam: float = None,
     lam_assoc: float = None,
+    mu: float = None,
 ) -> list:
-    """(lam, lam_assoc, report) of the two-metric vertical theorem at each beta.
+    """rows[j][i]: (k, lam, lam_assoc, report) of the vertical theorem at
+    t0s[j] and betas[i].
 
-    Each report shares the Check objects of its geometry and potential; the
-    soliton residuals of all betas come from one array operation. lam and
-    lam_assoc, when given, are verified against the solved values and used
-    in the soliton residual.
+    The reports wrap the shared vertical_level and vertical_rows checks in
+    the scenario's geometry checks. k defaults to the scenario family
+    k = -2 t0, k' = -2, whose Lie derivatives and solved constants are
+    then checked against their expected values too; a supplied k makes t0
+    irrelevant.
     """
-    s, pkg = geom.s, geom.pkg
-    tau, tau_assoc, n = pkg.tau, geom.assoc_pkg.tau, s.n
-    solved = [vertical_soliton_constants(beta, pot.k, tau, tau_assoc, n) for beta in betas]
-    lams = [solved_lam if lam is None else lam for solved_lam, _, _ in solved]
-    lam_assocs = [
-        solved_lam_assoc if lam_assoc is None else lam_assoc for _, solved_lam_assoc, _ in solved
-    ]
-    norms = rb_like_residual_norms(
-        pkg.ricci, pot.lie_g, pot.lie_assoc, s, betas, lams, lam_assocs, tau, tau_assoc
-    )
-    rows = []
-    for beta, (solved_lam, solved_lam_assoc, solution), row_lam, row_lam_assoc, norm in zip(
-        betas, solved, lams, lam_assocs, norms
-    ):
-        report = TheoremReport(
-            [*geom.head, *pot.checks, pot.scalar_sum, *solution.checks, geom.ricci_reconstruction],
-            solution.notes,
+    a = geom.analysis
+    family = k is None
+    levels = []
+    for t0 in t0s:
+        if not family:
+            levels.append(vertical_level(a, k))
+            continue
+        level = vertical_level(a, VerticalScalar(value=-2.0 * t0, xi_derivative=-2.0))
+        s = a.s
+        eta_outer = s.eta_outer
+        report = TheoremReport(list(level.checks))
+        h_tensor = 2.0 * level.k.xi_derivative * eta_outer
+        report.add("h_form", max_abs(h_tensor + 4.0 * eta_outer), tol=1e-12)
+        lie_g_family = 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer
+        report.add("lie_g_family_value", max_abs(level.lie_g - lie_g_family), tol=1e-10)
+        lie_assoc_family = -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer
+        report.add(
+            "lie_assoc_family_value",
+            max_abs(level.lie_assoc - lie_assoc_family),
+            tol=1e-10,
         )
-        if lam is not None or lam_assoc is not None:
-            report.add(
-                "lambda_matches_solution",
-                row_lam - solved_lam,
-                tol=1e-10,
-                note="supplied lam against the solved value",
-            )
-            report.add(
-                "lambda_assoc_matches_solution",
-                row_lam_assoc - solved_lam_assoc,
-                tol=1e-10,
-                note="supplied lam_assoc against the solved value",
-            )
-        elif pot.t0 is not None:
-            report.add(
-                "lambda_family_value",
-                row_lam - 2.0 * (pot.t0 - 2.0 * beta),
-                tol=1e-10,
-                note="lam = 2(t0 - 2 beta)",
-            )
-            report.add(
-                "lambda_assoc_family_value",
-                row_lam_assoc + 2.0 * (pot.t0 + 2.0 * beta),
-                tol=1e-10,
-                note="lam_assoc = -2(t0 + 2 beta)",
-            )
-        report.add("soliton_residual", norm, tol=1e-10)
-        report.checks.extend(geom.tail)
-        rows.append((row_lam, row_lam_assoc, report))
+        levels.append(level._replace(checks=tuple(report.checks)))
+    rows = []
+    for t0, level, level_rows in zip(
+        t0s, levels, vertical_rows(a, levels, betas, lam, lam_assoc, mu=mu)
+    ):
+        t0_rows = []
+        for beta, (row_lam, row_lam_assoc, checks, residual, notes) in zip(betas, level_rows):
+            constants = ()
+            if family and mu is None and lam is None and lam_assoc is None:
+                constants = (
+                    Check.measure(
+                        "lambda_family_value",
+                        row_lam - 2.0 * (t0 - 2.0 * beta),
+                        tol=1e-10,
+                        note="lam = 2(t0 - 2 beta)",
+                    ),
+                    Check.measure(
+                        "lambda_assoc_family_value",
+                        row_lam_assoc + 2.0 * (t0 + 2.0 * beta),
+                        tol=1e-10,
+                        note="lam_assoc = -2(t0 + 2 beta)",
+                    ),
+                )
+            report = TheoremReport([*geom.head, *checks, *constants, residual, *geom.tail], notes)
+            t0_rows.append((level.k, row_lam, row_lam_assoc, report))
+        rows.append(t0_rows)
     return rows
+
+
+def example2_point(
+    params: Example2Params,
+    *,
+    k: VerticalScalar = None,
+    lam: float = None,
+    lam_assoc: float = None,
+    mu: float = None,
+) -> tuple:
+    """Run the whole vertical-potential pipeline on one parameter point.
+
+    Returns (k, lam, lam_assoc, report): the potential's scalar, and the
+    constants in the soliton residual (lam_assoc is None with mu).
+
+    The potential defaults to the scenario family k = -2 t0 with
+    xi-derivative -2; passing k overrides it, which drops the checks tied
+    to that family (specialized Lie-derivative values and the closed-form
+    soliton constants in t0). Passing lam/lam_assoc verifies those values
+    against the solved ones and uses them in the soliton residual. Passing
+    mu switches the claim to the single-metric equation with the
+    eta (.) eta term: the two-metric solve is skipped and lam defaults to
+    0 there.
+
+    The report is built by the same per-level helpers as sweep's rows.
+    """
+    geom = _example2_geometry(params.p, params.q)
+    ((row,),) = _example2_rows(geom, (params.t0,), (params.beta,), k, lam, lam_assoc, mu)
+    return row
 
 
 def run_example2_report(
@@ -414,27 +353,8 @@ def run_example2_report(
     lam_assoc: float = None,
     mu: float = None,
 ) -> TheoremReport:
-    """Run the whole vertical-potential pipeline on one parameter point.
-
-    The potential defaults to the scenario family k = -2 t0 with
-    xi-derivative -2; passing k overrides it, which drops the checks tied
-    to that family (specialized Lie-derivative values and the closed-form
-    soliton constants in t0). Passing lam/lam_assoc verifies those values
-    instead of the solved ones. Passing mu switches the claim to the
-    single-metric equation with the eta (.) eta term: the two-metric solve
-    is skipped and lam defaults to 0 there.
-
-    The report is built by the same per-level helpers as sweep's rows.
-    """
-    geom = _example2_geometry(params.p, params.q)
-    pot = _example2_potential(geom, params.t0, k)
-    if mu is None:
-        ((_, _, report),) = _example2_rows(geom, pot, (params.beta,), lam, lam_assoc)
-        return report
-    spec = SolitonSpec(beta=params.beta, lam=0.0 if lam is None else lam, mu=mu)
-    residual = eta_rb_residual(geom.pkg.ricci, pot.lie_g_conn, geom.s, spec, geom.pkg.tau)
-    eta_check = Check.measure("eta_soliton_residual", max_abs(residual), tol=1e-10)
-    return TheoremReport([*geom.head, *pot.checks, eta_check, *geom.tail])
+    """The report of example2_point."""
+    return example2_point(params, k=k, lam=lam, lam_assoc=lam_assoc, mu=mu)[3]
 
 
 @lru_cache(maxsize=16)
@@ -615,6 +535,25 @@ def _example1_row(curv: _Example1Curvature, beta: float, sums_override=None) -> 
     return sum_g, sum_assoc, report
 
 
+def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tuple:
+    """(Example1Point, report) of run_example1_report, from one evaluation
+    of the curve."""
+    curv = _example1_curvature(t, n)
+    sum_g, sum_assoc, report = _example1_row(curv, beta, sums_override)
+    point = Example1Point(
+        t=t,
+        n=n,
+        beta=beta,
+        p=curv.p,
+        q=curv.q,
+        tau=curv.tau,
+        tau_assoc=curv.tau_assoc,
+        sum_g=sum_g,
+        sum_assoc=sum_assoc,
+    )
+    return point, report
+
+
 def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) -> TheoremReport:
     """Full conformal-potential verification at one curve point.
 
@@ -629,7 +568,7 @@ def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) ->
 
     The report is built by the same per-level helpers as sweep's rows.
     """
-    return _example1_row(_example1_curvature(t, n), beta, sums_override)[2]
+    return example1_point(t, n, beta, sums_override=sums_override)[1]
 
 
 @dataclass(frozen=True)
@@ -702,18 +641,18 @@ def sweep(
         rows = []
         for p, q in product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)):
             geom = _example2_geometry(p, q)
-            # by_t0[j][i]: (lam, lam_assoc, report) at betas[i], t0s[j]
-            by_t0 = [_example2_rows(geom, _example2_potential(geom, t0), betas) for t0 in t0s]
+            # by_t0[j][i]: (k, lam, lam_assoc, report) at betas[i], t0s[j]
+            by_t0 = _example2_rows(geom, t0s, betas)
             for i, beta in enumerate(betas):
                 for t0, t0_rows in zip(t0s, by_t0):
-                    lam, lam_assoc, report = t0_rows[i]
+                    _, lam, lam_assoc, report = t0_rows[i]
                     rows.append(
                         SweepRow(
                             index=len(rows),
                             params={"p": p, "q": q, "beta": beta, "t0": t0},
                             scalars={
-                                "tau": geom.pkg.tau,
-                                "tau_tilde": geom.assoc_pkg.tau,
+                                "tau": geom.analysis.pkg.tau,
+                                "tau_tilde": geom.analysis.assoc_pkg.tau,
                                 "lambda": lam,
                                 "lambda_tilde": lam_assoc,
                             },

@@ -12,11 +12,11 @@ g_assoc terms for mu eta (.) eta:
 
     rho + (1/2) L_theta g + (lam + beta tau) g + mu eta (.) eta = 0.
 
-Potentials come in three kinds. A conformal potential is not given by
+Potentials come in two kinds. A conformal potential is not given by
 components at all: it is the assumption L_theta g = 2 psi g and
 L_theta g_assoc = 2 psi_assoc g_assoc for pointwise scalars. A vertical
 potential is theta = k xi for a scalar k constant along the contact
-distribution. A left-invariant potential is a plain constant vector.
+distribution.
 
 The two theorem checkers turn the consequences of each assumption into
 named residual checks: everything a conformal potential forces on
@@ -26,11 +26,20 @@ structures. beta = -1/(2n) is a genuine branch point of both theorems:
 the scalar curvatures drop out of the coefficient equations there, so
 the checkers route to the degenerate branch instead of dividing by the
 vanishing factor.
+
+The report builders start from an Analysis. A vertical report is built
+in levels, so a sweep evaluates each check once per value of what it
+depends on: vertical_level holds the Lie derivatives of one potential,
+and vertical_rows solves and checks the equation for several potentials
+of one analysis, each at every beta in one array operation.
+conformal_report is the conformal counterpart. Both scenarios and
+definition files go through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +49,9 @@ from .errors import (
     SingularFit,
     UnsupportedPotential,
 )
-from .geometry import Connection, SasakiLikeResult
+from .geometry import Analysis, Connection, SasakiLikeResult
 from .structure import AccRStructure
-from .tensors import DEFAULT_TOL, MetricPair, Tensor, phi_trace, trace_g
+from .tensors import DEFAULT_TOL, MetricPair, Tensor, max_abs, phi_trace, trace_g
 
 #: |beta + 1/(2n)| below this routes to the degenerate branch
 DEGENERATE_BETA_TOL = 1e-9
@@ -65,29 +74,6 @@ class VerticalPotential:
     """theta = k xi."""
 
     k: VerticalScalar
-
-
-@dataclass(frozen=True)
-class ConformalPotential:
-    """Potential known only through L_theta g = 2 psi g, L_theta g_assoc = 2 psi_assoc g_assoc."""
-
-    psi: float
-    psi_assoc: float
-
-
-@dataclass(frozen=True)
-class LeftInvariantPotential:
-    """A constant vector field, given by its frame components."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.components, dtype=float)
-        if arr.ndim != 1:
-            raise UnsupportedPotential("left-invariant potential needs a component vector")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
 
 
 @dataclass(frozen=True)
@@ -160,26 +146,21 @@ class TheoremReport:
 def lie_derivative_metric(
     metric: MetricPair, conn: Connection, potential, s: AccRStructure
 ) -> Tensor:
-    """(L_theta m)(x, y) = m(D_x theta, y) + m(x, D_y theta) for constant-coefficient m.
+    """(L_theta m)(x, y) = m(D_x theta, y) + m(x, D_y theta) for theta = k xi
+    and constant-coefficient m.
 
-    Works for any metric on the frame (g, g_assoc, or a transform), since
-    only metric coefficients being frame-constant is used. Conformal
-    potentials carry no components, so they are rejected here; their Lie
-    derivatives exist only as the defining assumption.
+    Works for any metric on the frame (g or g_assoc), since only metric
+    coefficients being frame-constant is used. A conformal potential has
+    no components; its Lie derivatives exist only as the defining
+    assumption, which conformal_report uses directly.
     """
-    if isinstance(potential, VerticalPotential):
-        k = potential.k
-        xi_field = s.xi.data
-        d_theta = k.xi_derivative * np.outer(xi_field, s.eta.data) + k.value * conn.derivative_of_field(xi_field)
-    elif isinstance(potential, LeftInvariantPotential):
-        d_theta = conn.derivative_of_field(potential.components)
-    elif isinstance(potential, ConformalPotential):
-        raise UnsupportedPotential(
-            "a conformal potential has no component representation; "
-            "use its defining scalars directly"
-        )
-    else:
+    if not isinstance(potential, VerticalPotential):
         raise UnsupportedPotential(f"unknown potential kind {type(potential).__name__}")
+    k = potential.k
+    xi_field = s.xi.data
+    d_theta = k.xi_derivative * np.outer(xi_field, s.eta.data) + k.value * (
+        conn.derivative_of_field(xi_field)
+    )
     half = np.einsum("mi,mj->ij", d_theta, metric.matrix)
     return Tensor(s.frame, half + half.T)
 
@@ -282,24 +263,6 @@ def eta_rb_residual(
         + spec.mu * np.outer(s.eta.data, s.eta.data)
     )
     return Tensor(s.frame, arr)
-
-
-def divergence(potential, conn: Connection, metric: MetricPair, s: AccRStructure) -> float:
-    """div theta = g^ij g(D_i theta, e_j), cross-checked against (1/2) tr_g L_theta g."""
-    lie = lie_derivative_metric(metric, conn, potential, s)
-    div = 0.5 * trace_g(lie, metric)
-    if isinstance(potential, VerticalPotential):
-        d_theta = potential.k.xi_derivative * np.outer(
-            s.xi.data, s.eta.data
-        ) + potential.k.value * conn.derivative_of_field(s.xi.data)
-    else:
-        d_theta = conn.derivative_of_field(potential.components)
-    direct = float(np.einsum("ij,mi,mj->", metric.inverse, d_theta, metric.matrix))
-    if not abs(direct - div) < 1e-10:
-        raise GeometryError(
-            f"divergence routes disagree: {direct:.3e} vs half-trace {div:.3e}"
-        )
-    return direct
 
 
 @dataclass(frozen=True)
@@ -419,13 +382,13 @@ def solve_vertical_soliton(
     lam = 1 - k and lam_assoc = 1 + k with (tau, tau_assoc) constrained
     only through their sum. Returns (lam, lam_assoc, report); the report
     re-derives the constants through every independent identity the
-    theorem provides. Callers that evaluate many beta at one geometry use
-    its parts directly: vertical_scalar_sum_check and
+    theorem provides. vertical_rows, which evaluates many beta at one
+    analysis, is built from the same parts: vertical_scalar_sum_check and
     ricci_reconstruction_check are free of beta, vertical_soliton_constants
     is the rest.
     """
-    if classification is not None and not classification.is_sasaki_like:
-        raise NotSasakiLike("the vertical-potential theorem needs a Sasaki-like structure")
+    if classification is not None:
+        _require_sasaki_like(classification)
     lam, lam_assoc, solution = vertical_soliton_constants(beta, k, tau, tau_assoc, n)
     report = TheoremReport([vertical_scalar_sum_check(k.xi_derivative, tau, tau_assoc, n)])
     report.extend(solution)
@@ -434,6 +397,11 @@ def solve_vertical_soliton(
             ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
         )
     return lam, lam_assoc, report
+
+
+def _require_sasaki_like(classification: SasakiLikeResult) -> None:
+    if not classification.is_sasaki_like:
+        raise NotSasakiLike("the vertical-potential theorem needs a Sasaki-like structure")
 
 
 def vertical_scalar_sum_check(k_prime: float, tau: float, tau_assoc: float, n: int) -> Check:
@@ -684,4 +652,162 @@ def conformal_sum_checks(
             float(np.max(np.abs(soliton_form))),
             note="rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0",
         )
+    return report
+
+
+class VerticalLevel(NamedTuple):
+    """The potential theta = k xi on one analysis, with the checks that depend on it.
+
+    lie_g and lie_assoc are the connection-based Lie derivatives of g and
+    g_assoc, which every soliton residual uses. On a Sasaki-like structure
+    checks compares them with their closed forms; a scenario may append
+    checks of its own.
+    """
+
+    k: VerticalScalar
+    lie_g: Tensor
+    lie_assoc: Tensor
+    checks: tuple
+
+
+def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
+    """Lie derivatives of both metrics along k xi, checked against their
+    closed forms on a Sasaki-like structure."""
+    s, conn = a.s, a.pkg.conn
+    potential = VerticalPotential(k)
+    lie_g = lie_derivative_metric(s.g, conn, potential, s)
+    lie_assoc = lie_derivative_metric(s.g_assoc, conn, potential, s)
+    report = TheoremReport()
+    if a.classification.is_sasaki_like:
+        closed_g, closed_assoc = vertical_lie_closed_form(k, s, a.classification)
+        report.add("lie_g_closed_vs_connection", max_abs(closed_g - lie_g), tol=1e-10)
+        report.add(
+            "lie_assoc_closed_vs_connection", max_abs(closed_assoc - lie_assoc), tol=1e-10
+        )
+    return VerticalLevel(k, lie_g, lie_assoc, tuple(report.checks))
+
+
+def vertical_rows(
+    a: Analysis,
+    levels,
+    betas,
+    lam: float = None,
+    lam_assoc: float = None,
+    *,
+    solve: bool = True,
+    mu: float = None,
+) -> list:
+    """The vertical-potential theorem on one analysis for the potentials
+    levels[j] at betas[i].
+
+    rows[j][i] is (lam, lam_assoc, checks, residual, notes): the constants
+    in the soliton residual (lam_assoc is None for the single-metric
+    equation), the checks that precede the residual check, the residual
+    check, and a fresh notes list. A report lists checks, then residual.
+
+    With mu the claim is the single-metric equation, lam defaults to 0
+    and nothing is solved. Otherwise, with solve, the constants are solved
+    at each beta (which needs a Sasaki-like structure) and every identity
+    of solve_vertical_soliton is checked; a supplied lam or lam_assoc
+    replaces its solved value in the soliton residual and is checked
+    against it. Without solve, lam and lam_assoc are both required and only
+    the residual is checked. The check that depends on the analysis alone
+    is computed once for all levels, and the soliton residuals of all betas
+    of a level come from one array operation.
+    """
+    s, pkg = a.s, a.pkg
+    tau, tau_assoc, n = pkg.tau, a.assoc_pkg.tau, s.n
+    notes = []
+    if not a.classification.is_sasaki_like:
+        notes.append(
+            "structure is not Sasaki-like: closed-form Lie derivatives do not "
+            "apply, connection-based values used throughout"
+        )
+    if mu is None and solve:
+        _require_sasaki_like(a.classification)
+        reconstruction = ricci_reconstruction_check(pkg.ricci, tau, tau_assoc, n, s)
+    by_level = []
+    for level in levels:
+        rows = []
+        if mu is not None:
+            eta_lam = 0.0 if lam is None else lam
+            for beta in betas:
+                spec = SolitonSpec(beta=beta, lam=eta_lam, mu=mu)
+                residual = max_abs(eta_rb_residual(pkg.ricci, level.lie_g, s, spec, tau))
+                check = Check.measure("eta_soliton_residual", residual, tol=1e-10)
+                rows.append((eta_lam, None, level.checks, check, list(notes)))
+            by_level.append(rows)
+            continue
+        if solve:
+            solved = [
+                vertical_soliton_constants(beta, level.k, tau, tau_assoc, n) for beta in betas
+            ]
+            head = (
+                *level.checks,
+                vertical_scalar_sum_check(level.k.xi_derivative, tau, tau_assoc, n),
+            )
+        else:
+            solved = [(lam, lam_assoc, None)] * len(betas)
+        lams = [solved_lam if lam is None else lam for solved_lam, _, _ in solved]
+        lam_assocs = [
+            solved_lam_assoc if lam_assoc is None else lam_assoc
+            for _, solved_lam_assoc, _ in solved
+        ]
+        norms = rb_like_residual_norms(
+            pkg.ricci, level.lie_g, level.lie_assoc, s, betas, lams, lam_assocs, tau, tau_assoc
+        )
+        for (solved_lam, solved_lam_assoc, solution), row_lam, row_lam_assoc, norm in zip(
+            solved, lams, lam_assocs, norms
+        ):
+            if solution is None:
+                checks, row_notes = level.checks, list(notes)
+            else:
+                # solving needs a Sasaki-like structure, which has no notes
+                checks = (*head, *solution.checks, reconstruction)
+                row_notes = solution.notes
+                if lam is not None or lam_assoc is not None:
+                    checks += (
+                        Check.measure(
+                            "lambda_matches_solution",
+                            row_lam - solved_lam,
+                            tol=1e-10,
+                            note="supplied lam against the solved value",
+                        ),
+                        Check.measure(
+                            "lambda_assoc_matches_solution",
+                            row_lam_assoc - solved_lam_assoc,
+                            tol=1e-10,
+                            note="supplied lam_assoc against the solved value",
+                        ),
+                    )
+            residual = Check.measure("soliton_residual", norm, tol=1e-10)
+            rows.append((row_lam, row_lam_assoc, checks, residual, row_notes))
+        by_level.append(rows)
+    return by_level
+
+
+def conformal_report(
+    a: Analysis, beta: float, psi: float, psi_assoc: float, lam: float, lam_assoc: float
+) -> TheoremReport:
+    """verify_conformal_theorem on one analysis, then the soliton residual
+    under the defining assumption L_theta g = 2 psi g and
+    L_theta g_assoc = 2 psi_assoc g_assoc."""
+    s, pkg, tau_assoc = a.s, a.pkg, a.assoc_pkg.tau
+    report = verify_conformal_theorem(
+        beta,
+        psi=psi,
+        psi_assoc=psi_assoc,
+        lam=lam,
+        lam_assoc=lam_assoc,
+        tau=pkg.tau,
+        tau_assoc=tau_assoc,
+        n=s.n,
+        ricci_tensor=pkg.ricci,
+        structure=s,
+    )
+    spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
+    lhs = rb_like_residual(
+        pkg.ricci, 2.0 * psi * s.g.g, 2.0 * psi_assoc * s.g_assoc.g, s, spec, pkg.tau, tau_assoc
+    )
+    report.add("soliton_residual", max_abs(lhs), tol=1e-10)
     return report

@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     StructureViolation,
     WrongSignature,
-    ZeroTransform,
 )
 from .tensors import DEFAULT_TOL, Frame, MetricPair, Tensor, invert_metric
 
@@ -135,30 +134,6 @@ def associated_metric_from_parts(g: Tensor, phi: Tensor, eta: Tensor, *, tol: fl
     if violations:
         raise StructureViolation(violations)
     return invert_metric(Tensor(g.frame, 0.5 * (assoc + assoc.T)))
-
-
-def associated_metric(s: AccRStructure) -> MetricPair:
-    """The associated metric of a validated structure, rebuilt from parts."""
-    return associated_metric_from_parts(s.g.g, s.phi, s.eta)
-
-
-def contact_homothetic_transform(s: AccRStructure, p: float, q: float) -> AccRStructure:
-    """Replace the metric by g' = p g + q g_assoc + (1 - p - q) eta (.) eta.
-
-    (phi, xi, eta) are kept. The result is validated from scratch, so a
-    choice of (p, q) that ruins the signature raises WrongSignature rather
-    than returning a broken structure. p = q = 0 collapses the metric onto
-    the eta line and is rejected outright.
-    """
-    p, q = float(p), float(q)
-    if p == 0.0 and q == 0.0:
-        raise ZeroTransform("contact homothetic transform needs (p, q) != (0, 0)")
-    g_new = (
-        p * s.g.matrix
-        + q * s.g_assoc.matrix
-        + (1.0 - p - q) * np.outer(s.eta.data, s.eta.data)
-    )
-    return validate_structure(s.phi, s.xi, s.eta, Tensor(s.frame, g_new), s.frame)
 
 
 def _as_tensor(value, frame: Frame, rank: int) -> Tensor:

@@ -1,10 +1,11 @@
 """Command-line interface: output contracts, exit codes, round-trips."""
 
 import json
+import warnings
 
 import pytest
 
-from accrgeo import ManifoldDefinition, build_example2, save_definition, sweep
+from accrgeo import ManifoldDefinition, build_example2, save_definition, scenarios, solitons, sweep
 from accrgeo.cli import main
 
 
@@ -303,3 +304,133 @@ def test_sweep_worst_check_is_first_maximal_margin(capsys, tol):
         assert payload["summary"]["fail"] > 0
     if tol == "1e-3":
         assert payload["summary"]["fail"] == 0
+
+
+def _example2_file(tmp_path, name, **changes):
+    """example2 at (0, 0) as a definition file, with the given keys replaced."""
+    alg, s = build_example2(0.0, 0.0)
+    d = ManifoldDefinition.from_structure(alg, s).to_dict()
+    d.update(changes)
+    path = tmp_path / name
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def _check_names(out):
+    return [c["name"] for c in json.loads(out)["checks"]]
+
+
+def test_input_soliton_mu(capsys, tmp_path):
+    # rho = 4 eta(.)eta: zero potential, lam = 0 and mu = -4 solve the
+    # single-metric equation at beta = 0
+    path = _example2_file(tmp_path, "ex2.json")
+    code, out, _ = run(
+        capsys,
+        "soliton", "--input", path, "--k", "0", "--k-prime", "0", "--mu=-4",
+        "--format", "json",
+    )
+    assert code == 0
+    assert _check_names(out) == [
+        "lie_g_closed_vs_connection", "lie_assoc_closed_vs_connection", "eta_soliton_residual",
+    ]
+    assert json.loads(out)["scalars"]["mu"] == -4.0
+
+
+def test_input_soliton_supplied_lambdas_without_solve(capsys, tmp_path):
+    # the family potential at t0 = 1, beta = 0 has lam = 2, lam~ = -2
+    path = _example2_file(tmp_path, "ex2.json")
+    code, out, _ = run(
+        capsys,
+        "soliton", "--input", path, "--k=-2", "--k-prime=-2",
+        "--lambda", "2", "--lambda-tilde=-2", "--format", "json",
+    )
+    assert code == 0
+    assert _check_names(out) == [
+        "lie_g_closed_vs_connection", "lie_assoc_closed_vs_connection", "soliton_residual",
+    ]
+
+
+def test_input_soliton_not_sasaki_like(capsys, tmp_path):
+    path = _example2_file(tmp_path, "abelian.json", structure_constants=[])
+    code, out, _ = run(
+        capsys,
+        "soliton", "--input", path, "--k", "1", "--k-prime", "0",
+        "--lambda", "0", "--lambda-tilde", "0", "--format", "json",
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert _check_names(out) == ["soliton_residual"]
+    assert len(payload["notes"]) == 1
+    assert "not Sasaki-like" in payload["notes"][0]
+    code, out, err = run(
+        capsys, "soliton", "--input", path, "--k", "1", "--k-prime", "0", "--solve"
+    )
+    assert code == 2
+    assert out == ""
+    assert "needs a Sasaki-like structure" in err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("soliton", "--scenario", "example2", "--solve"), "vertical_soliton_constants"),
+        (("soliton", "--scenario", "example1"), "_curve_scalars"),
+    ],
+)
+def test_soliton_evaluates_once(capsys, monkeypatch, argv, name):
+    calls = []
+    for module in (solitons, scenarios):
+        original = getattr(module, name, None)
+        if original is not None:
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+_DIM3_CARRIER = {
+    "dim": 3,
+    "phi": [[2, 1, 1.0], [1, 2, -1.0]],
+    "xi": [1.0, 0.0, 0.0],
+    "eta": [1.0, 0.0, 0.0],
+    "g": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, -1.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("nan-bracket", "'structure_constants' entry 0: value must be finite, got nan"),
+        ("infinite-xi", "'xi' component 1 must be finite, got inf"),
+        ("dim3-bracket-1e200", "structure constants too large: max |c[k,i,j]| = 1.000e+200"),
+        ("inspect-p-1e200", "structure constants too large: max |c[k,i,j]| = 1.000e+200"),
+        ("sweep-p-1e200", "structure constants too large: max |c[k,i,j]| = 1.000e+200"),
+    ],
+)
+def test_non_finite_or_overflowing_input_exits_2(capsys, tmp_path, case, message):
+    # json writes the non-finite floats as NaN and Infinity, which it also reads
+    if case == "nan-bracket":
+        path = _example2_file(tmp_path, "x.json", structure_constants=[[1, 2, 3, float("nan")]])
+        argv = ["inspect", "--input", path]
+    elif case == "infinite-xi":
+        path = _example2_file(tmp_path, "x.json", xi=[1.0, float("inf"), 0.0, 0.0, 0.0])
+        argv = ["inspect", "--input", path]
+    elif case == "dim3-bracket-1e200":
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({**_DIM3_CARRIER, "structure_constants": [[1, 2, 0, 1e200]]}))
+        argv = ["inspect", "--input", str(path)]
+    elif case == "inspect-p-1e200":
+        argv = ["inspect", "--scenario", "example2", "--p", "1e200"]
+    else:
+        argv = ["sweep", "--scenario", "example2", "--grid-p=1e200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")

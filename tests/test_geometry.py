@@ -8,6 +8,7 @@ from accrgeo import (
     Frame,
     LieAlgebra,
     Tensor,
+    analyze,
     build_example2,
     classify_sasaki_like,
     curvature_package,
@@ -16,11 +17,11 @@ from accrgeo import (
     fundamental_tensor,
     invert_metric,
     levi_civita,
+    phi_trace,
     reeb_derivative_residual,
     ricci,
     riemann,
-    scalar_invariants,
-    tau_tilde,
+    trace_g,
 )
 from accrgeo.errors import AntisymmetryViolation, GeometryError, JacobiViolation
 
@@ -219,17 +220,16 @@ def test_scalar_invariants(ex2_origin):
     assert pkg.tau == pytest.approx(4.0, abs=1e-12)
     assert pkg.tau_star == pytest.approx(0.0, abs=1e-12)
     assert assoc_pkg.tau == pytest.approx(4.0, abs=1e-12)
-    t, ts = scalar_invariants(pkg.ricci, s.g, s.phi)
-    assert t == pytest.approx(pkg.tau)
-    assert ts == pytest.approx(pkg.tau_star)
+    assert pkg.tau == trace_g(pkg.ricci, s.g)
+    assert pkg.tau_star == phi_trace(pkg.ricci, s.g, s.phi)
 
 
 def test_tau_tilde_two_routes(ex2_generic):
-    alg = ex2_generic[0]
-    s = ex2_generic[1]
-    value = tau_tilde(s, alg)
-    pkg = ex2_generic[2]
-    assert abs(value - (2.0 * s.n - pkg.tau_star)) < 1e-10
+    # the associated metric's own pipeline against tau_tilde = 2n - tau_star
+    alg, s = ex2_generic[0], ex2_generic[1]
+    _, _, pkg, _, classification, assoc_pkg = analyze(alg, s)
+    assert classification.is_sasaki_like
+    assert abs(assoc_pkg.tau - (2.0 * s.n - pkg.tau_star)) < 1e-10
 
 
 def test_fundamental_tensor_symmetry(ex2_generic):
@@ -274,11 +274,3 @@ def test_ricci_reeb_line(ex2_structures):
         pkg = curvature_package(alg, s.g, s.phi)
         line = pkg.ricci.data @ s.xi.data - 2.0 * s.n * s.eta.data
         assert np.max(np.abs(line)) < 1e-9
-
-
-def test_tau_tilde_raises_outside_class():
-    f = Frame(5)
-    alg = LieAlgebra(f, np.zeros((5, 5, 5)))
-    s = flat_carrier_structure(2)
-    with pytest.raises(GeometryError):
-        tau_tilde(s, alg)

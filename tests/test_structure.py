@@ -1,16 +1,12 @@
-"""Structure tensor identities, associated metric, homothetic transforms."""
+"""Structure tensor identities and the associated metric."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from accrgeo import (
     Frame,
     Tensor,
-    associated_metric,
     build_example2,
-    contact_homothetic_transform,
     flat_carrier_structure,
     max_abs,
     metric_signature,
@@ -18,12 +14,8 @@ from accrgeo import (
     trace_g,
     validate_structure,
 )
-from accrgeo.errors import (
-    DegenerateMetric,
-    StructureViolation,
-    WrongSignature,
-    ZeroTransform,
-)
+from accrgeo.errors import StructureViolation, WrongSignature
+from accrgeo.structure import associated_metric_from_parts
 
 
 def test_signature_of_flat_carrier():
@@ -118,49 +110,8 @@ def test_trace_interplay(ex2_structures):
 
 def test_rebuild_associated_matches(ex2_generic):
     _, s, _, _, _, _ = ex2_generic
-    rebuilt = associated_metric(s)
+    rebuilt = associated_metric_from_parts(s.g.g, s.phi, s.eta)
     assert np.max(np.abs(rebuilt.matrix - s.g_assoc.matrix)) < 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=-3, max_value=3),
-    st.floats(min_value=-3, max_value=3),
-)
-def test_homothetic_transform_preserves_structure(p, q):
-    base = flat_carrier_structure(2)
-    try:
-        s = contact_homothetic_transform(base, p, q)
-    except (ZeroTransform, WrongSignature, DegenerateMetric, StructureViolation):
-        # excluded or metric-degenerate parameter pairs are rejected, never
-        # silently accepted
-        return
-    assert metric_signature(s.g.g) == (3, 2)
-    phi, eta, g = s.phi.data, s.eta.data, s.g.matrix
-    assert np.max(np.abs(phi.T @ g @ phi + g - np.outer(eta, eta))) < 1e-9
-
-
-def test_zero_transform_rejected(carrier_n2):
-    with pytest.raises(ZeroTransform):
-        contact_homothetic_transform(carrier_n2, 0.0, 0.0)
-
-
-def test_transform_identity_is_identity(carrier_n2):
-    s = contact_homothetic_transform(carrier_n2, 1.0, 0.0)
-    assert max_abs(s.g.g - carrier_n2.g.g) < 1e-12
-    assert max_abs(s.g_assoc.g - carrier_n2.g_assoc.g) < 1e-12
-
-
-def test_transform_composes(carrier_n2):
-    # g' = p g + q g~ + (1-p-q) eta(.)eta evaluated directly
-    p, q = 2.0, -1.0
-    s = contact_homothetic_transform(carrier_n2, p, q)
-    expected = (
-        p * carrier_n2.g.matrix
-        + q * carrier_n2.g_assoc.matrix
-        + (1 - p - q) * np.outer(carrier_n2.eta.data, carrier_n2.eta.data)
-    )
-    assert np.max(np.abs(s.g.matrix - expected)) < 1e-12
 
 
 def test_example2_brackets_build(ex2_structures):
