@@ -12,12 +12,17 @@ The set covers every path from (algebra, structure) to a report:
   Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and the
   abelian dim-5 algebra on the same carrier, which is not Sasaki-like.
   Each gets `inspect` and `soliton` with `--solve`, with
-  `--lambda/--lambda-tilde`, with `--mu` and with `--psi/--psi-tilde`.
+  `--lambda/--lambda-tilde`, with `--mu` and with `--psi/--psi-tilde`;
+- small sweeps in both formats: example1 through the degenerate t = 3 pi/4
+  and beta = -1/(2n), example1 with `--tol 1e-3` and `--tol 1e-16` (which
+  judge every check against the override), and example2 on single-value
+  grids.
 
-Each command's stdout goes to `<stem>.json`, its stderr to `<stem>.stderr`
-when it exits nonzero, and `exit_codes.txt` lists every exit code. Run it
-on two checkouts and compare the directories with `diff -r` to show that a
-change keeps the output byte-identical.
+Each command's stdout goes to `<stem>.json` (`<stem>-text.txt` for the text
+format), its stderr to `<stem>.stderr` (`<stem>-text.stderr`) when it exits
+nonzero, and `exit_codes.txt` lists every exit code. Run it on two
+checkouts and compare the directories with `diff -r` to show that a change
+keeps the output byte-identical.
 
 Example (from the repository root):
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/golden-new
@@ -27,6 +32,7 @@ Example (from the repository root):
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -116,6 +122,22 @@ def commands(inputs_dir: Path):
         yield from input_commands(str(path), stem, n, sasaki_like)
 
 
+def small_sweeps():
+    """(file stem, argv) of the sweeps written in both formats."""
+    ex1 = ["sweep", "--scenario", "example1", "--grid-n", "1,2"]
+    # t = 3 pi/4 is excluded; beta = -1/(2n) is the branch point of n = 1 and 2
+    yield "sweep-ex1-degenerate", [
+        *ex1, f"--grid-t=0,{3 * math.pi / 4!r},1", "--grid-beta=-0.5,-0.25,0.3",
+    ]
+    small = [*ex1, "--grid-t=0,0.5,2", "--grid-beta=-0.25,0,0.5"]
+    yield "sweep-ex1-tol-1e-3", [*small, "--tol", "1e-3"]
+    yield "sweep-ex1-tol-1e-16", [*small, "--tol", "1e-16"]
+    yield "sweep-ex2-single", [
+        "sweep", "--scenario", "example2",
+        "--grid-p", "1.5", "--grid-q=-2", "--grid-beta", "0.25", "--grid-t0", "1",
+    ]
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -124,12 +146,18 @@ def main(argv=None):
     outdir = Path(argv[0])
     inputs_dir = outdir / "inputs"
     inputs_dir.mkdir(parents=True, exist_ok=True)
+    runs = [(stem, args, "json") for stem, args in commands(inputs_dir)]
+    runs += [(stem, args, fmt) for stem, args in small_sweeps() for fmt in ("json", "text")]
     codes = []
-    for stem, args in commands(inputs_dir):
+    for stem, args, fmt in runs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main([*args, "--format", "json"])
-        (outdir / f"{stem}.json").write_text(out.getvalue())
+            code = cli_main([*args, "--format", fmt])
+        if fmt == "json":
+            (outdir / f"{stem}.json").write_text(out.getvalue())
+        else:
+            stem += "-text"
+            (outdir / f"{stem}.txt").write_text(out.getvalue())
         if code != 0:
             (outdir / f"{stem}.stderr").write_text(err.getvalue())
         codes.append(f"{stem} {code}\n")

@@ -13,6 +13,10 @@ go through geometry.analyze; the reports come from the scenario and
 soliton builders, so this module parses options and renders results but
 assembles no theorem. Exit codes: 0 all checks passed, 1 at least one
 residual above tolerance, 2 input or parse error.
+
+JSON output is json.dumps(payload, indent=2), except for sweeps: their
+payload has a fixed schema, and sweep_json writes the same bytes without
+json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,9 +49,12 @@ from .solitons import (
     vertical_rows,
 )
 from .structure import metric_signature
+from .tensors import MAX_DIM
 
 #: component magnitudes below this are not listed as nonzero
 DISPLAY_EPS = 1e-12
+#: largest contact dimension parameter n, so that dim = 2n + 1 <= MAX_DIM
+MAX_N = (MAX_DIM - 1) // 2
 
 
 def _fmt(value) -> str:
@@ -94,13 +102,14 @@ class RunConfig:
             for value in values:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ParseError(f"--grid-{name} values must be finite, got {value}")
-        # the conformal formulas divide by 2n
+        # the conformal formulas divide by 2n, and the carrier of dimension
+        # 2n+1 is allocated only after this check
         n = self.options.get("n")
-        if n is not None and n < 1:
-            raise ParseError(f"--n must be at least 1, got {n}")
+        if n is not None and not 1 <= n <= MAX_N:
+            raise ParseError(f"--n must be between 1 and {MAX_N}, got {n}")
         for value in self.grids.get("n", ()):
-            if value < 1:
-                raise ParseError(f"--grid-n values must be at least 1, got {value}")
+            if not 1 <= value <= MAX_N:
+                raise ParseError(f"--grid-n values must be between 1 and {MAX_N}, got {value}")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -233,7 +242,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(sweep_json(payload) if config.command == "sweep" else json.dumps(payload, indent=2))
     else:
         print("\n".join(_render_text(config.command, payload)))
     return code
@@ -324,18 +333,22 @@ def _report_payload(report: TheoremReport, tol_override=None) -> dict:
     }
 
 
-def _verdict(report: TheoremReport, tol_override=None) -> tuple:
-    """(passed, worst check) of a report, judged as _report_payload judges it.
+def _verdict(checks, tol_override=None) -> tuple:
+    """(passed, worst check) of a report's checks, judged as _report_payload
+    judges them, in one pass.
 
-    The worst check is the first one with the largest residual / tol.
+    The worst check is the first one with the largest residual / tol, as
+    max() picks it.
     """
-    if tol_override is None:
-        return report.passed, report.worst()
-    checks = report.checks
-    return (
-        all(check.residual < tol_override for check in checks),
-        max(checks, key=lambda check: check.residual / tol_override, default=None),
-    )
+    passed, worst, worst_margin = True, None, None
+    for check in checks:
+        tol = check.tol if tol_override is None else tol_override
+        if not check.residual < tol:
+            passed = False
+        margin = check.residual / tol
+        if worst is None or margin > worst_margin:
+            worst, worst_margin = check, margin
+    return passed, worst
 
 
 def cmd_soliton(config: RunConfig):
@@ -369,15 +382,13 @@ def cmd_soliton(config: RunConfig):
             "tau_star": pkg.tau_star,
             "tau_tilde": assoc_pkg.tau,
         }
+        # the constants the soliton residual was evaluated with; the
+        # single-metric equation has no lambda_tilde
         if opts["mu"] is not None:
             scalars["mu"] = opts["mu"]
-            scalars["lambda"] = opts["lam"] if opts["lam"] is not None else 0.0
-        elif lam is None and lam_assoc is None:
-            scalars["lambda"] = row_lam
+        scalars["lambda"] = row_lam
+        if row_lam_assoc is not None:
             scalars["lambda_tilde"] = row_lam_assoc
-        else:
-            scalars["lambda"] = lam if lam is not None else 0.0
-            scalars["lambda_tilde"] = lam_assoc if lam_assoc is not None else 0.0
         payload = {"scenario": "example2", "scalars": scalars}
         payload.update(_report_payload(report, config.tol))
         return payload, 0 if payload["passed"] else 1
@@ -493,14 +504,15 @@ def cmd_sweep(config: RunConfig):
         n_grid=grids.get("n"),
     )
     rows = []
-    n_fail = 0
+    n_pass = n_fail = 0
     for row in result.rows:
+        # the payload only reads the rows' params and scalars dicts
         if row.degenerate:
             rows.append(
                 {
                     "index": row.index,
-                    "params": dict(row.params),
-                    "scalars": dict(row.scalars),
+                    "params": row.params,
+                    "scalars": row.scalars,
                     "degenerate": True,
                     "passed": None,
                     "worst_check": None,
@@ -508,14 +520,16 @@ def cmd_sweep(config: RunConfig):
                 }
             )
             continue
-        passed, worst = _verdict(row.report, config.tol)
-        if not passed:
+        passed, worst = _verdict(row.report.checks, config.tol)
+        if passed:
+            n_pass += 1
+        else:
             n_fail += 1
         rows.append(
             {
                 "index": row.index,
-                "params": dict(row.params),
-                "scalars": dict(row.scalars),
+                "params": row.params,
+                "scalars": row.scalars,
                 "degenerate": False,
                 "passed": passed,
                 "worst_check": worst.name if worst else None,
@@ -524,9 +538,9 @@ def cmd_sweep(config: RunConfig):
         )
     summary = {
         "rows": len(rows),
-        "pass": sum(1 for r in rows if r["passed"]),
+        "pass": n_pass,
         "fail": n_fail,
-        "degenerate": sum(1 for r in rows if r["degenerate"]),
+        "degenerate": len(rows) - n_pass - n_fail,
     }
     payload = {
         "scenario": result.scenario,
@@ -536,6 +550,95 @@ def cmd_sweep(config: RunConfig):
         "passed": n_fail == 0,
     }
     return payload, 0 if n_fail == 0 else 1
+
+
+# --- sweep JSON --------------------------------------------------------------
+
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _json_float(value) -> str:
+    text = float.__repr__(value)
+    if text in _NON_FINITE:
+        raise ValueError(f"sweep output has a non-finite float: {text}")
+    return text
+
+
+#: JSON text of a scalar by exact type, as json writes it: float.__repr__ and
+#: int.__repr__ are what json calls, so a numpy float64 prints as a float
+_JSON_SCALARS = {
+    float: _json_float,
+    np.float64: _json_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    str: encode_basestring_ascii,
+}
+
+
+def _json_scalar(value) -> str:
+    try:
+        write = _JSON_SCALARS[type(value)]
+    except KeyError:
+        raise TypeError(f"sweep output has a {type(value).__name__}") from None
+    return write(value)
+
+
+def _json_object(mapping: dict, indent: str) -> str:
+    """A flat dict at the nesting whose newline-plus-indent is indent."""
+    if not mapping:
+        return "{}"
+    inner = indent + "  "
+    items = [
+        f"{inner}{encode_basestring_ascii(key)}: {_json_scalar(value)}"
+        for key, value in mapping.items()
+    ]
+    return f"{{{','.join(items)}{indent}}}"
+
+
+_ROW_INDENT = "\n      "
+
+
+def _json_row(row: dict) -> str:
+    return (
+        "    {\n"
+        f'      "index": {_json_scalar(row["index"])},\n'
+        f'      "params": {_json_object(row["params"], _ROW_INDENT)},\n'
+        f'      "scalars": {_json_object(row["scalars"], _ROW_INDENT)},\n'
+        f'      "degenerate": {_json_scalar(row["degenerate"])},\n'
+        f'      "passed": {_json_scalar(row["passed"])},\n'
+        f'      "worst_check": {_json_scalar(row["worst_check"])},\n'
+        f'      "worst_residual": {_json_scalar(row["worst_residual"])}\n'
+        "    }"
+    )
+
+
+def sweep_json(payload: dict) -> str:
+    """The sweep payload as json.dumps(payload, indent=2) writes it.
+
+    CPython's C encoder does not run when indent is set, so json.dumps
+    spends most of a large sweep's time in pure-Python encoding. This
+    writer knows the payload's fixed schema and key order and writes the
+    same bytes directly. A non-finite float raises ValueError where json
+    would write NaN or Infinity.
+    """
+    rows = ",\n".join(map(_json_row, payload["rows"]))
+    notes = ",\n    ".join(map(encode_basestring_ascii, payload["notes"]))
+    return "".join(
+        (
+            '{\n  "scenario": ',
+            _json_scalar(payload["scenario"]),
+            ',\n  "rows": ',
+            f"[\n{rows}\n  ]" if payload["rows"] else "[]",
+            ',\n  "summary": ',
+            _json_object(payload["summary"], "\n  "),
+            ',\n  "notes": ',
+            f"[\n    {notes}\n  ]" if payload["notes"] else "[]",
+            ',\n  "passed": ',
+            _json_scalar(payload["passed"]),
+            "\n}",
+        )
+    )
 
 
 # --- text rendering ----------------------------------------------------------

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import LieAlgebra
-from .structure import AccRStructure, validate_structure
-from .tensors import Frame, Tensor
+from .structure import AccRStructure, metric_entry_limit, validate_structure
+from .tensors import MAX_DIM, Frame, Tensor
 
 _KNOWN_KEYS = ("dim", "structure_constants", "phi", "xi", "eta", "g")
 
@@ -63,10 +63,19 @@ class ManifoldDefinition:
             raise ParseError(f"'dim' must be an integer, got {dim!r}")
         if dim < 3 or dim % 2 == 0:
             raise ParseError(f"'dim' must be odd and >= 3, got {dim}")
+        if dim > MAX_DIM:
+            raise ParseError(f"'dim' must be at most {MAX_DIM}, got {dim}")
 
         c_entries = _sparse_entries(raw["structure_constants"], "structure_constants", 3, dim)
         phi_entries = _sparse_entries(raw["phi"], "phi", 2, dim)
         g_entries = _sparse_entries(raw["g"], "g", 2, dim)
+        limit = metric_entry_limit(dim)
+        for position, (_, _, value) in enumerate(g_entries):
+            if not abs(value) <= limit:
+                raise ParseError(
+                    f"'g' entry {position}: |value| = {abs(value):.3e} exceeds {limit:.3e}, "
+                    f"past which the Einstein-like fit overflows float64 at dim {dim}"
+                )
         xi = _dense_vector(raw["xi"], "xi", dim)
         eta = _dense_vector(raw["eta"], "eta", dim)
         return cls(

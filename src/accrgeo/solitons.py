@@ -86,9 +86,13 @@ class SolitonSpec:
     mu: float = None
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named residual compared against one tolerance."""
+class Check(NamedTuple):
+    """One named residual compared against one tolerance.
+
+    A NamedTuple because a sweep builds thousands of checks: a tuple is
+    built in one step, where a frozen dataclass would set each field
+    through object.__setattr__.
+    """
 
     name: str
     residual: float
@@ -115,7 +119,7 @@ class TheoremReport:
     notes: list = field(default_factory=list)
 
     def add(self, name: str, residual: float, tol: float = DEFAULT_TOL, note: str = "") -> None:
-        self.checks.append(Check.measure(name, residual, tol, note))
+        self.checks.append(Check(name, abs(float(residual)), tol, note))
 
     def add_note(self, text: str) -> None:
         self.notes.append(text)

@@ -36,6 +36,8 @@ from .tensors import DEFAULT_TOL, Frame, MetricPair, Tensor, invert_metric
 #: eigenvalues inside this band around zero mean a degenerate metric
 SIGNATURE_TOL = 1e-9
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class AccRStructure:
@@ -56,6 +58,17 @@ class AccRStructure:
     def eta_outer(self) -> Tensor:
         """The rank-2 tensor eta (.) eta."""
         return Tensor(self.frame, np.outer(self.eta.data, self.eta.data))
+
+
+def metric_entry_limit(dim: int) -> float:
+    """Largest |g_ij| a definition file may give at this dimension.
+
+    The Einstein-like fit solves with the Gram matrix of g, g_assoc and
+    eta (.) eta, whose entries sum dim^2 products of two metric-sized
+    entries; its determinant is then at most 6 dim^6 |g|^6. Below this
+    bound that stays inside float64 (for phi and eta of unit size).
+    """
+    return (_FLOAT_MAX / 6.0) ** (1.0 / 6.0) / dim
 
 
 def metric_signature(g: Tensor) -> tuple:

@@ -1,12 +1,17 @@
 """Command-line interface: output contracts, exit codes, round-trips."""
 
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from accrgeo import ManifoldDefinition, build_example2, save_definition, scenarios, solitons, sweep
-from accrgeo.cli import main
+from accrgeo.cli import MAX_N, _verdict, main, sweep_json
+from accrgeo.tensors import MAX_DIM
 
 
 def run(capsys, *argv):
@@ -306,6 +311,31 @@ def test_sweep_worst_check_is_first_maximal_margin(capsys, tol):
         assert payload["summary"]["fail"] == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, math.nan]), st.sampled_from([1e-10, 1e-9])
+        ),
+        max_size=6,
+    ),
+    st.sampled_from([None, 1e-9]),
+)
+def test_verdict_is_all_passed_and_first_maximal_margin(pairs, tol_override):
+    checks = [solitons.Check(f"c{i}", residual, tol) for i, (residual, tol) in enumerate(pairs)]
+    report = solitons.TheoremReport(checks)
+    if tol_override is None:
+        expected = report.passed, report.worst()
+    else:
+        expected = (
+            all(check.residual < tol_override for check in checks),
+            max(checks, key=lambda check: check.residual / tol_override, default=None),
+        )
+    passed, worst = _verdict(checks, tol_override)
+    assert passed == expected[0]
+    assert worst is expected[1]
+
+
 def _example2_file(tmp_path, name, **changes):
     """example2 at (0, 0) as a definition file, with the given keys replaced."""
     alg, s = build_example2(0.0, 0.0)
@@ -410,6 +440,7 @@ _DIM3_CARRIER = {
         ("dim3-bracket-1e200", "structure constants too large: max |c[k,i,j]| = 1.000e+200"),
         ("inspect-p-1e200", "structure constants too large: max |c[k,i,j]| = 1.000e+200"),
         ("sweep-p-1e200", "structure constants too large: max |c[k,i,j]| = 1.000e+200"),
+        ("dim3-metric-1e200", "'g' entry 1: |value| = 1.000e+200 exceeds 5.875e+50"),
     ],
 )
 def test_non_finite_or_overflowing_input_exits_2(capsys, tmp_path, case, message):
@@ -424,6 +455,13 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, tmp_path, case, message
         path = tmp_path / "x.json"
         path.write_text(json.dumps({**_DIM3_CARRIER, "structure_constants": [[1, 2, 0, 1e200]]}))
         argv = ["inspect", "--input", str(path)]
+    elif case == "dim3-metric-1e200":
+        g = [[0, 0, 1.0], [1, 1, 1e200], [2, 2, -1e200]]
+        path = tmp_path / "x.json"
+        path.write_text(
+            json.dumps({**_DIM3_CARRIER, "structure_constants": [[1, 2, 0, 1.0]], "g": g})
+        )
+        argv = ["inspect", "--input", str(path)]
     elif case == "inspect-p-1e200":
         argv = ["inspect", "--scenario", "example2", "--p", "1e200"]
     else:
@@ -434,3 +472,131 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, tmp_path, case, message
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        # with --lambda alone the report solves lambda_tilde = -2(t0 + 2 beta) = -2
+        (("--lambda", "2"), "lambda_tilde"),
+        # --solve with --mu evaluates the single-metric residual at lambda = 0
+        (("--solve", "--mu=-4", "--lambda", "3", "--k", "0", "--k-prime", "0"), "lambda"),
+    ],
+)
+def test_soliton_prints_the_constants_the_report_used(capsys, argv, key):
+    code, out, _ = run(capsys, "soliton", "--scenario", "example2", *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["scalars"][key] == (-2.0 if key == "lambda_tilde" else 0.0)
+
+
+def test_size_limit_arithmetic():
+    # the bench's largest definition is dim 33; about 3.3 dim^4 float64
+    # arrays at the analysis peak stay under half a gigabyte at the limit
+    assert MAX_DIM % 2 == 1 and MAX_DIM >= 33
+    assert 3.3 * MAX_DIM**4 * 8 < 0.5e9
+    assert 2 * MAX_N + 1 == MAX_DIM
+
+
+@pytest.mark.parametrize("case", ["n", "grid-n", "input-dim"])
+def test_sizes_above_the_limit_exit_2(capsys, tmp_path, case):
+    # each is rejected while parsing, before any array of that size exists
+    if case == "n":
+        argv = ["soliton", "--scenario", "example1", "--n", str(MAX_N + 1)]
+        message = f"--n must be between 1 and {MAX_N}, got {MAX_N + 1}"
+    elif case == "grid-n":
+        argv = ["sweep", "--scenario", "example1", "--grid-n", f"2,{MAX_N + 1}"]
+        message = f"--grid-n values must be between 1 and {MAX_N}, got {MAX_N + 1}"
+    else:
+        path = tmp_path / "big.json"
+        keys = ("structure_constants", "phi", "xi", "eta", "g")
+        path.write_text(json.dumps({"dim": MAX_DIM + 2, **{key: [] for key in keys}}))
+        argv = ["inspect", "--input", str(path)]
+        message = f"'dim' must be at most {MAX_DIM}, got {MAX_DIM + 2}"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+_json_floats = st.floats(allow_nan=False, allow_infinity=False)
+_json_numbers = st.one_of(
+    _json_floats,
+    _json_floats.map(np.float64),
+    st.sampled_from([-0.0, 1e16, 5e-324, np.float64(1.5)]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+)
+
+
+@st.composite
+def _sweep_payloads(draw):
+    """Payloads of cmd_sweep's schema: rows of one parameter layout."""
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    rows = []
+    for index in range(draw(st.integers(0, 4))):
+        row = {"index": index, "params": {name: draw(_json_numbers) for name in names}}
+        if draw(st.booleans()):
+            row.update(scalars={}, degenerate=True, passed=None, worst_check=None, worst_residual=None)
+        else:
+            row["scalars"] = draw(st.dictionaries(st.text(max_size=6), _json_numbers, max_size=5))
+            row.update(degenerate=False, passed=draw(st.booleans()))
+            worst = draw(st.none() | st.tuples(st.text(max_size=12), _json_numbers))
+            row["worst_check"], row["worst_residual"] = worst or (None, None)
+        rows.append(row)
+    counts = st.integers(min_value=0, max_value=2**70)
+    return {
+        "scenario": draw(st.text(max_size=10)),
+        "rows": rows,
+        "summary": {key: draw(counts) for key in ("rows", "pass", "fail", "degenerate")},
+        "notes": draw(st.lists(st.text(max_size=20), max_size=3)),
+        "passed": draw(st.booleans()),
+    }
+
+
+_DEGENERATE_ROW = {
+    "index": 1,
+    "params": {"n": 2**64, "beta": np.float64(-0.25), "t": 2.356194490192345},
+    "scalars": {},
+    "degenerate": True,
+    "passed": None,
+    "worst_check": None,
+    "worst_residual": None,
+}
+_ROW = {
+    "index": 0,
+    "params": {"n": 2, "beta": -0.0, "t": 1e16},
+    "scalars": {"p": 5e-324, "tau": np.float64(1.5)},
+    "degenerate": False,
+    "passed": False,
+    "worst_check": "tau_from_sums",
+    "worst_residual": 1e-300,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_payloads())
+@example(
+    {
+        "scenario": "example1",
+        "rows": [_ROW, _DEGENERATE_ROW],
+        "summary": {"rows": 2, "pass": 0, "fail": 1, "degenerate": 1},
+        "notes": ["β = −1/(2n): \u00e9\t\"quoted\"\n\\", ""],
+        "passed": False,
+    }
+)
+@example({"scenario": "example2", "rows": [], "summary": {}, "notes": [], "passed": True})
+def test_sweep_json_matches_json_dumps(payload):
+    assert sweep_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("where", ["params", "scalars", "worst_residual"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -np.float64(math.inf)])
+def test_sweep_json_rejects_non_finite(where, value):
+    row = {**_ROW, "params": dict(_ROW["params"]), "scalars": dict(_ROW["scalars"])}
+    if where == "worst_residual":
+        row["worst_residual"] = value
+    else:
+        row[where]["x"] = value
+    payload = {"scenario": "example1", "rows": [row], "summary": {}, "notes": [], "passed": True}
+    with pytest.raises(ValueError, match="non-finite"):
+        sweep_json(payload)

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accrgeo import (
+    DEFAULT_TOL,
+    Check,
     SolitonSpec,
+    TheoremReport,
     VerticalPotential,
     VerticalScalar,
     einstein_like_fit,
@@ -227,3 +230,17 @@ def test_vertical_scalar_is_frozen():
     k = VerticalScalar(1.0, 2.0)
     with pytest.raises(AttributeError):
         k.value = 3.0
+
+
+def test_check_record():
+    check = Check("x", 2e-9)
+    assert (check.tol, check.note) == (DEFAULT_TOL, "")
+    assert not check.passed
+    measured = Check.measure("x", -1e-10, tol=1e-9, note="n")
+    assert measured == Check("x", 1e-10, 1e-9, "n") and measured.passed
+    assert type(measured.residual) is float
+    report = TheoremReport()
+    report.add("x", np.float64(-1e-10), tol=1e-9, note="n")
+    assert report.checks == [measured]
+    with pytest.raises(AttributeError):
+        check.residual = 0.0
