@@ -10,11 +10,16 @@ structure, brackets driven by two free reals (p, q):
     [e_0, e_3] = -  e_1 - q e_2 + p e_4
     [e_0, e_4] =  q e_1 -   e_2 - p e_3
 
-with g = diag(1, 1, 1, -1, -1), xi = e_0 and phi e_1 = e_3, phi e_2 = e_4.
-Its curvature is independent of (p, q); the expected nonzero curvature
-components are frozen here and everything downstream is checked against
-them. The scenario exercises the vertical-potential theorem with
-k = -2 t0, k' = -2.
+build_example2 holds only this bracket table; the structure is the flat
+carrier of n = 2: g = diag(1, 1, 1, -1, -1), xi = e_0, phi e_1 = e_3 and
+phi e_2 = e_4. Its curvature is independent of (p, q). Every expected
+value is a closed form compared with the pipeline's value by
+Check.between: the frozen curvature table, rho = 4 eta (.) eta,
+tau = tau_assoc = 4, tau_star = 0, and, for the potential k = -2 t0 with
+k' = -2, the Lie derivatives of both metrics and the soliton constants
+lam = 2(t0 - 2 beta), lam_assoc = -2(t0 + 2 beta).
+tests/test_example2_exact.py derives each of them a second way, in exact
+arithmetic over Q(p, q).
 
 "example1" is a curve of structures given at the formula level: scalars
 
@@ -22,27 +27,17 @@ k = -2 t0, k' = -2.
 
 satisfy p^2 + q^2 - p + q = 0, and the induced scalar curvatures hit the
 conformal-potential theorem for every n. No Lie algebra is constructed;
-Ricci-level checks run on a flat pointwise carrier structure of the right
-dimension, with the Ricci tensor built from the published formula in
-(p, q). The denominator sqrt2 + cos t - sin t vanishes at t = (8l+3)pi/4,
-which is excluded.
+Ricci-level checks run on the flat carrier of the right dimension, with
+the Ricci tensor built from the published formula in (p, q). The
+denominator sqrt2 + cos t - sin t vanishes at t = (8l+3)pi/4, which is
+excluded.
 
 example2 starts from the cached Analysis of its (p, q) (example2_state)
 and builds its vertical-potential checks with solitons.vertical_level and
-vertical_rows, the builders definition files use too; the scenario wraps
-them in its expected-value checks.
-
-Reports are assembled level by level, and each check is computed once per
-value of the parameters it depends on. For example2 the levels are (p, q)
-(curvature, scalars, classification, the Einstein-like fit, rho rebuilt
-from the scalars), the potential k = -2 t0 (Lie derivatives and their
-family values), and beta (the solve, the constants and the soliton
-residual). For example1 they are (n, t) (the curve, the carrier's
-Ricci tensor, tau_star and the beta-free checks) and beta. A single-point
-report and a sweep row are built by the same helpers; a sweep evaluates
-each level once and shares its immutable Check objects between the rows'
-reports, and every SweepRow.report is still a full TheoremReport with the
-checks in the same order as the single-point report.
+vertical_rows, the builders definition files use too; the scenario adds
+its closed-form checks. Reports are assembled level by level, each check
+computed once per value of the parameters it depends on (see sweep), and
+a single-point report and a sweep row are built by the same helpers.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateParameter, EmptyGrid, GeometryError
-from .geometry import Analysis, LieAlgebra, analyze, reeb_derivative_residual
+from .geometry import Analysis, LieAlgebra, analyze
 from .structure import AccRStructure, validate_structure
 from .solitons import (
     Check,
@@ -69,7 +64,7 @@ from .solitons import (
     vertical_level,
     vertical_rows,
 )
-from .tensors import Frame, Tensor, max_abs
+from .tensors import Frame, Tensor
 
 DEFAULT_P_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_Q_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -111,42 +106,53 @@ class Example1Point:
     sum_assoc: float
 
 
-def build_example2(p: float, q: float):
-    """The five-dimensional scenario algebra and structure for given (p, q)."""
-    frame = Frame(5)
-    c = np.zeros((5, 5, 5))
-    # bracket table: rows of [e_0, e_i] for i = 1..4
-    table = {
-        1: {2: p, 3: 1.0, 4: q},
-        2: {1: -p, 3: -q, 4: 1.0},
-        3: {1: -1.0, 2: -q, 4: p},
-        4: {1: q, 2: -1.0, 3: -p},
-    }
-    for i, row in table.items():
-        for k, value in row.items():
-            c[k, 0, i] = value
-            c[k, i, 0] = -value
-    alg = LieAlgebra(frame, Tensor(frame, c))
+def flat_carrier_structure(n: int) -> AccRStructure:
+    """A pointwise structure of dimension 2n+1 for entrywise formula checks.
 
-    g = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
-    xi = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    eta = xi.copy()
-    phi = np.zeros((5, 5))
-    phi[3, 1] = 1.0
-    phi[4, 2] = 1.0
-    phi[1, 3] = -1.0
-    phi[2, 4] = -1.0
-    s = validate_structure(phi, xi, eta, g, frame)
-    return alg, s
+    g = diag(1, I_n, -I_n), xi = e_0, phi maps the first contact block to
+    the second. example2 puts its brackets on it (n = 2); example1, given
+    only at the formula level, uses it as a tangent-space carrier, with no
+    curvature derived from it.
+    """
+    dim = 2 * n + 1
+    reeb = np.zeros(dim)
+    reeb[0] = 1.0
+    phi = np.zeros((dim, dim))
+    contact = np.arange(1, n + 1)
+    phi[n + contact, contact] = 1.0
+    phi[contact, n + contact] = -1.0
+    g = np.diag([1.0] + [1.0] * n + [-1.0] * n)
+    return validate_structure(phi, reeb, reeb, g, Frame(dim))
+
+
+#: example1 reads the carrier once per (n, t)
+_cached_carrier = lru_cache(maxsize=16)(flat_carrier_structure)
+
+
+def build_example2(p: float, q: float):
+    """The five-dimensional scenario algebra for given (p, q), on the flat
+    carrier of n = 2."""
+    s = flat_carrier_structure(2)
+    c = np.zeros((5, 5, 5))
+    # (i, k, value): [e_0, e_i] has e_k-component value
+    for i, k, value in (
+        (1, 2, p), (1, 3, 1.0), (1, 4, q),
+        (2, 1, -p), (2, 3, -q), (2, 4, 1.0),
+        (3, 1, -1.0), (3, 2, -q), (3, 4, p),
+        (4, 1, q), (4, 2, -1.0), (4, 3, -p),
+    ):
+        c[k, 0, i] = value
+        c[k, i, 0] = -value
+    return LieAlgebra(s.frame, Tensor(s.frame, c)), s
 
 
 @lru_cache(maxsize=4)
 def example2_expected_curvature(frame: Frame) -> Tensor:
     """The frozen curvature table of the scenario, closed under symmetries.
 
-    Seeds the independent components and propagates them through the two
-    pair antisymmetries and the pair-swap symmetry, refusing silently
-    conflicting assignments.
+    Seeds the independent components and writes each one's images under
+    the two pair antisymmetries and the pair-swap symmetry, refusing
+    silently conflicting assignments.
     """
     seeds = {
         (0, 1, 1, 0): 1.0,
@@ -160,22 +166,14 @@ def example2_expected_curvature(frame: Frame) -> Tensor:
     }
     expected = np.zeros((frame.dim,) * 4)
     assigned = {}
-    for index, value in seeds.items():
-        orbit = {(index, value)}
-        while True:
-            grown = set(orbit)
-            for (i, j, k, l), v in orbit:
-                grown.add(((j, i, k, l), -v))
-                grown.add(((i, j, l, k), -v))
-                grown.add(((k, l, i, j), v))
-            if grown == orbit:
-                break
-            orbit = grown
-        for idx, v in orbit:
-            if idx in assigned and assigned[idx] != v:
+    for (i, j, k, l), v in seeds.items():
+        for idx, w in (
+            ((i, j, k, l), v), ((j, i, k, l), -v), ((i, j, l, k), -v), ((j, i, l, k), v),
+            ((k, l, i, j), v), ((l, k, i, j), -v), ((k, l, j, i), -v), ((l, k, j, i), v),
+        ):
+            if assigned.setdefault(idx, w) != w:
                 raise GeometryError(f"inconsistent seed table at {idx}")
-            assigned[idx] = v
-            expected[idx] = v
+            expected[idx] = w
     return Tensor(frame, expected)
 
 
@@ -183,6 +181,26 @@ def example2_expected_curvature(frame: Frame) -> Tensor:
 def example2_state(p: float, q: float) -> Analysis:
     """The analysis of the scenario at (p, q), cached."""
     return analyze(*build_example2(float(p), float(q)))
+
+
+#: notes of the scenarios' checks against closed forms, by check name
+_NOTES = {
+    "curvature_table": "all nonzero components and their symmetry images",
+    "tau_assoc_pipeline": "scalar curvature of the associated metric via its own connection",
+    "tau_assoc_two_routes": "pipeline value against 2n - tau_star",
+    "reeb_derivative_assoc": "the associated connection acts on xi the same way",
+    "tau_route_agreement": "through (p, q) against direct in t",
+    "tau_assoc_route_agreement": "through (p, q) against direct in t",
+    "ricci_reeb_value": "rho(xi, xi) = 2n",
+}
+
+
+def _closed_form_checks(forms: dict) -> tuple:
+    """Check.between of every name: (computed, closed form[, tol]) in forms,
+    with the name's note."""
+    return tuple(
+        Check.between(name, *form, note=_NOTES.get(name, "")) for name, form in forms.items()
+    )
 
 
 class _Example2Geometry(NamedTuple):
@@ -200,52 +218,34 @@ class _Example2Geometry(NamedTuple):
 def _example2_geometry(p: float, q: float) -> _Example2Geometry:
     a = example2_state(p, q)
     s, pkg, assoc_pkg = a.s, a.pkg, a.assoc_pkg
-    n = s.n
-    head = TheoremReport()
-    head.add(
-        "curvature_table",
-        max_abs(pkg.riemann - example2_expected_curvature(s.frame)),
-        tol=1e-12,
-        note="all nonzero components and their symmetry images",
+    n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
+    head = _closed_form_checks(
+        {
+            "curvature_table": (pkg.riemann, example2_expected_curvature(s.frame), 1e-12),
+            "ricci_form": (pkg.ricci, 4.0 * s.eta_outer, 1e-12),
+            "tau_value": (pkg.tau, 4.0, 1e-10),
+            "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
+            "tau_assoc_pipeline": (assoc_pkg.tau, 4.0, 1e-10),
+            "tau_assoc_two_routes": (assoc_pkg.tau, 2.0 * n - pkg.tau_star, 1e-10),
+            "sasaki_like": (a.classification.residual, 0.0, 1e-12),
+            # D_x xi = -phi x for the connections of both metrics
+            "reeb_derivative": (pkg.conn.derivative_of_field(xi), minus_phi),
+            "reeb_derivative_assoc": (assoc_pkg.conn.derivative_of_field(xi), minus_phi),
+            "ricci_reeb_line": (pkg.ricci.data @ xi, 2.0 * n * s.eta.data),
+        }
     )
-    eta_outer = s.eta_outer
-    head.add("ricci_form", max_abs(pkg.ricci - 4.0 * eta_outer), tol=1e-12)
-    head.add("tau_value", pkg.tau - 4.0, tol=1e-10)
-    head.add("tau_star_value", pkg.tau_star, tol=1e-10)
-    head.add(
-        "tau_assoc_pipeline",
-        assoc_pkg.tau - 4.0,
-        tol=1e-10,
-        note="scalar curvature of the associated metric via its own connection",
-    )
-    head.add(
-        "tau_assoc_two_routes",
-        assoc_pkg.tau - (2.0 * n - pkg.tau_star),
-        tol=1e-10,
-        note="pipeline value against 2n - tau_star",
-    )
-    head.add("sasaki_like", a.classification.residual, tol=1e-12)
-    head.add("reeb_derivative", reeb_derivative_residual(pkg.conn, s))
-    head.add(
-        "reeb_derivative_assoc",
-        reeb_derivative_residual(assoc_pkg.conn, s),
-        note="the associated connection acts on xi the same way",
-    )
-    head.add(
-        "ricci_reeb_line",
-        float(np.max(np.abs(pkg.ricci.data @ s.xi.data - 2.0 * n * s.eta.data))),
-    )
-
     fit = einstein_like_fit(pkg.ricci, s)
-    tail = TheoremReport()
-    tail.add("einstein_fit_residual", fit.residual, tol=1e-12)
-    tail.add(
-        "einstein_fit_coefficients",
-        max(abs(fit.a), abs(fit.b), abs(fit.c - 4.0)),
-        tol=1e-10,
-        note=f"fit kind: {fit.kind}",
+    tail = (
+        Check.between("einstein_fit_residual", fit.residual, 0.0, 1e-12),
+        Check.between(
+            "einstein_fit_coefficients",
+            np.array((fit.a, fit.b, fit.c)),
+            np.array((0.0, 0.0, 4.0)),
+            1e-10,
+            f"fit kind: {fit.kind}",
+        ),
     )
-    return _Example2Geometry(a, tuple(head.checks), tuple(tail.checks))
+    return _Example2Geometry(a, head, tail)
 
 
 def _example2_rows(
@@ -276,18 +276,18 @@ def _example2_rows(
         level = vertical_level(a, VerticalScalar(value=-2.0 * t0, xi_derivative=-2.0))
         s = a.s
         eta_outer = s.eta_outer
-        report = TheoremReport(list(level.checks))
-        h_tensor = 2.0 * level.k.xi_derivative * eta_outer
-        report.add("h_form", max_abs(h_tensor + 4.0 * eta_outer), tol=1e-12)
-        lie_g_family = 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer
-        report.add("lie_g_family_value", max_abs(level.lie_g - lie_g_family), tol=1e-10)
-        lie_assoc_family = -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer
-        report.add(
-            "lie_assoc_family_value",
-            max_abs(level.lie_assoc - lie_assoc_family),
-            tol=1e-10,
+        family_checks = _closed_form_checks(
+            {
+                "h_form": (2.0 * level.k.xi_derivative * eta_outer, -4.0 * eta_outer, 1e-12),
+                "lie_g_family_value": (
+                    level.lie_g, 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer, 1e-10
+                ),
+                "lie_assoc_family_value": (
+                    level.lie_assoc, -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer, 1e-10
+                ),
+            }
         )
-        levels.append(level._replace(checks=tuple(report.checks)))
+        levels.append(level._replace(checks=level.checks + family_checks))
     rows = []
     for t0, level, level_rows in zip(
         t0s, levels, vertical_rows(a, levels, betas, lam, lam_assoc, mu=mu)
@@ -297,15 +297,17 @@ def _example2_rows(
             constants = ()
             if family and mu is None and lam is None and lam_assoc is None:
                 constants = (
-                    Check.measure(
+                    Check.between(
                         "lambda_family_value",
-                        row_lam - 2.0 * (t0 - 2.0 * beta),
+                        row_lam,
+                        2.0 * (t0 - 2.0 * beta),
                         tol=1e-10,
                         note="lam = 2(t0 - 2 beta)",
                     ),
-                    Check.measure(
+                    Check.between(
                         "lambda_assoc_family_value",
-                        row_lam_assoc + 2.0 * (t0 + 2.0 * beta),
+                        row_lam_assoc,
+                        -2.0 * (t0 + 2.0 * beta),
                         tol=1e-10,
                         note="lam_assoc = -2(t0 + 2 beta)",
                     ),
@@ -357,27 +359,6 @@ def run_example2_report(
     return example2_point(params, k=k, lam=lam, lam_assoc=lam_assoc, mu=mu)[3]
 
 
-@lru_cache(maxsize=16)
-def flat_carrier_structure(n: int) -> AccRStructure:
-    """A pointwise structure of dimension 2n+1 for entrywise formula checks.
-
-    g = diag(1, I_n, -I_n), xi = e_0, phi maps the first contact block to
-    the second. Serves as the tangent-space carrier for scenarios given
-    only at the formula level; no curvature is derived from it.
-    """
-    dim = 2 * n + 1
-    frame = Frame(dim)
-    g = np.diag([1.0] + [1.0] * n + [-1.0] * n)
-    xi = np.zeros(dim)
-    xi[0] = 1.0
-    eta = xi.copy()
-    phi = np.zeros((dim, dim))
-    for a in range(1, n + 1):
-        phi[n + a, a] = 1.0
-        phi[a, n + a] = -1.0
-    return validate_structure(phi, xi, eta, g, frame)
-
-
 def _curve_scalars(t: float, n: int) -> tuple:
     """(p, q, tau, tau_assoc) of the curve at t for dimension 2n+1; see example1_curve."""
     den = SQRT2 + math.cos(t) - math.sin(t)
@@ -425,19 +406,13 @@ def example1_curve(t: float, n: int, beta: float) -> Example1Point:
     reciprocal of the shared denominator near its zeros, which are exactly
     the excluded parameter values.
     """
-    p, q, tau, tau_assoc = _curve_scalars(t, n)
-    sum_g, sum_assoc = _curve_sums(beta, n, tau, tau_assoc)
-    return Example1Point(
-        t=t,
-        n=n,
-        beta=beta,
-        p=p,
-        q=q,
-        tau=tau,
-        tau_assoc=tau_assoc,
-        sum_g=sum_g,
-        sum_assoc=sum_assoc,
-    )
+    return _example1_point(t, n, beta, _curve_scalars(t, n))
+
+
+def _example1_point(t: float, n: int, beta: float, scalars: tuple) -> Example1Point:
+    """The curve point of scalars = (p, q, tau, tau_assoc) with the sums forced at beta."""
+    p, q, tau, tau_assoc = scalars
+    return Example1Point(t, n, beta, p, q, tau, tau_assoc, *_curve_sums(beta, n, tau, tau_assoc))
 
 
 class _Example1Curvature(NamedTuple):
@@ -461,7 +436,7 @@ class _Example1Curvature(NamedTuple):
 
 def _example1_curvature(t: float, n: int) -> _Example1Curvature:
     p, q, tau, tau_assoc = _curve_scalars(t, n)
-    s = flat_carrier_structure(n)
+    s = _cached_carrier(n)
     square_sum = p ** 2 + q ** 2
     scale = 2.0 * n / square_sum
     ricci = Tensor(
@@ -473,29 +448,20 @@ def _example1_curvature(t: float, n: int) -> _Example1Curvature:
             + (square_sum - p + q) * np.outer(s.eta.data, s.eta.data)
         ),
     )
-    head = TheoremReport()
-    head.add("curve_constraint", p ** 2 + q ** 2 - p + q, tol=1e-12)
-    head.add(
-        "tau_route_agreement",
-        2.0 * n * (1.0 + 2.0 * n * p / square_sum) - tau,
-        note="through (p, q) against direct in t",
-    )
-    head.add(
-        "tau_assoc_route_agreement",
-        2.0 * n * (1.0 - 2.0 * n * q / square_sum) - tau_assoc,
-        note="through (p, q) against direct in t",
-    )
-    head.add(
-        "ricci_reeb_value",
-        float(ricci.data @ s.xi.data @ s.xi.data) - 2.0 * n,
-        note="rho(xi, xi) = 2n",
+    head = _closed_form_checks(
+        {
+            "curve_constraint": (square_sum - p, -q, 1e-12),
+            "tau_route_agreement": (2.0 * n * (1.0 + 2.0 * n * p / square_sum), tau),
+            "tau_assoc_route_agreement": (2.0 * n * (1.0 - 2.0 * n * q / square_sum), tau_assoc),
+            "ricci_reeb_value": (ricci.data @ s.xi.data @ s.xi.data, 2.0 * n),
+        }
     )
     # with a Ricci tensor supplied there are no notes
     scalar_sum, einstein_like, tau_star, _ = conformal_curvature_checks(
         tau, tau_assoc, n, ricci_tensor=ricci, structure=s
     )
     return _Example1Curvature(
-        n, p, q, tau, tau_assoc, tau_star, s, ricci, (*head.checks, scalar_sum), einstein_like
+        n, p, q, tau, tau_assoc, tau_star, s, ricci, (*head, scalar_sum), einstein_like
     )
 
 
@@ -539,19 +505,8 @@ def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tupl
     """(Example1Point, report) of run_example1_report, from one evaluation
     of the curve."""
     curv = _example1_curvature(t, n)
-    sum_g, sum_assoc, report = _example1_row(curv, beta, sums_override)
-    point = Example1Point(
-        t=t,
-        n=n,
-        beta=beta,
-        p=curv.p,
-        q=curv.q,
-        tau=curv.tau,
-        tau_assoc=curv.tau_assoc,
-        sum_g=sum_g,
-        sum_assoc=sum_assoc,
-    )
-    return point, report
+    point = _example1_point(t, n, beta, (curv.p, curv.q, curv.tau, curv.tau_assoc))
+    return point, _example1_row(curv, beta, sums_override)[2]
 
 
 def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) -> TheoremReport:
@@ -578,12 +533,6 @@ class SweepRow:
     scalars: dict
     report: TheoremReport
     degenerate: bool = False
-
-    @property
-    def passed(self) -> bool:
-        if self.degenerate:
-            return True
-        return self.report.passed
 
 
 @dataclass
@@ -672,9 +621,7 @@ def sweep(
         return result
 
     if scenario == "example1":
-        n_values = tuple(int(v) for v in (DEFAULT_N_GRID if n_grid is None else n_grid))
-        if not n_values:
-            raise EmptyGrid("a sweep grid must contain at least one value")
+        n_values = tuple(int(v) for v in _grid(n_grid, DEFAULT_N_GRID))
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
         ts = _grid(t_grid, DEFAULT_T_GRID)
         rows = []

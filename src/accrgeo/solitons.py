@@ -110,6 +110,20 @@ class Check(NamedTuple):
         """The check of |residual| against tol."""
         return cls(name, abs(float(residual)), tol, note)
 
+    @classmethod
+    def between(
+        cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""
+    ) -> "Check":
+        """The check of max |computed - expected| against tol, for two floats
+        or two Tensors or arrays of one shape: the one form of every check of
+        a computed value against its closed form."""
+        if isinstance(computed, Tensor):
+            computed, expected = computed.data, expected.data
+        difference = computed - expected
+        if isinstance(difference, np.ndarray):
+            difference = np.max(np.abs(difference))
+        return cls(name, abs(float(difference)), tol, note)
+
 
 @dataclass
 class TheoremReport:
@@ -410,9 +424,10 @@ def _require_sasaki_like(classification: SasakiLikeResult) -> None:
 
 def vertical_scalar_sum_check(k_prime: float, tau: float, tau_assoc: float, n: int) -> Check:
     """tau + tau_assoc = 4n(k' + n + 1), which holds at every beta."""
-    return Check.measure(
+    return Check.between(
         "scalar_sum_from_k_derivative",
-        tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
+        tau + tau_assoc,
+        4.0 * n * (k_prime + n + 1.0),
         note="tau + tau_assoc = 4n(k' + n + 1)",
     )
 
@@ -427,9 +442,10 @@ def ricci_reconstruction_check(
         - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0))
         * np.outer(structure.eta.data, structure.eta.data)
     )
-    return Check.measure(
+    return Check.between(
         "ricci_reconstruction",
-        float(np.max(np.abs(ricci_tensor.data - expected))),
+        ricci_tensor.data,
+        expected,
         note="rho rebuilt from (tau, tau_assoc) alone",
     )
 
@@ -537,10 +553,8 @@ def conformal_curvature_checks(
     ricci_einstein_like is None without a Ricci tensor and structure; tau_star
     is then derived as 2n - tau_assoc instead of the Ricci tensor's phi-trace.
     """
-    scalar_sum = Check.measure(
-        "scalar_sum",
-        tau + tau_assoc - 4.0 * n * (n + 1.0),
-        note="tau + tau_assoc = 4n(n+1)",
+    scalar_sum = Check.between(
+        "scalar_sum", tau + tau_assoc, 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
     )
     if ricci_tensor is None or structure is None:
         notes = ["tau_star derived from tau_assoc; no Ricci tensor supplied"]
@@ -681,14 +695,14 @@ def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
     potential = VerticalPotential(k)
     lie_g = lie_derivative_metric(s.g, conn, potential, s)
     lie_assoc = lie_derivative_metric(s.g_assoc, conn, potential, s)
-    report = TheoremReport()
+    checks = ()
     if a.classification.is_sasaki_like:
         closed_g, closed_assoc = vertical_lie_closed_form(k, s, a.classification)
-        report.add("lie_g_closed_vs_connection", max_abs(closed_g - lie_g), tol=1e-10)
-        report.add(
-            "lie_assoc_closed_vs_connection", max_abs(closed_assoc - lie_assoc), tol=1e-10
+        checks = (
+            Check.between("lie_g_closed_vs_connection", closed_g, lie_g, tol=1e-10),
+            Check.between("lie_assoc_closed_vs_connection", closed_assoc, lie_assoc, tol=1e-10),
         )
-    return VerticalLevel(k, lie_g, lie_assoc, tuple(report.checks))
+    return VerticalLevel(k, lie_g, lie_assoc, checks)
 
 
 def vertical_rows(
@@ -771,15 +785,17 @@ def vertical_rows(
                 row_notes = solution.notes
                 if lam is not None or lam_assoc is not None:
                     checks += (
-                        Check.measure(
+                        Check.between(
                             "lambda_matches_solution",
-                            row_lam - solved_lam,
+                            row_lam,
+                            solved_lam,
                             tol=1e-10,
                             note="supplied lam against the solved value",
                         ),
-                        Check.measure(
+                        Check.between(
                             "lambda_assoc_matches_solution",
-                            row_lam_assoc - solved_lam_assoc,
+                            row_lam_assoc,
+                            solved_lam_assoc,
                             tol=1e-10,
                             note="supplied lam_assoc against the solved value",
                         ),

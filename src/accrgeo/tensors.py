@@ -29,20 +29,11 @@ class Frame:
     """An ordered basis e_0 .. e_{dim-1} of an odd-dimensional tangent space."""
 
     dim: int
-    labels: tuple = ()
 
     def __post_init__(self):
         if self.dim < 3 or self.dim % 2 == 0:
             raise DimensionMismatch(
                 f"frame dimension must be odd and >= 3, got {self.dim}"
-            )
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"e_{i}" for i in range(self.dim))
-            )
-        if len(self.labels) != self.dim:
-            raise DimensionMismatch(
-                f"{len(self.labels)} labels for a {self.dim}-dimensional frame"
             )
 
     @property
@@ -56,7 +47,6 @@ class Tensor:
 
     Components are stored fully covariant or fully contravariant at the
     caller's discretion; the wrapper only tracks the frame and the shape.
-    Rank-0 tensors behave as plain scalars via ``float()``.
 
     The data is copied into a read-only float64 array, except an array
     that is already read-only float64 and owns its memory: that one is
@@ -86,14 +76,6 @@ class Tensor:
     @property
     def rank(self) -> int:
         return self.data.ndim
-
-    def __getitem__(self, idx):
-        return self.data[idx]
-
-    def __float__(self):
-        if self.rank != 0:
-            raise DimensionMismatch(f"rank-{self.rank} tensor is not a scalar")
-        return float(self.data)
 
     def _binary(self, other, op):
         if not isinstance(other, Tensor):

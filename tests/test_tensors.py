@@ -24,12 +24,7 @@ def test_frame_requires_odd_dimension():
         Frame(4)
     with pytest.raises(DimensionMismatch):
         Frame(1)
-
-
-def test_frame_labels_autofill():
-    f = Frame(5)
-    assert f.labels == ("e_0", "e_1", "e_2", "e_3", "e_4")
-    assert f.n == 2
+    assert Frame(5).n == 2
 
 
 def test_tensor_is_read_only():
