@@ -14,9 +14,9 @@ soliton builders, so this module parses options and renders results but
 assembles no theorem. Exit codes: 0 all checks passed, 1 at least one
 residual above tolerance, 2 input or parse error.
 
-JSON output is json.dumps(payload, indent=2), except for sweeps: their
-payload has a fixed schema, and sweep_json writes the same bytes without
-json's pure-Python indenting encoder.
+JSON output is json.dumps(payload, indent=2), except for sweeps and
+inspect: their payloads have a fixed shape, and sweep_json and inspect_json
+write the same bytes without json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -242,7 +242,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.fmt == "json":
-        print(sweep_json(payload) if config.command == "sweep" else json.dumps(payload, indent=2))
+        writer = {"sweep": sweep_json, "inspect": inspect_json}.get(config.command)
+        print(writer(payload) if writer else json.dumps(payload, indent=2))
     else:
         print("\n".join(_render_text(config.command, payload)))
     return code
@@ -274,14 +275,8 @@ def cmd_inspect(config: RunConfig):
     fit = einstein_like_fit(pkg.ricci, s)
     pos, neg = metric_signature(s.g.g)
 
-    curvature_entries = [
-        [int(i), int(j), int(k), int(l), float(pkg.riemann.data[i, j, k, l])]
-        for i, j, k, l in np.argwhere(np.abs(pkg.riemann.data) > DISPLAY_EPS)
-    ]
-    ricci_entries = [
-        [int(i), int(j), float(pkg.ricci.data[i, j])]
-        for i, j in np.argwhere(np.abs(pkg.ricci.data) > DISPLAY_EPS)
-    ]
+    curvature_entries = _nonzero_entries(pkg.riemann.data)
+    ricci_entries = _nonzero_entries(pkg.ricci.data)
     payload = {
         "dim": s.frame.dim,
         "n": s.n,
@@ -311,6 +306,13 @@ def cmd_inspect(config: RunConfig):
         "ricci_nonzero": ricci_entries,
     }
     return payload, 0
+
+
+def _nonzero_entries(a: np.ndarray) -> list:
+    """[*index, value] of each entry of a with |value| > DISPLAY_EPS, in C order."""
+    flat = np.flatnonzero((a > DISPLAY_EPS) | (a < -DISPLAY_EPS))
+    index = [axis.tolist() for axis in np.unravel_index(flat, a.shape)]
+    return list(map(list, zip(*index, a.ravel()[flat].tolist())))
 
 
 def _report_payload(report: TheoremReport, tol_override=None) -> dict:
@@ -552,7 +554,7 @@ def cmd_sweep(config: RunConfig):
     return payload, 0 if n_fail == 0 else 1
 
 
-# --- sweep JSON --------------------------------------------------------------
+# --- JSON writers ------------------------------------------------------------
 
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -560,7 +562,7 @@ _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 def _json_float(value) -> str:
     text = float.__repr__(value)
     if text in _NON_FINITE:
-        raise ValueError(f"sweep output has a non-finite float: {text}")
+        raise ValueError(f"JSON output has a non-finite float: {text}")
     return text
 
 
@@ -580,7 +582,7 @@ def _json_scalar(value) -> str:
     try:
         write = _JSON_SCALARS[type(value)]
     except KeyError:
-        raise TypeError(f"sweep output has a {type(value).__name__}") from None
+        raise TypeError(f"JSON output has a {type(value).__name__}") from None
     return write(value)
 
 
@@ -639,6 +641,38 @@ def sweep_json(payload: dict) -> str:
             "\n}",
         )
     )
+
+
+def _json_list(values: list, indent: str) -> str:
+    """A list of scalars, or of lists of scalars, at the nesting whose
+    newline-plus-indent is indent."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    if type(values[0]) is list:
+        items = [_json_list(value, inner) for value in values]
+    else:
+        items = map(_json_scalar, values)
+    return f"[{inner}{(',' + inner).join(items)}{indent}]"
+
+
+def inspect_json(payload: dict) -> str:
+    """The inspect payload as json.dumps(payload, indent=2) writes it.
+
+    Its values are scalars, flat dicts and lists of scalars or of lists of
+    scalars (the nonzero curvature and Ricci components, thousands of them
+    at dim 33). A non-finite float raises ValueError, as in sweep_json.
+    """
+    items = []
+    for key, value in payload.items():
+        if type(value) is list:
+            text = _json_list(value, "\n  ")
+        elif type(value) is dict:
+            text = _json_object(value, "\n  ")
+        else:
+            text = _json_scalar(value)
+        items.append(f"\n  {encode_basestring_ascii(key)}: {text}")
+    return f"{{{','.join(items)}\n}}"
 
 
 # --- text rendering ----------------------------------------------------------

@@ -26,12 +26,14 @@ curvature of g, the fundamental tensor F, the Sasaki-like classification
 and the curvature of the associated metric, returned as an Analysis.
 Scenarios, definition files and sweeps all go through it.
 
-The O(dim^5) contractions (the Jacobi identity, the curvature tensor and
-the phi-recomposition of the fundamental tensor) run as reshapes plus
-matrix products, so BLAS does the work; they are meant for dim up to about
-33. Rank-4 results are built in place and the curvature symmetries are
-checked one after another in one scratch array, so a full analysis holds
-at most about three dim^4 float64 arrays at once (9.5 MB each at dim 33).
+Every contraction (the Jacobi identity, the Koszul formula, the curvature
+tensor and the fundamental tensor) runs as reshapes plus matrix products,
+so BLAS does the work; they are meant for dim up to about 33. The curvature
+tensor is the only dim^4 array a call builds: the Jacobiator, the
+antisymmetrization and bracket term of the curvature, and the four
+curvature symmetry checks run in blocks of rows of the first index that
+stay in cache. An analysis keeps one curvature tensor per metric, so
+inspect peaks at about 2.4 dim^4 float64 arrays (9.5 MB each at dim 33).
 """
 
 from __future__ import annotations
@@ -60,6 +62,29 @@ from .tensors import (
 
 
 _SQRT_FLOAT_MAX = float(np.finfo(np.float64).max) ** 0.5
+
+
+#: float64 entries in one block of a blocked dim^4 computation (256 KiB), so
+#: that a block of rows of the first index stays in a core's cache: one row
+#: at dim 33, a single block at dim 9 and below
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _block_rows(d: int) -> int:
+    """Rows of the first index per block of a (d, d, d, d) array."""
+    return max(1, _BLOCK_ENTRIES // d**3)
+
+
+def _jacobiator_block(c: np.ndarray, r0: int, rows: int) -> np.ndarray:
+    """|[[e_i,e_j],e_l] + cyclic| for r in r0 .. r0 + rows - 1, as an array
+    indexed (r - r0, i, j, l)."""
+    d = c.shape[0]
+    # u[r, i, j, l] = sum_m c[m, i, j] c[r, m, l], the e_r-component of
+    # [[e_i, e_j], e_l]; one gemm per r
+    u = np.matmul(c.reshape(d, d * d).T, c[r0 : r0 + rows]).reshape(-1, d, d, d)
+    jac = np.add(u, u.transpose(0, 3, 1, 2), out=np.empty_like(u))
+    jac += u.transpose(0, 2, 3, 1)
+    return np.abs(jac, out=jac)
 
 
 @dataclass(frozen=True)
@@ -96,16 +121,17 @@ class LieAlgebra:
             raise AntisymmetryViolation(
                 f"c[k,i,j] + c[k,j,i] has residual {asym:.3e}"
             )
-        # u[r, i, j, l] = sum_m c[m, i, j] c[r, m, l], the e_r-component of
-        # [[e_i, e_j], e_l]; one gemm per r
-        u = np.matmul(arr.reshape(d, d * d).T, arr).reshape((d,) * 4)
-        # [[e_i,e_j],e_l] + cyclic, as a rank-4 array indexed (r, i, j, l)
-        jac = np.add(u, u.transpose(0, 3, 1, 2), out=np.empty_like(u))
-        jac += u.transpose(0, 2, 3, 1)
-        del u
-        np.abs(jac, out=jac)
-        residual = float(jac.max())
+        # the Jacobiator runs in blocks of r, so no dim^4 array is built;
+        # blocks run in order of r and a later block must exceed the largest
+        # residual so far, so the first maximal (r, i, j, l) is reported
+        rows = _block_rows(d)
+        residual, worst_block = -1.0, 0
+        for r0 in range(0, d, rows):
+            block_max = float(_jacobiator_block(arr, r0, rows).max())
+            if block_max > residual:
+                residual, worst_block = block_max, r0
         if not residual < DEFAULT_TOL:
+            jac = _jacobiator_block(arr, worst_block, rows)
             worst = np.unravel_index(np.argmax(jac), jac.shape)
             raise JacobiViolation(residual, tuple(int(i) for i in worst[1:]))
 
@@ -154,15 +180,19 @@ def levi_civita(alg: LieAlgebra, metric: MetricPair) -> Connection:
     """
     c = alg.c.data
     g = metric.matrix
+    d = g.shape[0]
     # a[i,j,k] = g([e_i, e_j], e_k)
-    a = np.einsum("mij,mk->ijk", c, g)
-    b = a - np.einsum("jki->ijk", a) + np.einsum("kij->ijk", a)
-    gamma = 0.5 * np.einsum("lk,ijk->lij", metric.inverse, b)
+    a = (c.reshape(d, d * d).T @ g).reshape(d, d, d)
+    # b[i,j,k] = a[i,j,k] - a[j,k,i] + a[k,i,j]
+    b = a - a.transpose(2, 0, 1) + a.transpose(1, 2, 0)
+    gamma = (0.5 * (metric.inverse @ b.reshape(d * d, d).T)).reshape(d, d, d)
 
     torsion = gamma - np.swapaxes(gamma, 1, 2) - c
     if not float(np.max(np.abs(torsion))) < DEFAULT_TOL:
         raise GeometryError("Levi-Civita postcondition failed: torsion is nonzero")
-    compat = np.einsum("lij,lk->ijk", gamma, g) + np.einsum("lik,lj->ijk", gamma, g)
+    # gl[i,j,k] = g(D_i e_j, e_k); metric compatibility is gl[i,j,k] + gl[i,k,j] = 0
+    gl = (gamma.reshape(d, d * d).T @ g).reshape(d, d, d)
+    compat = gl + gl.transpose(0, 2, 1)
     if not float(np.max(np.abs(compat))) < DEFAULT_TOL:
         raise GeometryError("Levi-Civita postcondition failed: metric not parallel")
     return Connection(alg.frame, Tensor(alg.frame, gamma))
@@ -176,33 +206,47 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     """
     gamma = conn.gamma.data
     d = gamma.shape[0]
+    rows = _block_rows(d)
     # gl[i, m, l] = g(D_i e_m, e_l)
-    gl = np.tensordot(gamma, metric.matrix, ([0], [0]))
-    # low, which the returned Tensor keeps, is allocated before the scratch
-    # buf: freed, buf then lies above low on the heap, where later small
-    # arrays do not split it and the next call can reuse it (in the other
-    # order, peak RSS of inspect at dim 33 grows by one dim^4 array)
+    gl = (gamma.reshape(d, d * d).T @ metric.matrix).reshape(d, d, d)
+    # low, which the returned Tensor keeps, is the only dim^4 array; every
+    # step below works in a scratch block of rows of the first index
     low = np.empty((d,) * 4)
-    buf = np.empty((d,) * 4)
-    # buf[i, j, k, l] = sum_m gamma[m, j, k] gl[i, m, l] = g(D_i D_j e_k, e_l);
+    scratch = np.empty((min(rows, d), d, d, d))
+    # low[i, j, k, l] = sum_m gamma[m, j, k] gl[i, m, l] = g(D_i D_j e_k, e_l);
     # one gemm per i
-    np.matmul(gamma.reshape(d, d * d).T, gl, out=buf.reshape(d, d * d, d))
-    np.subtract(buf, buf.transpose(1, 0, 2, 3), out=low)
-    # buf[i, j, k, l] = sum_m c[m, i, j] gl[m, k, l] = g(D_[e_i,e_j] e_k, e_l)
-    np.matmul(
-        alg.c.data.reshape(d, d * d).T, gl.reshape(d, d * d), out=buf.reshape(d * d, d * d)
-    )
-    low -= buf
+    np.matmul(gamma.reshape(d, d * d).T, gl, out=low.reshape(d, d * d, d))
+    c = alg.c.data.reshape(d, d * d)
+    gl = gl.reshape(d, d * d)
+    for i0 in range(0, d, rows):
+        i1 = min(i0 + rows, d)
+        buf = scratch[: i1 - i0]
+        # low[i, j] - low[j, i] in place, for the block's rows i and j >= i0;
+        # the rows j < i0 were paired with them by the earlier blocks
+        diag = low[i0:i1, i0:i1]
+        before = buf[:, : i1 - i0]
+        before[...] = diag
+        np.subtract(before, before.transpose(1, 0, 2, 3), out=diag)
+        upper, lower = low[i0:i1, i1:], low[i1:, i0:i1]
+        before = buf[:, : d - i1]
+        before[...] = upper
+        np.subtract(upper, lower.transpose(1, 0, 2, 3), out=upper)
+        np.subtract(lower, before.transpose(1, 0, 2, 3), out=lower)
+        # buf[i, j, k, l] = sum_m c[m, i, j] gl[m, k, l] = g(D_[e_i,e_j] e_k, e_l)
+        np.matmul(c[:, i0 * d : i1 * d].T, gl, out=buf.reshape((i1 - i0) * d, d * d))
+        low[i0:i1] -= buf
 
-    # buf is scratch from here on: the four checks reuse it one after another
+    # the four symmetries, block by block in the same scratch
     message = "curvature symmetry postcondition failed"
-    _require_vanishing(np.add(low, low.transpose(1, 0, 2, 3), out=buf), message)
-    _require_vanishing(np.add(low, low.transpose(0, 1, 3, 2), out=buf), message)
-    _require_vanishing(np.subtract(low, low.transpose(2, 3, 0, 1), out=buf), message)
-    np.add(low, low.transpose(2, 0, 1, 3), out=buf)
-    buf += low.transpose(1, 2, 0, 3)
-    _require_vanishing(buf, message)
-    del buf
+    for i0 in range(0, d, rows):
+        block, buf = low[i0 : i0 + rows], scratch[: min(rows, d - i0)]
+        rows_j, rows_k = low[:, i0 : i0 + rows], low[:, :, i0 : i0 + rows]
+        _require_vanishing(np.add(block, rows_j.transpose(1, 0, 2, 3), out=buf), message)
+        _require_vanishing(np.add(block, block.transpose(0, 1, 3, 2), out=buf), message)
+        _require_vanishing(np.subtract(block, rows_k.transpose(2, 3, 0, 1), out=buf), message)
+        np.add(block, rows_k.transpose(2, 0, 1, 3), out=buf)
+        buf += rows_j.transpose(1, 2, 0, 3)
+        _require_vanishing(buf, message)
     # frozen, low is handed to the Tensor without a copy
     low.setflags(write=False)
     return Tensor(alg.frame, low)
@@ -246,25 +290,26 @@ def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
     structure identities plus metric compatibility.
     """
     gamma = conn.gamma.data
-    phi = s.phi.data
-    # components of (D_i phi) e_j = D_i (phi e_j) - phi (D_i e_j)
-    d_phi = np.einsum("mj,lim->lij", phi, gamma) - np.einsum("mij,lm->lij", gamma, phi)
-    f = np.einsum("lij,lk->ijk", d_phi, s.g.matrix)
+    phi, g = s.phi.data, s.g.matrix
+    d = phi.shape[0]
+    # components d_phi[l, i, j] of (D_i phi) e_j = D_i (phi e_j) - phi (D_i e_j)
+    d_phi = (gamma.reshape(d * d, d) @ phi).reshape(d, d, d) - (
+        phi @ gamma.reshape(d, d * d)
+    ).reshape(d, d, d)
+    f = (d_phi.reshape(d, d * d).T @ g).reshape(d, d, d)
 
     eta, xi = s.eta.data, s.xi.data
-    f_xi_mid = np.einsum("ijk,j->ik", f, xi)
-    f_xi_last = np.einsum("ijk,k->ij", f, xi)
+    f_xi_mid = np.matmul(xi, f)
+    f_xi_last = f @ xi
     recompose = (
         np.matmul(phi.T, f @ phi)
-        + np.einsum("j,ik->ijk", eta, f_xi_mid)
-        + np.einsum("k,ij->ijk", eta, f_xi_last)
+        + eta[:, None] * f_xi_mid[:, None, :]
+        + eta * f_xi_last[:, :, None]
     )
     nabla_xi = conn.derivative_of_field(xi)
-    reeb_link = np.einsum("imk,mj,k->ij", f, phi, xi) - np.einsum(
-        "mi,mj->ij", nabla_xi, s.g.matrix
-    )
+    reeb_link = f_xi_last @ phi - nabla_xi.T @ g
     for name, arr in (
-        ("last-two-slot symmetry", f - np.einsum("ikj->ijk", f)),
+        ("last-two-slot symmetry", f - f.transpose(0, 2, 1)),
         ("phi-recomposition", f - recompose),
         ("Reeb-derivative link", reeb_link),
     ):

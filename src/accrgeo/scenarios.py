@@ -359,8 +359,21 @@ def run_example2_report(
     return example2_point(params, k=k, lam=lam, lam_assoc=lam_assoc, mu=mu)[3]
 
 
-def _curve_scalars(t: float, n: int) -> tuple:
-    """(p, q, tau, tau_assoc) of the curve at t for dimension 2n+1; see example1_curve."""
+class _CurveScalars(NamedTuple):
+    """The curve's scalars at one (t, n), with the (p, q) route of tau and
+    tau_assoc that was compared with the direct one."""
+
+    p: float
+    q: float
+    tau: float
+    tau_assoc: float
+    square_sum: float
+    tau_via_pq: float
+    tau_assoc_via_pq: float
+
+
+def _curve_scalars(t: float, n: int) -> _CurveScalars:
+    """The scalars of the curve at t for dimension 2n+1; see example1_curve."""
     den = SQRT2 + math.cos(t) - math.sin(t)
     if abs(den) <= 1e-9:
         raise DegenerateParameter(
@@ -387,7 +400,9 @@ def _curve_scalars(t: float, n: int) -> tuple:
             raise GeometryError(
                 f"{label} routes disagree by {abs(left - right):.3e} at t={t!r}"
             )
-    return p, q, tau_direct, tau_assoc_direct
+    return _CurveScalars(
+        p, q, tau_direct, tau_assoc_direct, square_sum, tau_via_pq, tau_assoc_via_pq
+    )
 
 
 def _curve_sums(beta: float, n: int, tau: float, tau_assoc: float) -> tuple:
@@ -410,8 +425,9 @@ def example1_curve(t: float, n: int, beta: float) -> Example1Point:
 
 
 def _example1_point(t: float, n: int, beta: float, scalars: tuple) -> Example1Point:
-    """The curve point of scalars = (p, q, tau, tau_assoc) with the sums forced at beta."""
-    p, q, tau, tau_assoc = scalars
+    """The curve point of scalars = (p, q, tau, tau_assoc, ...) with the sums
+    forced at beta."""
+    p, q, tau, tau_assoc = scalars[:4]
     return Example1Point(t, n, beta, p, q, tau, tau_assoc, *_curve_sums(beta, n, tau, tau_assoc))
 
 
@@ -435,9 +451,9 @@ class _Example1Curvature(NamedTuple):
 
 
 def _example1_curvature(t: float, n: int) -> _Example1Curvature:
-    p, q, tau, tau_assoc = _curve_scalars(t, n)
+    curve = _curve_scalars(t, n)
+    p, q, tau, tau_assoc, square_sum = curve[:5]
     s = _cached_carrier(n)
-    square_sum = p ** 2 + q ** 2
     scale = 2.0 * n / square_sum
     ricci = Tensor(
         s.frame,
@@ -451,8 +467,8 @@ def _example1_curvature(t: float, n: int) -> _Example1Curvature:
     head = _closed_form_checks(
         {
             "curve_constraint": (square_sum - p, -q, 1e-12),
-            "tau_route_agreement": (2.0 * n * (1.0 + 2.0 * n * p / square_sum), tau),
-            "tau_assoc_route_agreement": (2.0 * n * (1.0 - 2.0 * n * q / square_sum), tau_assoc),
+            "tau_route_agreement": (curve.tau_via_pq, tau),
+            "tau_assoc_route_agreement": (curve.tau_assoc_via_pq, tau_assoc),
             "ricci_reeb_value": (ricci.data @ s.xi.data @ s.xi.data, 2.0 * n),
         }
     )

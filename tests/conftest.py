@@ -35,19 +35,23 @@ def carrier_n2():
     return flat_carrier_structure(2)
 
 
-@pytest.fixture(scope="session")
-def semidirect_n4():
-    """[e_0, e_a] = e_{n+a}, [e_0, e_{n+a}] = -e_a on the dim-9 flat carrier.
-
-    Sasaki-like for every n, so every fundamental-tensor postcondition holds.
-    """
-    n = 4
+def semidirect_constants(n):
+    """c[k, i, j] of [e_0, e_a] = e_{n+a}, [e_0, e_{n+a}] = -e_a on dim 2n+1."""
     dim = 2 * n + 1
     c = np.zeros((dim, dim, dim))
     for a in range(1, n + 1):
         c[n + a, 0, a], c[n + a, a, 0] = 1.0, -1.0
         c[a, 0, n + a], c[a, n + a, 0] = -1.0, 1.0
-    return LieAlgebra(Frame(dim), c), flat_carrier_structure(n)
+    return c
+
+
+@pytest.fixture(scope="session")
+def semidirect_n4():
+    """The semidirect algebra on the dim-9 flat carrier.
+
+    Sasaki-like for every n, so every fundamental-tensor postcondition holds.
+    """
+    return LieAlgebra(Frame(9), semidirect_constants(4)), flat_carrier_structure(4)
 
 
 # --- loop oracles ------------------------------------------------------------

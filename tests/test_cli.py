@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from accrgeo import ManifoldDefinition, build_example2, save_definition, scenarios, solitons, sweep
-from accrgeo.cli import MAX_N, _verdict, main, sweep_json
+from accrgeo import (
+    Frame,
+    LieAlgebra,
+    ManifoldDefinition,
+    build_example2,
+    flat_carrier_structure,
+    save_definition,
+    scenarios,
+    solitons,
+    sweep,
+)
+from accrgeo.cli import MAX_N, RunConfig, _verdict, cmd_inspect, inspect_json, main, sweep_json
 from accrgeo.tensors import MAX_DIM
+
+from conftest import semidirect_constants
 
 
 def run(capsys, *argv):
@@ -491,11 +504,29 @@ def test_soliton_prints_the_constants_the_report_used(capsys, argv, key):
 
 
 def test_size_limit_arithmetic():
-    # the bench's largest definition is dim 33; about 3.3 dim^4 float64
-    # arrays at the analysis peak stay under half a gigabyte at the limit
+    # the bench's largest definition is dim 33; about 2.4 dim^4 float64
+    # arrays at the inspect peak stay under 0.35 GB at the limit
     assert MAX_DIM % 2 == 1 and MAX_DIM >= 33
-    assert 3.3 * MAX_DIM**4 * 8 < 0.5e9
+    assert 2.4 * MAX_DIM**4 * 8 < 0.35e9
     assert 2 * MAX_N + 1 == MAX_DIM
+
+
+def test_inspect_peak_memory_at_dim33(capsys, tmp_path):
+    # inspect keeps one curvature tensor per metric; every other array it
+    # holds at once, scratch blocks and the component listing included,
+    # stays under half of one more dim^4 array
+    n = 16
+    path = tmp_path / "dim33.json"
+    alg = LieAlgebra(Frame(2 * n + 1), semidirect_constants(n))
+    save_definition(ManifoldDefinition.from_structure(alg, flat_carrier_structure(n)), path)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "inspect", "--input", str(path), "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["dim"] == 33
+    assert peak < 2.5 * 8 * 33**4
 
 
 @pytest.mark.parametrize("case", ["n", "grid-n", "input-dim"])
@@ -600,3 +631,90 @@ def test_sweep_json_rejects_non_finite(where, value):
     payload = {"scenario": "example1", "rows": [row], "summary": {}, "notes": [], "passed": True}
     with pytest.raises(ValueError, match="non-finite"):
         sweep_json(payload)
+
+
+_indices = st.integers(min_value=0, max_value=64)
+
+
+@st.composite
+def _inspect_payloads(draw):
+    """Payloads of cmd_inspect's schema, with any scalars and component lists."""
+    scalars = {
+        key: draw(_json_numbers)
+        for key in ("sasaki_residual", "tau", "tau_star", "tau_tilde")
+    }
+    return {
+        "dim": draw(_indices),
+        "n": draw(_indices),
+        "signature": [draw(_indices), draw(_indices)],
+        "structure": "valid",
+        "sasaki_like": draw(st.booleans()),
+        **scalars,
+        "tau_tilde_cross_route_gap": draw(st.none() | _json_numbers),
+        "reeb_derivative_residual": draw(_json_numbers),
+        "einstein_like": {
+            "kind": draw(st.text(max_size=10)),
+            **{key: draw(_json_numbers) for key in ("a", "b", "c", "residual")},
+        },
+        "curvature_nonzero": draw(
+            st.lists(st.tuples(_indices, _indices, _indices, _indices, _json_numbers).map(list), max_size=5)
+        ),
+        "ricci_nonzero": draw(st.lists(st.tuples(_indices, _indices, _json_numbers).map(list), max_size=5)),
+    }
+
+
+_INSPECT_PAYLOAD = {
+    "dim": 5,
+    "n": 2,
+    "signature": [3, 2],
+    "structure": "valid",
+    "sasaki_like": True,
+    "sasaki_residual": 5e-324,
+    "tau": np.float64(4.0),
+    "tau_star": -0.0,
+    "tau_tilde": 1e16,
+    "tau_tilde_cross_route_gap": None,
+    "reeb_derivative_residual": 0.0,
+    "einstein_like": {"kind": "eta_einstein", "a": 0.0, "b": -0.0, "c": 4.0, "residual": 1e-300},
+    "curvature_nonzero": [[0, 1, 0, 1, -1.0], [4, 3, 2, 1, np.float64(0.5)]],
+    "ricci_nonzero": [[0, 0, 4.0]],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_inspect_payloads())
+@example(_INSPECT_PAYLOAD)
+@example({**_INSPECT_PAYLOAD, "curvature_nonzero": [], "ricci_nonzero": [], "einstein_like": {}})
+def test_inspect_json_matches_json_dumps(payload):
+    assert inspect_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("where", ["tau", "einstein_like", "curvature_nonzero"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -np.float64(math.inf)])
+def test_inspect_json_rejects_non_finite(where, value):
+    payload = dict(_INSPECT_PAYLOAD)
+    if where == "tau":
+        payload["tau"] = value
+    elif where == "einstein_like":
+        payload["einstein_like"] = {**payload["einstein_like"], "c": value}
+    else:
+        payload["curvature_nonzero"] = [[0, 1, 0, 1, value]]
+    with pytest.raises(ValueError, match="non-finite"):
+        inspect_json(payload)
+
+
+@pytest.mark.parametrize("source", ["example2", "semidirect-dim9", "abelian"])
+def test_inspect_json_matches_json_dumps_on_inspect_payloads(tmp_path, source):
+    # the writer's exact-type table covers every type cmd_inspect puts in
+    if source == "example2":
+        config = RunConfig(command="inspect", scenario="example2", options={"p": 1.5, "q": -2.0})
+    else:
+        n = 4 if source == "semidirect-dim9" else 2
+        c = semidirect_constants(n) if source == "semidirect-dim9" else np.zeros((5, 5, 5))
+        path = tmp_path / "definition.json"
+        alg = LieAlgebra(Frame(2 * n + 1), c)
+        save_definition(ManifoldDefinition.from_structure(alg, flat_carrier_structure(n)), path)
+        config = RunConfig(command="inspect", input_path=str(path))
+    payload, _ = cmd_inspect(config)
+    assert bool(payload["curvature_nonzero"]) == (source != "abelian")
+    assert inspect_json(payload) == json.dumps(payload, indent=2)

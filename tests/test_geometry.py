@@ -24,6 +24,8 @@ from accrgeo import (
     trace_g,
 )
 from accrgeo.errors import AntisymmetryViolation, GeometryError, JacobiViolation
+from accrgeo.geometry import _block_rows
+from accrgeo.tensors import MetricPair
 
 from conftest import (
     oracle_connection,
@@ -31,6 +33,7 @@ from conftest import (
     oracle_jacobiator,
     oracle_ricci,
     oracle_riemann_lowered,
+    semidirect_constants,
 )
 
 
@@ -68,6 +71,100 @@ def test_jacobi_residual_matches_loop_oracle():
     # ordering of the worst triple
     flat = np.argmax(np.abs(expected))
     assert sorted(err.value.triple) == sorted(np.unravel_index(flat, expected.shape)[1:])
+
+
+def _full_jacobiator(c):
+    """|[[e_i,e_j],e_l] + cyclic| as one (r, i, j, l) array: the unblocked formula."""
+    d = c.shape[0]
+    u = np.matmul(c.reshape(d, d * d).T, c).reshape((d,) * 4)
+    return np.abs(u + u.transpose(0, 3, 1, 2) + u.transpose(0, 2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "defects",
+    [
+        # [e_3, e_5] = e_20: the residual 1 is reached at r = 4 and at r = 20,
+        # with different triples
+        ((20, 3, 5, 1.0),),
+        # [e_7, e_9] = 2 e_30 as well: residual 2 at r = 14 and r = 30, and
+        # the earlier block of r = 4 holds a smaller maximum
+        ((20, 3, 5, 1.0), (30, 7, 9, 2.0)),
+    ],
+    ids=["tie-across-blocks", "larger-in-later-block"],
+)
+def test_blocked_jacobi_matches_full_array(defects):
+    # the semidirect algebra at dim 33 with extra brackets that break Jacobi
+    c = semidirect_constants(16)
+    d = c.shape[0]
+    for k, i, j, value in defects:
+        c[k, i, j], c[k, j, i] = value, -value
+    jac = _full_jacobiator(c)
+    residual = jac.max()
+    worst = np.unravel_index(np.argmax(jac), jac.shape)
+    maximal = np.argwhere(jac == residual)
+    first_triple_by_r = {int(r): tuple(maximal[maximal[:, 0] == r][0][1:]) for r in maximal[:, 0]}
+    # the maximum lies outside the first block of r, in more than one block,
+    # and the blocks name different triples
+    rows = _block_rows(d)
+    assert worst[0] >= rows
+    assert len({r // rows for r in first_triple_by_r}) > 1
+    assert len(set(first_triple_by_r.values())) > 1
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(Frame(d), c)
+    assert err.value.residual == residual
+    assert err.value.triple == tuple(int(i) for i in worst[1:])
+
+
+def _levi_civita_residuals(c, metric):
+    """(torsion, metric compatibility) of the loop oracle's Koszul connection."""
+    gamma = oracle_connection(c, metric.matrix, metric.inverse)
+    torsion = gamma - np.swapaxes(gamma, 1, 2) - c
+    lowered = np.einsum("lij,lk->ijk", gamma, metric.matrix)
+    compat = lowered + np.swapaxes(lowered, 1, 2)
+    return np.max(np.abs(torsion)), np.max(np.abs(compat))
+
+
+def _levi_civita_corrupt_input(case):
+    alg, s = build_example2(1.0, -2.0)
+    frame, c = alg.frame, alg.c.data
+    if case == "torsion":
+        # the bracket loses its antisymmetry after validation: the Koszul
+        # solution is then neither torsion-free nor metric
+        broken = c.copy()
+        broken[3, 1, 2] += 1.0
+        alg = LieAlgebra(frame, c)
+        object.__setattr__(alg, "c", Tensor(frame, broken))
+        return alg, s.g
+    if case == "torsion-only":
+        # g paired with twice its inverse: the connection doubles, so it
+        # stays metric but its torsion is 2c
+        return alg, MetricPair(s.g.g, Tensor(frame, 2.0 * s.g.inverse))
+    # case == "parallel": a non-symmetric g off the bracket image (row and
+    # column 0 of the Heisenberg algebra) with its exact inverse
+    g = flat_carrier_structure(2).g.matrix.copy()
+    g[1, 3] = 1.0
+    inverse = np.linalg.inv(g)
+    assert np.array_equal(g @ inverse, np.eye(5))
+    return _heisenberg(), MetricPair(Tensor(frame, g), Tensor(frame, inverse))
+
+
+@pytest.mark.parametrize(
+    "case,failing,message",
+    [
+        ("torsion", (True, True), "torsion is nonzero"),
+        ("torsion-only", (True, False), "torsion is nonzero"),
+        ("parallel", (False, True), "metric not parallel"),
+    ],
+    ids=["torsion", "torsion-only", "parallel"],
+)
+def test_levi_civita_postconditions_reject_corrupt_input(case, failing, message):
+    # failing: whether (torsion, metric compatibility) fail on the input;
+    # torsion is checked first
+    alg, metric = _levi_civita_corrupt_input(case)
+    residuals = _levi_civita_residuals(alg.c.data, metric)
+    assert tuple(bool(r > 1e-9) for r in residuals) == failing
+    with pytest.raises(GeometryError, match=f"Levi-Civita postcondition failed: {message}"):
+        levi_civita(alg, metric)
 
 
 @pytest.mark.parametrize("p,q", [(0.0, 0.0), (1.0, 0.5), (-2.0, 2.0)])
@@ -117,12 +214,40 @@ def test_dim9_curvature_matches_loop_oracles(semidirect_n4, dense):
     assert np.max(np.abs(rho.data - oracle_ricci(riem.data, metric.inverse))) < 1e-12
 
 
-def _heisenberg(defect=0.0):
+def _full_riemann(c, gamma, g):
+    """R_ijkl as whole-array products, with no blocks."""
+    d = g.shape[0]
+    gl = (gamma.reshape(d, d * d).T @ g).reshape(d, d, d)
+    inner = np.matmul(gamma.reshape(d, d * d).T, gl).reshape((d,) * 4)
+    brackets = (c.reshape(d, d * d).T @ gl.reshape(d, d * d)).reshape((d,) * 4)
+    return inner - inner.transpose(1, 0, 2, 3) - brackets
+
+
+def test_dim33_curvature_matches_whole_array_products():
+    # a dense metric makes every gamma entry live; at dim 33 riemann works
+    # in more than one block of rows
+    alg = LieAlgebra(Frame(33), semidirect_constants(16))
+    metric = _dense_metric(flat_carrier_structure(16))
+    assert _block_rows(33) < 33
+    conn = levi_civita(alg, metric)
+    riem = riemann(conn, alg, metric)
+    expected = _full_riemann(alg.c.data, conn.gamma.data, metric.matrix)
+    assert np.max(np.abs(riem.data - expected)) < 1e-12
+
+
+#: frame indices that e_0 .. e_4 of the Heisenberg cases take at each dim;
+#: at dim 33 e_1 .. e_4 lie past the first block of rows, and e_1, e_2 keep
+#: g = +1 and e_3, e_4 keep g = -1
+_HEISENBERG_INDICES = {5: (0, 1, 2, 3, 4), 33: (0, 14, 15, 31, 32)}
+
+
+def _heisenberg(defect=0.0, dim=5):
     """[e_1, e_2] = [e_3, e_4] = e_0; defect is added to c[0, 2, 1]."""
-    c = np.zeros((5, 5, 5))
-    c[0, 1, 2], c[0, 2, 1] = 1.0, -1.0 + defect
-    c[0, 3, 4], c[0, 4, 3] = 1.0, -1.0
-    return LieAlgebra(Frame(5), c)
+    e = _HEISENBERG_INDICES[dim]
+    c = np.zeros((dim,) * 3)
+    c[0, e[1], e[2]], c[0, e[2], e[1]] = 1.0, -1.0 + defect
+    c[0, e[3], e[4]], c[0, e[4], e[3]] = 1.0, -1.0
+    return LieAlgebra(Frame(dim), c)
 
 
 @pytest.mark.parametrize("case", [(0.0, 0.0), (1.0, 0.5), (-2.0, 2.0), "dim9", "heisenberg"])
@@ -152,48 +277,72 @@ def _symmetry_residuals(r):
     ]
 
 
-def _form(*pairs, scale=1.0):
-    """Bilinear form on R^5 with entries (k, l, value), skew pairs listed once."""
-    b = np.zeros((5, 5))
+def _form(*pairs, scale=1.0, dim=5):
+    """Bilinear form with entries (k, l, value) on the Heisenberg cases' e_0 .. e_4."""
+    e = _HEISENBERG_INDICES[dim]
+    b = np.zeros((dim, dim))
     for k, l, value in pairs:
-        b[k, l] += scale * value
+        b[e[k], e[l]] += scale * value
     return b
 
 
-@pytest.mark.parametrize(
-    "failing,b0,bracket_defect",
+_OMEGA = ((1, 2, 1.0), (2, 1, -1.0), (3, 4, 1.0), (4, 3, -1.0))
+
+_CORRUPT_CONNECTIONS = pytest.mark.parametrize(
+    "failing,pairs,scale,bracket_defect",
     [
         # the bracket is antisymmetric only to LINALG_TOL, and a huge
         # connection amplifies that defect past DEFAULT_TOL
-        (0, _form((1, 2, 1.0), (2, 1, -1.0), (3, 4, 1.0), (4, 3, -1.0), scale=1e4), 5e-13),
+        (0, _OMEGA, 1e4, 5e-13),
         # a symmetric D_0: not metric, so R is not skew in (k, l)
-        (1, _form((1, 1, 1.0)), 0.0),
+        (1, ((1, 1, 1.0),), 1.0, 0.0),
         # a skew D_0 that is not the bracket form: R = -omega (x) sigma
-        (2, _form((1, 3, 1.0), (3, 1, -1.0)), 0.0),
+        (2, ((1, 3, 1.0), (3, 1, -1.0)), 1.0, 0.0),
         # D_0 = the bracket form omega: R = -omega (x) omega has every pair
         # symmetry, but omega ^ omega != 0 breaks the first Bianchi identity
-        (3, _form((1, 2, 1.0), (2, 1, -1.0), (3, 4, 1.0), (4, 3, -1.0)), 0.0),
+        (3, _OMEGA, 1.0, 0.0),
     ],
     ids=["ij-antisymmetry", "kl-antisymmetry", "pair-swap", "bianchi"],
 )
-def test_curvature_postconditions_reject_corrupt_connection(carrier_n2, failing, b0, bracket_defect):
+
+
+def _assert_corrupt_connection_rejected(dim, failing, pairs, scale, bracket_defect):
     # Heisenberg algebra and a connection whose only nonzero derivative is
     # g(D_0 e_k, e_l) = b0[k, l]. D_i D_j = 0 unless i = j = 0, so
-    # R_ijkl = -omega_ij b0[k, l] with omega = e^12 + e^34.
-    alg = _heisenberg(bracket_defect)
+    # R_ijkl = -omega_ij b0[k, l] with omega = e^12 + e^34 = c[0].
+    alg = _heisenberg(bracket_defect, dim)
     frame, c = alg.frame, alg.c.data
-    metric = carrier_n2.g
-    gamma = np.zeros((5, 5, 5))
+    metric = flat_carrier_structure(dim // 2).g
+    b0 = _form(*pairs, scale=scale, dim=dim)
+    gamma = np.zeros((dim,) * 3)
     gamma[:, 0, :] = metric.inverse @ b0.T
     conn = Connection(frame, Tensor(frame, gamma))
+    lowered = -np.multiply.outer(c[0], b0)
+    if dim == 5:
+        assert np.max(np.abs(lowered - oracle_riemann_lowered(c, gamma, metric.matrix))) < 1e-12
 
-    # every check before the named one holds, so the named check is the one
-    # that raises
-    residuals = _symmetry_residuals(oracle_riemann_lowered(c, gamma, metric.matrix))
+    # the checks before the named one hold and the named one fails; all
+    # four raise the same message
+    residuals = _symmetry_residuals(lowered)
     assert all(r < 1e-9 for r in residuals[:failing])
     assert residuals[failing] > 1e-9
     with pytest.raises(GeometryError, match="curvature symmetry postcondition failed"):
         riemann(conn, alg, metric)
+
+
+@_CORRUPT_CONNECTIONS
+def test_curvature_postconditions_reject_corrupt_connection(failing, pairs, scale, bracket_defect):
+    _assert_corrupt_connection_rejected(5, failing, pairs, scale, bracket_defect)
+
+
+@_CORRUPT_CONNECTIONS
+def test_curvature_postconditions_reject_corrupt_connection_past_first_block(
+    failing, pairs, scale, bracket_defect
+):
+    # at dim 33 riemann works in more than one block of rows, and every
+    # nonzero row of R lies outside the first
+    assert _block_rows(33) <= min(_HEISENBERG_INDICES[33][1:])
+    _assert_corrupt_connection_rejected(33, failing, pairs, scale, bracket_defect)
 
 
 def test_curvature_symmetries(ex2_generic):
