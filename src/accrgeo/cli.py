@@ -14,15 +14,14 @@ soliton builders, so this module parses options and renders results but
 assembles no theorem. Exit codes: 0 all checks passed, 1 at least one
 residual above tolerance, 2 input or parse error.
 
-JSON output is json.dumps(payload, indent=2), except for sweeps and
-inspect: their payloads have a fixed shape, and sweep_json and inspect_json
-write the same bytes without json's pure-Python indenting encoder.
+JSON output of every command comes from one writer, to_json: the bytes
+of json.dumps(payload, indent=2), without json's pure-Python indenting
+encoder, and an error rather than NaN or Infinity for a non-finite float.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -55,6 +54,9 @@ from .tensors import MAX_DIM
 DISPLAY_EPS = 1e-12
 #: largest contact dimension parameter n, so that dim = 2n + 1 <= MAX_DIM
 MAX_N = (MAX_DIM - 1) // 2
+#: largest magnitude of a float option or grid value; the scenario formulas
+#: stay finite far beyond it and first overflow near 1e307
+OPTION_LIMIT = 1e250
 
 
 def _fmt(value) -> str:
@@ -92,16 +94,16 @@ class RunConfig:
             raise ParseError(f"--tol must be a positive finite tolerance, got {self.tol}")
         if self.fmt not in ("text", "json"):
             raise ParseError(f"unknown format {self.fmt!r}")
-        # a non-finite value would reach the checks as a NaN residual, or
-        # as bare NaN in the JSON output
-        for name, value in self.options.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                flag = _OPTION_FLAGS.get(name, f"--{name}")
-                raise ParseError(f"{flag} must be finite, got {value}")
-        for name, values in self.grids.items():
-            for value in values:
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ParseError(f"--grid-{name} values must be finite, got {value}")
+        # a non-finite or overflowing value would reach the checks as a NaN
+        # residual, or the JSON output as a non-finite float; NaN fails the
+        # comparison too
+        values = [(_OPTION_FLAGS.get(name, f"--{name}"), v) for name, v in self.options.items()]
+        values += [(f"--grid-{name}", v) for name, grid in self.grids.items() for v in grid]
+        for flag, value in values:
+            if isinstance(value, float) and not abs(value) <= OPTION_LIMIT:
+                raise ParseError(
+                    f"{flag} must be finite and at most {OPTION_LIMIT:g} in magnitude, got {value}"
+                )
         # the conformal formulas divide by 2n, and the carrier of dimension
         # 2n+1 is allocated only after this check
         n = self.options.get("n")
@@ -242,8 +244,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.fmt == "json":
-        writer = {"sweep": sweep_json, "inspect": inspect_json}.get(config.command)
-        print(writer(payload) if writer else json.dumps(payload, indent=2))
+        print(to_json(payload))
     else:
         print("\n".join(_render_text(config.command, payload)))
     return code
@@ -315,10 +316,11 @@ def _nonzero_entries(a: np.ndarray) -> list:
     return list(map(list, zip(*index, a.ravel()[flat].tolist())))
 
 
-def _report_payload(report: TheoremReport, tol_override=None) -> dict:
+def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override=None):
+    """The soliton payload of one report and its exit code."""
     checks = []
     for check in report.checks:
-        tol = tol_override if tol_override is not None else check.tol
+        tol = check.tol if tol_override is None else tol_override
         checks.append(
             {
                 "name": check.name,
@@ -328,29 +330,15 @@ def _report_payload(report: TheoremReport, tol_override=None) -> dict:
                 "note": check.note,
             }
         )
-    return {
+    passed, _ = report.verdict(tol_override)
+    payload = {
+        "scenario": scenario,
+        "scalars": scalars,
         "checks": checks,
         "notes": list(report.notes),
-        "passed": all(c["passed"] for c in checks),
+        "passed": passed,
     }
-
-
-def _verdict(checks, tol_override=None) -> tuple:
-    """(passed, worst check) of a report's checks, judged as _report_payload
-    judges them, in one pass.
-
-    The worst check is the first one with the largest residual / tol, as
-    max() picks it.
-    """
-    passed, worst, worst_margin = True, None, None
-    for check in checks:
-        tol = check.tol if tol_override is None else tol_override
-        if not check.residual < tol:
-            passed = False
-        margin = check.residual / tol
-        if worst is None or margin > worst_margin:
-            worst, worst_margin = check, margin
-    return passed, worst
+    return payload, 0 if passed else 1
 
 
 def cmd_soliton(config: RunConfig):
@@ -391,9 +379,7 @@ def cmd_soliton(config: RunConfig):
         scalars["lambda"] = row_lam
         if row_lam_assoc is not None:
             scalars["lambda_tilde"] = row_lam_assoc
-        payload = {"scenario": "example2", "scalars": scalars}
-        payload.update(_report_payload(report, config.tol))
-        return payload, 0 if payload["passed"] else 1
+        return _soliton_result("example2", scalars, report, config.tol)
 
     if config.scenario == "example1":
         t = opts["t"] if opts["t"] is not None else 0.0
@@ -420,9 +406,7 @@ def cmd_soliton(config: RunConfig):
             "psi_plus_lambda": point.sum_g,
             "psi_tilde_plus_lambda_tilde": point.sum_assoc,
         }
-        payload = {"scenario": "example1", "scalars": scalars}
-        payload.update(_report_payload(report, config.tol))
-        return payload, 0 if payload["passed"] else 1
+        return _soliton_result("example1", scalars, report, config.tol)
 
     if config.scenario is not None:
         raise ParseError(f"unknown scenario {config.scenario!r}")
@@ -489,9 +473,7 @@ def _soliton_from_input(config: RunConfig):
         else:
             scalars["mu"] = opts["mu"]
         report = TheoremReport([*checks, residual], notes)
-    payload = {"scenario": None, "scalars": scalars}
-    payload.update(_report_payload(report, config.tol))
-    return payload, 0 if payload["passed"] else 1
+    return _soliton_result(None, scalars, report, config.tol)
 
 
 def cmd_sweep(config: RunConfig):
@@ -508,31 +490,20 @@ def cmd_sweep(config: RunConfig):
     rows = []
     n_pass = n_fail = 0
     for row in result.rows:
+        passed = worst = None
+        if not row.degenerate:
+            passed, worst = row.report.verdict(config.tol)
+            if passed:
+                n_pass += 1
+            else:
+                n_fail += 1
         # the payload only reads the rows' params and scalars dicts
-        if row.degenerate:
-            rows.append(
-                {
-                    "index": row.index,
-                    "params": row.params,
-                    "scalars": row.scalars,
-                    "degenerate": True,
-                    "passed": None,
-                    "worst_check": None,
-                    "worst_residual": None,
-                }
-            )
-            continue
-        passed, worst = _verdict(row.report.checks, config.tol)
-        if passed:
-            n_pass += 1
-        else:
-            n_fail += 1
         rows.append(
             {
                 "index": row.index,
                 "params": row.params,
                 "scalars": row.scalars,
-                "degenerate": False,
+                "degenerate": row.degenerate,
                 "passed": passed,
                 "worst_check": worst.name if worst else None,
                 "worst_residual": worst.residual if worst else None,
@@ -554,7 +525,7 @@ def cmd_sweep(config: RunConfig):
     return payload, 0 if n_fail == 0 else 1
 
 
-# --- JSON writers ------------------------------------------------------------
+# --- JSON writer -------------------------------------------------------------
 
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -578,101 +549,45 @@ _JSON_SCALARS = {
 }
 
 
-def _json_scalar(value) -> str:
-    try:
-        write = _JSON_SCALARS[type(value)]
-    except KeyError:
-        raise TypeError(f"JSON output has a {type(value).__name__}") from None
-    return write(value)
-
-
-def _json_object(mapping: dict, indent: str) -> str:
-    """A flat dict at the nesting whose newline-plus-indent is indent."""
-    if not mapping:
-        return "{}"
-    inner = indent + "  "
-    items = [
-        f"{inner}{encode_basestring_ascii(key)}: {_json_scalar(value)}"
-        for key, value in mapping.items()
-    ]
-    return f"{{{','.join(items)}{indent}}}"
-
-
-_ROW_INDENT = "\n      "
-
-
-def _json_row(row: dict) -> str:
-    return (
-        "    {\n"
-        f'      "index": {_json_scalar(row["index"])},\n'
-        f'      "params": {_json_object(row["params"], _ROW_INDENT)},\n'
-        f'      "scalars": {_json_object(row["scalars"], _ROW_INDENT)},\n'
-        f'      "degenerate": {_json_scalar(row["degenerate"])},\n'
-        f'      "passed": {_json_scalar(row["passed"])},\n'
-        f'      "worst_check": {_json_scalar(row["worst_check"])},\n'
-        f'      "worst_residual": {_json_scalar(row["worst_residual"])}\n'
-        "    }"
-    )
-
-
-def sweep_json(payload: dict) -> str:
-    """The sweep payload as json.dumps(payload, indent=2) writes it.
+def to_json(payload) -> str:
+    """payload as json.dumps(payload, indent=2) writes it.
 
     CPython's C encoder does not run when indent is set, so json.dumps
-    spends most of a large sweep's time in pure-Python encoding. This
-    writer knows the payload's fixed schema and key order and writes the
-    same bytes directly. A non-finite float raises ValueError where json
-    would write NaN or Infinity.
+    spends a large payload's time in pure-Python encoding; this writer
+    produces the same bytes directly. It takes dicts with str keys, lists
+    and the scalar types of _JSON_SCALARS. A non-finite float raises
+    ValueError where json would write NaN or Infinity, and any other type
+    raises TypeError. The recursion lives in _json_value, so a tracer that
+    wraps public functions records one span per document.
     """
-    rows = ",\n".join(map(_json_row, payload["rows"]))
-    notes = ",\n    ".join(map(encode_basestring_ascii, payload["notes"]))
-    return "".join(
-        (
-            '{\n  "scenario": ',
-            _json_scalar(payload["scenario"]),
-            ',\n  "rows": ',
-            f"[\n{rows}\n  ]" if payload["rows"] else "[]",
-            ',\n  "summary": ',
-            _json_object(payload["summary"], "\n  "),
-            ',\n  "notes": ',
-            f"[\n    {notes}\n  ]" if payload["notes"] else "[]",
-            ',\n  "passed": ',
-            _json_scalar(payload["passed"]),
-            "\n}",
-        )
-    )
+    return _json_value(payload, "\n")
 
 
-def _json_list(values: list, indent: str) -> str:
-    """A list of scalars, or of lists of scalars, at the nesting whose
-    newline-plus-indent is indent."""
-    if not values:
-        return "[]"
+def _json_value(value, indent: str) -> str:
+    """value at the nesting whose newline-plus-indent is indent."""
+    kind = type(value)
+    write = _JSON_SCALARS.get(kind)
+    if write is not None:
+        return write(value)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"JSON output has a {kind.__name__}")
+    if not value:
+        return "{}" if kind is dict else "[]"
     inner = indent + "  "
-    if type(values[0]) is list:
-        items = [_json_list(value, inner) for value in values]
-    else:
-        items = map(_json_scalar, values)
-    return f"[{inner}{(',' + inner).join(items)}{indent}]"
-
-
-def inspect_json(payload: dict) -> str:
-    """The inspect payload as json.dumps(payload, indent=2) writes it.
-
-    Its values are scalars, flat dicts and lists of scalars or of lists of
-    scalars (the nonzero curvature and Ricci components, thousands of them
-    at dim 33). A non-finite float raises ValueError, as in sweep_json.
-    """
-    items = []
-    for key, value in payload.items():
-        if type(value) is list:
-            text = _json_list(value, "\n  ")
-        elif type(value) is dict:
-            text = _json_object(value, "\n  ")
-        else:
-            text = _json_scalar(value)
-        items.append(f"\n  {encode_basestring_ascii(key)}: {text}")
-    return f"{{{','.join(items)}\n}}"
+    # scalars are written in place: one call per container, not per value
+    scalar = _JSON_SCALARS.get
+    if kind is list:
+        items = [
+            write(item) if (write := scalar(type(item))) else _json_value(item, inner)
+            for item in value
+        ]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    items = [
+        f"{encode_basestring_ascii(key)}: "
+        f"{write(item) if (write := scalar(type(item))) else _json_value(item, inner)}"
+        for key, item in value.items()
+    ]
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
 
 
 # --- text rendering ----------------------------------------------------------

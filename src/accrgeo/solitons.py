@@ -133,7 +133,7 @@ class TheoremReport:
     notes: list = field(default_factory=list)
 
     def add(self, name: str, residual: float, tol: float = DEFAULT_TOL, note: str = "") -> None:
-        self.checks.append(Check(name, abs(float(residual)), tol, note))
+        self.checks.append(Check.measure(name, residual, tol, note))
 
     def add_note(self, text: str) -> None:
         self.notes.append(text)
@@ -151,14 +151,29 @@ class TheoremReport:
     def __contains__(self, name: str) -> bool:
         return any(check.name == name for check in self.checks)
 
+    def verdict(self, tol: float = None) -> tuple:
+        """(passed, worst check), judging every check against tol when it is
+        given and against its own tolerance otherwise.
+
+        A check passes when residual < tol. The worst check is the first one
+        with the largest residual / tol, None when there are no checks.
+        """
+        passed, worst, worst_margin = True, None, None
+        for check in self.checks:
+            limit = check.tol if tol is None else tol
+            if not check.residual < limit:
+                passed = False
+            margin = check.residual / limit
+            if worst is None or margin > worst_margin:
+                worst, worst_margin = check, margin
+        return passed, worst
+
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return self.verdict()[0]
 
     def worst(self) -> Check:
-        if not self.checks:
-            return None
-        return max(self.checks, key=lambda check: check.residual / check.tol)
+        return self.verdict()[1]
 
 
 def lie_derivative_metric(

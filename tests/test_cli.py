@@ -21,7 +21,7 @@ from accrgeo import (
     solitons,
     sweep,
 )
-from accrgeo.cli import MAX_N, RunConfig, _verdict, cmd_inspect, inspect_json, main, sweep_json
+from accrgeo.cli import MAX_N, RunConfig, cmd_inspect, main, to_json
 from accrgeo.tensors import MAX_DIM
 
 from conftest import semidirect_constants
@@ -276,6 +276,15 @@ def test_help_exits_zero(capsys):
         (("soliton", "--scenario", "example2", "--k", "1", "--k-prime=-inf"), "--k-prime"),
         (("soliton", "--scenario", "example1", "--lambda-tilde", "nan"), "--lambda-tilde"),
         (("soliton", "--scenario", "example2", "--tol", "nan", "--solve"), "--tol"),
+        # finite options whose formulas overflow to -inf and NaN
+        (("soliton", "--scenario", "example2", "--beta", "1e308", "--format", "json"), "--beta"),
+        (
+            (
+                "sweep", "--scenario", "example2", "--grid-p", "0", "--grid-q", "0",
+                "--grid-t0", "1", "--grid-beta", "1e308", "--format", "json",
+            ),
+            "--grid-beta",
+        ),
     ],
 )
 def test_non_finite_input_rejected(capsys, argv, option):
@@ -337,16 +346,18 @@ def test_sweep_worst_check_is_first_maximal_margin(capsys, tol):
 def test_verdict_is_all_passed_and_first_maximal_margin(pairs, tol_override):
     checks = [solitons.Check(f"c{i}", residual, tol) for i, (residual, tol) in enumerate(pairs)]
     report = solitons.TheoremReport(checks)
+    limits = [check.tol if tol_override is None else tol_override for check in checks]
+    expected_passed = all(check.residual < limit for check, limit in zip(checks, limits))
+    # max() keeps the first of equal keys, and a NaN key never replaces one
+    expected_worst = max(
+        zip(checks, limits), key=lambda pair: pair[0].residual / pair[1], default=(None,)
+    )[0]
+    passed, worst = report.verdict(tol_override)
+    assert passed == expected_passed
+    assert worst is expected_worst
     if tol_override is None:
-        expected = report.passed, report.worst()
-    else:
-        expected = (
-            all(check.residual < tol_override for check in checks),
-            max(checks, key=lambda check: check.residual / tol_override, default=None),
-        )
-    passed, worst = _verdict(checks, tol_override)
-    assert passed == expected[0]
-    assert worst is expected[1]
+        assert report.passed == expected_passed
+        assert report.worst() is expected_worst
 
 
 def _example2_file(tmp_path, name, **changes):
@@ -617,7 +628,7 @@ _ROW = {
 )
 @example({"scenario": "example2", "rows": [], "summary": {}, "notes": [], "passed": True})
 def test_sweep_json_matches_json_dumps(payload):
-    assert sweep_json(payload) == json.dumps(payload, indent=2)
+    assert to_json(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize("where", ["params", "scalars", "worst_residual"])
@@ -630,7 +641,24 @@ def test_sweep_json_rejects_non_finite(where, value):
         row[where]["x"] = value
     payload = {"scenario": "example1", "rows": [row], "summary": {}, "notes": [], "passed": True}
     with pytest.raises(ValueError, match="non-finite"):
-        sweep_json(payload)
+        to_json(payload)
+
+
+def test_json_writer_keeps_keys_outside_the_sweep_schema():
+    row = {**_ROW, "trace": {"stage_ms": {"riemann": 0.5}, "margins": []}}
+    payload = {
+        "scenario": "example2",
+        "rows": [row],
+        "summary": {},
+        "notes": [],
+        "passed": True,
+        "provenance": {"numpy": np.__version__, "tol": None},
+    }
+    text = to_json(payload)
+    assert text == json.dumps(payload, indent=2)
+    decoded = json.loads(text)
+    assert decoded["provenance"] == {"numpy": np.__version__, "tol": None}
+    assert decoded["rows"][0]["trace"] == {"stage_ms": {"riemann": 0.5}, "margins": []}
 
 
 _indices = st.integers(min_value=0, max_value=64)
@@ -686,7 +714,7 @@ _INSPECT_PAYLOAD = {
 @example(_INSPECT_PAYLOAD)
 @example({**_INSPECT_PAYLOAD, "curvature_nonzero": [], "ricci_nonzero": [], "einstein_like": {}})
 def test_inspect_json_matches_json_dumps(payload):
-    assert inspect_json(payload) == json.dumps(payload, indent=2)
+    assert to_json(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize("where", ["tau", "einstein_like", "curvature_nonzero"])
@@ -700,7 +728,7 @@ def test_inspect_json_rejects_non_finite(where, value):
     else:
         payload["curvature_nonzero"] = [[0, 1, 0, 1, value]]
     with pytest.raises(ValueError, match="non-finite"):
-        inspect_json(payload)
+        to_json(payload)
 
 
 @pytest.mark.parametrize("source", ["example2", "semidirect-dim9", "abelian"])
@@ -717,4 +745,39 @@ def test_inspect_json_matches_json_dumps_on_inspect_payloads(tmp_path, source):
         config = RunConfig(command="inspect", input_path=str(path))
     payload, _ = cmd_inspect(config)
     assert bool(payload["curvature_nonzero"]) == (source != "abelian")
-    assert inspect_json(payload) == json.dumps(payload, indent=2)
+    assert to_json(payload) == json.dumps(payload, indent=2)
+
+
+_json_trees = st.recursive(
+    st.none() | st.booleans() | _json_numbers | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+@example(
+    {
+        "": [],
+        "\u00e9t\u00e9": {},
+        "\u043a\u043b\u044e\u0447 \U0001d70f": [None, True, False, np.float64(-0.0), [[]], [{}]],
+        "\u2028\t\"": {"a": [[1, [2.5, {"b": None}]]]},
+    }
+)
+@example([])
+@example({})
+@example("")
+def test_json_writer_matches_json_dumps_on_nested_values(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1.0, 2.0), np.int64(3), np.float32(1.5), {1: 2.0}, {"a": {None: 1}}, [set()], np.bool_(True)],
+    ids=["tuple", "int64", "float32", "int-key", "none-key", "set", "bool_"],
+)
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        to_json(value)
