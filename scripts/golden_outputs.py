@@ -20,9 +20,12 @@ The set covers every path from (algebra, structure) to a report:
 
 Each command's stdout goes to `<stem>.json` (`<stem>-text.txt` for the text
 format), its stderr to `<stem>.stderr` (`<stem>-text.stderr`) when it exits
-nonzero, and `exit_codes.txt` lists every exit code. Run it on two
-checkouts and compare the directories with `diff -r` to show that a change
-keeps the output byte-identical.
+nonzero, and `exit_codes.txt` lists every exit code. The sweep JSON keeps
+only each row's worst check, so `checks-sweep-example1.txt` and
+`checks-sweep-example2.txt` list every check of the two default sweeps, one
+line each (row index, name, repr of residual and tol, note), and every row
+note. Run it on two checkouts and compare the directories with `diff -r` to
+show that a change keeps the output byte-identical.
 
 Example (from the repository root):
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/golden-new
@@ -37,6 +40,7 @@ import sys
 from pathlib import Path
 
 from accrgeo.cli import main as cli_main
+from accrgeo.scenarios import sweep
 
 PQ_POINTS = ((0.0, 0.0), (1.5, -2.0), (-2.0, 1.0))
 
@@ -138,6 +142,19 @@ def small_sweeps():
     ]
 
 
+def check_listing(scenario: str) -> str:
+    """Every check and note of the default sweep of scenario, one per line,
+    tab-separated."""
+    lines = []
+    for row in sweep(scenario).rows:
+        lines.extend(
+            f"{row.index}\tcheck\t{name}\t{residual!r}\t{tol!r}\t{note}\n"
+            for name, residual, tol, note in row.report.checks
+        )
+        lines.extend(f"{row.index}\tnote\t{note}\n" for note in row.report.notes)
+    return "".join(lines)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -162,6 +179,8 @@ def main(argv=None):
             (outdir / f"{stem}.stderr").write_text(err.getvalue())
         codes.append(f"{stem} {code}\n")
     (outdir / "exit_codes.txt").write_text("".join(codes))
+    for scenario in ("example1", "example2"):
+        (outdir / f"checks-sweep-{scenario}.txt").write_text(check_listing(scenario))
     return 0
 
 

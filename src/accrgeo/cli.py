@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -244,9 +245,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.fmt == "json":
-        print(to_json(payload))
+        text = to_json(payload)
     else:
-        print("\n".join(_render_text(config.command, payload)))
+        text = "\n".join(_render_text(config.command, payload))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (as with `| head -1`): point stdout at devnull,
+        # so that the flush at exit does not fail again, and keep the verdict
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import (
     AntisymmetryViolation,
-    DimensionMismatch,
     GeometryError,
     JacobiViolation,
 )
@@ -56,6 +55,7 @@ from .tensors import (
     Frame,
     MetricPair,
     Tensor,
+    as_tensor,
     phi_trace,
     trace_g,
 )
@@ -100,10 +100,7 @@ class LieAlgebra:
     c: Tensor
 
     def __post_init__(self):
-        if not isinstance(self.c, Tensor):
-            object.__setattr__(self, "c", Tensor(self.frame, np.asarray(self.c, dtype=float)))
-        if self.c.rank != 3 or self.c.frame != self.frame:
-            raise DimensionMismatch("structure constants must be rank 3 on the frame")
+        object.__setattr__(self, "c", as_tensor(self.c, self.frame, 3))
         arr = self.c.data
         d = self.frame.dim
         # the Jacobi identity, curvature and Ricci sum products of two
@@ -161,7 +158,6 @@ class CurvaturePackage:
     ricci: Tensor
     tau: float
     tau_star: float
-    metric: MetricPair
 
 
 @dataclass(frozen=True)
@@ -276,9 +272,7 @@ def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> Curva
     riem = riemann(conn, alg, metric)
     rho = ricci(riem, metric)
     tau, tau_star = trace_g(rho, metric), phi_trace(rho, metric, phi)
-    return CurvaturePackage(
-        conn=conn, riemann=riem, ricci=rho, tau=tau, tau_star=tau_star, metric=metric
-    )
+    return CurvaturePackage(conn=conn, riemann=riem, ricci=rho, tau=tau, tau_star=tau_star)
 
 
 def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:

@@ -221,8 +221,10 @@ def _example2_geometry(p: float, q: float) -> _Example2Geometry:
     n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
     head = _closed_form_checks(
         {
-            "curvature_table": (pkg.riemann, example2_expected_curvature(s.frame), 1e-12),
-            "ricci_form": (pkg.ricci, 4.0 * s.eta_outer, 1e-12),
+            "curvature_table": (
+                pkg.riemann.data, example2_expected_curvature(s.frame).data, 1e-12
+            ),
+            "ricci_form": (pkg.ricci.data, 4.0 * s.eta_outer, 1e-12),
             "tau_value": (pkg.tau, 4.0, 1e-10),
             "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
             "tau_assoc_pipeline": (assoc_pkg.tau, 4.0, 1e-10),
@@ -280,10 +282,14 @@ def _example2_rows(
             {
                 "h_form": (2.0 * level.k.xi_derivative * eta_outer, -4.0 * eta_outer, 1e-12),
                 "lie_g_family_value": (
-                    level.lie_g, 4.0 * t0 * s.g_assoc.g - 4.0 * (t0 + 1.0) * eta_outer, 1e-10
+                    level.lie_g.data,
+                    4.0 * t0 * s.g_assoc.matrix - 4.0 * (t0 + 1.0) * eta_outer,
+                    1e-10,
                 ),
                 "lie_assoc_family_value": (
-                    level.lie_assoc, -4.0 * t0 * s.g.g + 4.0 * (t0 - 1.0) * eta_outer, 1e-10
+                    level.lie_assoc.data,
+                    -4.0 * t0 * s.g.matrix + 4.0 * (t0 - 1.0) * eta_outer,
+                    1e-10,
                 ),
             }
         )
@@ -457,12 +463,7 @@ def _example1_curvature(t: float, n: int) -> _Example1Curvature:
     scale = 2.0 * n / square_sum
     ricci = Tensor(
         s.frame,
-        scale
-        * (
-            p * s.g.matrix
-            - q * s.g_assoc.matrix
-            + (square_sum - p + q) * np.outer(s.eta.data, s.eta.data)
-        ),
+        scale * (p * s.g.matrix - q * s.g_assoc.matrix + (square_sum - p + q) * s.eta_outer),
     )
     head = _closed_form_checks(
         {
@@ -556,24 +557,6 @@ class SweepResult:
     scenario: str
     rows: list
     notes: list = field(default_factory=list)
-
-    @property
-    def n_pass(self) -> int:
-        return sum(1 for row in self.rows if not row.degenerate and row.report.passed)
-
-    @property
-    def n_fail(self) -> int:
-        return sum(
-            1 for row in self.rows if not row.degenerate and not row.report.passed
-        )
-
-    @property
-    def n_degenerate(self) -> int:
-        return sum(1 for row in self.rows if row.degenerate)
-
-    @property
-    def passed(self) -> bool:
-        return self.n_fail == 0
 
 
 def sweep(

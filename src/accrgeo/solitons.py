@@ -115,10 +115,8 @@ class Check(NamedTuple):
         cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""
     ) -> "Check":
         """The check of max |computed - expected| against tol, for two floats
-        or two Tensors or arrays of one shape: the one form of every check of
-        a computed value against its closed form."""
-        if isinstance(computed, Tensor):
-            computed, expected = computed.data, expected.data
+        or two arrays of one shape: the one form of every check of a computed
+        value against its closed form."""
         difference = computed - expected
         if isinstance(difference, np.ndarray):
             difference = np.max(np.abs(difference))
@@ -216,7 +214,7 @@ def vertical_lie_closed_form(
         raise NotSasakiLike(
             "closed-form vertical Lie derivatives hold only for Sasaki-like structures"
         )
-    eta_outer = np.outer(s.eta.data, s.eta.data)
+    eta_outer = s.eta_outer
     h = 2.0 * k.xi_derivative * eta_outer
     lie_g = h - 2.0 * k.value * (s.g_assoc.matrix - eta_outer)
     lie_assoc = h + 2.0 * k.value * (s.g.matrix - eta_outer)
@@ -293,7 +291,7 @@ def eta_rb_residual(
         ricci_tensor.data
         + 0.5 * lie_g.data
         + (spec.lam + spec.beta * tau) * s.g.matrix
-        + spec.mu * np.outer(s.eta.data, s.eta.data)
+        + spec.mu * s.eta_outer
     )
     return Tensor(s.frame, arr)
 
@@ -325,13 +323,7 @@ def einstein_like_fit(
     The basis Gram matrix is nonsingular for every valid structure, so a
     SingularFit signals corrupted inputs rather than a tight geometry.
     """
-    basis = np.stack(
-        [
-            s.g.matrix.ravel(),
-            s.g_assoc.matrix.ravel(),
-            np.outer(s.eta.data, s.eta.data).ravel(),
-        ]
-    )
+    basis = np.stack([s.g.matrix.ravel(), s.g_assoc.matrix.ravel(), s.eta_outer.ravel()])
     gram = basis @ basis.T
     rhs = basis @ ricci_tensor.data.ravel()
     if abs(np.linalg.det(gram)) < 1e-12:
@@ -339,11 +331,7 @@ def einstein_like_fit(
     coeffs = np.linalg.solve(gram, rhs)
 
     def recompose(v):
-        return (
-            v[0] * s.g.matrix
-            + v[1] * s.g_assoc.matrix
-            + v[2] * np.outer(s.eta.data, s.eta.data)
-        )
+        return v[0] * s.g.matrix + v[1] * s.g_assoc.matrix + v[2] * s.eta_outer
 
     # prefer exact zeros when they decompose rho just as well: the
     # sub-class labels below depend on which coefficients vanish
@@ -454,8 +442,7 @@ def ricci_reconstruction_check(
     expected = (
         (tau / (2.0 * n) - 1.0) * structure.g.matrix
         + (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
-        - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0))
-        * np.outer(structure.eta.data, structure.eta.data)
+        - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0)) * structure.eta_outer
     )
     return Check.between(
         "ricci_reconstruction",
@@ -714,8 +701,10 @@ def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
     if a.classification.is_sasaki_like:
         closed_g, closed_assoc = vertical_lie_closed_form(k, s, a.classification)
         checks = (
-            Check.between("lie_g_closed_vs_connection", closed_g, lie_g, tol=1e-10),
-            Check.between("lie_assoc_closed_vs_connection", closed_assoc, lie_assoc, tol=1e-10),
+            Check.between("lie_g_closed_vs_connection", closed_g.data, lie_g.data, tol=1e-10),
+            Check.between(
+                "lie_assoc_closed_vs_connection", closed_assoc.data, lie_assoc.data, tol=1e-10
+            ),
         )
     return VerticalLevel(k, lie_g, lie_assoc, checks)
 
@@ -841,8 +830,8 @@ def conformal_report(
         structure=s,
     )
     spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
-    lhs = rb_like_residual(
-        pkg.ricci, 2.0 * psi * s.g.g, 2.0 * psi_assoc * s.g_assoc.g, s, spec, pkg.tau, tau_assoc
-    )
+    lie_g = Tensor(s.frame, 2.0 * psi * s.g.matrix)
+    lie_assoc = Tensor(s.frame, 2.0 * psi_assoc * s.g_assoc.matrix)
+    lhs = rb_like_residual(pkg.ricci, lie_g, lie_assoc, s, spec, pkg.tau, tau_assoc)
     report.add("soliton_residual", max_abs(lhs), tol=1e-10)
     return report

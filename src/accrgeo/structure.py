@@ -22,16 +22,16 @@ period four, with two applications giving -g + 2 eta (.) eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegenerateMetric,
-    DimensionMismatch,
     StructureViolation,
     WrongSignature,
 )
-from .tensors import DEFAULT_TOL, Frame, MetricPair, Tensor, invert_metric
+from .tensors import DEFAULT_TOL, Frame, MetricPair, Tensor, as_tensor, invert_metric
 
 #: eigenvalues inside this band around zero mean a degenerate metric
 SIGNATURE_TOL = 1e-9
@@ -54,10 +54,15 @@ class AccRStructure:
     def n(self) -> int:
         return self.frame.n
 
-    @property
-    def eta_outer(self) -> Tensor:
-        """The rank-2 tensor eta (.) eta."""
-        return Tensor(self.frame, np.outer(self.eta.data, self.eta.data))
+    @cached_property
+    def eta_outer(self) -> np.ndarray:
+        """eta (.) eta as a read-only array, built once per structure.
+
+        Every formula on a validated structure reads it here.
+        """
+        outer = np.outer(self.eta.data, self.eta.data)
+        outer.setflags(write=False)
+        return outer
 
 
 def metric_entry_limit(dim: int) -> float:
@@ -90,10 +95,10 @@ def validate_structure(phi, xi, eta, g, frame: Frame, *, tol: float = DEFAULT_TO
     defining identities are then checked as a batch so a StructureViolation
     names all failures, not just the first.
     """
-    phi = _as_tensor(phi, frame, 2)
-    xi = _as_tensor(xi, frame, 1)
-    eta = _as_tensor(eta, frame, 1)
-    g = _as_tensor(g, frame, 2)
+    phi = as_tensor(phi, frame, 2)
+    xi = as_tensor(xi, frame, 1)
+    eta = as_tensor(eta, frame, 1)
+    g = as_tensor(g, frame, 2)
 
     metric = invert_metric(g)
     n = frame.n
@@ -134,26 +139,16 @@ def associated_metric_from_parts(g: Tensor, phi: Tensor, eta: Tensor, *, tol: fl
     the structure identities, so their failure means the inputs were bad;
     both are still verified here.
     """
-    assoc = g.data @ phi.data + np.outer(eta.data, eta.data)
+    eta_outer = np.outer(eta.data, eta.data)
+    assoc = g.data @ phi.data + eta_outer
     violations = []
     asym = float(np.max(np.abs(assoc - assoc.T)))
     if not asym < tol:
         violations.append(("g_assoc symmetric", asym))
-    b_metric = float(
-        np.max(np.abs(phi.data.T @ assoc @ phi.data + assoc - np.outer(eta.data, eta.data)))
-    )
+    b_metric = float(np.max(np.abs(phi.data.T @ assoc @ phi.data + assoc - eta_outer)))
     if not b_metric < tol:
         violations.append(("g_assoc(phi.,phi.) = -g_assoc + eta(.)eta", b_metric))
     if violations:
         raise StructureViolation(violations)
     return invert_metric(Tensor(g.frame, 0.5 * (assoc + assoc.T)))
 
-
-def _as_tensor(value, frame: Frame, rank: int) -> Tensor:
-    if isinstance(value, Tensor):
-        tensor = value if value.frame == frame else Tensor(frame, value.data)
-    else:
-        tensor = Tensor(frame, np.asarray(value, dtype=float))
-    if tensor.rank != rank:
-        raise DimensionMismatch(f"expected rank {rank}, got rank {tensor.rank}")
-    return tensor

@@ -2,8 +2,10 @@
 
 Everything downstream works with dense float64 arrays of dimension 2n+1
 (n = 2 for the paper's examples, up to about n = 16, dim 33, for
-definition files), wrapped with just enough structure to catch frame and
-rank mismatches early and to keep data immutable.
+definition files). Tensor is only a holder: it checks that an array's
+shape matches its frame and keeps the array frozen. It has no arithmetic;
+every formula is written on the arrays (.data, or .matrix of a
+MetricPair), and a result the caller hands out is wrapped once.
 """
 
 from __future__ import annotations
@@ -77,41 +79,17 @@ class Tensor:
     def rank(self) -> int:
         return self.data.ndim
 
-    def _binary(self, other, op):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if other.frame != self.frame:
-            raise DimensionMismatch("operands live on different frames")
-        if other.data.shape != self.data.shape:
-            raise DimensionMismatch(
-                f"rank mismatch: {self.data.shape} vs {other.data.shape}"
-            )
-        return Tensor(self.frame, _handed_over(op(self.data, other.data)))
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return Tensor(self.frame, _handed_over(self.data * float(scalar)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Tensor(self.frame, _handed_over(-self.data))
-
-    @classmethod
-    def zeros(cls, frame: Frame, rank: int) -> "Tensor":
-        return cls(frame, np.zeros((frame.dim,) * rank))
-
-
-def _handed_over(result):
-    """Freeze a freshly computed array, so Tensor keeps it without a copy."""
-    if isinstance(result, np.ndarray):
-        result.setflags(write=False)
-    return result
+def as_tensor(value, frame: Frame, rank: int) -> Tensor:
+    """value as a rank-``rank`` Tensor on ``frame``: a Tensor is kept as it
+    is, anything else is read as a float array."""
+    tensor = value if isinstance(value, Tensor) else Tensor(frame, value)
+    if tensor.frame != frame or tensor.rank != rank:
+        raise DimensionMismatch(
+            f"expected rank {rank} on frame dimension {frame.dim}, "
+            f"got rank {tensor.rank} on frame dimension {tensor.frame.dim}"
+        )
+    return tensor
 
 
 @dataclass(frozen=True)

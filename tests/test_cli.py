@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import accrgeo
 from accrgeo import (
     Frame,
     LieAlgebra,
@@ -781,3 +786,22 @@ def test_json_writer_matches_json_dumps_on_nested_values(value):
 def test_json_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
         to_json(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_pipe_keeps_the_verdict(fmt):
+    # as with `accrgeo sweep --scenario example1 | head -1`: the reader goes
+    # away before the output is written, which is not a failed check
+    src = str(Path(accrgeo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "accrgeo.cli", "sweep", "--scenario", "example1", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -115,13 +115,21 @@ def test_diagonal_bracket_rejected(ex2_definition):
         definition.build()
 
 
-def test_bracket_conflict_with_mirror(ex2_definition):
+@pytest.mark.parametrize("mirror", [5.0, -1.0], ids=["contradicting", "agreeing"])
+def test_bracket_conflict_with_mirror(ex2_definition, mirror):
     d = ex2_definition.to_dict()
-    # explicit mirror that contradicts antisymmetric fill
-    d["structure_constants"] = list(d["structure_constants"]) + [[1, 0, 2, 5.0]]
+    # [e_0, e_1] has e_2-component p = 1, so the antisymmetric fill gives
+    # [e_1, e_0] the e_2-component -1; an explicit mirror must agree with it
+    assert [0, 1, 2, 1.0] in [list(entry) for entry in d["structure_constants"]]
+    d["structure_constants"] = list(d["structure_constants"]) + [[1, 0, 2, mirror]]
     definition = ManifoldDefinition.from_dict(d)
-    with pytest.raises(ParseError):
-        definition.build()
+    if mirror != -1.0:
+        with pytest.raises(ParseError):
+            definition.build()
+        return
+    alg, _ = definition.build()
+    one_sided, _ = ex2_definition.build()
+    assert np.array_equal(alg.c.data, one_sided.c.data)
 
 
 def test_metric_needs_both_triangles(ex2_definition):

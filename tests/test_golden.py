@@ -66,8 +66,9 @@ def test_golden_commands_keep_their_verdicts(golden_dir):
         assert (text == "") == (code == 2), stem
         if text:
             json.loads(text, parse_constant=_reject)
-    # 44 outputs, 16 stderr files, exit_codes.txt and the inputs directory
-    assert len(list(golden_dir.iterdir())) == 62
+    # 44 outputs, 16 stderr files, exit_codes.txt, the two check listings and
+    # the inputs directory
+    assert len(list(golden_dir.iterdir())) == 64
 
 
 def test_golden_json_is_what_json_dumps_writes(golden_dir):

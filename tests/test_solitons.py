@@ -97,7 +97,7 @@ def test_eta_equation_with_mu_zero_matches_two_metric_without_assoc(ex2_origin):
     from accrgeo import Tensor
 
     b = rb_like_residual(
-        pkg.ricci, lie_g, Tensor.zeros(s.frame, 2), s,
+        pkg.ricci, lie_g, Tensor(s.frame, np.zeros((5, 5))), s,
         SolitonSpec(beta=0.25, lam=0.5, lam_assoc=-0.25 * assoc_pkg.tau),
         pkg.tau, assoc_pkg.tau,
     )

@@ -8,7 +8,6 @@ from accrgeo import (
     Tensor,
     build_example2,
     flat_carrier_structure,
-    max_abs,
     metric_signature,
     phi_trace,
     trace_g,
@@ -134,6 +133,18 @@ def test_example2_family_shares_structure_tensors():
     _, s_base = build_example2(0.0, 0.0)
     for p, q in [(1.0, 1.0), (2.0, -1.0)]:
         _, s_pq = build_example2(p, q)
-        assert max_abs(s_pq.phi - s_base.phi) == 0.0
-        assert max_abs(s_pq.xi - s_base.xi) == 0.0
-        assert max_abs(s_pq.g.g - s_base.g.g) == 0.0
+        assert np.max(np.abs(s_pq.phi.data - s_base.phi.data)) == 0.0
+        assert np.max(np.abs(s_pq.xi.data - s_base.xi.data)) == 0.0
+        assert np.max(np.abs(s_pq.g.matrix - s_base.g.matrix)) == 0.0
+
+
+def test_eta_outer_is_one_frozen_array():
+    s = flat_carrier_structure(2)
+    outer = s.eta_outer
+    assert isinstance(outer, np.ndarray) and outer.dtype == np.float64
+    assert np.array_equal(outer, np.outer(s.eta.data, s.eta.data))
+    assert not outer.flags.writeable
+    with pytest.raises(ValueError):
+        outer[0, 0] = 2.0
+    # built once per structure
+    assert s.eta_outer is outer
