@@ -224,6 +224,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print(text: str, stream) -> None:
+    """Print text to stream. If the reader has gone (as with `| head -1`),
+    point the stream at devnull, so that the flush at exit does not fail
+    again, and keep the exit code."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -238,25 +251,14 @@ def main(argv=None) -> int:
             payload, code = cmd_soliton(config)
         else:
             payload, code = cmd_sweep(config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}", sys.stderr)
         return 2
     if config.fmt == "json":
         text = to_json(payload)
     else:
         text = "\n".join(_render_text(config.command, payload))
-    try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone (as with `| head -1`): point stdout at devnull,
-        # so that the flush at exit does not fail again, and keep the verdict
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _print(text, sys.stdout)
     return code
 
 

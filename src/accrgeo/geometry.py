@@ -132,10 +132,6 @@ class LieAlgebra:
             worst = np.unravel_index(np.argmax(jac), jac.shape)
             raise JacobiViolation(residual, tuple(int(i) for i in worst[1:]))
 
-    def bracket(self, i: int, j: int) -> np.ndarray:
-        """Components of [e_i, e_j]."""
-        return self.c.data[:, i, j].copy()
-
 
 @dataclass(frozen=True)
 class Connection:
@@ -313,12 +309,7 @@ def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
 
 
 def classify_sasaki_like(
-    F: Tensor,
-    s: AccRStructure,
-    *,
-    conn: Connection = None,
-    ricci_tensor: Tensor = None,
-    tol: float = DEFAULT_TOL,
+    F: Tensor, s: AccRStructure, *, conn: Connection = None, ricci_tensor: Tensor = None
 ) -> SasakiLikeResult:
     """Test F(x,y,z) = g(phi x, phi y) eta(z) + g(phi x, phi z) eta(y).
 
@@ -333,18 +324,18 @@ def classify_sasaki_like(
         "ik,j->ijk", phi_pullback, eta
     )
     residual = float(np.max(np.abs(F.data - closed_form)))
-    flag = residual < tol
+    flag = residual < DEFAULT_TOL
     if flag:
         n = s.n
         if conn is not None:
             reeb = conn.derivative_of_field(s.xi.data) + phi
-            if not float(np.max(np.abs(reeb))) < tol:
+            if not float(np.max(np.abs(reeb))) < DEFAULT_TOL:
                 raise GeometryError(
                     "Sasaki-like consequence failed: D_x xi != -phi x"
                 )
         if ricci_tensor is not None:
             line = ricci_tensor.data @ s.xi.data - 2 * n * eta
-            if not float(np.max(np.abs(line))) < tol:
+            if not float(np.max(np.abs(line))) < DEFAULT_TOL:
                 raise GeometryError(
                     "Sasaki-like consequence failed: rho(., xi) != 2n eta"
                 )

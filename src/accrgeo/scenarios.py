@@ -30,12 +30,16 @@ conformal-potential theorem for every n. No Lie algebra is constructed;
 Ricci-level checks run on the flat carrier of the right dimension, with
 the Ricci tensor built from the published formula in (p, q). The
 denominator sqrt2 + cos t - sin t vanishes at t = (8l+3)pi/4, which is
-excluded.
+excluded. One (t, n) of the curve is one record: (t, p, q) and the
+solitons.conformal_level there, with the curve's own checks prepended to
+its head; a report at one beta is solitons.conformal_row of that level
+at the sums the theorem forces.
 
 example2 starts from the cached Analysis of its (p, q) (example2_state)
 and builds its vertical-potential checks with solitons.vertical_level and
 vertical_rows, the builders definition files use too; the scenario adds
-its closed-form checks. Reports are assembled level by level, each check
+its closed-form checks. example1 builds its conformal checks with
+conformal_level and conformal_row, as soliton --input --psi does. Reports are assembled level by level, each check
 computed once per value of the parameters it depends on (see sweep), and
 a single-point report and a sweep row are built by the same helpers.
 """
@@ -55,10 +59,11 @@ from .geometry import Analysis, LieAlgebra, analyze
 from .structure import AccRStructure, validate_structure
 from .solitons import (
     Check,
+    ConformalLevel,
     TheoremReport,
     VerticalScalar,
-    conformal_curvature_checks,
-    conformal_sum_checks,
+    conformal_level,
+    conformal_row,
     einstein_like_fit,
     is_degenerate_beta,
     vertical_level,
@@ -365,21 +370,24 @@ def run_example2_report(
     return example2_point(params, k=k, lam=lam, lam_assoc=lam_assoc, mu=mu)[3]
 
 
-class _CurveScalars(NamedTuple):
-    """The curve's scalars at one (t, n), with the (p, q) route of tau and
-    tau_assoc that was compared with the direct one."""
+class _Example1Level(NamedTuple):
+    """One (t, n) of the curve: its (p, q) and the conformal level of the
+    theorem there, whose head opens with the curve's own checks."""
 
+    t: float
     p: float
     q: float
-    tau: float
-    tau_assoc: float
-    square_sum: float
-    tau_via_pq: float
-    tau_assoc_via_pq: float
+    conformal: ConformalLevel
 
 
-def _curve_scalars(t: float, n: int) -> _CurveScalars:
-    """The scalars of the curve at t for dimension 2n+1; see example1_curve."""
+def _example1_level(t: float, n: int) -> _Example1Level:
+    """The curve at t for dimension 2n+1; see example1_curve.
+
+    The Ricci tensor is the published formula in (p, q) on the flat
+    carrier of n, whose eta (.) eta coefficient vanishes on the curve.
+    """
+    if n < 1:
+        raise GeometryError(f"example1 needs n >= 1, got n={n!r}")
     den = SQRT2 + math.cos(t) - math.sin(t)
     if abs(den) <= 1e-9:
         raise DegenerateParameter(
@@ -394,21 +402,33 @@ def _curve_scalars(t: float, n: int) -> _CurveScalars:
 
     tau_via_pq = 2.0 * n * (1.0 + 2.0 * n * p / square_sum)
     tau_assoc_via_pq = 2.0 * n * (1.0 - 2.0 * n * q / square_sum)
-    tau_direct = 2.0 * n * ((n + 1.0) * SQRT2 + (2.0 * n + 1.0) * math.cos(t) - math.sin(t)) / den
-    tau_assoc_direct = (
-        2.0 * n * ((n + 1.0) * SQRT2 + math.cos(t) - (2.0 * n + 1.0) * math.sin(t)) / den
-    )
+    tau = 2.0 * n * ((n + 1.0) * SQRT2 + (2.0 * n + 1.0) * math.cos(t) - math.sin(t)) / den
+    tau_assoc = 2.0 * n * ((n + 1.0) * SQRT2 + math.cos(t) - (2.0 * n + 1.0) * math.sin(t)) / den
     for label, left, right in (
-        ("tau", tau_via_pq, tau_direct),
-        ("tau_assoc", tau_assoc_via_pq, tau_assoc_direct),
+        ("tau", tau_via_pq, tau),
+        ("tau_assoc", tau_assoc_via_pq, tau_assoc),
     ):
         if not abs(left - right) < 1e-9 * max(1.0, abs(left), abs(right)):
             raise GeometryError(
                 f"{label} routes disagree by {abs(left - right):.3e} at t={t!r}"
             )
-    return _CurveScalars(
-        p, q, tau_direct, tau_assoc_direct, square_sum, tau_via_pq, tau_assoc_via_pq
+
+    s = _cached_carrier(n)
+    scale = 2.0 * n / square_sum
+    ricci = Tensor(
+        s.frame,
+        scale * (p * s.g.matrix - q * s.g_assoc.matrix + (square_sum - p + q) * s.eta_outer),
     )
+    curve_checks = _closed_form_checks(
+        {
+            "curve_constraint": (square_sum - p, -q, 1e-12),
+            "tau_route_agreement": (tau_via_pq, tau),
+            "tau_assoc_route_agreement": (tau_assoc_via_pq, tau_assoc),
+            "ricci_reeb_value": (ricci.data @ s.xi.data @ s.xi.data, 2.0 * n),
+        }
+    )
+    level = conformal_level(tau, tau_assoc, n, ricci_tensor=ricci, structure=s)
+    return _Example1Level(t, p, q, level._replace(head=(*curve_checks, *level.head)))
 
 
 def _curve_sums(beta: float, n: int, tau: float, tau_assoc: float) -> tuple:
@@ -419,6 +439,37 @@ def _curve_sums(beta: float, n: int, tau: float, tau_assoc: float) -> tuple:
     return 1.0 - factor * tau / (2.0 * n), 1.0 - factor * tau_assoc / (2.0 * n)
 
 
+_SUMS_NOTE = (
+    "only the sums psi+lam and psi_assoc+lam_assoc are determined; "
+    "they are passed through psi with lam = 0"
+)
+
+
+def _example1_row(level: ConformalLevel, beta: float, sums_override=None) -> tuple:
+    """(sum_g, sum_assoc, report) at one beta; the report shares level's checks.
+
+    sum_g and sum_assoc are the curve's forced sums, also when
+    sums_override supplies the split the report checks.
+    """
+    sum_g, sum_assoc = _curve_sums(beta, level.n, level.tau, level.tau_assoc)
+    if sums_override is None:
+        return sum_g, sum_assoc, conformal_row(level, beta, sum_g, sum_assoc, (_SUMS_NOTE,))
+    psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
+    return sum_g, sum_assoc, conformal_row(level, beta, psi + lam, psi_assoc + lam_assoc)
+
+
+def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tuple:
+    """(Example1Point, report) of run_example1_report, from one evaluation
+    of the curve."""
+    curve = _example1_level(t, n)
+    level = curve.conformal
+    sum_g, sum_assoc, report = _example1_row(level, beta, sums_override)
+    point = Example1Point(
+        curve.t, n, beta, curve.p, curve.q, level.tau, level.tau_assoc, sum_g, sum_assoc
+    )
+    return point, report
+
+
 def example1_curve(t: float, n: int, beta: float) -> Example1Point:
     """Evaluate the formula-level curve at parameter t for dimension 2n+1.
 
@@ -427,103 +478,7 @@ def example1_curve(t: float, n: int, beta: float) -> Example1Point:
     reciprocal of the shared denominator near its zeros, which are exactly
     the excluded parameter values.
     """
-    return _example1_point(t, n, beta, _curve_scalars(t, n))
-
-
-def _example1_point(t: float, n: int, beta: float, scalars: tuple) -> Example1Point:
-    """The curve point of scalars = (p, q, tau, tau_assoc, ...) with the sums
-    forced at beta."""
-    p, q, tau, tau_assoc = scalars[:4]
-    return Example1Point(t, n, beta, p, q, tau, tau_assoc, *_curve_sums(beta, n, tau, tau_assoc))
-
-
-class _Example1Curvature(NamedTuple):
-    """One (t, n) of example1 with the report's checks that are free of beta.
-
-    head holds the checks that open the report, through scalar_sum;
-    einstein_like closes it.
-    """
-
-    n: int
-    p: float
-    q: float
-    tau: float
-    tau_assoc: float
-    tau_star: float
-    s: AccRStructure
-    ricci: Tensor
-    head: tuple
-    einstein_like: Check
-
-
-def _example1_curvature(t: float, n: int) -> _Example1Curvature:
-    curve = _curve_scalars(t, n)
-    p, q, tau, tau_assoc, square_sum = curve[:5]
-    s = _cached_carrier(n)
-    scale = 2.0 * n / square_sum
-    ricci = Tensor(
-        s.frame,
-        scale * (p * s.g.matrix - q * s.g_assoc.matrix + (square_sum - p + q) * s.eta_outer),
-    )
-    head = _closed_form_checks(
-        {
-            "curve_constraint": (square_sum - p, -q, 1e-12),
-            "tau_route_agreement": (curve.tau_via_pq, tau),
-            "tau_assoc_route_agreement": (curve.tau_assoc_via_pq, tau_assoc),
-            "ricci_reeb_value": (ricci.data @ s.xi.data @ s.xi.data, 2.0 * n),
-        }
-    )
-    # with a Ricci tensor supplied there are no notes
-    scalar_sum, einstein_like, tau_star, _ = conformal_curvature_checks(
-        tau, tau_assoc, n, ricci_tensor=ricci, structure=s
-    )
-    return _Example1Curvature(
-        n, p, q, tau, tau_assoc, tau_star, s, ricci, (*head, scalar_sum), einstein_like
-    )
-
-
-_SUMS_NOTE = (
-    "only the sums psi+lam and psi_assoc+lam_assoc are determined; "
-    "they are passed through psi with lam = 0"
-)
-
-
-def _example1_row(curv: _Example1Curvature, beta: float, sums_override=None) -> tuple:
-    """(sum_g, sum_assoc, report) at one beta; the report shares curv's checks.
-
-    sum_g and sum_assoc are the curve's forced sums, also when
-    sums_override supplies the split the report checks.
-    """
-    sum_g, sum_assoc = _curve_sums(beta, curv.n, curv.tau, curv.tau_assoc)
-    report = TheoremReport(list(curv.head))
-    if sums_override is None:
-        psi, psi_assoc, lam, lam_assoc = sum_g, sum_assoc, 0.0, 0.0
-        report.add_note(_SUMS_NOTE)
-    else:
-        psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
-    report.extend(
-        conformal_sum_checks(
-            beta,
-            psi + lam,
-            psi_assoc + lam_assoc,
-            curv.tau,
-            curv.tau_assoc,
-            curv.tau_star,
-            curv.n,
-            ricci_tensor=curv.ricci,
-            structure=curv.s,
-        )
-    )
-    report.checks.append(curv.einstein_like)
-    return sum_g, sum_assoc, report
-
-
-def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tuple:
-    """(Example1Point, report) of run_example1_report, from one evaluation
-    of the curve."""
-    curv = _example1_curvature(t, n)
-    point = _example1_point(t, n, beta, (curv.p, curv.q, curv.tau, curv.tau_assoc))
-    return point, _example1_row(curv, beta, sums_override)[2]
+    return example1_point(t, n, beta)[0]
 
 
 def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) -> TheoremReport:
@@ -625,37 +580,38 @@ def sweep(
         ts = _grid(t_grid, DEFAULT_T_GRID)
         rows = []
         for n in n_values:
-            # a DegenerateParameter in place of an excluded t's curvature
-            curvatures = []
+            # a DegenerateParameter in place of an excluded t's level
+            curves = []
             for t in ts:
                 try:
-                    curvatures.append(_example1_curvature(t, n))
+                    curves.append(_example1_level(t, n))
                 except DegenerateParameter as exc:
-                    curvatures.append(exc)
+                    curves.append(exc)
             for beta in betas:
-                for t, curv in zip(ts, curvatures):
+                for t, curve in zip(ts, curves):
                     params = {"n": n, "beta": beta, "t": t}
-                    if isinstance(curv, DegenerateParameter):
+                    if isinstance(curve, DegenerateParameter):
                         rows.append(
                             SweepRow(
                                 index=len(rows),
                                 params=params,
                                 scalars={},
-                                report=TheoremReport(notes=[str(curv)]),
+                                report=TheoremReport(notes=[str(curve)]),
                                 degenerate=True,
                             )
                         )
                         continue
-                    sum_g, sum_assoc, report = _example1_row(curv, beta)
+                    level = curve.conformal
+                    sum_g, sum_assoc, report = _example1_row(level, beta)
                     rows.append(
                         SweepRow(
                             index=len(rows),
                             params=params,
                             scalars={
-                                "p": curv.p,
-                                "q": curv.q,
-                                "tau": curv.tau,
-                                "tau_tilde": curv.tau_assoc,
+                                "p": curve.p,
+                                "q": curve.q,
+                                "tau": level.tau,
+                                "tau_tilde": level.tau_assoc,
                                 "psi_plus_lambda": sum_g,
                                 "psi_tilde_plus_lambda_tilde": sum_assoc,
                             },

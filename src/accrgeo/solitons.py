@@ -31,9 +31,13 @@ The report builders start from an Analysis. A vertical report is built
 in levels, so a sweep evaluates each check once per value of what it
 depends on: vertical_level holds the Lie derivatives of one potential,
 and vertical_rows solves and checks the equation for several potentials
-of one analysis, each at every beta in one array operation.
-conformal_report is the conformal counterpart. Both scenarios and
-definition files go through them.
+of one analysis, each at every beta in one array operation. The conformal
+theorem has the same shape: conformal_level holds the checks of one
+curvature point that are free of beta and the potential, and conformal_row
+builds the report at one beta for the sums psi + lam and
+psi_assoc + lam_assoc. verify_conformal_theorem and conformal_report are
+one row of one level, and example1 builds a level per curve point. Both
+scenarios and definition files go through these builders.
 """
 
 from __future__ import annotations
@@ -315,9 +319,7 @@ class EinsteinLikeFit:
     tau_star_residual: float
 
 
-def einstein_like_fit(
-    ricci_tensor: Tensor, s: AccRStructure, *, tol: float = DEFAULT_TOL
-) -> EinsteinLikeFit:
+def einstein_like_fit(ricci_tensor: Tensor, s: AccRStructure) -> EinsteinLikeFit:
     """Decompose rho = a g + b g_assoc + c eta (.) eta if possible.
 
     The basis Gram matrix is nonsingular for every valid structure, so a
@@ -335,27 +337,27 @@ def einstein_like_fit(
 
     # prefer exact zeros when they decompose rho just as well: the
     # sub-class labels below depend on which coefficients vanish
-    snapped = np.where(np.abs(coeffs) < tol, 0.0, coeffs)
-    if float(np.max(np.abs(ricci_tensor.data - recompose(snapped)))) < tol:
+    snapped = np.where(np.abs(coeffs) < DEFAULT_TOL, 0.0, coeffs)
+    if float(np.max(np.abs(ricci_tensor.data - recompose(snapped)))) < DEFAULT_TOL:
         coeffs = snapped
     a, b, c = coeffs
     residual = float(np.max(np.abs(ricci_tensor.data - recompose(coeffs))))
-    if residual < tol:
-        if abs(b) < tol and abs(c) < tol:
-            kind = "einstein"
-        elif abs(b) < tol:
-            kind = "eta_einstein"
-        else:
-            kind = "einstein_like"
-    else:
+    exact = residual < DEFAULT_TOL
+    if not exact:
         kind = "not_einstein_like"
+    elif abs(b) < DEFAULT_TOL and abs(c) < DEFAULT_TOL:
+        kind = "einstein"
+    elif abs(b) < DEFAULT_TOL:
+        kind = "eta_einstein"
+    else:
+        kind = "einstein_like"
 
     n = s.n
     tau = trace_g(ricci_tensor, s.g)
     tau_star = phi_trace(ricci_tensor, s.g, s.phi)
     tau_residual = abs(tau - ((2 * n + 1) * a + b + c))
     tau_star_residual = abs(tau_star + 2 * n * b)
-    if residual < tol and not (tau_residual < tol and tau_star_residual < tol):
+    if exact and not (tau_residual < DEFAULT_TOL and tau_star_residual < DEFAULT_TOL):
         raise GeometryError(
             "Einstein-like fit trace consequences failed on an exact decomposition"
         )
@@ -516,51 +518,52 @@ def verify_conformal_theorem(
     respective parameter values; the degenerate beta = -1/(2n) branch gets
     its own pair of checks instead.
 
-    Callers that evaluate many beta at one curvature point use its parts
-    directly: conformal_curvature_checks is free of beta and the
-    potential, conformal_sum_checks is the rest.
+    This is one conformal_row of one conformal_level; callers that evaluate
+    many beta at one curvature point build the level once.
     """
-    scalar_sum, einstein_like, tau_star, notes = conformal_curvature_checks(
-        tau, tau_assoc, n, ricci_tensor=ricci_tensor, structure=structure
-    )
-    report = TheoremReport([scalar_sum], notes)
-    report.extend(
-        conformal_sum_checks(
-            beta,
-            psi + lam,
-            psi_assoc + lam_assoc,
-            tau,
-            tau_assoc,
-            tau_star,
-            n,
-            ricci_tensor=ricci_tensor,
-            structure=structure,
-        )
-    )
-    if einstein_like is not None:
-        report.checks.append(einstein_like)
-    return report
+    level = conformal_level(tau, tau_assoc, n, ricci_tensor=ricci_tensor, structure=structure)
+    return conformal_row(level, beta, psi + lam, psi_assoc + lam_assoc)
 
 
-def conformal_curvature_checks(
+class ConformalLevel(NamedTuple):
+    """The conformal theorem at one curvature point, with the checks that
+    are free of beta and the potential.
+
+    head opens every report of the level (scalar_sum, after any checks a
+    scenario prepends) and tail closes it (ricci_einstein_like; empty
+    without a Ricci tensor and structure). ricci_tensor and structure are
+    both None when either was not supplied; tau_star is then derived as
+    2n - tau_assoc instead of the Ricci tensor's phi-trace, and notes says so.
+    """
+
+    tau: float
+    tau_assoc: float
+    n: int
+    tau_star: float
+    ricci_tensor: Tensor
+    structure: AccRStructure
+    head: tuple
+    tail: tuple
+    notes: tuple
+
+
+def conformal_level(
     tau: float,
     tau_assoc: float,
     n: int,
     *,
     ricci_tensor: Tensor = None,
     structure: AccRStructure = None,
-) -> tuple:
-    """(scalar_sum, ricci_einstein_like, tau_star, notes) of verify_conformal_theorem.
-
-    ricci_einstein_like is None without a Ricci tensor and structure; tau_star
-    is then derived as 2n - tau_assoc instead of the Ricci tensor's phi-trace.
-    """
+) -> ConformalLevel:
+    """The beta-free part of verify_conformal_theorem at (tau, tau_assoc)."""
     scalar_sum = Check.between(
         "scalar_sum", tau + tau_assoc, 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
     )
     if ricci_tensor is None or structure is None:
-        notes = ["tau_star derived from tau_assoc; no Ricci tensor supplied"]
-        return scalar_sum, None, 2.0 * n - tau_assoc, notes
+        notes = ("tau_star derived from tau_assoc; no Ricci tensor supplied",)
+        return ConformalLevel(
+            tau, tau_assoc, n, 2.0 * n - tau_assoc, None, None, (scalar_sum,), (), notes
+        )
     einstein_form = (
         ricci_tensor.data
         - (tau / (2.0 * n) - 1.0) * structure.g.matrix
@@ -571,26 +574,24 @@ def conformal_curvature_checks(
         float(np.max(np.abs(einstein_form))),
         note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
     )
-    return scalar_sum, einstein_like, phi_trace(ricci_tensor, structure.g, structure.phi), []
+    tau_star = phi_trace(ricci_tensor, structure.g, structure.phi)
+    return ConformalLevel(
+        tau, tau_assoc, n, tau_star, ricci_tensor, structure, (scalar_sum,), (einstein_like,), ()
+    )
 
 
-def conformal_sum_checks(
-    beta: float,
-    sum_g: float,
-    sum_assoc: float,
-    tau: float,
-    tau_assoc: float,
-    tau_star: float,
-    n: int,
-    *,
-    ricci_tensor: Tensor = None,
-    structure: AccRStructure = None,
+def conformal_row(
+    level: ConformalLevel, beta: float, sum_g: float, sum_assoc: float, notes=()
 ) -> TheoremReport:
-    """The checks of verify_conformal_theorem that involve beta or the sums
-    sum_g = psi + lam and sum_assoc = psi_assoc + lam_assoc."""
-    report = TheoremReport()
+    """The report of the conformal theorem at beta for the sums
+    sum_g = psi + lam and sum_assoc = psi_assoc + lam_assoc.
+
+    It lists level.head, the checks that involve beta or the sums, then
+    level.tail; its notes are level.notes, then notes, then the branch's.
+    """
+    tau, tau_assoc, n = level.tau, level.tau_assoc, level.n
+    report = TheoremReport(list(level.head), [*level.notes, *notes])
     factor = 1.0 + 2.0 * n * beta
-    degenerate = is_degenerate_beta(beta, n)
 
     report.add(
         "g_trace_closure",
@@ -607,11 +608,11 @@ def conformal_sum_checks(
     )
     report.add(
         "phi_trace_relation",
-        tau_star - 2.0 * n * (sum_assoc + beta * tau_assoc),
+        level.tau_star - 2.0 * n * (sum_assoc + beta * tau_assoc),
         note="phi-trace of the soliton equation",
     )
 
-    if degenerate:
+    if is_degenerate_beta(beta, n):
         report.add_note(
             "beta at the branch point -1/(2n): the scalar curvatures decouple "
             "from the potential sums"
@@ -661,9 +662,10 @@ def conformal_sum_checks(
         else:
             report.add_note("beta = 0: tau_assoc elimination skipped (guarded division)")
 
-    if ricci_tensor is not None and structure is not None:
+    structure = level.structure
+    if structure is not None:
         soliton_form = (
-            ricci_tensor.data
+            level.ricci_tensor.data
             + (sum_g + beta * tau) * structure.g.matrix
             + (sum_assoc + beta * tau_assoc) * structure.g_assoc.matrix
         )
@@ -672,6 +674,7 @@ def conformal_sum_checks(
             float(np.max(np.abs(soliton_form))),
             note="rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0",
         )
+    report.checks.extend(level.tail)
     return report
 
 
@@ -813,22 +816,12 @@ def vertical_rows(
 def conformal_report(
     a: Analysis, beta: float, psi: float, psi_assoc: float, lam: float, lam_assoc: float
 ) -> TheoremReport:
-    """verify_conformal_theorem on one analysis, then the soliton residual
-    under the defining assumption L_theta g = 2 psi g and
+    """The conformal row of one analysis, then the soliton residual under
+    the defining assumption L_theta g = 2 psi g and
     L_theta g_assoc = 2 psi_assoc g_assoc."""
     s, pkg, tau_assoc = a.s, a.pkg, a.assoc_pkg.tau
-    report = verify_conformal_theorem(
-        beta,
-        psi=psi,
-        psi_assoc=psi_assoc,
-        lam=lam,
-        lam_assoc=lam_assoc,
-        tau=pkg.tau,
-        tau_assoc=tau_assoc,
-        n=s.n,
-        ricci_tensor=pkg.ricci,
-        structure=s,
-    )
+    level = conformal_level(pkg.tau, tau_assoc, s.n, ricci_tensor=pkg.ricci, structure=s)
+    report = conformal_row(level, beta, psi + lam, psi_assoc + lam_assoc)
     spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
     lie_g = Tensor(s.frame, 2.0 * psi * s.g.matrix)
     lie_assoc = Tensor(s.frame, 2.0 * psi_assoc * s.g_assoc.matrix)

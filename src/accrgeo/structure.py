@@ -87,7 +87,7 @@ def metric_signature(g: Tensor) -> tuple:
     return pos, g.frame.dim - pos
 
 
-def validate_structure(phi, xi, eta, g, frame: Frame, *, tol: float = DEFAULT_TOL) -> AccRStructure:
+def validate_structure(phi, xi, eta, g, frame: Frame) -> AccRStructure:
     """Check every defining identity and return the validated structure.
 
     Inputs may be Tensors on ``frame`` or plain array-likes. Shape errors,
@@ -112,7 +112,7 @@ def validate_structure(phi, xi, eta, g, frame: Frame, *, tol: float = DEFAULT_TO
 
     def check(name, residual_array):
         residual = float(np.max(np.abs(np.asarray(residual_array))))
-        if not residual < tol:
+        if not residual < DEFAULT_TOL:
             violations.append((name, residual))
 
     check("phi(xi) = 0", phi_m @ xi_v)
@@ -128,11 +128,11 @@ def validate_structure(phi, xi, eta, g, frame: Frame, *, tol: float = DEFAULT_TO
     if violations:
         raise StructureViolation(violations)
 
-    g_assoc = associated_metric_from_parts(g, phi, eta, tol=tol)
+    g_assoc = associated_metric_from_parts(g, phi, eta)
     return AccRStructure(frame=frame, phi=phi, xi=xi, eta=eta, g=metric, g_assoc=g_assoc)
 
 
-def associated_metric_from_parts(g: Tensor, phi: Tensor, eta: Tensor, *, tol: float = DEFAULT_TOL) -> MetricPair:
+def associated_metric_from_parts(g: Tensor, phi: Tensor, eta: Tensor) -> MetricPair:
     """Build g_assoc(x,y) = g(x, phi y) + eta(x) eta(y) and invert it.
 
     Symmetry and the B-metric identity of the result are consequences of
@@ -143,10 +143,10 @@ def associated_metric_from_parts(g: Tensor, phi: Tensor, eta: Tensor, *, tol: fl
     assoc = g.data @ phi.data + eta_outer
     violations = []
     asym = float(np.max(np.abs(assoc - assoc.T)))
-    if not asym < tol:
+    if not asym < DEFAULT_TOL:
         violations.append(("g_assoc symmetric", asym))
     b_metric = float(np.max(np.abs(phi.data.T @ assoc @ phi.data + assoc - eta_outer)))
-    if not b_metric < tol:
+    if not b_metric < DEFAULT_TOL:
         violations.append(("g_assoc(phi.,phi.) = -g_assoc + eta(.)eta", b_metric))
     if violations:
         raise StructureViolation(violations)

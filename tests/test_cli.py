@@ -256,6 +256,57 @@ def test_input_soliton_conformal_reports_obstruction(capsys, tmp_path):
     assert "FAIL" in out
 
 
+#: per beta at n = 2: the conformal checks between phi_trace_relation and
+#: ricci_from_soliton_coeffs, and the report notes
+_CONFORMAL_BRANCHES = {
+    "-0.25": (
+        ["unit_sum_g", "unit_sum_assoc"],
+        [
+            "beta at the branch point -1/(2n): the scalar curvatures decouple "
+            "from the potential sums"
+        ],
+    ),
+    "-0.2": (
+        ["tau_from_sums", "tau_assoc_from_sums", "sums_closure", "tau_assoc_solved_form"],
+        ["beta = -1/(2n+1): nested tau elimination skipped (guarded division)"],
+    ),
+    "0": (
+        ["tau_from_sums", "tau_assoc_from_sums", "sums_closure", "tau_nested_form"],
+        ["beta = 0: tau_assoc elimination skipped (guarded division)"],
+    ),
+    "0.3": (
+        [
+            "tau_from_sums", "tau_assoc_from_sums", "sums_closure", "tau_nested_form",
+            "tau_assoc_solved_form",
+        ],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("beta", list(_CONFORMAL_BRANCHES))
+def test_input_soliton_conformal_branches(capsys, tmp_path, beta):
+    # -1/(2n) is the branch point, -1/(2n+1) and 0 each skip one guarded
+    # division; the semidirect file has rho = 4 eta(.)eta, which is not of
+    # the Einstein-like form the theorem forces, so every branch fails
+    path = tmp_path / "semidirect-n2.json"
+    alg = LieAlgebra(Frame(5), semidirect_constants(2))
+    save_definition(ManifoldDefinition.from_structure(alg, flat_carrier_structure(2)), path)
+    code, out, _ = run(
+        capsys,
+        "soliton", "--input", str(path), f"--beta={beta}", "--psi", "1", "--psi-tilde=-1",
+        "--lambda", "0.5", "--lambda-tilde", "0.25", "--format", "json",
+    )
+    branch_checks, notes = _CONFORMAL_BRANCHES[beta]
+    assert code == 1
+    assert _check_names(out) == [
+        "scalar_sum", "g_trace_closure", "reeb_trace_closure", "phi_trace_relation",
+        *branch_checks,
+        "ricci_from_soliton_coeffs", "ricci_einstein_like", "soliton_residual",
+    ]
+    assert json.loads(out)["notes"] == notes
+
+
 def test_mu_single_metric_route(capsys):
     code, out, _ = run(
         capsys,
@@ -433,7 +484,7 @@ def test_input_soliton_not_sasaki_like(capsys, tmp_path):
     "argv,name",
     [
         (("soliton", "--scenario", "example2", "--solve"), "vertical_soliton_constants"),
-        (("soliton", "--scenario", "example1"), "_curve_scalars"),
+        (("soliton", "--scenario", "example1"), "_example1_level"),
     ],
 )
 def test_soliton_evaluates_once(capsys, monkeypatch, argv, name):
@@ -805,3 +856,28 @@ def test_closed_stdout_pipe_keeps_the_verdict(fmt):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inspect", "--input", "/nonexistent.json"),
+        ("soliton", "--scenario", "example2", "--beta", "nan"),
+    ],
+    ids=["missing-file", "nan-beta"],
+)
+def test_closed_stderr_pipe_keeps_exit_2(argv):
+    # malformed input exits 2 also when nobody reads the error line
+    src = str(Path(accrgeo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "accrgeo.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stderr.close()
+    out = proc.stdout.read()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+    assert out == b""

@@ -4,9 +4,12 @@ The script's own use is a byte comparison of two checkouts with `diff -r`.
 This test pins what does not depend on the BLAS kernels: that every output
 exists and is strict JSON, that stderr is kept exactly for the commands
 that fail, and each command's exit code. It also pins the JSON writer to
-json's own bytes on the real `inspect`, `soliton` and `sweep` payloads.
+json's own bytes on the real `inspect`, `soliton` and `sweep` payloads, and
+the check schedule of both default sweeps: every check's row, name,
+tolerance and note, and every row note, without the residuals.
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -34,6 +37,13 @@ NONZERO = {
     "abelian-n2-psi": 1,
     "sweep-ex1-tol-1e-16": 1,
     "sweep-ex1-tol-1e-16-text": 1,
+}
+
+#: sha256 of each default sweep's check listing with the residual column
+#: dropped; what is left does not depend on the BLAS kernels
+CHECK_SCHEDULES = {
+    "example1": "15357a2a24911e82b17452ac18b06c52ca0a81bd43095be7bee43ac9f6fa53ec",
+    "example2": "11094286723589c0abc3237f8b8593ad39cb99704e3ad230367cd30760ad944c",
 }
 
 
@@ -78,3 +88,17 @@ def test_golden_json_is_what_json_dumps_writes(golden_dir):
     for text in outputs:
         assert text.endswith("}\n")
         assert text[:-1] == json.dumps(json.loads(text), indent=2)
+
+
+@pytest.mark.parametrize("scenario", sorted(CHECK_SCHEDULES))
+def test_default_sweeps_keep_their_check_schedule(golden_dir, scenario):
+    # a check that is reordered, renamed, retolerated or dropped changes the hash
+    lines = []
+    listing = (golden_dir / f"checks-sweep-{scenario}.txt").read_text()
+    for line in listing.splitlines(keepends=True):
+        fields = line.split("\t")
+        if fields[1] == "check":
+            del fields[3]  # the residual
+        lines.append("\t".join(fields))
+    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    assert digest == CHECK_SCHEDULES[scenario]

@@ -104,6 +104,12 @@ def test_example1_scalar_sum_all_n():
         )
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_example1_n_below_one_raises(n):
+    with pytest.raises(GeometryError, match="needs n >= 1"):
+        example1_curve(0.5, n, 0.0)
+
+
 def test_example1_degenerate_t_raises():
     with pytest.raises(DegenerateParameter):
         example1_curve(DEG_T, 2, 0.0)
@@ -305,3 +311,18 @@ def test_sweep_rows_share_checks_of_their_level():
     assert first["lie_g_family_value"] is not second["lie_g_family_value"]
     third = result.rows[2].report  # beta = 0.5, t0 = 1
     assert first["lie_g_family_value"] is third["lie_g_family_value"]
+    # example1: rows of one (n, t) share its curve checks and conformal level
+    result = sweep("example1", n_grid=[2], beta_grid=[0.0, 0.5], t_grid=[0.0, 1.0])
+    # (beta, t) = (0, 0), (0, 1), (0.5, 0)
+    first, second, third = (row.report for row in result.rows[:3])
+    for name in (
+        "curve_constraint",
+        "tau_route_agreement",
+        "tau_assoc_route_agreement",
+        "ricci_reeb_value",
+        "scalar_sum",
+        "ricci_einstein_like",
+    ):
+        assert first[name] is third[name], name
+        assert first[name] is not second[name], name
+    assert first["g_trace_closure"] is not third["g_trace_closure"]

@@ -116,15 +116,15 @@ def test_rebuild_associated_matches(ex2_generic):
 def test_example2_brackets_build(ex2_structures):
     for p, q, alg, _ in ex2_structures:
         # [e_0, e_1] = p e_2 + e_3 + q e_4 and the two-index antisymmetry
-        b = alg.bracket(0, 1)
+        b = alg.c.data[:, 0, 1]
         assert b[2] == pytest.approx(p)
         assert b[3] == pytest.approx(1.0)
         assert b[4] == pytest.approx(q)
-        assert np.max(np.abs(alg.bracket(1, 0) + b)) == 0.0
+        assert np.max(np.abs(alg.c.data[:, 1, 0] + b)) == 0.0
         # brackets among e_1..e_4 vanish
         for i in range(1, 5):
             for j in range(1, 5):
-                assert np.max(np.abs(alg.bracket(i, j))) == 0.0
+                assert np.max(np.abs(alg.c.data[:, i, j])) == 0.0
 
 
 def test_example2_family_shares_structure_tensors():
