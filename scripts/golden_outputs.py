@@ -8,6 +8,9 @@ The set covers every path from (algebra, structure) to a report:
   with supplied constants, a supplied potential, the single-metric
   equation and the two special betas;
 - example1 `soliton` at two curve points and with supplied scalars;
+- an option that `soliton --scenario example2` does not read (`--psi`)
+  and a grid that the example1 sweep does not read (`--grid-p`), which
+  exit 2;
 - `--input` files, written here from literals: example2 at (0, 0), the
   Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and the
   abelian dim-5 algebra on the same carrier, which is not Sasaki-like.
@@ -119,6 +122,12 @@ def commands(inputs_dir: Path):
     yield "soliton-ex1-t1-n2", [*ex1, "--t", "1", "--n", "2", "--beta=-0.25"]
     yield "soliton-ex1-override", [
         *ex1, "--t", "0.5", "--n", "3", "--beta", "0.1", "--psi", "1", "--lambda", "0.5",
+    ]
+    # options that the chosen source does not read exit 2
+    yield "soliton-ex2-unread-psi", [*ex2, "--psi", "1"]
+    yield "sweep-ex1-unread-grid-p", [
+        "sweep", "--scenario", "example1",
+        "--grid-p", "5", "--grid-n", "1", "--grid-t", "0", "--grid-beta", "0",
     ]
     for stem, n, brackets, sasaki_like in INPUTS:
         path = inputs_dir / f"{stem}.json"

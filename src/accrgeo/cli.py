@@ -14,6 +14,11 @@ soliton builders, so this module parses options and renders results but
 assembles no theorem. Exit codes: 0 all checks passed, 1 at least one
 residual above tolerance, 2 input or parse error.
 
+Each option is declared once, in OPTIONS, with the commands that take it
+and the sources (example1, example2, --input) that read it; the table
+builds the parser, RunConfig's options and grids, and the flag in every
+message. An option that the chosen source does not read exits 2.
+
 JSON output of every command comes from one writer, to_json: the bytes
 of json.dumps(payload, indent=2), without json's pure-Python indenting
 encoder, and an error rather than NaN or Infinity for a non-finite float.
@@ -69,18 +74,47 @@ def _fmt_res(value) -> str:
     return f"{float(value) + 0.0:.3e}"
 
 
-#: command-line flags of the options whose flag is not "--" + dest
-_OPTION_FLAGS = {
-    "k_prime": "--k-prime",
-    "psi_tilde": "--psi-tilde",
-    "lam": "--lambda",
-    "lam_tilde": "--lambda-tilde",
+#: every option a source reads, by name: (type, help, the commands that
+#: take it, the sources that read it). Its flag is "--" + name with "-" for
+#: "_", and sweep takes it as the grid --grid-<name> of comma-separated values
+OPTIONS = {
+    "p": (float, "scenario parameter p", "inspect soliton sweep", "example2"),
+    "q": (float, "scenario parameter q", "inspect soliton sweep", "example2"),
+    "beta": (float, "soliton parameter beta", "soliton sweep", "example1 example2 input"),
+    "t0": (float, "vertical evaluation point (example2)", "soliton sweep", "example2"),
+    "t": (float, "curve parameter (example1)", "soliton sweep", "example1"),
+    "n": (int, "contact dimension parameter (example1)", "soliton sweep", "example1"),
+    "k": (float, "vertical potential value", "soliton", "example2 input"),
+    "k_prime": (float, "xi-derivative of k", "soliton", "example2 input"),
+    "psi": (float, "conformal scalar for g", "soliton", "example1 input"),
+    "psi_tilde": (
+        float, "conformal scalar for the associated metric", "soliton", "example1 input"
+    ),
+    "lambda": (float, "soliton constant for g", "soliton", "example1 example2 input"),
+    "lambda_tilde": (
+        float, "soliton constant for the associated metric", "soliton", "example1 example2 input"
+    ),
+    "mu": (
+        float, "eta(.)eta coefficient of the single-metric equation", "soliton", "example2 input"
+    ),
+    "solve": (
+        bool,
+        "solve for the soliton constants instead of verifying given ones",
+        "soliton",
+        "example2 input",
+    ),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation parameters shared by all commands."""
+    """Validated invocation parameters shared by all commands. options and
+    grids are keyed by OPTIONS names; an option not given is None (False
+    for --solve), and a grid not given is absent."""
 
     command: str
     input_path: str = None
@@ -95,16 +129,23 @@ class RunConfig:
             raise ParseError(f"--tol must be a positive finite tolerance, got {self.tol}")
         if self.fmt not in ("text", "json"):
             raise ParseError(f"unknown format {self.fmt!r}")
+        # flag: (name, values) of every option and grid given
+        given = {
+            _flag(name): (name, [value])
+            for name, value in self.options.items()
+            if value is not None and value is not False
+        }
+        given.update((_flag(f"grid_{name}"), (name, grid)) for name, grid in self.grids.items())
         # a non-finite or overflowing value would reach the checks as a NaN
         # residual, or the JSON output as a non-finite float; NaN fails the
         # comparison too
-        values = [(_OPTION_FLAGS.get(name, f"--{name}"), v) for name, v in self.options.items()]
-        values += [(f"--grid-{name}", v) for name, grid in self.grids.items() for v in grid]
-        for flag, value in values:
-            if isinstance(value, float) and not abs(value) <= OPTION_LIMIT:
-                raise ParseError(
-                    f"{flag} must be finite and at most {OPTION_LIMIT:g} in magnitude, got {value}"
-                )
+        for flag, (_, values) in given.items():
+            for value in values:
+                if isinstance(value, float) and not abs(value) <= OPTION_LIMIT:
+                    raise ParseError(
+                        f"{flag} must be finite and at most {OPTION_LIMIT:g} in magnitude, "
+                        f"got {value}"
+                    )
         # the conformal formulas divide by 2n, and the carrier of dimension
         # 2n+1 is allocated only after this check
         n = self.options.get("n")
@@ -113,42 +154,30 @@ class RunConfig:
         for value in self.grids.get("n", ()):
             if not 1 <= value <= MAX_N:
                 raise ParseError(f"--grid-n values must be between 1 and {MAX_N}, got {value}")
+        if (self.input_path is None) == (self.scenario is None):
+            raise ParseError("exactly one of --input and --scenario is required")
+        # an unknown scenario is left to the command, which names it
+        source = "input" if self.scenario is None else self.scenario
+        if any(source in row[3].split() for row in OPTIONS.values()):
+            for flag, (name, _) in given.items():
+                _, _, commands, sources = OPTIONS[name]
+                if self.command not in commands.split() or source not in sources.split():
+                    where = "--input" if source == "input" else f"--scenario {source}"
+                    raise ParseError(f"{flag} is not read by {self.command} {where}")
+        if (self.options.get("k") is None) != (self.options.get("k_prime") is None):
+            raise ParseError("a vertical potential needs both --k and --k-prime")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
+        values = {name: getattr(args, name) for name in OPTIONS if hasattr(args, name)}
         grids = {}
-        for name in ("p", "q", "beta", "t0", "t", "n"):
-            raw = getattr(args, f"grid_{name}", None)
-            if raw is not None:
-                grids[name] = _parse_grid(raw, name)
-        options = {
-            name: getattr(args, name, None)
-            for name in (
-                "p",
-                "q",
-                "beta",
-                "t0",
-                "t",
-                "n",
-                "k",
-                "k_prime",
-                "psi",
-                "psi_tilde",
-                "lam",
-                "lam_tilde",
-                "mu",
-                "solve",
-            )
-        }
-        return cls(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            scenario=getattr(args, "scenario", None),
-            fmt=getattr(args, "format", "text"),
-            tol=getattr(args, "tol", None),
-            grids=grids,
-            options=options,
-        )
+        if args.command == "sweep":
+            grids = {
+                name: _parse_grid(raw, name) for name, raw in values.items() if raw is not None
+            }
+            values = {}
+        input_path = getattr(args, "input", None)
+        return cls(args.command, input_path, args.scenario, args.format, args.tol, grids, values)
 
 
 def _parse_grid(raw: str, name: str):
@@ -158,9 +187,9 @@ def _parse_grid(raw: str, name: str):
         if not piece:
             continue
         try:
-            values.append(int(piece) if name == "n" else float(piece))
+            values.append(OPTIONS[name][0](piece))
         except ValueError:
-            raise ParseError(f"--grid-{name}: {piece!r} is not a number") from None
+            raise ParseError(f"{_flag(f'grid_{name}')}: {piece!r} is not a number") from None
     return values
 
 
@@ -173,54 +202,32 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--input", help="path to a JSON manifold definition")
-        p.add_argument("--scenario", help="built-in scenario name (example1 | example2)")
+    for command, help_text in (
+        ("inspect", "validate and describe one manifold"),
+        ("soliton", "check the soliton equations at a point"),
+        ("sweep", "run a scenario over a parameter grid"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        if command != "sweep":
+            p.add_argument("--input", help="path to a JSON manifold definition")
+        p.add_argument(
+            "--scenario",
+            required=command == "sweep",
+            help="built-in scenario name (example1 | example2)",
+        )
         p.add_argument("--tol", type=float, help="override every check tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    inspect_p = sub.add_parser("inspect", help="validate and describe one manifold")
-    add_common(inspect_p)
-    inspect_p.add_argument("--p", type=float, help="scenario parameter p")
-    inspect_p.add_argument("--q", type=float, help="scenario parameter q")
-
-    soliton_p = sub.add_parser("soliton", help="check the soliton equations at a point")
-    add_common(soliton_p)
-    soliton_p.add_argument("--p", type=float, help="scenario parameter p")
-    soliton_p.add_argument("--q", type=float, help="scenario parameter q")
-    soliton_p.add_argument("--beta", type=float, help="soliton parameter beta")
-    soliton_p.add_argument("--t0", type=float, help="vertical evaluation point (example2)")
-    soliton_p.add_argument("--t", type=float, help="curve parameter (example1)")
-    soliton_p.add_argument("--n", type=int, help="contact dimension parameter (example1)")
-    soliton_p.add_argument("--k", type=float, help="vertical potential value")
-    soliton_p.add_argument("--k-prime", type=float, dest="k_prime", help="xi-derivative of k")
-    soliton_p.add_argument("--psi", type=float, help="conformal scalar for g")
-    soliton_p.add_argument(
-        "--psi-tilde", type=float, dest="psi_tilde", help="conformal scalar for the associated metric"
-    )
-    soliton_p.add_argument("--lambda", type=float, dest="lam", help="soliton constant for g")
-    soliton_p.add_argument(
-        "--lambda-tilde",
-        type=float,
-        dest="lam_tilde",
-        help="soliton constant for the associated metric",
-    )
-    soliton_p.add_argument("--mu", type=float, help="eta(.)eta coefficient of the single-metric equation")
-    soliton_p.add_argument(
-        "--solve", action="store_true", help="solve for the soliton constants instead of verifying given ones"
-    )
-
-    sweep_p = sub.add_parser("sweep", help="run a scenario over a parameter grid")
-    sweep_p.add_argument("--scenario", required=True, help="example1 | example2")
-    sweep_p.add_argument("--tol", type=float, help="override every check tolerance")
-    sweep_p.add_argument("--format", choices=("text", "json"), default="text")
-    for name in ("p", "q", "beta", "t0", "t", "n"):
-        sweep_p.add_argument(
-            f"--grid-{name}",
-            dest=f"grid_{name}",
-            help=f"comma-separated {name} values",
-        )
+        for name, (kind, help_text, commands, _) in OPTIONS.items():
+            if command not in commands.split():
+                continue
+            if command == "sweep":
+                p.add_argument(
+                    _flag(f"grid_{name}"), dest=name, help=f"comma-separated {name} values"
+                )
+            elif kind is bool:
+                p.add_argument(_flag(name), action="store_true", help=help_text)
+            else:
+                p.add_argument(_flag(name), type=kind, help=help_text)
     return parser
 
 
@@ -272,8 +279,6 @@ def _input_analysis(config: RunConfig):
 
 def cmd_inspect(config: RunConfig):
     """Structure validity, curvature table, scalars, classification, fit."""
-    if (config.input_path is None) == (config.scenario is None):
-        raise ParseError("exactly one of --input and --scenario is required")
     if config.input_path is not None:
         _, s, pkg, _, classification, assoc_pkg = _input_analysis(config)
     elif config.scenario != "example2":
@@ -330,18 +335,16 @@ def _nonzero_entries(a: np.ndarray) -> list:
 
 def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override=None):
     """The soliton payload of one report and its exit code."""
-    checks = []
-    for check in report.checks:
-        tol = check.tol if tol_override is None else tol_override
-        checks.append(
-            {
-                "name": check.name,
-                "residual": check.residual,
-                "tol": tol,
-                "passed": bool(check.residual < tol),
-                "note": check.note,
-            }
-        )
+    checks = [
+        {
+            "name": check.name,
+            "residual": check.residual,
+            "tol": check.tol if tol_override is None else tol_override,
+            "passed": bool(check.passes(tol_override)),
+            "note": check.note,
+        }
+        for check in report.checks
+    ]
     passed, _ = report.verdict(tol_override)
     payload = {
         "scenario": scenario,
@@ -355,20 +358,15 @@ def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override
 
 def cmd_soliton(config: RunConfig):
     opts = config.options
-    if (config.input_path is None) == (config.scenario is None):
-        raise ParseError("exactly one of --input and --scenario is required")
-
     if config.scenario == "example2":
         params = Example2Params(
             **{name: opts[name] for name in ("p", "q", "beta", "t0") if opts[name] is not None}
         )
         k = None
-        if opts["k"] is not None or opts["k_prime"] is not None:
-            if opts["k"] is None or opts["k_prime"] is None:
-                raise ParseError("a vertical potential needs both --k and --k-prime")
+        if opts["k"] is not None:
             k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
-        lam = None if opts["solve"] else opts["lam"]
-        lam_assoc = None if opts["solve"] else opts["lam_tilde"]
+        lam = None if opts["solve"] else opts["lambda"]
+        lam_assoc = None if opts["solve"] else opts["lambda_tilde"]
         used_k, row_lam, row_lam_assoc, report = example2_point(
             params, k=k, lam=lam, lam_assoc=lam_assoc, mu=opts["mu"]
         )
@@ -398,13 +396,9 @@ def cmd_soliton(config: RunConfig):
         n = opts["n"] if opts["n"] is not None else 2
         beta = opts["beta"] if opts["beta"] is not None else 0.0
         sums_override = None
-        if any(opts[name] is not None for name in ("psi", "psi_tilde", "lam", "lam_tilde")):
-            sums_override = (
-                opts["psi"] or 0.0,
-                opts["psi_tilde"] or 0.0,
-                opts["lam"] or 0.0,
-                opts["lam_tilde"] or 0.0,
-            )
+        names = ("psi", "psi_tilde", "lambda", "lambda_tilde")
+        if any(opts[name] is not None for name in names):
+            sums_override = tuple(opts[name] or 0.0 for name in names)
         point, report = example1_point(t, n, beta, sums_override=sums_override)
         scalars = {
             "t": point.t,
@@ -441,7 +435,7 @@ def _soliton_from_input(config: RunConfig):
         "tau_tilde": a.assoc_pkg.tau,
     }
 
-    vertical = opts["k"] is not None or opts["k_prime"] is not None
+    vertical = opts["k"] is not None
     conformal = opts["psi"] is not None or opts["psi_tilde"] is not None
     if vertical and conformal:
         raise ParseError("choose one potential kind: vertical (--k) or conformal (--psi)")
@@ -454,18 +448,16 @@ def _soliton_from_input(config: RunConfig):
     if conformal:
         psi = opts["psi"] or 0.0
         psi_assoc = opts["psi_tilde"] or 0.0
-        lam = opts["lam"] or 0.0
-        lam_assoc = opts["lam_tilde"] or 0.0
+        lam = opts["lambda"] or 0.0
+        lam_assoc = opts["lambda_tilde"] or 0.0
         scalars.update(
             {"psi": psi, "psi_tilde": psi_assoc, "lambda": lam, "lambda_tilde": lam_assoc}
         )
         report = conformal_report(a, beta, psi, psi_assoc, lam, lam_assoc)
     else:
-        if opts["k"] is None or opts["k_prime"] is None:
-            raise ParseError("a vertical potential needs both --k and --k-prime")
         k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
         scalars.update({"k": k.value, "k_prime": k.xi_derivative})
-        lam, lam_assoc = opts["lam"], opts["lam_tilde"]
+        lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
         if opts["mu"] is None:
             if opts["solve"]:
                 lam = lam_assoc = None

@@ -37,11 +37,14 @@ at the sums the theorem forces.
 
 example2 starts from the cached Analysis of its (p, q) (example2_state)
 and builds its vertical-potential checks with solitons.vertical_level and
-vertical_rows, the builders definition files use too; the scenario adds
-its closed-form checks. example1 builds its conformal checks with
-conformal_level and conformal_row, as soliton --input --psi does. Reports are assembled level by level, each check
-computed once per value of the parameters it depends on (see sweep), and
-a single-point report and a sweep row are built by the same helpers.
+vertical_rows, the builders definition files use too; vertical_rows
+solves the constants of each potential at all betas with the one solve,
+solitons.vertical_solutions, and the scenario adds its closed-form checks.
+example1 builds its conformal checks with conformal_level and
+conformal_row, as soliton --input --psi does. Reports are assembled level
+by level, each check computed once per value of the parameters it depends
+on (see sweep), and a single-point report and a sweep row are built by the
+same helpers.
 """
 
 from __future__ import annotations

@@ -30,8 +30,10 @@ vanishing factor.
 The report builders start from an Analysis. A vertical report is built
 in levels, so a sweep evaluates each check once per value of what it
 depends on: vertical_level holds the Lie derivatives of one potential,
-and vertical_rows solves and checks the equation for several potentials
-of one analysis, each at every beta in one array operation. The conformal
+vertical_solutions is the one solve of the constants a potential forces,
+at all of its betas, and vertical_rows checks the equation for several
+potentials of one analysis, each at every beta in one array operation.
+solve_vertical_soliton is vertical_solutions at one beta. The conformal
 theorem has the same shape: conformal_level holds the checks of one
 curvature point that are free of beta and the potential, and conformal_row
 builds the report at one beta for the sums psi + lam and
@@ -103,9 +105,14 @@ class Check(NamedTuple):
     tol: float = DEFAULT_TOL
     note: str = ""
 
+    def passes(self, tol: float = None) -> bool:
+        """residual < tol, against the check's own tolerance when tol is
+        None: the one rule that judges a check."""
+        return self.residual < (self.tol if tol is None else tol)
+
     @property
     def passed(self) -> bool:
-        return self.residual < self.tol
+        return self.passes()
 
     @classmethod
     def measure(
@@ -140,10 +147,6 @@ class TheoremReport:
     def add_note(self, text: str) -> None:
         self.notes.append(text)
 
-    def extend(self, other: "TheoremReport") -> None:
-        self.checks.extend(other.checks)
-        self.notes.extend(other.notes)
-
     def __getitem__(self, name: str) -> Check:
         for check in self.checks:
             if check.name == name:
@@ -157,13 +160,14 @@ class TheoremReport:
         """(passed, worst check), judging every check against tol when it is
         given and against its own tolerance otherwise.
 
-        A check passes when residual < tol. The worst check is the first one
-        with the largest residual / tol, None when there are no checks.
+        A check passes as Check.passes judges it. The worst check is the
+        first one with the largest residual / tol, None when there are no
+        checks.
         """
         passed, worst, worst_margin = True, None, None
         for check in self.checks:
             limit = check.tol if tol is None else tol
-            if not check.residual < limit:
+            if not check.passes(limit):
                 passed = False
             margin = check.residual / limit
             if worst is None or margin > worst_margin:
@@ -405,36 +409,25 @@ def solve_vertical_soliton(
     lam = 1 - k and lam_assoc = 1 + k with (tau, tau_assoc) constrained
     only through their sum. Returns (lam, lam_assoc, report); the report
     re-derives the constants through every independent identity the
-    theorem provides. vertical_rows, which evaluates many beta at one
-    analysis, is built from the same parts: vertical_scalar_sum_check and
-    ricci_reconstruction_check are free of beta, vertical_soliton_constants
-    is the rest.
+    theorem provides. This is vertical_solutions at one beta, then
+    ricci_reconstruction when a Ricci tensor and structure are given;
+    vertical_rows uses the same two parts for many beta.
     """
     if classification is not None:
         _require_sasaki_like(classification)
-    lam, lam_assoc, solution = vertical_soliton_constants(beta, k, tau, tau_assoc, n)
-    report = TheoremReport([vertical_scalar_sum_check(k.xi_derivative, tau, tau_assoc, n)])
-    report.extend(solution)
+    scalar_sum, (lam,), (lam_assoc,), (checks,), (notes,) = vertical_solutions(
+        k, tau, tau_assoc, n, (beta,)
+    )
+    report = TheoremReport([scalar_sum, *checks], notes)
     if ricci_tensor is not None and structure is not None:
-        report.checks.append(
-            ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
-        )
+        reconstruction = ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
+        report.checks.append(reconstruction)
     return lam, lam_assoc, report
 
 
 def _require_sasaki_like(classification: SasakiLikeResult) -> None:
     if not classification.is_sasaki_like:
         raise NotSasakiLike("the vertical-potential theorem needs a Sasaki-like structure")
-
-
-def vertical_scalar_sum_check(k_prime: float, tau: float, tau_assoc: float, n: int) -> Check:
-    """tau + tau_assoc = 4n(k' + n + 1), which holds at every beta."""
-    return Check.between(
-        "scalar_sum_from_k_derivative",
-        tau + tau_assoc,
-        4.0 * n * (k_prime + n + 1.0),
-        note="tau + tau_assoc = 4n(k' + n + 1)",
-    )
 
 
 def ricci_reconstruction_check(
@@ -454,46 +447,62 @@ def ricci_reconstruction_check(
     )
 
 
-def vertical_soliton_constants(
-    beta: float, k: VerticalScalar, tau: float, tau_assoc: float, n: int
-) -> tuple:
-    """(lam, lam_assoc, report) at one beta; see solve_vertical_soliton.
+_VERTICAL_BRANCH_NOTE = (
+    "beta at the branch point -1/(2n): scalar curvatures are not "
+    "separately determined, only their sum is constrained"
+)
 
-    The report holds the identities that involve the solved constants.
+
+def vertical_solutions(k: VerticalScalar, tau: float, tau_assoc: float, n: int, betas) -> tuple:
+    """The solve of solve_vertical_soliton for one potential at each of betas.
+
+    Returns (scalar_sum, lams, lam_assocs, checks, notes). scalar_sum is
+    the check tau + tau_assoc = 4n(k' + n + 1), which holds at every beta.
+    The lists hold, per beta, the solved constants, the checks that
+    involve them (only k_derivative_from_trace at the branch point) and a
+    fresh list of notes.
     """
-    report = TheoremReport()
-    factor = 1.0 + 2.0 * n * beta
-    degenerate = is_degenerate_beta(beta, n)
     k_prime = k.xi_derivative
-
-    if degenerate:
-        lam = 1.0 - k.value
-        lam_assoc = 1.0 + k.value
-        report.add_note(
-            "beta at the branch point -1/(2n): scalar curvatures are not "
-            "separately determined, only their sum is constrained"
-        )
-    else:
-        lam = 1.0 - k.value - tau * factor / (2.0 * n)
-        lam_assoc = 1.0 + k.value - tau_assoc * factor / (2.0 * n)
-
-    report.add(
-        "k_derivative_from_trace",
-        k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
-        note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
+    scalar_sum = Check.between(
+        "scalar_sum_from_k_derivative",
+        tau + tau_assoc,
+        4.0 * n * (k_prime + n + 1.0),
+        note="tau + tau_assoc = 4n(k' + n + 1)",
     )
-    if not degenerate:
-        report.add(
-            "k_derivative_consistency",
-            k_prime - (-(lam + lam_assoc - 2.0) / (2.0 * factor) - n - 1.0),
-            note="k' recovered from the solved constants",
+    lams, lam_assocs, checks, notes = [], [], [], []
+    for beta in betas:
+        factor = 1.0 + 2.0 * n * beta
+        degenerate = is_degenerate_beta(beta, n)
+        if degenerate:
+            lam, lam_assoc = 1.0 - k.value, 1.0 + k.value
+        else:
+            lam = 1.0 - k.value - tau * factor / (2.0 * n)
+            lam_assoc = 1.0 + k.value - tau_assoc * factor / (2.0 * n)
+        beta_checks = (
+            Check.measure(
+                "k_derivative_from_trace",
+                k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
+                note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
+            ),
         )
-        report.add(
-            "scalar_sum_from_lambdas",
-            tau + tau_assoc + 2.0 * n * (lam + lam_assoc - 2.0) / factor,
-            note="tau + tau_assoc recovered from the solved constants",
-        )
-    return lam, lam_assoc, report
+        if not degenerate:
+            beta_checks += (
+                Check.measure(
+                    "k_derivative_consistency",
+                    k_prime - (-(lam + lam_assoc - 2.0) / (2.0 * factor) - n - 1.0),
+                    note="k' recovered from the solved constants",
+                ),
+                Check.measure(
+                    "scalar_sum_from_lambdas",
+                    tau + tau_assoc + 2.0 * n * (lam + lam_assoc - 2.0) / factor,
+                    note="tau + tau_assoc recovered from the solved constants",
+                ),
+            )
+        lams.append(lam)
+        lam_assocs.append(lam_assoc)
+        checks.append(beta_checks)
+        notes.append([_VERTICAL_BRANCH_NOTE] if degenerate else [])
+    return scalar_sum, lams, lam_assocs, checks, notes
 
 
 def verify_conformal_theorem(
@@ -763,52 +772,43 @@ def vertical_rows(
                 rows.append((eta_lam, None, level.checks, check, list(notes)))
             by_level.append(rows)
             continue
+        count = len(betas)
         if solve:
-            solved = [
-                vertical_soliton_constants(beta, level.k, tau, tau_assoc, n) for beta in betas
-            ]
-            head = (
-                *level.checks,
-                vertical_scalar_sum_check(level.k.xi_derivative, tau, tau_assoc, n),
+            scalar_sum, solved_lams, solved_assocs, solved_checks, solved_notes = (
+                vertical_solutions(level.k, tau, tau_assoc, n, betas)
             )
         else:
-            solved = [(lam, lam_assoc, None)] * len(betas)
-        lams = [solved_lam if lam is None else lam for solved_lam, _, _ in solved]
-        lam_assocs = [
-            solved_lam_assoc if lam_assoc is None else lam_assoc
-            for _, solved_lam_assoc, _ in solved
-        ]
+            solved_lams, solved_assocs = [lam] * count, [lam_assoc] * count
+        lams = solved_lams if lam is None else [lam] * count
+        lam_assocs = solved_assocs if lam_assoc is None else [lam_assoc] * count
         norms = rb_like_residual_norms(
             pkg.ricci, level.lie_g, level.lie_assoc, s, betas, lams, lam_assocs, tau, tau_assoc
         )
-        for (solved_lam, solved_lam_assoc, solution), row_lam, row_lam_assoc, norm in zip(
-            solved, lams, lam_assocs, norms
-        ):
-            if solution is None:
-                checks, row_notes = level.checks, list(notes)
-            else:
-                # solving needs a Sasaki-like structure, which has no notes
-                checks = (*head, *solution.checks, reconstruction)
-                row_notes = solution.notes
-                if lam is not None or lam_assoc is not None:
-                    checks += (
-                        Check.between(
-                            "lambda_matches_solution",
-                            row_lam,
-                            solved_lam,
-                            tol=1e-10,
-                            note="supplied lam against the solved value",
-                        ),
-                        Check.between(
-                            "lambda_assoc_matches_solution",
-                            row_lam_assoc,
-                            solved_lam_assoc,
-                            tol=1e-10,
-                            note="supplied lam_assoc against the solved value",
-                        ),
-                    )
+        for i, norm in enumerate(norms):
             residual = Check.measure("soliton_residual", norm, tol=1e-10)
-            rows.append((row_lam, row_lam_assoc, checks, residual, row_notes))
+            if not solve:
+                rows.append((lams[i], lam_assocs[i], level.checks, residual, list(notes)))
+                continue
+            # solving needs a Sasaki-like structure, which has no notes
+            checks = (*level.checks, scalar_sum, *solved_checks[i], reconstruction)
+            if lam is not None or lam_assoc is not None:
+                checks += (
+                    Check.between(
+                        "lambda_matches_solution",
+                        lams[i],
+                        solved_lams[i],
+                        tol=1e-10,
+                        note="supplied lam against the solved value",
+                    ),
+                    Check.between(
+                        "lambda_assoc_matches_solution",
+                        lam_assocs[i],
+                        solved_assocs[i],
+                        tol=1e-10,
+                        note="supplied lam_assoc against the solved value",
+                    ),
+                )
+            rows.append((lams[i], lam_assocs[i], checks, residual, solved_notes[i]))
         by_level.append(rows)
     return by_level
 

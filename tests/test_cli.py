@@ -19,14 +19,17 @@ from accrgeo import (
     Frame,
     LieAlgebra,
     ManifoldDefinition,
+    VerticalScalar,
+    analyze,
     build_example2,
     flat_carrier_structure,
     save_definition,
     scenarios,
     solitons,
+    solve_vertical_soliton,
     sweep,
 )
-from accrgeo.cli import MAX_N, RunConfig, cmd_inspect, main, to_json
+from accrgeo.cli import MAX_N, OPTIONS, RunConfig, cmd_inspect, main, to_json
 from accrgeo.tensors import MAX_DIM
 
 from conftest import semidirect_constants
@@ -289,12 +292,10 @@ def test_input_soliton_conformal_branches(capsys, tmp_path, beta):
     # -1/(2n) is the branch point, -1/(2n+1) and 0 each skip one guarded
     # division; the semidirect file has rho = 4 eta(.)eta, which is not of
     # the Einstein-like form the theorem forces, so every branch fails
-    path = tmp_path / "semidirect-n2.json"
-    alg = LieAlgebra(Frame(5), semidirect_constants(2))
-    save_definition(ManifoldDefinition.from_structure(alg, flat_carrier_structure(2)), path)
+    path, _ = _semidirect_n2_file(tmp_path)
     code, out, _ = run(
         capsys,
-        "soliton", "--input", str(path), f"--beta={beta}", "--psi", "1", "--psi-tilde=-1",
+        "soliton", "--input", path, f"--beta={beta}", "--psi", "1", "--psi-tilde=-1",
         "--lambda", "0.5", "--lambda-tilde", "0.25", "--format", "json",
     )
     branch_checks, notes = _CONFORMAL_BRANCHES[beta]
@@ -483,7 +484,7 @@ def test_input_soliton_not_sasaki_like(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv,name",
     [
-        (("soliton", "--scenario", "example2", "--solve"), "vertical_soliton_constants"),
+        (("soliton", "--scenario", "example2", "--solve"), "vertical_solutions"),
         (("soliton", "--scenario", "example1"), "_example1_level"),
     ],
 )
@@ -501,6 +502,113 @@ def test_soliton_evaluates_once(capsys, monkeypatch, argv, name):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def _semidirect_n2_file(tmp_path):
+    """The Sasaki-like semidirect algebra on the dim-5 flat carrier, as a
+    definition file, with its analysis."""
+    path = tmp_path / "semidirect-n2.json"
+    alg = LieAlgebra(Frame(5), semidirect_constants(2))
+    s = flat_carrier_structure(2)
+    save_definition(ManifoldDefinition.from_structure(alg, s), path)
+    return str(path), analyze(alg, s)
+
+
+def _solve_span(checks):
+    """The (name, residual, tol, note) of checks from scalar_sum_from_k_derivative
+    through ricci_reconstruction."""
+    names = [check[0] for check in checks]
+    first = names.index("scalar_sum_from_k_derivative")
+    last = names.index("ricci_reconstruction")
+    return [tuple(check) for check in checks[first : last + 1]]
+
+
+@pytest.mark.parametrize("beta", [-0.25, -0.2, 0.0, 0.7])
+def test_rows_hold_the_checks_of_solve_vertical_soliton(capsys, tmp_path, beta):
+    # sweeps and --input solve a vertical potential through vertical_rows; a
+    # single point through solve_vertical_soliton: the same checks and notes
+    _, s, pkg, _, _, assoc_pkg = scenarios.example2_state(1.5, -2.0)
+    result = sweep("example2", p_grid=[1.5], q_grid=[-2.0], beta_grid=[beta], t0_grid=[-1, 2])
+    for row in result.rows:
+        k = VerticalScalar(-2.0 * row.params["t0"], -2.0)
+        _, _, single = solve_vertical_soliton(
+            beta, k, pkg.tau, assoc_pkg.tau, 2, ricci_tensor=pkg.ricci, structure=s
+        )
+        assert _solve_span(row.report.checks) == [tuple(c) for c in single.checks]
+        assert row.report.notes == single.notes
+
+    path, a = _semidirect_n2_file(tmp_path)
+    code, out, _ = run(
+        capsys,
+        "soliton", "--input", path, f"--beta={beta!r}", "--k", "0.5", "--k-prime=-2",
+        "--solve", "--format", "json",
+    )
+    payload = json.loads(out)
+    _, _, single = solve_vertical_soliton(
+        beta, VerticalScalar(0.5, -2.0), a.pkg.tau, a.assoc_pkg.tau, 2,
+        ricci_tensor=a.pkg.ricci, structure=a.s,
+    )
+    keys = ("name", "residual", "tol", "note")
+    listed = [tuple(check[key] for key in keys) for check in payload["checks"]]
+    assert code == 0
+    assert _solve_span(listed) == [tuple(c) for c in single.checks]
+    assert payload["notes"] == single.notes
+
+
+def _option_flag(command, name):
+    return ("--grid-" if command == "sweep" else "--") + name.replace("_", "-")
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (command, name)
+        for name, (kind, _, commands, _) in OPTIONS.items()
+        for command in commands.split()
+        if command == "sweep" or kind is float
+    ],
+)
+def test_nan_in_every_option_and_grid_exits_2(capsys, command, name):
+    scenario = next(source for source in OPTIONS[name][3].split() if source != "input")
+    flag = _option_flag(command, name)
+    code, out, err = run(capsys, command, "--scenario", scenario, f"{flag}=nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("soliton", "--scenario", "example2", "--psi", "1"),
+            "--psi is not read by soliton --scenario example2",
+        ),
+        (
+            ("soliton", "--scenario", "example1", "--k", "1", "--k-prime", "0"),
+            "--k is not read by soliton --scenario example1",
+        ),
+        (("inspect", "--input", "F", "--p", "3"), "--p is not read by inspect --input"),
+        (
+            (
+                "sweep", "--scenario", "example1",
+                "--grid-p", "5", "--grid-n", "1", "--grid-t", "0", "--grid-beta", "0",
+            ),
+            "--grid-p is not read by sweep --scenario example1",
+        ),
+        (
+            ("soliton", "--input", "F", "--k", "0.5", "--k-prime=-4", "--t0", "2", "--solve"),
+            "--t0 is not read by soliton --input",
+        ),
+    ],
+)
+def test_an_option_the_source_does_not_read_exits_2(capsys, tmp_path, argv, message):
+    path, _ = _semidirect_n2_file(tmp_path)
+    code, out, err = run(capsys, *(path if arg == "F" else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 _DIM3_CARRIER = {

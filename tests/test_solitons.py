@@ -238,6 +238,8 @@ def test_check_record():
     assert not check.passed
     measured = Check.measure("x", -1e-10, tol=1e-9, note="n")
     assert measured == Check("x", 1e-10, 1e-9, "n") and measured.passed
+    assert measured.passes(2e-10) and not measured.passes(1e-10)
+    assert check.passes(1e-8)
     assert type(measured.residual) is float
     report = TheoremReport()
     report.add("x", np.float64(-1e-10), tol=1e-9, note="n")
