@@ -8,9 +8,11 @@ The set covers every path from (algebra, structure) to a report:
   with supplied constants, a supplied potential, the single-metric
   equation and the two special betas;
 - example1 `soliton` at two curve points and with supplied scalars;
-- an option that `soliton --scenario example2` does not read (`--psi`)
-  and a grid that the example1 sweep does not read (`--grid-p`), which
-  exit 2;
+- an option that `soliton --scenario example2` does not read (`--psi`),
+  an option that `--solve` leaves unread (`--lambda`) and a grid that the
+  example1 sweep does not read (`--grid-p`), which exit 2;
+- the example1 sweep at t = 2.3565, next to the excluded t = 3 pi/4, which
+  marks that row degenerate;
 - `--input` files, written here from literals: example2 at (0, 0), the
   Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and the
   abelian dim-5 algebra on the same carrier, which is not Sasaki-like.
@@ -128,6 +130,11 @@ def commands(inputs_dir: Path):
     yield "sweep-ex1-unread-grid-p", [
         "sweep", "--scenario", "example1",
         "--grid-p", "5", "--grid-n", "1", "--grid-t", "0", "--grid-beta", "0",
+    ]
+    yield "soliton-ex2-solve-lambda", [*ex2, "--solve", "--lambda", "3"]
+    yield "sweep-ex1-near-excluded-t", [
+        "sweep", "--scenario", "example1", "--grid-t", "0,2.3565", "--grid-n", "2",
+        "--grid-beta", "0",
     ]
     for stem, n, brackets, sasaki_like in INPUTS:
         path = inputs_dir / f"{stem}.json"

@@ -17,7 +17,8 @@ residual above tolerance, 2 input or parse error.
 Each option is declared once, in OPTIONS, with the commands that take it
 and the sources (example1, example2, --input) that read it; the table
 builds the parser, RunConfig's options and grids, and the flag in every
-message. An option that the chosen source does not read exits 2.
+message. An option that the chosen source does not read exits 2, and so
+does an option that another given option leaves unread (UNREAD_WITH).
 
 JSON output of every command comes from one writer, to_json: the bytes
 of json.dumps(payload, indent=2), without json's pure-Python indenting
@@ -106,6 +107,17 @@ OPTIONS = {
 }
 
 
+#: the options that an option leaves unread, by name: --solve computes the
+#: constants, the single-metric equation (--mu) has no lambda_tilde, and a
+#: conformal potential is neither vertical nor solved
+UNREAD_WITH = {
+    "solve": "lambda lambda_tilde mu",
+    "mu": "lambda_tilde",
+    "psi": "k k_prime mu solve",
+    "psi_tilde": "k k_prime mu solve",
+}
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -159,11 +171,16 @@ class RunConfig:
         # an unknown scenario is left to the command, which names it
         source = "input" if self.scenario is None else self.scenario
         if any(source in row[3].split() for row in OPTIONS.values()):
+            where = "--input" if source == "input" else f"--scenario {source}"
             for flag, (name, _) in given.items():
                 _, _, commands, sources = OPTIONS[name]
                 if self.command not in commands.split() or source not in sources.split():
-                    where = "--input" if source == "input" else f"--scenario {source}"
                     raise ParseError(f"{flag} is not read by {self.command} {where}")
+                for other, unread in UNREAD_WITH.items():
+                    if _flag(other) in given and name in unread.split():
+                        raise ParseError(
+                            f"{flag} is not read by {self.command} {where} with {_flag(other)}"
+                        )
         if (self.options.get("k") is None) != (self.options.get("k_prime") is None):
             raise ParseError("a vertical potential needs both --k and --k-prime")
 
@@ -365,10 +382,8 @@ def cmd_soliton(config: RunConfig):
         k = None
         if opts["k"] is not None:
             k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
-        lam = None if opts["solve"] else opts["lambda"]
-        lam_assoc = None if opts["solve"] else opts["lambda_tilde"]
         used_k, row_lam, row_lam_assoc, report = example2_point(
-            params, k=k, lam=lam, lam_assoc=lam_assoc, mu=opts["mu"]
+            params, k=k, lam=opts["lambda"], lam_assoc=opts["lambda_tilde"], mu=opts["mu"]
         )
         _, _, pkg, _, _, assoc_pkg = example2_state(params.p, params.q)
         scalars = {
@@ -435,11 +450,9 @@ def _soliton_from_input(config: RunConfig):
         "tau_tilde": a.assoc_pkg.tau,
     }
 
-    vertical = opts["k"] is not None
+    # RunConfig has rejected --k with a conformal --psi or --psi-tilde
     conformal = opts["psi"] is not None or opts["psi_tilde"] is not None
-    if vertical and conformal:
-        raise ParseError("choose one potential kind: vertical (--k) or conformal (--psi)")
-    if not vertical and not conformal:
+    if not conformal and opts["k"] is None:
         raise ParseError(
             "no potential specified: pass --k/--k-prime (vertical) or "
             "--psi/--psi-tilde (conformal)"
@@ -458,14 +471,11 @@ def _soliton_from_input(config: RunConfig):
         k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
         scalars.update({"k": k.value, "k_prime": k.xi_derivative})
         lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
-        if opts["mu"] is None:
-            if opts["solve"]:
-                lam = lam_assoc = None
-            elif lam is None or lam_assoc is None:
-                raise ParseError(
-                    "pass --lambda and --lambda-tilde, or --solve, or --mu for "
-                    "the single-metric equation"
-                )
+        if opts["mu"] is None and not opts["solve"] and (lam is None or lam_assoc is None):
+            raise ParseError(
+                "pass --lambda and --lambda-tilde, or --solve, or --mu for "
+                "the single-metric equation"
+            )
         level = vertical_level(a, k)
         ((row,),) = vertical_rows(
             a, (level,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]

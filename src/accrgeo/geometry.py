@@ -50,13 +50,14 @@ from .errors import (
 )
 from .structure import AccRStructure
 from .tensors import (
-    DEFAULT_TOL,
     LINALG_TOL,
+    Check,
     Frame,
     MetricPair,
     Tensor,
     as_tensor,
     phi_trace,
+    require,
     trace_g,
 )
 
@@ -113,11 +114,12 @@ class LieAlgebra:
                 f"structure constants too large: max |c[k,i,j]| = {largest:.3e} "
                 f"exceeds {limit:.3e}, past which products overflow float64 at dim {d}"
             )
-        asym = float(np.max(np.abs(arr + np.swapaxes(arr, 1, 2))))
-        if not asym < LINALG_TOL:
-            raise AntisymmetryViolation(
-                f"c[k,i,j] + c[k,j,i] has residual {asym:.3e}"
-            )
+        require(
+            arr + np.swapaxes(arr, 1, 2),
+            "c[k,i,j] + c[k,j,i] has residual {residual:.3e}",
+            LINALG_TOL,
+            AntisymmetryViolation,
+        )
         # the Jacobiator runs in blocks of r, so no dim^4 array is built;
         # blocks run in order of r and a later block must exceed the largest
         # residual so far, so the first maximal (r, i, j, l) is reported
@@ -127,7 +129,7 @@ class LieAlgebra:
             block_max = float(_jacobiator_block(arr, r0, rows).max())
             if block_max > residual:
                 residual, worst_block = block_max, r0
-        if not residual < DEFAULT_TOL:
+        if not Check("Jacobi identity", residual).passed:
             jac = _jacobiator_block(arr, worst_block, rows)
             worst = np.unravel_index(np.argmax(jac), jac.shape)
             raise JacobiViolation(residual, tuple(int(i) for i in worst[1:]))
@@ -180,13 +182,10 @@ def levi_civita(alg: LieAlgebra, metric: MetricPair) -> Connection:
     gamma = (0.5 * (metric.inverse @ b.reshape(d * d, d).T)).reshape(d, d, d)
 
     torsion = gamma - np.swapaxes(gamma, 1, 2) - c
-    if not float(np.max(np.abs(torsion))) < DEFAULT_TOL:
-        raise GeometryError("Levi-Civita postcondition failed: torsion is nonzero")
+    require(torsion, "Levi-Civita postcondition failed: torsion is nonzero")
     # gl[i,j,k] = g(D_i e_j, e_k); metric compatibility is gl[i,j,k] + gl[i,k,j] = 0
     gl = (gamma.reshape(d, d * d).T @ g).reshape(d, d, d)
-    compat = gl + gl.transpose(0, 2, 1)
-    if not float(np.max(np.abs(compat))) < DEFAULT_TOL:
-        raise GeometryError("Levi-Civita postcondition failed: metric not parallel")
+    require(gl + gl.transpose(0, 2, 1), "Levi-Civita postcondition failed: metric not parallel")
     return Connection(alg.frame, Tensor(alg.frame, gamma))
 
 
@@ -228,37 +227,30 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
         np.matmul(c[:, i0 * d : i1 * d].T, gl, out=buf.reshape((i1 - i0) * d, d * d))
         low[i0:i1] -= buf
 
-    # the four symmetries, block by block in the same scratch
+    # the four symmetries, block by block in the same scratch; each takes
+    # its absolute value in place, so no check allocates
     message = "curvature symmetry postcondition failed"
     for i0 in range(0, d, rows):
         block, buf = low[i0 : i0 + rows], scratch[: min(rows, d - i0)]
         rows_j, rows_k = low[:, i0 : i0 + rows], low[:, :, i0 : i0 + rows]
-        _require_vanishing(np.add(block, rows_j.transpose(1, 0, 2, 3), out=buf), message)
-        _require_vanishing(np.add(block, block.transpose(0, 1, 3, 2), out=buf), message)
-        _require_vanishing(np.subtract(block, rows_k.transpose(2, 3, 0, 1), out=buf), message)
+        np.add(block, rows_j.transpose(1, 0, 2, 3), out=buf)
+        require(np.abs(buf, out=buf).max(), message)
+        np.add(block, block.transpose(0, 1, 3, 2), out=buf)
+        require(np.abs(buf, out=buf).max(), message)
+        np.subtract(block, rows_k.transpose(2, 3, 0, 1), out=buf)
+        require(np.abs(buf, out=buf).max(), message)
         np.add(block, rows_k.transpose(2, 0, 1, 3), out=buf)
         buf += rows_j.transpose(1, 2, 0, 3)
-        _require_vanishing(buf, message)
+        require(np.abs(buf, out=buf).max(), message)
     # frozen, low is handed to the Tensor without a copy
     low.setflags(write=False)
     return Tensor(alg.frame, low)
 
 
-def _require_vanishing(buf: np.ndarray, message: str) -> None:
-    """Raise GeometryError(message) unless max |buf| < DEFAULT_TOL.
-
-    buf is overwritten with its absolute values.
-    """
-    np.abs(buf, out=buf)
-    if not float(buf.max()) < DEFAULT_TOL:
-        raise GeometryError(message)
-
-
 def ricci(riem: Tensor, metric: MetricPair) -> Tensor:
     """Ricci tensor rho_jk = g^il R_ijkl; symmetry is asserted."""
     rho = np.einsum("il,ijkl->jk", metric.inverse, riem.data)
-    if not float(np.max(np.abs(rho - rho.T))) < DEFAULT_TOL:
-        raise GeometryError("Ricci postcondition failed: not symmetric")
+    require(rho - rho.T, "Ricci postcondition failed: not symmetric")
     return Tensor(riem.frame, rho)
 
 
@@ -298,13 +290,10 @@ def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
     )
     nabla_xi = conn.derivative_of_field(xi)
     reeb_link = f_xi_last @ phi - nabla_xi.T @ g
-    for name, arr in (
-        ("last-two-slot symmetry", f - f.transpose(0, 2, 1)),
-        ("phi-recomposition", f - recompose),
-        ("Reeb-derivative link", reeb_link),
-    ):
-        if not float(np.max(np.abs(arr))) < DEFAULT_TOL:
-            raise GeometryError(f"fundamental tensor postcondition failed: {name}")
+    message = "fundamental tensor postcondition failed: "
+    require(f - f.transpose(0, 2, 1), message + "last-two-slot symmetry")
+    require(f - recompose, message + "phi-recomposition")
+    require(reeb_link, message + "Reeb-derivative link")
     return Tensor(s.frame, f)
 
 
@@ -323,28 +312,21 @@ def classify_sasaki_like(
     closed_form = np.einsum("ij,k->ijk", phi_pullback, eta) + np.einsum(
         "ik,j->ijk", phi_pullback, eta
     )
-    residual = float(np.max(np.abs(F.data - closed_form)))
-    flag = residual < DEFAULT_TOL
-    if flag:
-        n = s.n
+    test = Check.measure("Sasaki-like", F.data - closed_form)
+    if test.passed:
         if conn is not None:
             reeb = conn.derivative_of_field(s.xi.data) + phi
-            if not float(np.max(np.abs(reeb))) < DEFAULT_TOL:
-                raise GeometryError(
-                    "Sasaki-like consequence failed: D_x xi != -phi x"
-                )
+            require(reeb, "Sasaki-like consequence failed: D_x xi != -phi x")
         if ricci_tensor is not None:
-            line = ricci_tensor.data @ s.xi.data - 2 * n * eta
-            if not float(np.max(np.abs(line))) < DEFAULT_TOL:
-                raise GeometryError(
-                    "Sasaki-like consequence failed: rho(., xi) != 2n eta"
-                )
-    return SasakiLikeResult(is_sasaki_like=flag, residual=residual)
+            line = ricci_tensor.data @ s.xi.data - 2 * s.n * eta
+            require(line, "Sasaki-like consequence failed: rho(., xi) != 2n eta")
+    return SasakiLikeResult(is_sasaki_like=test.passed, residual=test.residual)
 
 
 def reeb_derivative_residual(conn: Connection, s: AccRStructure) -> float:
     """max |D_x xi + phi x|; zero characterizes the Sasaki-like connection action."""
-    return float(np.max(np.abs(conn.derivative_of_field(s.xi.data) + s.phi.data)))
+    reeb = conn.derivative_of_field(s.xi.data) + s.phi.data
+    return Check.measure("reeb_derivative", reeb).residual
 
 
 class Analysis(NamedTuple):

@@ -40,6 +40,9 @@ builds the report at one beta for the sums psi + lam and
 psi_assoc + lam_assoc. verify_conformal_theorem and conformal_report are
 one row of one level, and example1 builds a level per curve point. Both
 scenarios and definition files go through these builders.
+
+A report's checks are tensors.Check (re-exported here), built from a
+number or an array by Check.measure or TheoremReport.add.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .errors import (
 )
 from .geometry import Analysis, Connection, SasakiLikeResult
 from .structure import AccRStructure
-from .tensors import DEFAULT_TOL, MetricPair, Tensor, max_abs, phi_trace, trace_g
+from .tensors import DEFAULT_TOL, Check, MetricPair, Tensor, phi_trace, require, trace_g
 
 #: |beta + 1/(2n)| below this routes to the degenerate branch
 DEGENERATE_BETA_TOL = 1e-9
@@ -92,48 +95,6 @@ class SolitonSpec:
     mu: float = None
 
 
-class Check(NamedTuple):
-    """One named residual compared against one tolerance.
-
-    A NamedTuple because a sweep builds thousands of checks: a tuple is
-    built in one step, where a frozen dataclass would set each field
-    through object.__setattr__.
-    """
-
-    name: str
-    residual: float
-    tol: float = DEFAULT_TOL
-    note: str = ""
-
-    def passes(self, tol: float = None) -> bool:
-        """residual < tol, against the check's own tolerance when tol is
-        None: the one rule that judges a check."""
-        return self.residual < (self.tol if tol is None else tol)
-
-    @property
-    def passed(self) -> bool:
-        return self.passes()
-
-    @classmethod
-    def measure(
-        cls, name: str, residual: float, tol: float = DEFAULT_TOL, note: str = ""
-    ) -> "Check":
-        """The check of |residual| against tol."""
-        return cls(name, abs(float(residual)), tol, note)
-
-    @classmethod
-    def between(
-        cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""
-    ) -> "Check":
-        """The check of max |computed - expected| against tol, for two floats
-        or two arrays of one shape: the one form of every check of a computed
-        value against its closed form."""
-        difference = computed - expected
-        if isinstance(difference, np.ndarray):
-            difference = np.max(np.abs(difference))
-        return cls(name, abs(float(difference)), tol, note)
-
-
 @dataclass
 class TheoremReport:
     """An ordered list of checks plus free-form notes."""
@@ -141,7 +102,7 @@ class TheoremReport:
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def add(self, name: str, residual: float, tol: float = DEFAULT_TOL, note: str = "") -> None:
+    def add(self, name: str, residual, tol: float = DEFAULT_TOL, note: str = "") -> None:
         self.checks.append(Check.measure(name, residual, tol, note))
 
     def add_note(self, text: str) -> None:
@@ -256,7 +217,7 @@ def rb_like_residual_norms(
     tau: float,
     tau_assoc: float,
 ) -> np.ndarray:
-    """max_abs of rb_like_residual for each entry of the equal-length
+    """max |rb_like_residual| for each entry of the equal-length
     sequences beta, lam and lam_assoc, evaluated in one array operation."""
     lhs = _rb_like_lhs(
         ricci_tensor,
@@ -342,11 +303,11 @@ def einstein_like_fit(ricci_tensor: Tensor, s: AccRStructure) -> EinsteinLikeFit
     # prefer exact zeros when they decompose rho just as well: the
     # sub-class labels below depend on which coefficients vanish
     snapped = np.where(np.abs(coeffs) < DEFAULT_TOL, 0.0, coeffs)
-    if float(np.max(np.abs(ricci_tensor.data - recompose(snapped)))) < DEFAULT_TOL:
+    if Check.measure("snapped", ricci_tensor.data - recompose(snapped)).passed:
         coeffs = snapped
     a, b, c = coeffs
-    residual = float(np.max(np.abs(ricci_tensor.data - recompose(coeffs))))
-    exact = residual < DEFAULT_TOL
+    fit = Check.measure("fit", ricci_tensor.data - recompose(coeffs))
+    residual, exact = fit.residual, fit.passed
     if not exact:
         kind = "not_einstein_like"
     elif abs(b) < DEFAULT_TOL and abs(c) < DEFAULT_TOL:
@@ -361,10 +322,10 @@ def einstein_like_fit(ricci_tensor: Tensor, s: AccRStructure) -> EinsteinLikeFit
     tau_star = phi_trace(ricci_tensor, s.g, s.phi)
     tau_residual = abs(tau - ((2 * n + 1) * a + b + c))
     tau_star_residual = abs(tau_star + 2 * n * b)
-    if exact and not (tau_residual < DEFAULT_TOL and tau_star_residual < DEFAULT_TOL):
-        raise GeometryError(
-            "Einstein-like fit trace consequences failed on an exact decomposition"
-        )
+    if exact:
+        message = "Einstein-like fit trace consequences failed on an exact decomposition"
+        require(tau_residual, message)
+        require(tau_star_residual, message)
     return EinsteinLikeFit(
         a=float(a),
         b=float(b),
@@ -580,7 +541,7 @@ def conformal_level(
     )
     einstein_like = Check.measure(
         "ricci_einstein_like",
-        float(np.max(np.abs(einstein_form))),
+        einstein_form,
         note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
     )
     tau_star = phi_trace(ricci_tensor, structure.g, structure.phi)
@@ -680,7 +641,7 @@ def conformal_row(
         )
         report.add(
             "ricci_from_soliton_coeffs",
-            float(np.max(np.abs(soliton_form))),
+            soliton_form,
             note="rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0",
         )
     report.checks.extend(level.tail)
@@ -767,8 +728,8 @@ def vertical_rows(
             eta_lam = 0.0 if lam is None else lam
             for beta in betas:
                 spec = SolitonSpec(beta=beta, lam=eta_lam, mu=mu)
-                residual = max_abs(eta_rb_residual(pkg.ricci, level.lie_g, s, spec, tau))
-                check = Check.measure("eta_soliton_residual", residual, tol=1e-10)
+                lhs = eta_rb_residual(pkg.ricci, level.lie_g, s, spec, tau)
+                check = Check.measure("eta_soliton_residual", lhs.data, tol=1e-10)
                 rows.append((eta_lam, None, level.checks, check, list(notes)))
             by_level.append(rows)
             continue
@@ -826,5 +787,5 @@ def conformal_report(
     lie_g = Tensor(s.frame, 2.0 * psi * s.g.matrix)
     lie_assoc = Tensor(s.frame, 2.0 * psi_assoc * s.g_assoc.matrix)
     lhs = rb_like_residual(pkg.ricci, lie_g, lie_assoc, s, spec, pkg.tau, tau_assoc)
-    report.add("soliton_residual", max_abs(lhs), tol=1e-10)
+    report.add("soliton_residual", lhs.data, tol=1e-10)
     return report

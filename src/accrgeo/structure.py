@@ -31,7 +31,7 @@ from .errors import (
     StructureViolation,
     WrongSignature,
 )
-from .tensors import DEFAULT_TOL, Frame, MetricPair, Tensor, as_tensor, invert_metric
+from .tensors import Check, Frame, MetricPair, Tensor, as_tensor, invert_metric
 
 #: eigenvalues inside this band around zero mean a degenerate metric
 SIGNATURE_TOL = 1e-9
@@ -107,27 +107,17 @@ def validate_structure(phi, xi, eta, g, frame: Frame) -> AccRStructure:
         raise WrongSignature(f"metric signature {sig} instead of ({n + 1}, {n})")
 
     phi_m, xi_v, eta_v, g_m = phi.data, xi.data, eta.data, g.data
-    ident = np.eye(frame.dim)
-    violations = []
-
-    def check(name, residual_array):
-        residual = float(np.max(np.abs(np.asarray(residual_array))))
-        if not residual < DEFAULT_TOL:
-            violations.append((name, residual))
-
-    check("phi(xi) = 0", phi_m @ xi_v)
-    check("phi^2 = -id + eta(.)xi", phi_m @ phi_m + ident - np.outer(xi_v, eta_v))
-    check("eta(phi(.)) = 0", eta_v @ phi_m)
-    check("eta(xi) = 1", eta_v @ xi_v - 1.0)
-    check(
-        "g(phi.,phi.) = -g + eta(.)eta",
-        phi_m.T @ g_m @ phi_m + g_m - np.outer(eta_v, eta_v),
+    _require_identities(
+        {
+            "phi(xi) = 0": phi_m @ xi_v,
+            "phi^2 = -id + eta(.)xi": phi_m @ phi_m + np.eye(frame.dim) - np.outer(xi_v, eta_v),
+            "eta(phi(.)) = 0": eta_v @ phi_m,
+            "eta(xi) = 1": eta_v @ xi_v - 1.0,
+            "g(phi.,phi.) = -g + eta(.)eta": phi_m.T @ g_m @ phi_m + g_m - np.outer(eta_v, eta_v),
+            "g(phi.,.) = g(.,phi.)": phi_m.T @ g_m - g_m @ phi_m,
+            "g(.,xi) = eta": g_m @ xi_v - eta_v,
+        }
     )
-    check("g(phi.,.) = g(.,phi.)", phi_m.T @ g_m - g_m @ phi_m)
-    check("g(.,xi) = eta", g_m @ xi_v - eta_v)
-    if violations:
-        raise StructureViolation(violations)
-
     g_assoc = associated_metric_from_parts(g, phi, eta)
     return AccRStructure(frame=frame, phi=phi, xi=xi, eta=eta, g=metric, g_assoc=g_assoc)
 
@@ -141,14 +131,20 @@ def associated_metric_from_parts(g: Tensor, phi: Tensor, eta: Tensor) -> MetricP
     """
     eta_outer = np.outer(eta.data, eta.data)
     assoc = g.data @ phi.data + eta_outer
-    violations = []
-    asym = float(np.max(np.abs(assoc - assoc.T)))
-    if not asym < DEFAULT_TOL:
-        violations.append(("g_assoc symmetric", asym))
-    b_metric = float(np.max(np.abs(phi.data.T @ assoc @ phi.data + assoc - eta_outer)))
-    if not b_metric < DEFAULT_TOL:
-        violations.append(("g_assoc(phi.,phi.) = -g_assoc + eta(.)eta", b_metric))
-    if violations:
-        raise StructureViolation(violations)
+    _require_identities(
+        {
+            "g_assoc symmetric": assoc - assoc.T,
+            "g_assoc(phi.,phi.) = -g_assoc + eta(.)eta": (
+                phi.data.T @ assoc @ phi.data + assoc - eta_outer
+            ),
+        }
+    )
     return invert_metric(Tensor(g.frame, 0.5 * (assoc + assoc.T)))
 
+
+def _require_identities(residuals: dict) -> None:
+    """Raise one StructureViolation naming every identity whose Check fails."""
+    checks = [Check.measure(name, residual) for name, residual in residuals.items()]
+    failed = [(check.name, check.residual) for check in checks if not check.passed]
+    if failed:
+        raise StructureViolation(failed)

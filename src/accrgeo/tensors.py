@@ -1,4 +1,4 @@
-"""Dense tensors over a fixed odd-dimensional frame.
+"""Dense tensors over a fixed odd-dimensional frame, and the one check rule.
 
 Everything downstream works with dense float64 arrays of dimension 2n+1
 (n = 2 for the paper's examples, up to about n = 16, dim 33, for
@@ -6,15 +6,20 @@ definition files). Tensor is only a holder: it checks that an array's
 shape matches its frame and keeps the array frozen. It has no arithmetic;
 every formula is written on the arrays (.data, or .matrix of a
 MetricPair), and a result the caller hands out is wrapped once.
+
+Every residual in the package is judged here: Check.passes is the one
+comparison, report checks are Checks, and every internal postcondition is
+one call of require.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMetric, DimensionMismatch, NotSymmetric
+from .errors import DegenerateMetric, DimensionMismatch, GeometryError, NotSymmetric
 
 #: default residual tolerance for identity checks
 DEFAULT_TOL = 1e-9
@@ -24,6 +29,55 @@ LINALG_TOL = 1e-12
 #: file; inspect holds about 2.4 dense dim^4 float64 arrays at its peak,
 #: 0.33 GB at dim 65 (0.83 GB for a single array at dim 101)
 MAX_DIM = 65
+
+
+class Check(NamedTuple):
+    """One named residual compared against one tolerance.
+
+    A NamedTuple because a sweep builds thousands of checks: a tuple is
+    built in one step, where a frozen dataclass would set each field
+    through object.__setattr__.
+    """
+
+    name: str
+    residual: float
+    tol: float = DEFAULT_TOL
+    note: str = ""
+
+    def passes(self, tol: float = None) -> bool:
+        """residual < tol, against the check's own tolerance when tol is
+        None: the one rule that judges a check. A NaN residual fails."""
+        return self.residual < (self.tol if tol is None else tol)
+
+    @property
+    def passed(self) -> bool:
+        return self.passes()
+
+    @classmethod
+    def measure(cls, name: str, residual, tol: float = DEFAULT_TOL, note: str = "") -> "Check":
+        """The check of a number or an array against tol: its residual is
+        max |residual|, 0.0 for an empty array."""
+        if isinstance(residual, np.ndarray):
+            residual = np.max(np.abs(residual)) if residual.size else 0.0
+        return cls(name, abs(float(residual)), tol, note)
+
+    @classmethod
+    def between(
+        cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""
+    ) -> "Check":
+        """Check.measure of computed - expected: the one form of every check
+        of a computed value against its closed form."""
+        return cls.measure(name, computed - expected, tol, note)
+
+
+def require(residual, message: str, tol: float = DEFAULT_TOL, error=GeometryError) -> float:
+    """The residual of Check.measure(message, residual, tol); unless the check
+    passes, raise error(message), with the fields {residual} and {tol}
+    of message filled in."""
+    check = Check.measure(message, residual, tol)
+    if not check.passes():
+        raise error(message.format(residual=check.residual, tol=tol))
+    return check.residual
 
 
 @dataclass(frozen=True)
@@ -122,20 +176,21 @@ def invert_metric(g: Tensor) -> MetricPair:
     if g.rank != 2:
         raise DimensionMismatch(f"metric must have rank 2, got rank {g.rank}")
     mat = g.data
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if not asym < LINALG_TOL:
-        raise NotSymmetric(f"metric asymmetry {asym:.3e} exceeds {LINALG_TOL}")
+    require(
+        mat - mat.T, "metric asymmetry {residual:.3e} exceeds {tol}", LINALG_TOL, NotSymmetric
+    )
     dim = g.frame.dim
     try:
         inv = np.linalg.solve(mat, np.eye(dim))
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetric(f"metric is singular: {exc}") from None
     inv = 0.5 * (inv + inv.T)
-    resid = float(np.max(np.abs(mat @ inv - np.eye(dim))))
-    if not resid < LINALG_TOL:
-        raise DegenerateMetric(
-            f"metric too ill-conditioned to invert: identity residual {resid:.3e}"
-        )
+    require(
+        mat @ inv - np.eye(dim),
+        "metric too ill-conditioned to invert: identity residual {residual:.3e}",
+        LINALG_TOL,
+        DegenerateMetric,
+    )
     return MetricPair(Tensor(g.frame, mat), Tensor(g.frame, inv))
 
 
@@ -151,13 +206,6 @@ def phi_trace(tensor: Tensor, metric: MetricPair, phi: Tensor) -> float:
     if phi.rank != 2 or phi.frame != tensor.frame:
         raise DimensionMismatch("endomorphism must be rank 2 on the same frame")
     return float(np.einsum("ij,ik,kj->", metric.inverse, tensor.data, phi.data))
-
-
-def max_abs(tensor: Tensor) -> float:
-    """Largest absolute component; the residual norm used everywhere."""
-    if tensor.data.size == 0:
-        return 0.0
-    return float(np.max(np.abs(tensor.data)))
 
 
 def _require_rank2_on_frame(tensor: Tensor, metric: MetricPair) -> None:

@@ -124,6 +124,20 @@ def test_sweep_degenerate_row_marked(capsys):
     assert "degenerate = 1" in out
 
 
+def test_sweep_next_to_the_excluded_t_marks_one_degenerate_row(capsys):
+    # |sqrt2 + cos t - sin t| is 6.6e-8 at t = 2.3565: both scalar-curvature
+    # routes are dominated by rounding there, and the point is excluded
+    code, out, err = run(
+        capsys,
+        "sweep", "--scenario", "example1", "--format", "json",
+        "--grid-t", "0,2.3565", "--grid-n", "2", "--grid-beta", "0",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["summary"] == {"rows": 2, "pass": 1, "fail": 0, "degenerate": 1}
+    assert [row["degenerate"] for row in payload["rows"]] == [False, True]
+
+
 def test_sweep_json_stable_fields(capsys):
     code, out, _ = run(
         capsys,
@@ -601,6 +615,50 @@ def test_nan_in_every_option_and_grid_exits_2(capsys, command, name):
             ("soliton", "--input", "F", "--k", "0.5", "--k-prime=-4", "--t0", "2", "--solve"),
             "--t0 is not read by soliton --input",
         ),
+        # an option that another given option leaves unread
+        (
+            ("soliton", "--input", "F", "--psi", "1", "--mu", "2"),
+            "--mu is not read by soliton --input with --psi",
+        ),
+        (
+            ("soliton", "--input", "F", "--psi", "1", "--solve"),
+            "--solve is not read by soliton --input with --psi",
+        ),
+        (
+            ("soliton", "--scenario", "example2", "--solve", "--lambda", "3"),
+            "--lambda is not read by soliton --scenario example2 with --solve",
+        ),
+        (
+            ("soliton", "--input", "F", "--k", "0.5", "--k-prime=-4", "--solve", "--lambda", "9"),
+            "--lambda is not read by soliton --input with --solve",
+        ),
+        (
+            ("soliton", "--scenario", "example2", "--mu=-4", "--lambda-tilde", "7"),
+            "--lambda-tilde is not read by soliton --scenario example2 with --mu",
+        ),
+        (
+            ("soliton", "--input", "F", "--k", "0", "--k-prime", "0", "--mu=-4",
+             "--lambda-tilde", "7"),
+            "--lambda-tilde is not read by soliton --input with --mu",
+        ),
+        (
+            ("soliton", "--scenario", "example2", "--mu=-4", "--lambda", "0.5", "--solve"),
+            "--lambda is not read by soliton --scenario example2 with --solve",
+        ),
+        (
+            ("soliton", "--input", "F", "--k", "0", "--k-prime", "0", "--mu=-4",
+             "--lambda", "0.5", "--solve"),
+            "--lambda is not read by soliton --input with --solve",
+        ),
+        (
+            ("soliton", "--scenario", "example2", "--solve", "--mu=-4", "--lambda", "3",
+             "--k", "0", "--k-prime", "0"),
+            "--lambda is not read by soliton --scenario example2 with --solve",
+        ),
+        (
+            ("soliton", "--input", "F", "--psi", "0", "--k", "1", "--k-prime", "0"),
+            "--k is not read by soliton --input with --psi",
+        ),
     ],
 )
 def test_an_option_the_source_does_not_read_exits_2(capsys, tmp_path, argv, message):
@@ -667,8 +725,8 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, tmp_path, case, message
     [
         # with --lambda alone the report solves lambda_tilde = -2(t0 + 2 beta) = -2
         (("--lambda", "2"), "lambda_tilde"),
-        # --solve with --mu evaluates the single-metric residual at lambda = 0
-        (("--solve", "--mu=-4", "--lambda", "3", "--k", "0", "--k-prime", "0"), "lambda"),
+        # --mu alone evaluates the single-metric residual at lambda = 0
+        (("--mu=-4", "--k", "0", "--k-prime", "0"), "lambda"),
     ],
 )
 def test_soliton_prints_the_constants_the_report_used(capsys, argv, key):

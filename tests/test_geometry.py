@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from accrgeo import (
+    Check,
     Connection,
     Frame,
     LieAlgebra,
@@ -22,8 +23,15 @@ from accrgeo import (
     ricci,
     riemann,
     trace_g,
+    validate_structure,
 )
-from accrgeo.errors import AntisymmetryViolation, GeometryError, JacobiViolation
+from accrgeo.errors import (
+    AntisymmetryViolation,
+    GeometryError,
+    JacobiViolation,
+    NotSymmetric,
+    StructureViolation,
+)
 from accrgeo.geometry import _block_rows
 from accrgeo.tensors import MetricPair
 
@@ -423,3 +431,39 @@ def test_ricci_reeb_line(ex2_structures):
         pkg = curvature_package(alg, s.g, s.phi)
         line = pkg.ricci.data @ s.xi.data - 2.0 * s.n * s.eta.data
         assert np.max(np.abs(line)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "layer,error,marker",
+    [
+        ("invert_metric", NotSymmetric, "metric asymmetry"),
+        ("validate_structure", StructureViolation, "phi(xi) = 0"),
+        ("LieAlgebra", AntisymmetryViolation, "c[k,i,j] + c[k,j,i]"),
+        ("LieAlgebra", JacobiViolation, "Jacobi identity"),
+        ("levi_civita", GeometryError, "metric not parallel"),
+        ("riemann", GeometryError, "curvature symmetry"),
+        ("ricci", GeometryError, "Ricci postcondition"),
+        ("fundamental_tensor", GeometryError, "phi-recomposition"),
+    ],
+)
+def test_every_postcondition_is_judged_by_check_passes(monkeypatch, layer, error, marker):
+    # Check.passes rejects the checks named after the marker, and only the
+    # layer that states that postcondition raises, with its own error
+    a = example2_state(1.0, 0.5)
+    s, conn, metric = a.s, a.pkg.conn, a.s.g
+    calls = {
+        "invert_metric": lambda: invert_metric(metric.g),
+        "validate_structure": lambda: validate_structure(s.phi, s.xi, s.eta, metric.g, s.frame),
+        "LieAlgebra": lambda: LieAlgebra(s.frame, a.alg.c),
+        "levi_civita": lambda: levi_civita(a.alg, metric),
+        "riemann": lambda: riemann(conn, a.alg, metric),
+        "ricci": lambda: ricci(a.pkg.riemann, metric),
+        "fundamental_tensor": lambda: fundamental_tensor(conn, s),
+    }
+    calls[layer]()
+    monkeypatch.setattr(Check, "passes", lambda self, tol=None: marker not in self.name)
+    with pytest.raises(error) as err:
+        calls[layer]()
+    assert type(err.value) is error
+    if error is not JacobiViolation:
+        assert marker in str(err.value)

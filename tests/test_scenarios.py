@@ -124,6 +124,7 @@ def test_example1_degenerate_t_raises():
     st.integers(min_value=1, max_value=5),
 )
 @example(t=2.359375, n=1)
+@example(t=2.3565, n=2)
 def test_example1_curve_constraint(t, n):
     try:
         point = example1_curve(t, n, 0.0)

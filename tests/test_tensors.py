@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accrgeo import (
+    Check,
     DimensionMismatch,
     Frame,
     Tensor,
     invert_metric,
-    max_abs,
     phi_trace,
     trace_g,
 )
-from accrgeo.errors import DegenerateMetric, NotSymmetric
+from accrgeo.errors import DegenerateMetric, GeometryError, NotSymmetric
 from accrgeo.geometry import LieAlgebra
-from accrgeo.tensors import as_tensor
+from accrgeo.tensors import DEFAULT_TOL, as_tensor, require
 
 
 def test_frame_requires_odd_dimension():
@@ -80,8 +80,9 @@ def test_tensor_arithmetic_and_scalars():
     # a Tensor only holds its array: formulas are written on .data
     f = Frame(3)
     a = Tensor(f, -2.0 * np.eye(3))
-    assert max_abs(a) == 2.0
-    assert max_abs(Tensor(f, np.zeros((3, 3)))) == 0.0
+    assert Check.measure("a", a.data).residual == 2.0
+    assert Check.measure("zero", np.zeros((3, 3))).residual == 0.0
+    assert Check.measure("empty", np.zeros((0, 3))).residual == 0.0
     with pytest.raises(TypeError):
         a + a  # noqa: B018
 
@@ -140,3 +141,22 @@ def test_traces_on_known_metric():
     # phi-twisted trace of the metric vanishes: phi maps the two
     # eigenblocks of g into each other
     assert phi_trace(g.g, g, Tensor(f, phi)) == pytest.approx(0.0)
+
+
+def test_require_returns_the_residual_or_raises_with_it():
+    assert require(np.array([[1e-10, -3e-10]]), "unused") == 3e-10
+    assert require(-0.5, "unused", tol=1.0) == 0.5
+    assert type(require(np.float64(0.0), "unused")) is float
+    with pytest.raises(GeometryError, match=r"^off by 2.000e-09 against 1e-09$"):
+        require(np.array([-2e-9]), "off by {residual:.3e} against {tol}")
+    with pytest.raises(NotSymmetric, match=r"^plain$"):
+        require(1.0, "plain", tol=0.5, error=NotSymmetric)
+
+
+def test_nan_residual_fails_the_rule():
+    check = Check.measure("nan", np.array([0.0, np.nan]))
+    assert np.isnan(check.residual)
+    assert not check.passed and not check.passes(np.inf)
+    assert not Check.measure("nan", float("nan")).passes(DEFAULT_TOL)
+    with pytest.raises(GeometryError, match="residual nan"):
+        require(np.nan, "residual {residual}")
