@@ -15,10 +15,12 @@ assembles no theorem. Exit codes: 0 all checks passed, 1 at least one
 residual above tolerance, 2 input or parse error.
 
 Each option is declared once, in OPTIONS, with the commands that take it
-and the sources (example1, example2, --input) that read it; the table
-builds the parser, RunConfig's options and grids, and the flag in every
-message. An option that the chosen source does not read exits 2, and so
-does an option that another given option leaves unread (UNREAD_WITH).
+and the sources (example1, example2, --input) that read it, and each
+command once, in COMMANDS, with the sources it takes; the tables build the
+parser and every message. RunConfig rejects a bad request (a source the
+command does not take, an option the source does not read, or one that
+another given option leaves unread: UNREAD_WITH) before any file is read,
+so the commands raise no input error of their own.
 
 JSON output of every command comes from one writer, to_json: the bytes
 of json.dumps(payload, indent=2), without json's pure-Python indenting
@@ -54,7 +56,6 @@ from .solitons import (
     vertical_level,
     vertical_rows,
 )
-from .structure import metric_signature
 from .tensors import MAX_DIM
 
 #: component magnitudes below this are not listed as nonzero
@@ -118,8 +119,31 @@ UNREAD_WITH = {
 }
 
 
+#: every command, by name: (help, the sources it takes, the names of the
+#: functions that build its payload and exit code and render it as text
+#: lines), looked up at each run so that a wrapper bound to a name sees it
+COMMANDS = {
+    "inspect": (
+        "validate and describe one manifold", "example2 input", "cmd_inspect", "_render_inspect"
+    ),
+    "soliton": (
+        "check the soliton equations at a point",
+        "example1 example2 input",
+        "cmd_soliton",
+        "_render_soliton",
+    ),
+    "sweep": (
+        "run a scenario over a parameter grid", "example1 example2", "cmd_sweep", "_render_sweep"
+    ),
+}
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _source_flag(source: str) -> str:
+    return "--input" if source == "input" else f"--scenario {source}"
 
 
 @dataclass(frozen=True)
@@ -168,21 +192,38 @@ class RunConfig:
                 raise ParseError(f"--grid-n values must be between 1 and {MAX_N}, got {value}")
         if (self.input_path is None) == (self.scenario is None):
             raise ParseError("exactly one of --input and --scenario is required")
-        # an unknown scenario is left to the command, which names it
         source = "input" if self.scenario is None else self.scenario
-        if any(source in row[3].split() for row in OPTIONS.values()):
-            where = "--input" if source == "input" else f"--scenario {source}"
-            for flag, (name, _) in given.items():
-                _, _, commands, sources = OPTIONS[name]
-                if self.command not in commands.split() or source not in sources.split():
-                    raise ParseError(f"{flag} is not read by {self.command} {where}")
-                for other, unread in UNREAD_WITH.items():
-                    if _flag(other) in given and name in unread.split():
-                        raise ParseError(
-                            f"{flag} is not read by {self.command} {where} with {_flag(other)}"
-                        )
-        if (self.options.get("k") is None) != (self.options.get("k_prime") is None):
+        where = _source_flag(source)
+        takes = COMMANDS[self.command][1].split()
+        if source not in takes:
+            raise ParseError(
+                f"{self.command} does not take {where}; it takes "
+                + " or ".join(map(_source_flag, takes))
+            )
+        for flag, (name, _) in given.items():
+            _, _, commands, sources = OPTIONS[name]
+            if self.command not in commands.split() or source not in sources.split():
+                raise ParseError(f"{flag} is not read by {self.command} {where}")
+            for other, unread in UNREAD_WITH.items():
+                if _flag(other) in given and name in unread.split():
+                    raise ParseError(
+                        f"{flag} is not read by {self.command} {where} with {_flag(other)}"
+                    )
+        if ("--k" in given) != ("--k-prime" in given):
             raise ParseError("a vertical potential needs both --k and --k-prime")
+        # a definition file brings no potential and no soliton constants
+        flags = given.keys()
+        if self.command == "soliton" and source == "input" and not flags & {"--psi", "--psi-tilde"}:
+            if "--k" not in flags:
+                raise ParseError(
+                    "no potential specified: pass --k/--k-prime (vertical) or "
+                    "--psi/--psi-tilde (conformal)"
+                )
+            if not (flags >= {"--lambda", "--lambda-tilde"} or flags & {"--solve", "--mu"}):
+                raise ParseError(
+                    "pass --lambda and --lambda-tilde, or --solve, or --mu for "
+                    "the single-metric equation"
+                )
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -198,15 +239,19 @@ class RunConfig:
 
 
 def _parse_grid(raw: str, name: str):
+    flag, kind = _flag(f"grid_{name}"), OPTIONS[name][0]
     values = []
     for piece in raw.split(","):
         piece = piece.strip()
         if not piece:
             continue
         try:
-            values.append(OPTIONS[name][0](piece))
+            values.append(kind(piece))
         except ValueError:
-            raise ParseError(f"{_flag(f'grid_{name}')}: {piece!r} is not a number") from None
+            what = "an integer" if kind is int else "a number"
+            raise ParseError(f"{flag}: {piece!r} is not {what}") from None
+    if not values:
+        raise ParseError(f"{flag} has no values")
     return values
 
 
@@ -219,17 +264,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (
-        ("inspect", "validate and describe one manifold"),
-        ("soliton", "check the soliton equations at a point"),
-        ("sweep", "run a scenario over a parameter grid"),
-    ):
+    for command, (help_text, sources, _, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        if command != "sweep":
+        takes_input = "input" in sources.split()
+        if takes_input:
             p.add_argument("--input", help="path to a JSON manifold definition")
         p.add_argument(
             "--scenario",
-            required=command == "sweep",
+            required=not takes_input,
             help="built-in scenario name (example1 | example2)",
         )
         p.add_argument("--tol", type=float, help="override every check tolerance")
@@ -269,19 +311,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = RunConfig.from_args(args)
-        if config.command == "inspect":
-            payload, code = cmd_inspect(config)
-        elif config.command == "soliton":
-            payload, code = cmd_soliton(config)
-        else:
-            payload, code = cmd_sweep(config)
+        _, _, build, render = COMMANDS[config.command]
+        payload, code = globals()[build](config)
     except GeometryError as exc:
         _print(f"error: {exc}", sys.stderr)
         return 2
-    if config.fmt == "json":
-        text = to_json(payload)
-    else:
-        text = "\n".join(_render_text(config.command, payload))
+    text = to_json(payload) if config.fmt == "json" else "\n".join(globals()[render](payload))
     _print(text, sys.stdout)
     return code
 
@@ -296,26 +331,19 @@ def _input_analysis(config: RunConfig):
 
 def cmd_inspect(config: RunConfig):
     """Structure validity, curvature table, scalars, classification, fit."""
+    # unpacked at once: holding the whole analysis raises the peak RSS
     if config.input_path is not None:
         _, s, pkg, _, classification, assoc_pkg = _input_analysis(config)
-    elif config.scenario != "example2":
-        raise ParseError(
-            "only example2 defines a concrete manifold; example1 is a "
-            "formula-level curve (use the soliton or sweep commands)"
-        )
     else:
         p = config.options.get("p") or 0.0
         q = config.options.get("q") or 0.0
         _, s, pkg, _, classification, assoc_pkg = example2_state(p, q)
     fit = einstein_like_fit(pkg.ricci, s)
-    pos, neg = metric_signature(s.g.g)
-
-    curvature_entries = _nonzero_entries(pkg.riemann.data)
-    ricci_entries = _nonzero_entries(pkg.ricci.data)
     payload = {
         "dim": s.frame.dim,
         "n": s.n,
-        "signature": [pos, neg],
+        # validate_structure admits only the signature (n+1, n)
+        "signature": [s.n + 1, s.n],
         "structure": "valid",
         "sasaki_like": bool(classification.is_sasaki_like),
         "sasaki_residual": classification.residual,
@@ -337,8 +365,8 @@ def cmd_inspect(config: RunConfig):
             "c": fit.c,
             "residual": fit.residual,
         },
-        "curvature_nonzero": curvature_entries,
-        "ricci_nonzero": ricci_entries,
+        "curvature_nonzero": _nonzero_entries(pkg.riemann.data),
+        "ricci_nonzero": _nonzero_entries(pkg.ricci.data),
     }
     return payload, 0
 
@@ -429,8 +457,6 @@ def cmd_soliton(config: RunConfig):
         }
         return _soliton_result("example1", scalars, report, config.tol)
 
-    if config.scenario is not None:
-        raise ParseError(f"unknown scenario {config.scenario!r}")
     return _soliton_from_input(config)
 
 
@@ -450,15 +476,8 @@ def _soliton_from_input(config: RunConfig):
         "tau_tilde": a.assoc_pkg.tau,
     }
 
-    # RunConfig has rejected --k with a conformal --psi or --psi-tilde
-    conformal = opts["psi"] is not None or opts["psi_tilde"] is not None
-    if not conformal and opts["k"] is None:
-        raise ParseError(
-            "no potential specified: pass --k/--k-prime (vertical) or "
-            "--psi/--psi-tilde (conformal)"
-        )
-
-    if conformal:
+    # RunConfig has rejected a request with no potential, or with both kinds
+    if opts["psi"] is not None or opts["psi_tilde"] is not None:
         psi = opts["psi"] or 0.0
         psi_assoc = opts["psi_tilde"] or 0.0
         lam = opts["lambda"] or 0.0
@@ -470,13 +489,8 @@ def _soliton_from_input(config: RunConfig):
     else:
         k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
         scalars.update({"k": k.value, "k_prime": k.xi_derivative})
-        lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
-        if opts["mu"] is None and not opts["solve"] and (lam is None or lam_assoc is None):
-            raise ParseError(
-                "pass --lambda and --lambda-tilde, or --solve, or --mu for "
-                "the single-metric equation"
-            )
         level = vertical_level(a, k)
+        lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
         ((row,),) = vertical_rows(
             a, (level,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]
         )
@@ -607,14 +621,6 @@ def _json_value(value, indent: str) -> str:
 # --- text rendering ----------------------------------------------------------
 
 
-def _render_text(command: str, payload: dict):
-    if command == "inspect":
-        return _render_inspect(payload)
-    if command == "soliton":
-        return _render_soliton(payload)
-    return _render_sweep(payload)
-
-
 def _render_inspect(payload: dict):
     fit = payload["einstein_like"]
     lines = [
@@ -652,8 +658,6 @@ def _render_inspect(payload: dict):
 
 
 def _check_table(checks):
-    if not checks:
-        return ["(no checks)"]
     name_width = max(len(c["name"]) for c in checks)
     lines = [f"{'check'.ljust(name_width)}  {'residual':>10}  {'tol':>8}  status"]
     for c in checks:
@@ -708,12 +712,7 @@ def _render_sweep(payload: dict):
                 status, worst_name, worst_res = "degenerate", "-", "-"
             else:
                 status = "pass" if row["passed"] else "FAIL"
-                worst_name = row["worst_check"] or "-"
-                worst_res = (
-                    _fmt_res(row["worst_residual"])
-                    if row["worst_residual"] is not None
-                    else "-"
-                )
+                worst_name, worst_res = row["worst_check"], _fmt_res(row["worst_residual"])
             table.append(
                 [
                     str(row["index"]),

@@ -220,15 +220,62 @@ def test_neither_input_nor_scenario_rejected(capsys):
 
 
 def test_unknown_scenario_rejected(capsys):
-    code, _, err = run(capsys, "soliton", "--scenario", "example9", "--solve")
-    assert code == 2
+    code, out, err = run(capsys, "soliton", "--scenario", "example9", "--solve")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: soliton does not take --scenario example9; "
+        "it takes --scenario example1 or --scenario example2 or --input\n"
+    )
 
 
 def test_inspect_example1_rejected(capsys):
     # example1 is a formula-level curve, not a concrete manifold
-    code, _, err = run(capsys, "inspect", "--scenario", "example1")
-    assert code == 2
-    assert "example1" in err
+    code, out, err = run(capsys, "inspect", "--scenario", "example1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: inspect does not take --scenario example1; "
+        "it takes --scenario example2 or --input\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the definition file does not exist: the request is rejected first
+        (
+            ("soliton", "--input", "/nonexistent.json", "--beta", "0.3"),
+            "no potential specified: pass --k/--k-prime (vertical) or "
+            "--psi/--psi-tilde (conformal)",
+        ),
+        (
+            ("soliton", "--input", "/nonexistent.json", "--k", "1", "--k-prime", "0"),
+            "pass --lambda and --lambda-tilde, or --solve, or --mu for "
+            "the single-metric equation",
+        ),
+        (
+            ("inspect", "--scenario", "example9"),
+            "inspect does not take --scenario example9; it takes --scenario example2 or --input",
+        ),
+        (
+            ("sweep", "--scenario", "example9"),
+            "sweep does not take --scenario example9; "
+            "it takes --scenario example1 or --scenario example2",
+        ),
+        (("sweep", "--scenario", "example2", "--grid-p", ","), "--grid-p has no values"),
+        (
+            ("sweep", "--scenario", "example1", "--grid-n", "1.5"),
+            "--grid-n: '1.5' is not an integer",
+        ),
+    ],
+)
+def test_a_bad_request_exits_2_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected request reached the pipeline")
+
+    for name in ("load_definition", "example2_state", "example1_point", "sweep"):
+        monkeypatch.setattr(accrgeo.cli, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_vertical_needs_both_k_flags(capsys, tmp_path):
@@ -718,6 +765,62 @@ def test_non_finite_or_overflowing_input_exits_2(capsys, tmp_path, case, message
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+_DIM5_CARRIER = {
+    "dim": 5,
+    "structure_constants": [],
+    "phi": [[3, 1, 1.0], [4, 2, 1.0], [1, 3, -1.0], [2, 4, -1.0]],
+    "xi": [1.0, 0.0, 0.0, 0.0, 0.0],
+    "eta": [1.0, 0.0, 0.0, 0.0, 0.0],
+    "g": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, -1.0], [4, 4, -1.0]],
+}
+
+
+def _dim5_carrier(**changes):
+    return {**_DIM5_CARRIER, **changes}
+
+
+@pytest.mark.parametrize(
+    "definition,message",
+    [
+        ([1, 2], "definition must be a JSON object, got list"),
+        (_dim5_carrier(dim=4), "'dim' must be odd and >= 3, got 4"),
+        (_dim5_carrier(phi={"a": 1}), "'phi' must be a list of entries"),
+        (
+            _dim5_carrier(phi=[[3, 1], *_DIM5_CARRIER["phi"][1:]]),
+            "'phi' entry 0: expected [2 indices, value]",
+        ),
+        (
+            _dim5_carrier(g=[[0, 0.0, 1.0], *_DIM5_CARRIER["g"][1:]]),
+            "'g' entry 0: index 1 must be an integer",
+        ),
+        (
+            _dim5_carrier(g=[[0, True, 1.0], *_DIM5_CARRIER["g"][1:]]),
+            "'g' entry 0: index 1 must be an integer",
+        ),
+        (_dim5_carrier(xi=1.0), "'xi' must be a list of 5 numbers"),
+        (_dim5_carrier(eta=[1.0, "0", 0.0, 0.0, 0.0]), "'eta' component 1 must be a number"),
+        (
+            _dim5_carrier(xi=[10**399, 0.0, 0.0, 0.0, 0.0]),
+            "'xi' component 0 must be finite, got inf",
+        ),
+        # every structure identity holds; only the signature test sees it
+        (
+            _dim5_carrier(
+                g=[[0, 0, 1.0], [1, 1, 1e-10], [2, 2, 1.0], [3, 3, -1e-10], [4, 4, -1.0]]
+            ),
+            "metric has an eigenvalue within 1e-09 of zero",
+        ),
+    ],
+)
+def test_a_malformed_definition_file_exits_2_naming_its_fault(
+    capsys, tmp_path, definition, message
+):
+    path = tmp_path / "definition.json"
+    path.write_text(json.dumps(definition))
+    code, out, err = run(capsys, "inspect", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,15 @@ from accrgeo import (
     DEFAULT_TOL,
     Check,
     SolitonSpec,
+    Tensor,
     TheoremReport,
     VerticalPotential,
     VerticalScalar,
+    build_example2,
     einstein_like_fit,
     eta_rb_residual,
     example2_state,
+    flat_carrier_structure,
     is_degenerate_beta,
     lie_derivative_metric,
     rb_like_residual,
@@ -94,8 +97,6 @@ def test_eta_equation_with_mu_zero_matches_two_metric_without_assoc(ex2_origin):
     lie_g, _ = vertical_lie_closed_form(k, s, classification)
     spec = SolitonSpec(beta=0.25, lam=0.5, mu=0.0)
     a = eta_rb_residual(pkg.ricci, lie_g, s, spec, pkg.tau)
-    from accrgeo import Tensor
-
     b = rb_like_residual(
         pkg.ricci, lie_g, Tensor(s.frame, np.zeros((5, 5))), s,
         SolitonSpec(beta=0.25, lam=0.5, lam_assoc=-0.25 * assoc_pkg.tau),
@@ -216,14 +217,52 @@ def test_einstein_fit_on_example2(ex2_origin):
 
 def test_einstein_fit_detects_non_fit(carrier_n2):
     # a Ricci-shaped tensor outside span{g, g_assoc, eta x eta}
-    from accrgeo import Tensor
-
     m = np.zeros((5, 5))
     m[1, 2] = m[2, 1] = 1.0
     fake_ricci = Tensor(carrier_n2.frame, m)
     fit = einstein_like_fit(fake_ricci, carrier_n2)
     assert fit.kind == "not_einstein_like"
     assert fit.residual > 0.1
+
+
+def _fit_structure(name):
+    if name == "example2(1.5,-2)":
+        return build_example2(1.5, -2.0)[1]
+    return flat_carrier_structure(int(name[-1]))
+
+
+_FIT_STRUCTURES = ["carrier-n2", "carrier-n3", "example2(1.5,-2)"]
+
+
+@pytest.mark.parametrize("structure", _FIT_STRUCTURES)
+@pytest.mark.parametrize(
+    "coeffs,kind",
+    [
+        ((2.0, 0.0, 0.0), "einstein"),
+        ((0.5, 0.0, 3.0), "eta_einstein"),
+        ((0.5, -1.25, 3.0), "einstein_like"),
+        ((0.0, 1.0, 0.0), "einstein_like"),
+    ],
+)
+def test_einstein_fit_recovers_its_coefficients_and_trace_consequences(structure, coeffs, kind):
+    # tr(g^-1 g_assoc) = 1 and tr(g^-1 g_assoc phi) = -2n, so the trace
+    # consequences tau = (2n+1)a + b + c and tau* = -2nb test the sign of b
+    s = _fit_structure(structure)
+    a, b, c = coeffs
+    rho = a * s.g.matrix + b * s.g_assoc.matrix + c * s.eta_outer
+    fit = einstein_like_fit(Tensor(s.frame, rho), s)
+    assert fit.kind == kind
+    assert (fit.a, fit.b, fit.c) == pytest.approx(coeffs, abs=1e-12)
+    assert fit.tau_residual < 1e-12
+    assert fit.tau_star_residual < 1e-12
+
+
+@pytest.mark.parametrize("structure", _FIT_STRUCTURES)
+def test_einstein_fit_of_a_single_entry_is_not_einstein_like(structure):
+    s = _fit_structure(structure)
+    rho = np.zeros((s.frame.dim, s.frame.dim))
+    rho[1, 1] = 1.0
+    assert einstein_like_fit(Tensor(s.frame, rho), s).kind == "not_einstein_like"
 
 
 def test_vertical_scalar_is_frozen():
