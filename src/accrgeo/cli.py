@@ -491,16 +491,15 @@ def _soliton_from_input(config: RunConfig):
         scalars.update({"k": k.value, "k_prime": k.xi_derivative})
         level = vertical_level(a, k)
         lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
-        ((row,),) = vertical_rows(
+        ((row_lam,),), ((row_lam_assoc,),), table = vertical_rows(
             a, (level,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]
         )
-        row_lam, row_lam_assoc, checks, residual, notes = row
         scalars["lambda"] = row_lam
         if opts["mu"] is None:
             scalars["lambda_tilde"] = row_lam_assoc
         else:
             scalars["mu"] = opts["mu"]
-        report = TheoremReport([*checks, residual], notes)
+        report = table.report(0)
     return _soliton_result(None, scalars, report, config.tol)
 
 
@@ -516,15 +515,8 @@ def cmd_sweep(config: RunConfig):
         n_grid=grids.get("n"),
     )
     rows = []
-    n_pass = n_fail = 0
-    for row in result.rows:
-        passed = worst = None
-        if not row.degenerate:
-            passed, worst = row.report.verdict(config.tol)
-            if passed:
-                n_pass += 1
-            else:
-                n_fail += 1
+    for row, verdict in zip(result.rows, result.verdicts(config.tol)):
+        passed, worst, worst_residual = verdict or (None, None, None)
         # the payload only reads the rows' params and scalars dicts
         rows.append(
             {
@@ -533,10 +525,12 @@ def cmd_sweep(config: RunConfig):
                 "scalars": row.scalars,
                 "degenerate": row.degenerate,
                 "passed": passed,
-                "worst_check": worst.name if worst else None,
-                "worst_residual": worst.residual if worst else None,
+                "worst_check": worst,
+                "worst_residual": worst_residual,
             }
         )
+    n_pass = sum(row["passed"] is True for row in rows)
+    n_fail = sum(row["passed"] is False for row in rows)
     summary = {
         "rows": len(rows),
         "pass": n_pass,
@@ -558,18 +552,24 @@ def cmd_sweep(config: RunConfig):
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
-def _json_float(value) -> str:
-    text = float.__repr__(value)
-    if text in _NON_FINITE:
-        raise ValueError(f"JSON output has a non-finite float: {text}")
-    return text
+class _FloatText(dict):
+    """The JSON text of every float written in one document, by value, so
+    that a float repeated in the document is formatted once. A zero is not
+    kept: 0.0 and -0.0 are equal keys with different text."""
+
+    def __missing__(self, value) -> str:
+        text = float.__repr__(value)
+        if text in _NON_FINITE:
+            raise ValueError(f"JSON output has a non-finite float: {text}")
+        if value:
+            self[value] = text
+        return text
 
 
 #: JSON text of a scalar by exact type, as json writes it: float.__repr__ and
-#: int.__repr__ are what json calls, so a numpy float64 prints as a float
+#: int.__repr__ are what json calls, so a numpy float64 prints as a float;
+#: to_json adds both float types, whose text it keeps per document
 _JSON_SCALARS = {
-    float: _json_float,
-    np.float64: _json_float,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
@@ -583,18 +583,21 @@ def to_json(payload) -> str:
     CPython's C encoder does not run when indent is set, so json.dumps
     spends a large payload's time in pure-Python encoding; this writer
     produces the same bytes directly. It takes dicts with str keys, lists
-    and the scalar types of _JSON_SCALARS. A non-finite float raises
-    ValueError where json would write NaN or Infinity, and any other type
-    raises TypeError. The recursion lives in _json_value, so a tracer that
-    wraps public functions records one span per document.
+    and the scalar types of _JSON_SCALARS, float and numpy float64. A
+    non-finite float raises ValueError where json would write NaN or
+    Infinity, and any other type raises TypeError. The recursion lives in
+    _json_value, so a tracer that wraps public functions records one span
+    per document.
     """
-    return _json_value(payload, "\n")
+    text = _FloatText().__getitem__
+    return _json_value(payload, "\n", {**_JSON_SCALARS, float: text, np.float64: text})
 
 
-def _json_value(value, indent: str) -> str:
-    """value at the nesting whose newline-plus-indent is indent."""
+def _json_value(value, indent: str, writers: dict) -> str:
+    """value at the nesting whose newline-plus-indent is indent, each scalar
+    written by writers[its type]."""
     kind = type(value)
-    write = _JSON_SCALARS.get(kind)
+    write = writers.get(kind)
     if write is not None:
         return write(value)
     if kind is not dict and kind is not list:
@@ -603,16 +606,16 @@ def _json_value(value, indent: str) -> str:
         return "{}" if kind is dict else "[]"
     inner = indent + "  "
     # scalars are written in place: one call per container, not per value
-    scalar = _JSON_SCALARS.get
+    scalar = writers.get
     if kind is list:
         items = [
-            write(item) if (write := scalar(type(item))) else _json_value(item, inner)
+            write(item) if (write := scalar(type(item))) else _json_value(item, inner, writers)
             for item in value
         ]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
     items = [
         f"{encode_basestring_ascii(key)}: "
-        f"{write(item) if (write := scalar(type(item))) else _json_value(item, inner)}"
+        f"{write(item) if (write := scalar(type(item))) else _json_value(item, inner, writers)}"
         for key, item in value.items()
     ]
     return f"{{{inner}{(',' + inner).join(items)}{indent}}}"

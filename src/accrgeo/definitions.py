@@ -179,7 +179,7 @@ def load_definition(path) -> ManifoldDefinition:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return parse_definition(text)
 

@@ -33,19 +33,20 @@ denominator sqrt2 + cos t - sin t vanishes to second order at
 t = (8l+3)pi/4; every t where it is at most EXCLUDED_DEN in magnitude is
 excluded. One (t, n) of the curve is one record: (t, p, q) and the
 solitons.conformal_level there, with the curve's own checks prepended to
-its head; a report at one beta is solitons.conformal_row of that level
-at the sums the theorem forces.
+its head; the reports at several beta are the rows of one
+solitons.conformal_row of such levels at the sums the theorem forces.
 
 example2 starts from the cached Analysis of its (p, q) (example2_state)
 and builds its vertical-potential checks with solitons.vertical_level and
 vertical_rows, the builders definition files use too; vertical_rows
-solves the constants of each potential at all betas with the one solve,
+solves the constants of all potentials at all betas with the one solve,
 solitons.vertical_solutions, and the scenario adds its closed-form checks.
 example1 builds its conformal checks with conformal_level and
-conformal_row, as soliton --input --psi does. Reports are assembled level
-by level, each check computed once per value of the parameters it depends
-on (see sweep), and a single-point report and a sweep row are built by the
-same helpers.
+conformal_row, as soliton --input --psi does. Each builds a check table
+(solitons.CheckTable), each check computed once per value of the
+parameters it depends on (see sweep); a single-point report is the one
+row of such a table, and a sweep row's report is built from its table
+only when it is read.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ from .geometry import Analysis, LieAlgebra, analyze
 from .structure import AccRStructure, validate_structure
 from .solitons import (
     Check,
+    CheckTable,
+    Column,
     ConformalLevel,
     TheoremReport,
     VerticalScalar,
@@ -70,6 +73,7 @@ from .solitons import (
     conformal_row,
     einstein_like_fit,
     is_degenerate_beta,
+    shared_columns,
     vertical_level,
     vertical_rows,
 )
@@ -271,9 +275,10 @@ def _example2_rows(
     lam: float = None,
     lam_assoc: float = None,
     mu: float = None,
-) -> list:
-    """rows[j][i]: (k, lam, lam_assoc, report) of the vertical theorem at
-    t0s[j] and betas[i].
+) -> tuple:
+    """(ks, lams, lam_assocs, table): the vertical theorem at betas[i] and
+    t0s[j] is ks[j], lams[i][j] and lam_assocs[i][j], the constants in its
+    soliton residual, and row i * len(t0s) + j of table.
 
     The reports wrap the shared vertical_level and vertical_rows checks in
     the scenario's geometry checks. k defaults to the scenario family
@@ -307,34 +312,30 @@ def _example2_rows(
             }
         )
         levels.append(level._replace(checks=level.checks + family_checks))
-    rows = []
-    for t0, level, level_rows in zip(
-        t0s, levels, vertical_rows(a, levels, betas, lam, lam_assoc, mu=mu)
-    ):
-        t0_rows = []
-        for beta, (row_lam, row_lam_assoc, checks, residual, notes) in zip(betas, level_rows):
-            constants = ()
-            if family and mu is None and lam is None and lam_assoc is None:
-                constants = (
-                    Check.between(
-                        "lambda_family_value",
-                        row_lam,
-                        2.0 * (t0 - 2.0 * beta),
-                        tol=1e-10,
-                        note="lam = 2(t0 - 2 beta)",
-                    ),
-                    Check.between(
-                        "lambda_assoc_family_value",
-                        row_lam_assoc,
-                        -2.0 * (t0 + 2.0 * beta),
-                        tol=1e-10,
-                        note="lam_assoc = -2(t0 + 2 beta)",
-                    ),
-                )
-            report = TheoremReport([*geom.head, *checks, *constants, residual, *geom.tail], notes)
-            t0_rows.append((level.k, row_lam, row_lam_assoc, report))
-        rows.append(t0_rows)
-    return rows
+    lams, lam_assocs, table = vertical_rows(a, levels, betas, lam, lam_assoc, mu=mu)
+    *checks, residual = table.columns
+    constants = ()
+    if family and mu is None and lam is None and lam_assoc is None:
+        beta = np.asarray(betas, dtype=float)[:, None]
+        t0 = np.asarray(t0s, dtype=float)
+        constants = (
+            Column.of(
+                "lambda_family_value",
+                np.subtract(lams, 2.0 * (t0 - 2.0 * beta)),
+                1e-10,
+                "lam = 2(t0 - 2 beta)",
+            ),
+            Column.of(
+                "lambda_assoc_family_value",
+                np.subtract(lam_assocs, -2.0 * (t0 + 2.0 * beta)),
+                1e-10,
+                "lam_assoc = -2(t0 + 2 beta)",
+            ),
+        )
+    every_row = np.zeros(table.rows, np.intp)
+    head, tail = (shared_columns([part], every_row) for part in (geom.head, geom.tail))
+    columns = (*head, *checks, *constants, residual, *tail)
+    return [level.k for level in levels], lams, lam_assocs, table._replace(columns=columns)
 
 
 def example2_point(
@@ -362,8 +363,10 @@ def example2_point(
     The report is built by the same per-level helpers as sweep's rows.
     """
     geom = _example2_geometry(params.p, params.q)
-    ((row,),) = _example2_rows(geom, (params.t0,), (params.beta,), k, lam, lam_assoc, mu)
-    return row
+    (k,), ((lam,),), ((lam_assoc,),), table = _example2_rows(
+        geom, (params.t0,), (params.beta,), k, lam, lam_assoc, mu
+    )
+    return k, lam, lam_assoc, table.report(0)
 
 
 def run_example2_report(
@@ -435,31 +438,31 @@ def _example1_level(t: float, n: int) -> _Example1Level:
     return _Example1Level(t, p, q, level._replace(head=(*curve_checks, *level.head)))
 
 
-def _curve_sums(beta: float, n: int, tau: float, tau_assoc: float) -> tuple:
-    """(psi + lam, psi_assoc + lam_assoc) that the conformal theorem forces."""
-    if is_degenerate_beta(beta, n):
-        return 1.0, 1.0
-    factor = 1.0 + 2.0 * n * beta
-    return 1.0 - factor * tau / (2.0 * n), 1.0 - factor * tau_assoc / (2.0 * n)
-
-
 _SUMS_NOTE = (
     "only the sums psi+lam and psi_assoc+lam_assoc are determined; "
     "they are passed through psi with lam = 0"
 )
 
 
-def _example1_row(level: ConformalLevel, beta: float, sums_override=None) -> tuple:
-    """(sum_g, sum_assoc, report) at one beta; the report shares level's checks.
-
-    sum_g and sum_assoc are the curve's forced sums, also when
-    sums_override supplies the split the report checks.
-    """
-    sum_g, sum_assoc = _curve_sums(beta, level.n, level.tau, level.tau_assoc)
+def _example1_rows(levels, betas, sums_override=None) -> tuple:
+    """(sum_g, sum_assoc, table) of the curve's levels (of one n) at betas:
+    the sums psi + lam and psi_assoc + lam_assoc that the conformal theorem
+    forces, lists over the rows i * len(levels) + j of betas[i] at levels[j],
+    and the conformal_row table there, which checks the split
+    (psi, psi_assoc, lam, lam_assoc) of sums_override when one is given."""
+    n = levels[0].n
+    tau, tau_assoc = np.array([(level.tau, level.tau_assoc) for level in levels]).T
+    beta = np.array(betas)[:, None]
+    branch = is_degenerate_beta(beta, n)
+    factor = 1.0 + 2.0 * n * beta
+    sum_g = np.where(branch, 1.0, 1.0 - factor * tau / (2.0 * n))
+    sum_assoc = np.where(branch, 1.0, 1.0 - factor * tau_assoc / (2.0 * n))
     if sums_override is None:
-        return sum_g, sum_assoc, conformal_row(level, beta, sum_g, sum_assoc, (_SUMS_NOTE,))
-    psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
-    return sum_g, sum_assoc, conformal_row(level, beta, psi + lam, psi_assoc + lam_assoc)
+        table = conformal_row(levels, betas, sum_g, sum_assoc, (_SUMS_NOTE,))
+    else:
+        psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
+        table = conformal_row(levels, betas, psi + lam, psi_assoc + lam_assoc)
+    return sum_g.ravel().tolist(), sum_assoc.ravel().tolist(), table
 
 
 def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tuple:
@@ -467,11 +470,11 @@ def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tupl
     of the curve."""
     curve = _example1_level(t, n)
     level = curve.conformal
-    sum_g, sum_assoc, report = _example1_row(level, beta, sums_override)
+    (sum_g,), (sum_assoc,), table = _example1_rows((level,), (beta,), sums_override)
     point = Example1Point(
         curve.t, n, beta, curve.p, curve.q, level.tau, level.tau_assoc, sum_g, sum_assoc
     )
-    return point, report
+    return point, table.report(0)
 
 
 def example1_curve(t: float, n: int, beta: float) -> Example1Point:
@@ -504,11 +507,18 @@ def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) ->
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point; its report is row position of table, built when read."""
+
     index: int
     params: dict
     scalars: dict
-    report: TheoremReport
+    table: CheckTable = field(repr=False)
+    position: int = field(repr=False)
     degenerate: bool = False
+
+    @property
+    def report(self) -> TheoremReport:
+        return self.table.report(self.position)
 
 
 @dataclass
@@ -516,6 +526,15 @@ class SweepResult:
     scenario: str
     rows: list
     notes: list = field(default_factory=list)
+
+    def verdicts(self, tol: float = None) -> list:
+        """(passed, worst check name, worst residual) of each row, None for a
+        degenerate row: every table is judged once, by CheckTable.verdicts."""
+        tables = {id(row.table): row.table for row in self.rows if not row.degenerate}
+        judged = {key: list(zip(*table.verdicts(tol))) for key, table in tables.items()}
+        return [
+            None if row.degenerate else judged[id(row.table)][row.position] for row in self.rows
+        ]
 
 
 def sweep(
@@ -534,13 +553,15 @@ def sweep(
     example1 points (excluded t values) become marked rows that do not
     count toward pass/fail.
 
-    Each check is evaluated once per value of the parameters it depends
-    on, by the helpers that build the single-point reports: example2's
-    geometry checks once per (p, q), its potential checks once per
-    (p, q, t0), and only the solve, the constants and the soliton residual
-    per row; example1's curve, carrier Ricci tensor and beta-free checks
-    once per (n, t). Every row still carries its full TheoremReport, whose
-    Check objects are shared between rows.
+    The checks are held as check tables (solitons.CheckTable), built by the
+    helpers that build the single-point reports, and a row's report is
+    built from its table only when it is read: example2 has one table per
+    (p, q), whose geometry checks are computed once, its potential checks
+    once per t0, and the solve, the constants and the soliton residual as
+    arrays over (beta, t0); example1 has one table per n, whose curve,
+    carrier Ricci tensor and beta-free checks are computed once per t, and
+    every other check as one array over (beta, t). The rows of a level
+    share its Check objects.
     """
     if scenario == "example2":
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
@@ -548,24 +569,18 @@ def sweep(
         rows = []
         for p, q in product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)):
             geom = _example2_geometry(p, q)
-            # by_t0[j][i]: (k, lam, lam_assoc, report) at betas[i], t0s[j]
-            by_t0 = _example2_rows(geom, t0s, betas)
+            tau, tau_assoc = geom.analysis.pkg.tau, geom.analysis.assoc_pkg.tau
+            _, lams, lam_assocs, table = _example2_rows(geom, t0s, betas)
             for i, beta in enumerate(betas):
-                for t0, t0_rows in zip(t0s, by_t0):
-                    _, lam, lam_assoc, report = t0_rows[i]
-                    rows.append(
-                        SweepRow(
-                            index=len(rows),
-                            params={"p": p, "q": q, "beta": beta, "t0": t0},
-                            scalars={
-                                "tau": geom.analysis.pkg.tau,
-                                "tau_tilde": geom.analysis.assoc_pkg.tau,
-                                "lambda": lam,
-                                "lambda_tilde": lam_assoc,
-                            },
-                            report=report,
-                        )
-                    )
+                for j, t0 in enumerate(t0s):
+                    scalars = {
+                        "tau": tau,
+                        "tau_tilde": tau_assoc,
+                        "lambda": lams[i][j],
+                        "lambda_tilde": lam_assocs[i][j],
+                    }
+                    params = {"p": p, "q": q, "beta": beta, "t0": t0}
+                    rows.append(SweepRow(len(rows), params, scalars, table, i * len(t0s) + j))
         result = SweepResult("example2", rows)
         constants = {
             (round(row.scalars["lambda"], 12), round(row.scalars["lambda_tilde"], 12))
@@ -584,44 +599,35 @@ def sweep(
         ts = _grid(t_grid, DEFAULT_T_GRID)
         rows = []
         for n in n_values:
-            # a DegenerateParameter in place of an excluded t's level
+            # the table of a DegenerateParameter's one row in place of an
+            # excluded t's level
             curves = []
             for t in ts:
                 try:
                     curves.append(_example1_level(t, n))
                 except DegenerateParameter as exc:
-                    curves.append(exc)
+                    curves.append(CheckTable(1, notes=((str(exc), None),)))
+            levels = [curve.conformal for curve in curves if type(curve) is _Example1Level]
+            if levels:
+                sum_g, sum_assoc, table = _example1_rows(levels, betas)
+            position = 0
             for beta in betas:
                 for t, curve in zip(ts, curves):
                     params = {"n": n, "beta": beta, "t": t}
-                    if isinstance(curve, DegenerateParameter):
-                        rows.append(
-                            SweepRow(
-                                index=len(rows),
-                                params=params,
-                                scalars={},
-                                report=TheoremReport(notes=[str(curve)]),
-                                degenerate=True,
-                            )
-                        )
+                    if type(curve) is CheckTable:
+                        rows.append(SweepRow(len(rows), params, {}, curve, 0, degenerate=True))
                         continue
                     level = curve.conformal
-                    sum_g, sum_assoc, report = _example1_row(level, beta)
-                    rows.append(
-                        SweepRow(
-                            index=len(rows),
-                            params=params,
-                            scalars={
-                                "p": curve.p,
-                                "q": curve.q,
-                                "tau": level.tau,
-                                "tau_tilde": level.tau_assoc,
-                                "psi_plus_lambda": sum_g,
-                                "psi_tilde_plus_lambda_tilde": sum_assoc,
-                            },
-                            report=report,
-                        )
-                    )
+                    scalars = {
+                        "p": curve.p,
+                        "q": curve.q,
+                        "tau": level.tau,
+                        "tau_tilde": level.tau_assoc,
+                        "psi_plus_lambda": sum_g[position],
+                        "psi_tilde_plus_lambda_tilde": sum_assoc[position],
+                    }
+                    rows.append(SweepRow(len(rows), params, scalars, table, position))
+                    position += 1
         return SweepResult("example1", rows)
 
     raise GeometryError(f"unknown scenario {scenario!r}; choose example1 or example2")

@@ -27,22 +27,26 @@ the scalar curvatures drop out of the coefficient equations there, so
 the checkers route to the degenerate branch instead of dividing by the
 vanishing factor.
 
-The report builders start from an Analysis. A vertical report is built
-in levels, so a sweep evaluates each check once per value of what it
-depends on: vertical_level holds the Lie derivatives of one potential,
-vertical_solutions is the one solve of the constants a potential forces,
-at all of its betas, and vertical_rows checks the equation for several
-potentials of one analysis, each at every beta in one array operation.
+The report builders start from an Analysis and build check tables
+(CheckTable): one Column per check, an array over the rows that keeps the
+scalar operations of the one-point formula in their order. A row's
+TheoremReport is built from its table only when it is read, and _judge
+judges a table's rows and a report's checks alike.
+
+A vertical table is built in levels: vertical_level holds the Lie
+derivatives of one potential, vertical_solutions is the one solve of the
+constants that potentials force, at all of their betas, and vertical_rows
+checks the equation for several potentials of one analysis at every beta.
 solve_vertical_soliton is vertical_solutions at one beta. The conformal
 theorem has the same shape: conformal_level holds the checks of one
 curvature point that are free of beta and the potential, and conformal_row
-builds the report at one beta for the sums psi + lam and
-psi_assoc + lam_assoc. verify_conformal_theorem and conformal_report are
-one row of one level, and example1 builds a level per curve point. Both
-scenarios and definition files go through these builders.
+builds the table of several levels at several betas for the sums
+psi + lam and psi_assoc + lam_assoc. verify_conformal_theorem and
+conformal_report are one row of one level, and example1 builds one table
+per n over (beta, t). Both scenarios and definition files go through
+these builders.
 
-A report's checks are tensors.Check (re-exported here), built from a
-number or an array by Check.measure or TheoremReport.add.
+A report's checks are tensors.Check (re-exported here).
 """
 
 from __future__ import annotations
@@ -105,9 +109,6 @@ class TheoremReport:
     def add(self, name: str, residual, tol: float = DEFAULT_TOL, note: str = "") -> None:
         self.checks.append(Check.measure(name, residual, tol, note))
 
-    def add_note(self, text: str) -> None:
-        self.notes.append(text)
-
     def __getitem__(self, name: str) -> Check:
         for check in self.checks:
             if check.name == name:
@@ -118,22 +119,14 @@ class TheoremReport:
         return any(check.name == name for check in self.checks)
 
     def verdict(self, tol: float = None) -> tuple:
-        """(passed, worst check), judging every check against tol when it is
-        given and against its own tolerance otherwise.
-
-        A check passes as Check.passes judges it. The worst check is the
-        first one with the largest residual / tol, None when there are no
-        checks.
-        """
-        passed, worst, worst_margin = True, None, None
-        for check in self.checks:
-            limit = check.tol if tol is None else tol
-            if not check.passes(limit):
-                passed = False
-            margin = check.residual / limit
-            if worst is None or margin > worst_margin:
-                worst, worst_margin = check, margin
-        return passed, worst
+        """(passed, worst check) of the report as the one row of _judge; the
+        worst check is None when there are no checks."""
+        if not self.checks:
+            return True, None
+        residual = np.array([[check.residual for check in self.checks]])
+        limit = np.array([check.tol for check in self.checks]) if tol is None else tol
+        (passed,), (worst,) = _judge(residual, limit, np.ones(residual.shape, bool))
+        return bool(passed), self.checks[worst]
 
     @property
     def passed(self) -> bool:
@@ -141,6 +134,99 @@ class TheoremReport:
 
     def worst(self) -> Check:
         return self.verdict()[1]
+
+
+def _judge(residual: np.ndarray, limit, present: np.ndarray) -> tuple:
+    """(passed, worst) of each row of a (rows, checks) residual matrix: the
+    one verdict on reports. The checks that present marks are judged against
+    limit, which is tol when one is given and each check's own tolerance
+    otherwise; every row holds a check.
+
+    A row passes when each of its checks passes as Check.passes judges it.
+    worst is the column of its first check with the largest residual / limit.
+    A NaN margin is never the largest, but a NaN in a row's first check keeps
+    that check the worst, as a scan that compares each margin with > would.
+    """
+    passed = (Check("", residual, limit).passes() | ~present).all(axis=1)
+    margin = residual / limit
+    rows, first = np.arange(len(margin)), present.argmax(axis=1)
+    first_is_nan = np.isnan(margin[rows, first])
+    margin[~present | np.isnan(margin)] = -np.inf
+    return passed, np.where(first_is_nan, first, margin.argmax(axis=1))
+
+
+class Column(NamedTuple):
+    """One check over the rows of a CheckTable, its name, tol and note
+    stored once: residual holds |value| of each row, and present marks the
+    rows that hold it. A column of checks that rows share keeps them by
+    reference: row r holds checks[level[r]]."""
+
+    name: str
+    residual: np.ndarray
+    tol: float
+    note: str
+    present: np.ndarray
+    checks: tuple = None
+    level: np.ndarray = None
+
+    @classmethod
+    def of(cls, name: str, values, tol: float = DEFAULT_TOL, note: str = "", present=True):
+        """The column of an array of values, one per row in C order."""
+        held = np.full(np.shape(values), present)
+        return cls(name, np.abs(values).ravel(), tol, note, held.ravel())
+
+
+def shared_columns(levels, level) -> list:
+    """A column for each check of levels[level[r]], the checks that row r
+    shares with the other rows of its level; every level lists the same
+    checks, each computed at that level."""
+    held = np.ones(len(level), bool)
+    columns = []
+    for same in zip(*levels):
+        residual = np.array([check.residual for check in same])[level]
+        c = same[0]
+        columns.append(Column(c.name, residual, c.tol, c.note, held, same, level))
+    return columns
+
+
+class CheckTable(NamedTuple):
+    """The reports of many rows, held by check rather than by report:
+    columns lists, in report order, the checks a row's report may hold, and
+    notes lists (text, present) in order, present (None: every row) marking
+    the rows whose report holds the note."""
+
+    rows: int
+    columns: tuple = ()
+    notes: tuple = ()
+
+    def report(self, row: int) -> TheoremReport:
+        """The report of one row, built from the table."""
+        checks = [
+            Check(c.name, float(c.residual[row]), c.tol, c.note)
+            if c.checks is None
+            else c.checks[c.level[row]]
+            for c in self.columns
+            if c.present[row]
+        ]
+        notes = [text for text, present in self.notes if present is None or present[row]]
+        return TheoremReport(checks, notes)
+
+    def verdicts(self, tol: float = None) -> tuple:
+        """(passed, worst check name, worst residual), each a list over the
+        rows: TheoremReport.verdict of each row's report, by one _judge."""
+        residual = np.stack([c.residual for c in self.columns], axis=1)
+        limit = np.array([c.tol for c in self.columns]) if tol is None else tol
+        present = np.stack([c.present for c in self.columns], axis=1)
+        passed, worst = _judge(residual, limit, present)
+        names = [self.columns[column].name for column in worst.tolist()]
+        return passed.tolist(), names, residual[np.arange(self.rows), worst].tolist()
+
+
+def _quotient(numerator, denominator, where) -> np.ndarray:
+    """numerator / denominator on the rows where `where` holds, 0.0 elsewhere:
+    a guarded division, evaluated only where its guard holds."""
+    shape = np.broadcast(numerator, denominator).shape
+    return np.divide(numerator, denominator, out=np.zeros(shape), where=where)
 
 
 def lie_derivative_metric(
@@ -376,10 +462,8 @@ def solve_vertical_soliton(
     """
     if classification is not None:
         _require_sasaki_like(classification)
-    scalar_sum, (lam,), (lam_assoc,), (checks,), (notes,) = vertical_solutions(
-        k, tau, tau_assoc, n, (beta,)
-    )
-    report = TheoremReport([scalar_sum, *checks], notes)
+    ((lam,),), ((lam_assoc,),), table = vertical_solutions((k,), tau, tau_assoc, n, (beta,))
+    report = table.report(0)
     if ricci_tensor is not None and structure is not None:
         reconstruction = ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
         report.checks.append(reconstruction)
@@ -408,62 +492,63 @@ def ricci_reconstruction_check(
     )
 
 
-_VERTICAL_BRANCH_NOTE = (
-    "beta at the branch point -1/(2n): scalar curvatures are not "
-    "separately determined, only their sum is constrained"
-)
+def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple:
+    """The solve of solve_vertical_soliton for the potentials k xi, k in ks,
+    each at every beta of betas, in array expressions.
 
-
-def vertical_solutions(k: VerticalScalar, tau: float, tau_assoc: float, n: int, betas) -> tuple:
-    """The solve of solve_vertical_soliton for one potential at each of betas.
-
-    Returns (scalar_sum, lams, lam_assocs, checks, notes). scalar_sum is
-    the check tau + tau_assoc = 4n(k' + n + 1), which holds at every beta.
-    The lists hold, per beta, the solved constants, the checks that
-    involve them (only k_derivative_from_trace at the branch point) and a
-    fresh list of notes.
+    Returns (lams, lam_assocs, table): lams[i][j] and lam_assocs[i][j] are
+    the constants solved at betas[i] for ks[j], and row i * len(ks) + j of
+    table holds its checks. The first, scalar_sum_from_k_derivative,
+    tau + tau_assoc = 4n(k' + n + 1), holds at every beta and is one Check
+    per potential; then come the checks that involve the solved constants
+    (only k_derivative_from_trace at the branch point), and a note marks the
+    rows at the branch point.
     """
-    k_prime = k.xi_derivative
-    scalar_sum = Check.between(
-        "scalar_sum_from_k_derivative",
-        tau + tau_assoc,
-        4.0 * n * (k_prime + n + 1.0),
-        note="tau + tau_assoc = 4n(k' + n + 1)",
-    )
-    lams, lam_assocs, checks, notes = [], [], [], []
-    for beta in betas:
-        factor = 1.0 + 2.0 * n * beta
-        degenerate = is_degenerate_beta(beta, n)
-        if degenerate:
-            lam, lam_assoc = 1.0 - k.value, 1.0 + k.value
-        else:
-            lam = 1.0 - k.value - tau * factor / (2.0 * n)
-            lam_assoc = 1.0 + k.value - tau_assoc * factor / (2.0 * n)
-        beta_checks = (
-            Check.measure(
-                "k_derivative_from_trace",
-                k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
-                note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
+    rows = len(betas) * len(ks)
+    k_value, k_prime = np.array([(k.value, k.xi_derivative) for k in ks]).T
+    scalar_sums = [
+        (
+            Check.between(
+                "scalar_sum_from_k_derivative",
+                tau + tau_assoc,
+                4.0 * n * (k.xi_derivative + n + 1.0),
+                note="tau + tau_assoc = 4n(k' + n + 1)",
             ),
         )
-        if not degenerate:
-            beta_checks += (
-                Check.measure(
-                    "k_derivative_consistency",
-                    k_prime - (-(lam + lam_assoc - 2.0) / (2.0 * factor) - n - 1.0),
-                    note="k' recovered from the solved constants",
-                ),
-                Check.measure(
-                    "scalar_sum_from_lambdas",
-                    tau + tau_assoc + 2.0 * n * (lam + lam_assoc - 2.0) / factor,
-                    note="tau + tau_assoc recovered from the solved constants",
-                ),
-            )
-        lams.append(lam)
-        lam_assocs.append(lam_assoc)
-        checks.append(beta_checks)
-        notes.append([_VERTICAL_BRANCH_NOTE] if degenerate else [])
-    return scalar_sum, lams, lam_assocs, checks, notes
+        for k in ks
+    ]
+    beta = np.asarray(betas, dtype=float)[:, None]
+    factor = 1.0 + 2.0 * n * beta
+    branch = is_degenerate_beta(beta, n)
+    regular = ~branch
+    lam = np.where(branch, 1.0 - k_value, 1.0 - k_value - tau * factor / (2.0 * n))
+    lam_assoc = np.where(branch, 1.0 + k_value, 1.0 + k_value - tau_assoc * factor / (2.0 * n))
+    columns = (
+        *shared_columns(scalar_sums, np.arange(rows) % len(ks)),
+        Column.of(
+            "k_derivative_from_trace",
+            k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
+            note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
+        ),
+        Column.of(
+            "k_derivative_consistency",
+            k_prime - (_quotient(-(lam + lam_assoc - 2.0), 2.0 * factor, regular) - n - 1.0),
+            note="k' recovered from the solved constants",
+            present=regular,
+        ),
+        Column.of(
+            "scalar_sum_from_lambdas",
+            tau + tau_assoc + _quotient(2.0 * n * (lam + lam_assoc - 2.0), factor, regular),
+            note="tau + tau_assoc recovered from the solved constants",
+            present=regular,
+        ),
+    )
+    note = (
+        "beta at the branch point -1/(2n): scalar curvatures are not "
+        "separately determined, only their sum is constrained"
+    )
+    table = CheckTable(rows, columns, ((note, np.repeat(branch, len(ks))),))
+    return lam.tolist(), lam_assoc.tolist(), table
 
 
 def verify_conformal_theorem(
@@ -492,7 +577,7 @@ def verify_conformal_theorem(
     many beta at one curvature point build the level once.
     """
     level = conformal_level(tau, tau_assoc, n, ricci_tensor=ricci_tensor, structure=structure)
-    return conformal_row(level, beta, psi + lam, psi_assoc + lam_assoc)
+    return conformal_row((level,), (beta,), psi + lam, psi_assoc + lam_assoc).report(0)
 
 
 class ConformalLevel(NamedTuple):
@@ -550,102 +635,120 @@ def conformal_level(
     )
 
 
-def conformal_row(
-    level: ConformalLevel, beta: float, sum_g: float, sum_assoc: float, notes=()
-) -> TheoremReport:
-    """The report of the conformal theorem at beta for the sums
-    sum_g = psi + lam and sum_assoc = psi_assoc + lam_assoc.
+def conformal_row(levels, beta, sum_g, sum_assoc, notes=()) -> CheckTable:
+    """The reports of the conformal theorem at each of the 1-d array beta
+    and each of levels (of one n, one structure and the same notes), for the
+    sums sum_g = psi + lam and sum_assoc = psi_assoc + lam_assoc.
 
-    It lists level.head, the checks that involve beta or the sums, then
-    level.tail; its notes are level.notes, then notes, then the branch's.
+    Row i * len(levels) + j is beta[i] at levels[j]. The levels' tau,
+    tau_assoc, tau_star and Ricci tensors are stacked into arrays that
+    broadcast against beta[:, None], as do sum_g and sum_assoc, so each check
+    is one array expression over all rows. A report lists its level's head,
+    the checks that involve beta or the sums, then its level's tail; its
+    notes are the level's notes, then notes, then the branch's.
     """
-    tau, tau_assoc, n = level.tau, level.tau_assoc, level.n
-    report = TheoremReport(list(level.head), [*level.notes, *notes])
+    n, structure = levels[0].n, levels[0].structure
+    scalars = np.array([(level.tau, level.tau_assoc, level.tau_star) for level in levels])
+    beta, sum_g, sum_assoc, tau, tau_assoc, tau_star = np.broadcast_arrays(
+        np.asarray(beta, dtype=float)[:, None], sum_g, sum_assoc, *scalars.T
+    )
     factor = 1.0 + 2.0 * n * beta
-
-    report.add(
-        "g_trace_closure",
-        (1.0 + (2.0 * n + 1.0) * beta) * tau
-        + beta * tau_assoc
-        + (2.0 * n + 1.0) * sum_g
-        + sum_assoc,
-        note="g-trace of the soliton equation",
-    )
-    report.add(
-        "reeb_trace_closure",
-        beta * (tau + tau_assoc) + sum_g + sum_assoc + 2.0 * n,
-        note="evaluation on (xi, xi)",
-    )
-    report.add(
-        "phi_trace_relation",
-        level.tau_star - 2.0 * n * (sum_assoc + beta * tau_assoc),
-        note="phi-trace of the soliton equation",
-    )
-
-    if is_degenerate_beta(beta, n):
-        report.add_note(
-            "beta at the branch point -1/(2n): the scalar curvatures decouple "
-            "from the potential sums"
-        )
-        report.add("unit_sum_g", sum_g - 1.0, note="psi + lam = 1 at the branch point")
-        report.add(
+    nested_factor = 1.0 + (2.0 * n + 1.0) * beta
+    branch = is_degenerate_beta(beta, n)
+    regular = ~branch
+    nested = regular & (np.abs(nested_factor) > DEGENERATE_BETA_TOL)
+    solved = regular & (np.abs(beta) > DEGENERATE_BETA_TOL)
+    columns = [
+        Column.of(
+            "g_trace_closure",
+            (1.0 + (2.0 * n + 1.0) * beta) * tau
+            + beta * tau_assoc
+            + (2.0 * n + 1.0) * sum_g
+            + sum_assoc,
+            note="g-trace of the soliton equation",
+        ),
+        Column.of(
+            "reeb_trace_closure",
+            beta * (tau + tau_assoc) + sum_g + sum_assoc + 2.0 * n,
+            note="evaluation on (xi, xi)",
+        ),
+        Column.of(
+            "phi_trace_relation",
+            tau_star - 2.0 * n * (sum_assoc + beta * tau_assoc),
+            note="phi-trace of the soliton equation",
+        ),
+        Column.of(
+            "unit_sum_g", sum_g - 1.0, note="psi + lam = 1 at the branch point", present=branch
+        ),
+        Column.of(
             "unit_sum_assoc",
             sum_assoc - 1.0,
             note="psi_assoc + lam_assoc = 1 at the branch point",
-        )
-    else:
-        report.add(
+            present=branch,
+        ),
+        Column.of(
             "tau_from_sums",
-            tau + 2.0 * n * (sum_g - 1.0) / factor,
+            tau + _quotient(2.0 * n * (sum_g - 1.0), factor, regular),
             note="tau = -2n(psi + lam - 1)/(1 + 2n beta)",
-        )
-        report.add(
+            present=regular,
+        ),
+        Column.of(
             "tau_assoc_from_sums",
-            tau_assoc + 2.0 * n * (sum_assoc - 1.0) / factor,
+            tau_assoc + _quotient(2.0 * n * (sum_assoc - 1.0), factor, regular),
             note="tau_assoc = -2n(psi_assoc + lam_assoc - 1)/(1 + 2n beta)",
-        )
-        report.add(
+            present=regular,
+        ),
+        Column.of(
             "sums_closure",
             sum_g + sum_assoc + 2.0 * n * (1.0 + 2.0 * (n + 1.0) * beta),
             note="the two sums are not independent",
-        )
-        nested_factor = 1.0 + (2.0 * n + 1.0) * beta
-        if abs(nested_factor) > DEGENERATE_BETA_TOL:
-            report.add(
-                "tau_nested_form",
-                tau
-                + ((2.0 * n + 1.0) * sum_g + 1.0 + (sum_assoc - 1.0) / factor)
-                / nested_factor,
-                note="tau eliminated through the g-trace instead of the sums",
-            )
-        else:
-            report.add_note(
-                "beta = -1/(2n+1): nested tau elimination skipped (guarded division)"
-            )
-        if abs(beta) > DEGENERATE_BETA_TOL:
-            report.add(
-                "tau_assoc_solved_form",
-                tau_assoc
-                + ((sum_g - 1.0) / factor + sum_assoc + 2.0 * n + 1.0) / beta,
-                note="tau_assoc eliminated through the g-trace",
-            )
-        else:
-            report.add_note("beta = 0: tau_assoc elimination skipped (guarded division)")
-
-    structure = level.structure
+            present=regular,
+        ),
+        Column.of(
+            "tau_nested_form",
+            tau
+            + _quotient(
+                (2.0 * n + 1.0) * sum_g + 1.0 + _quotient(sum_assoc - 1.0, factor, nested),
+                nested_factor,
+                nested,
+            ),
+            note="tau eliminated through the g-trace instead of the sums",
+            present=nested,
+        ),
+        Column.of(
+            "tau_assoc_solved_form",
+            tau_assoc
+            + _quotient(
+                _quotient(sum_g - 1.0, factor, solved) + sum_assoc + 2.0 * n + 1.0, beta, solved
+            ),
+            note="tau_assoc eliminated through the g-trace",
+            present=solved,
+        ),
+    ]
     if structure is not None:
         soliton_form = (
-            level.ricci_tensor.data
-            + (sum_g + beta * tau) * structure.g.matrix
-            + (sum_assoc + beta * tau_assoc) * structure.g_assoc.matrix
+            np.stack([level.ricci_tensor.data for level in levels])
+            + (sum_g + beta * tau)[..., None, None] * structure.g.matrix
+            + (sum_assoc + beta * tau_assoc)[..., None, None] * structure.g_assoc.matrix
         )
-        report.add(
-            "ricci_from_soliton_coeffs",
-            soliton_form,
-            note="rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0",
-        )
-    report.checks.extend(level.tail)
-    return report
+        note = "rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0"
+        form_residual = np.max(np.abs(soliton_form), axis=(-2, -1))
+        columns.append(Column.of("ricci_from_soliton_coeffs", form_residual, note=note))
+    row_level = np.arange(beta.size) % len(levels)
+    columns = (
+        *shared_columns([level.head for level in levels], row_level),
+        *columns,
+        *shared_columns([level.tail for level in levels], row_level),
+    )
+    branch_notes = {
+        "beta at the branch point -1/(2n): the scalar curvatures decouple "
+        "from the potential sums": branch,
+        "beta = -1/(2n+1): nested tau elimination skipped (guarded division)": regular & ~nested,
+        "beta = 0: tau_assoc elimination skipped (guarded division)": regular & ~solved,
+    }
+    notes = [(text, None) for text in (*levels[0].notes, *notes)]
+    notes += [(text, present.ravel()) for text, present in branch_notes.items()]
+    return CheckTable(beta.size, columns, tuple(notes))
 
 
 class VerticalLevel(NamedTuple):
@@ -691,14 +794,14 @@ def vertical_rows(
     *,
     solve: bool = True,
     mu: float = None,
-) -> list:
+) -> tuple:
     """The vertical-potential theorem on one analysis for the potentials
     levels[j] at betas[i].
 
-    rows[j][i] is (lam, lam_assoc, checks, residual, notes): the constants
-    in the soliton residual (lam_assoc is None for the single-metric
-    equation), the checks that precede the residual check, the residual
-    check, and a fresh notes list. A report lists checks, then residual.
+    Returns (lams, lam_assocs, table). lams[i][j] and lam_assocs[i][j] are
+    the constants in the soliton residual (lam_assoc is None for the
+    single-metric equation), and row i * len(levels) + j of table holds the
+    report, whose last check is the soliton residual.
 
     With mu the claim is the single-metric equation, lam defaults to 0
     and nothing is solved. Otherwise, with solve, the constants are solved
@@ -707,71 +810,70 @@ def vertical_rows(
     replaces its solved value in the soliton residual and is checked
     against it. Without solve, lam and lam_assoc are both required and only
     the residual is checked. The check that depends on the analysis alone
-    is computed once for all levels, and the soliton residuals of all betas
-    of a level come from one array operation.
+    is computed once for all levels, and the solve and the soliton
+    residuals of all betas of a level are array operations.
     """
     s, pkg = a.s, a.pkg
     tau, tau_assoc, n = pkg.tau, a.assoc_pkg.tau, s.n
-    notes = []
+    shape = (len(betas), len(levels))
+    rows = len(betas) * len(levels)
+    columns = shared_columns([level.checks for level in levels], np.arange(rows) % len(levels))
+    notes = ()
     if not a.classification.is_sasaki_like:
-        notes.append(
+        text = (
             "structure is not Sasaki-like: closed-form Lie derivatives do not "
             "apply, connection-based values used throughout"
         )
-    if mu is None and solve:
+        notes = ((text, None),)
+    if mu is not None:
+        eta_lam = 0.0 if lam is None else lam
+        norms = [
+            [
+                np.max(np.abs(eta_rb_residual(pkg.ricci, level.lie_g, s, spec, tau).data))
+                for level in levels
+            ]
+            for spec in (SolitonSpec(beta=beta, lam=eta_lam, mu=mu) for beta in betas)
+        ]
+        columns.append(Column.of("eta_soliton_residual", np.array(norms), 1e-10))
+        table = CheckTable(rows, tuple(columns), notes)
+        return np.full(shape, eta_lam).tolist(), np.full(shape, None).tolist(), table
+    lams, lam_assocs = np.full(shape, lam), np.full(shape, lam_assoc)
+    if solve:
         _require_sasaki_like(a.classification)
-        reconstruction = ricci_reconstruction_check(pkg.ricci, tau, tau_assoc, n, s)
-    by_level = []
-    for level in levels:
-        rows = []
-        if mu is not None:
-            eta_lam = 0.0 if lam is None else lam
-            for beta in betas:
-                spec = SolitonSpec(beta=beta, lam=eta_lam, mu=mu)
-                lhs = eta_rb_residual(pkg.ricci, level.lie_g, s, spec, tau)
-                check = Check.measure("eta_soliton_residual", lhs.data, tol=1e-10)
-                rows.append((eta_lam, None, level.checks, check, list(notes)))
-            by_level.append(rows)
-            continue
-        count = len(betas)
-        if solve:
-            scalar_sum, solved_lams, solved_assocs, solved_checks, solved_notes = (
-                vertical_solutions(level.k, tau, tau_assoc, n, betas)
-            )
-        else:
-            solved_lams, solved_assocs = [lam] * count, [lam_assoc] * count
-        lams = solved_lams if lam is None else [lam] * count
-        lam_assocs = solved_assocs if lam_assoc is None else [lam_assoc] * count
-        norms = rb_like_residual_norms(
-            pkg.ricci, level.lie_g, level.lie_assoc, s, betas, lams, lam_assocs, tau, tau_assoc
+        solved_lams, solved_assocs, solved = vertical_solutions(
+            [level.k for level in levels], tau, tau_assoc, n, betas
         )
-        for i, norm in enumerate(norms):
-            residual = Check.measure("soliton_residual", norm, tol=1e-10)
-            if not solve:
-                rows.append((lams[i], lam_assocs[i], level.checks, residual, list(notes)))
-                continue
-            # solving needs a Sasaki-like structure, which has no notes
-            checks = (*level.checks, scalar_sum, *solved_checks[i], reconstruction)
-            if lam is not None or lam_assoc is not None:
-                checks += (
-                    Check.between(
-                        "lambda_matches_solution",
-                        lams[i],
-                        solved_lams[i],
-                        tol=1e-10,
-                        note="supplied lam against the solved value",
-                    ),
-                    Check.between(
-                        "lambda_assoc_matches_solution",
-                        lam_assocs[i],
-                        solved_assocs[i],
-                        tol=1e-10,
-                        note="supplied lam_assoc against the solved value",
-                    ),
-                )
-            rows.append((lams[i], lam_assocs[i], checks, residual, solved_notes[i]))
-        by_level.append(rows)
-    return by_level
+        reconstruction = ricci_reconstruction_check(pkg.ricci, tau, tau_assoc, n, s)
+        columns += (*solved.columns, *shared_columns([(reconstruction,)], np.zeros(rows, np.intp)))
+        # solving needs a Sasaki-like structure, which has no notes
+        notes = solved.notes
+        if lam is None:
+            lams = np.array(solved_lams)
+        if lam_assoc is None:
+            lam_assocs = np.array(solved_assocs)
+        if lam is not None or lam_assoc is not None:
+            columns += (
+                Column.of(
+                    "lambda_matches_solution",
+                    lams - solved_lams,
+                    1e-10,
+                    "supplied lam against the solved value",
+                ),
+                Column.of(
+                    "lambda_assoc_matches_solution",
+                    lam_assocs - solved_assocs,
+                    1e-10,
+                    "supplied lam_assoc against the solved value",
+                ),
+            )
+    norms = [
+        rb_like_residual_norms(
+            pkg.ricci, level.lie_g, level.lie_assoc, s, betas, *constants, tau, tau_assoc
+        )
+        for level, *constants in zip(levels, lams.T, lam_assocs.T)
+    ]
+    columns.append(Column.of("soliton_residual", np.stack(norms, axis=1), 1e-10))
+    return lams.tolist(), lam_assocs.tolist(), CheckTable(rows, tuple(columns), notes)
 
 
 def conformal_report(
@@ -782,7 +884,7 @@ def conformal_report(
     L_theta g_assoc = 2 psi_assoc g_assoc."""
     s, pkg, tau_assoc = a.s, a.pkg, a.assoc_pkg.tau
     level = conformal_level(pkg.tau, tau_assoc, s.n, ricci_tensor=pkg.ricci, structure=s)
-    report = conformal_row(level, beta, psi + lam, psi_assoc + lam_assoc)
+    report = conformal_row((level,), (beta,), psi + lam, psi_assoc + lam_assoc).report(0)
     spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
     lie_g = Tensor(s.frame, 2.0 * psi * s.g.matrix)
     lie_assoc = Tensor(s.frame, 2.0 * psi_assoc * s.g_assoc.matrix)

@@ -34,9 +34,9 @@ MAX_DIM = 65
 class Check(NamedTuple):
     """One named residual compared against one tolerance.
 
-    A NamedTuple because a sweep builds thousands of checks: a tuple is
-    built in one step, where a frozen dataclass would set each field
-    through object.__setattr__.
+    A NamedTuple because a report read from a check table builds one per
+    check: a tuple is built in one step, where a frozen dataclass would set
+    each field through object.__setattr__.
     """
 
     name: str
@@ -46,7 +46,8 @@ class Check(NamedTuple):
 
     def passes(self, tol: float = None) -> bool:
         """residual < tol, against the check's own tolerance when tol is
-        None: the one rule that judges a check. A NaN residual fails."""
+        None: the one rule that judges a check. A NaN residual fails. With
+        arrays of residuals and tolerances it judges each pair."""
         return self.residual < (self.tol if tol is None else tol)
 
     @property

@@ -1,0 +1,466 @@
+"""Check tables against scalar references.
+
+The batched builders (solitons.conformal_row, solitons.vertical_solutions)
+compute each check of a sweep as one array expression over its rows. The
+references here are the per-row forms they replaced, one Python float at a
+time, with every operation in the same order: a batched residual must equal
+its reference to the last bit. The verdict of a table is compared with the
+scan over a report's checks that TheoremReport.verdict used to be.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from accrgeo import (
+    Check,
+    Example2Params,
+    SolitonSpec,
+    VerticalScalar,
+    example2_state,
+    rb_like_residual,
+    run_example2_report,
+    scenarios,
+    solitons,
+    sweep,
+)
+from accrgeo.cli import RunConfig, cmd_sweep
+from accrgeo.errors import DegenerateParameter
+from accrgeo.scenarios import _SUMS_NOTE, _example1_level
+from accrgeo.solitons import DEGENERATE_BETA_TOL, CheckTable, Column, is_degenerate_beta
+
+DEG_T = 3.0 * math.pi / 4.0
+
+
+# --- scalar references ------------------------------------------------------
+
+
+def _reference_curve_sums(beta, n, tau, tau_assoc):
+    if is_degenerate_beta(beta, n):
+        return 1.0, 1.0
+    factor = 1.0 + 2.0 * n * beta
+    return 1.0 - factor * tau / (2.0 * n), 1.0 - factor * tau_assoc / (2.0 * n)
+
+
+def _reference_conformal_row(level, beta, sum_g, sum_assoc, notes=()):
+    """(checks, notes) of the conformal theorem at one beta of one level."""
+    tau, tau_assoc, n = level.tau, level.tau_assoc, level.n
+    checks, notes = list(level.head), [*level.notes, *notes]
+    factor = 1.0 + 2.0 * n * beta
+
+    def add(name, residual, note):
+        checks.append(Check.measure(name, residual, note=note))
+
+    add(
+        "g_trace_closure",
+        (1.0 + (2.0 * n + 1.0) * beta) * tau
+        + beta * tau_assoc
+        + (2.0 * n + 1.0) * sum_g
+        + sum_assoc,
+        "g-trace of the soliton equation",
+    )
+    add(
+        "reeb_trace_closure",
+        beta * (tau + tau_assoc) + sum_g + sum_assoc + 2.0 * n,
+        "evaluation on (xi, xi)",
+    )
+    add(
+        "phi_trace_relation",
+        level.tau_star - 2.0 * n * (sum_assoc + beta * tau_assoc),
+        "phi-trace of the soliton equation",
+    )
+    if is_degenerate_beta(beta, n):
+        notes.append(
+            "beta at the branch point -1/(2n): the scalar curvatures decouple "
+            "from the potential sums"
+        )
+        add("unit_sum_g", sum_g - 1.0, "psi + lam = 1 at the branch point")
+        add("unit_sum_assoc", sum_assoc - 1.0, "psi_assoc + lam_assoc = 1 at the branch point")
+    else:
+        add(
+            "tau_from_sums",
+            tau + 2.0 * n * (sum_g - 1.0) / factor,
+            "tau = -2n(psi + lam - 1)/(1 + 2n beta)",
+        )
+        add(
+            "tau_assoc_from_sums",
+            tau_assoc + 2.0 * n * (sum_assoc - 1.0) / factor,
+            "tau_assoc = -2n(psi_assoc + lam_assoc - 1)/(1 + 2n beta)",
+        )
+        add(
+            "sums_closure",
+            sum_g + sum_assoc + 2.0 * n * (1.0 + 2.0 * (n + 1.0) * beta),
+            "the two sums are not independent",
+        )
+        nested_factor = 1.0 + (2.0 * n + 1.0) * beta
+        if abs(nested_factor) > DEGENERATE_BETA_TOL:
+            add(
+                "tau_nested_form",
+                tau
+                + ((2.0 * n + 1.0) * sum_g + 1.0 + (sum_assoc - 1.0) / factor) / nested_factor,
+                "tau eliminated through the g-trace instead of the sums",
+            )
+        else:
+            notes.append("beta = -1/(2n+1): nested tau elimination skipped (guarded division)")
+        if abs(beta) > DEGENERATE_BETA_TOL:
+            add(
+                "tau_assoc_solved_form",
+                tau_assoc + ((sum_g - 1.0) / factor + sum_assoc + 2.0 * n + 1.0) / beta,
+                "tau_assoc eliminated through the g-trace",
+            )
+        else:
+            notes.append("beta = 0: tau_assoc elimination skipped (guarded division)")
+    structure = level.structure
+    if structure is not None:
+        soliton_form = (
+            level.ricci_tensor.data
+            + (sum_g + beta * tau) * structure.g.matrix
+            + (sum_assoc + beta * tau_assoc) * structure.g_assoc.matrix
+        )
+        add(
+            "ricci_from_soliton_coeffs",
+            soliton_form,
+            "rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0",
+        )
+    checks.extend(level.tail)
+    return checks, notes
+
+
+def _reference_vertical_solution(k, tau, tau_assoc, n, beta):
+    """(scalar_sum, lam, lam_assoc, checks, notes) of one potential at one beta."""
+    k_prime = k.xi_derivative
+    scalar_sum = Check.between(
+        "scalar_sum_from_k_derivative",
+        tau + tau_assoc,
+        4.0 * n * (k_prime + n + 1.0),
+        note="tau + tau_assoc = 4n(k' + n + 1)",
+    )
+    factor = 1.0 + 2.0 * n * beta
+    degenerate = is_degenerate_beta(beta, n)
+    if degenerate:
+        lam, lam_assoc = 1.0 - k.value, 1.0 + k.value
+    else:
+        lam = 1.0 - k.value - tau * factor / (2.0 * n)
+        lam_assoc = 1.0 + k.value - tau_assoc * factor / (2.0 * n)
+    checks = [
+        Check.measure(
+            "k_derivative_from_trace",
+            k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
+            note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
+        )
+    ]
+    if not degenerate:
+        checks += [
+            Check.measure(
+                "k_derivative_consistency",
+                k_prime - (-(lam + lam_assoc - 2.0) / (2.0 * factor) - n - 1.0),
+                note="k' recovered from the solved constants",
+            ),
+            Check.measure(
+                "scalar_sum_from_lambdas",
+                tau + tau_assoc + 2.0 * n * (lam + lam_assoc - 2.0) / factor,
+                note="tau + tau_assoc recovered from the solved constants",
+            ),
+        ]
+    notes = (
+        [
+            "beta at the branch point -1/(2n): scalar curvatures are not "
+            "separately determined, only their sum is constrained"
+        ]
+        if degenerate
+        else []
+    )
+    return scalar_sum, lam, lam_assoc, checks, notes
+
+
+def _reference_example2(params, checks, lam=None, lam_assoc=None):
+    """The checks, notes and constants of the example2 family report at
+    params: the solve, the constants and the soliton residual from the
+    references, the geometry, Lie-derivative and reconstruction checks (which
+    no batched builder computes) taken from checks, the report under test."""
+    a = example2_state(params.p, params.q)
+    tau, tau_assoc, n = a.pkg.tau, a.assoc_pkg.tau, a.s.n
+    t0, beta = params.t0, params.beta
+    k = VerticalScalar(-2.0 * t0, -2.0)
+    scalar_sum, solved, solved_assoc, solve_checks, notes = _reference_vertical_solution(
+        k, tau, tau_assoc, n, beta
+    )
+    row_lam = solved if lam is None else lam
+    row_assoc = solved_assoc if lam_assoc is None else lam_assoc
+    if lam is None and lam_assoc is None:
+        constants = [
+            Check.between(
+                "lambda_family_value",
+                row_lam,
+                2.0 * (t0 - 2.0 * beta),
+                tol=1e-10,
+                note="lam = 2(t0 - 2 beta)",
+            ),
+            Check.between(
+                "lambda_assoc_family_value",
+                row_assoc,
+                -2.0 * (t0 + 2.0 * beta),
+                tol=1e-10,
+                note="lam_assoc = -2(t0 + 2 beta)",
+            ),
+        ]
+    else:
+        constants = [
+            Check.between(
+                "lambda_matches_solution",
+                row_lam,
+                solved,
+                tol=1e-10,
+                note="supplied lam against the solved value",
+            ),
+            Check.between(
+                "lambda_assoc_matches_solution",
+                row_assoc,
+                solved_assoc,
+                tol=1e-10,
+                note="supplied lam_assoc against the solved value",
+            ),
+        ]
+    level = solitons.vertical_level(a, k)
+    spec = SolitonSpec(beta=beta, lam=row_lam, lam_assoc=row_assoc)
+    lhs = rb_like_residual(a.pkg.ricci, level.lie_g, level.lie_assoc, a.s, spec, tau, tau_assoc)
+    residual = Check.measure("soliton_residual", lhs.data, tol=1e-10)
+    names = [check.name for check in checks]
+    start, reconstruction = names.index(scalar_sum.name), names.index("ricci_reconstruction")
+    expected = [
+        *checks[:start],
+        scalar_sum,
+        *solve_checks,
+        checks[reconstruction],
+        *constants,
+        residual,
+        *checks[-2:],
+    ]
+    return expected, notes, (row_lam, row_assoc)
+
+
+def _fields(checks):
+    return [(c.name, repr(c.residual), c.tol, c.note) for c in checks]
+
+
+def _assert_example1_rows_match_references(result):
+    for row in result.rows:
+        t, n, beta = row.params["t"], row.params["n"], row.params["beta"]
+        report = row.report
+        try:
+            level = _example1_level(t, n).conformal
+        except DegenerateParameter as exc:
+            assert row.degenerate
+            assert (report.checks, report.notes) == ([], [str(exc)])
+            continue
+        sums = _reference_curve_sums(beta, n, level.tau, level.tau_assoc)
+        checks, notes = _reference_conformal_row(level, beta, *sums, (_SUMS_NOTE,))
+        assert _fields(report.checks) == _fields(checks), row.params
+        assert report.notes == notes
+        assert (row.scalars["psi_plus_lambda"], row.scalars["psi_tilde_plus_lambda_tilde"]) == sums
+
+
+def _assert_example2_rows_match_references(result):
+    for row in result.rows:
+        report = row.report
+        params = Example2Params(**row.params)
+        expected, notes, constants = _reference_example2(params, report.checks)
+        assert _fields(report.checks) == _fields(expected), row.params
+        assert report.notes == notes
+        assert (row.scalars["lambda"], row.scalars["lambda_tilde"]) == constants
+
+
+# --- batched builders against the references ---------------------------------
+
+
+def test_default_example1_sweep_matches_the_scalar_reference():
+    result = sweep("example1")
+    assert len(result.rows) == 1295
+    _assert_example1_rows_match_references(result)
+
+
+def test_default_example2_sweep_matches_the_scalar_reference():
+    result = sweep("example2")
+    assert len(result.rows) == 700
+    _assert_example2_rows_match_references(result)
+
+
+def test_example1_special_betas_and_excluded_t_match_the_scalar_reference():
+    n_grid = [1, 2, 3]
+    special = [-1.0 / (2 * n) for n in n_grid] + [-1.0 / (2 * n + 1) for n in n_grid]
+    result = sweep(
+        "example1",
+        n_grid=n_grid,
+        beta_grid=[*special, 0.0, -0.25 + 5e-10, 0.7],
+        t_grid=[0.0, DEG_T, 1.3, 5.5],
+    )
+    assert sum(row.degenerate for row in result.rows) == 3 * 9
+    notes = {note for row in result.rows for note in row.report.notes}
+    for fragment in ("branch point", "nested tau elimination skipped", "elimination skipped"):
+        assert any(fragment in note for note in notes), fragment
+    _assert_example1_rows_match_references(result)
+
+
+def test_example2_special_betas_match_the_scalar_reference():
+    result = sweep(
+        "example2",
+        p_grid=[0.0, 1.5],
+        q_grid=[-2.0],
+        beta_grid=[-0.25, -0.2, 0.0],
+        t0_grid=[1.0, -0.5, 3.0],
+    )
+    assert len(result.rows) == 18
+    _assert_example2_rows_match_references(result)
+
+
+@pytest.mark.parametrize("beta", [-0.25, -0.2, 0.0, 0.6])
+@pytest.mark.parametrize("lam,lam_assoc", [(2.0, None), (None, -3.0), (1.0, 1.0)])
+def test_example2_point_with_supplied_constants_matches_the_scalar_reference(
+    beta, lam, lam_assoc
+):
+    params = Example2Params(p=-1.0, q=0.5, beta=beta, t0=1.0)
+    report = run_example2_report(params, lam=lam, lam_assoc=lam_assoc)
+    expected, notes, _ = _reference_example2(params, report.checks, lam, lam_assoc)
+    assert _fields(report.checks) == _fields(expected)
+    assert report.notes == notes
+
+
+# --- the vectorised verdict --------------------------------------------------
+
+
+def _scan_verdict(checks, tol=None):
+    """(passed, worst) as a scan over checks: the first largest margin, a
+    later margin replacing the worst only when it is larger."""
+    passed, worst, worst_margin = True, None, None
+    for check in checks:
+        limit = check.tol if tol is None else tol
+        if not check.residual < limit:
+            passed = False
+        margin = check.residual / limit
+        if worst is None or margin > worst_margin:
+            worst, worst_margin = check, margin
+    return passed, worst
+
+
+def _assert_verdicts_match_the_scan(table_rows, tol):
+    """table_rows: (table, row) pairs; the table's verdict of each row equals
+    the scan over the row's report, which is the report's own verdict."""
+    judged = {}
+    for table, row in table_rows:
+        if id(table) not in judged:
+            judged[id(table)] = list(zip(*table.verdicts(tol)))
+        passed, name, residual = judged[id(table)][row]
+        report = table.report(row)
+        expected_passed, worst = _scan_verdict(report.checks, tol)
+        assert (passed, name) == (expected_passed, worst.name)
+        assert repr(residual) == repr(worst.residual)
+        assert report.verdict(tol) == (expected_passed, worst)
+
+
+@pytest.mark.parametrize("scenario", ["example1", "example2"])
+@pytest.mark.parametrize("tol", [None, 1e-16, 1e-3])
+def test_default_sweep_verdicts_equal_the_scan(scenario, tol):
+    result = sweep(scenario)
+    judged = [(row.table, row.position) for row in result.rows if not row.degenerate]
+    _assert_verdicts_match_the_scan(judged, tol)
+    verdicts = result.verdicts(tol)
+    assert [v is None for v in verdicts] == [row.degenerate for row in result.rows]
+    if tol == 1e-16:
+        assert not all(v[0] for v in verdicts if v is not None)
+    if tol == 1e-3:
+        assert all(v[0] for v in verdicts if v is not None)
+
+
+def _table(residuals, tols, present=None):
+    """A table of one column per entry of tols, rows as given."""
+    residuals = np.array(residuals, dtype=float)
+    present = np.ones(residuals.shape, bool) if present is None else np.array(present)
+    columns = tuple(
+        Column(f"c{j}", residuals[:, j], tol, "", present[:, j]) for j, tol in enumerate(tols)
+    )
+    return CheckTable(len(residuals), columns)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+def test_verdict_with_nan_residuals_and_tied_margins(tol):
+    nan = math.nan
+    table = _table(
+        [
+            [nan, 1e-10, 5e-9, 0.0],  # NaN first: it stays the worst
+            [1e-10, nan, 5e-9, 0.0],  # NaN later: skipped
+            [nan, nan, nan, nan],
+            [2e-9, 2e-10, 1e-10, 2e-9],  # tied margins under each tol: the first wins
+            [1e-12, nan, 3e-10, 1e-11],  # the first present check is NaN
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        [1e-9, 1e-10, 1e-9, 1e-9],
+        present=[[True] * 4] * 4 + [[False, True, True, True], [True] * 4],
+    )
+    _assert_verdicts_match_the_scan([(table, row) for row in range(table.rows)], tol)
+    _, names, _ = table.verdicts(tol)
+    assert names[:2] == ["c0", "c2"]
+    assert names[4] == "c1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.tuples(
+            st.lists(st.sampled_from([1e-10, 1e-9]), min_size=width, max_size=width),
+            st.lists(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, math.inf, math.nan]),
+                        st.booleans(),
+                    ),
+                    min_size=width,
+                    max_size=width,
+                ).filter(lambda row: any(held for _, held in row)),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    ),
+    st.sampled_from([None, 1e-9]),
+)
+def test_table_verdict_equals_the_scan_of_each_row(drawn, tol):
+    tols, rows = drawn
+    table = _table(
+        [[value for value, _ in row] for row in rows],
+        tols,
+        present=[[held for _, held in row] for row in rows],
+    )
+    _assert_verdicts_match_the_scan([(table, row) for row in range(table.rows)], tol)
+
+
+# --- sweeps hold tables, not reports ----------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize(
+    "scenario,builder,calls,rows",
+    [("example1", "conformal_row", 5, 1295), ("example2", "vertical_solutions", 25, 700)],
+)
+def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
+    monkeypatch, scenario, builder, calls, rows
+):
+    counts = {}
+    module = scenarios if builder == "conformal_row" else solitons
+    _count_calls(monkeypatch, module, builder, counts)
+    _count_calls(monkeypatch, solitons.TheoremReport, "add", counts)
+    _count_calls(monkeypatch, CheckTable, "report", counts)
+    payload, code = cmd_sweep(RunConfig("sweep", scenario=scenario))
+    assert (code, len(payload["rows"])) == (0, rows)
+    assert counts == {builder: calls}

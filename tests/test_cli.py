@@ -824,6 +824,19 @@ def test_a_malformed_definition_file_exits_2_naming_its_fault(
 
 
 @pytest.mark.parametrize(
+    "command,options", [("inspect", ()), ("soliton", ("--k", "1", "--k-prime", "0", "--solve"))]
+)
+def test_a_definition_file_that_is_not_utf8_exits_2_naming_it(
+    capsys, tmp_path, command, options
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, "--input", str(path), *options)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
     "argv,key",
     [
         # with --lambda alone the report solves lambda_tilde = -2(t0 + 2 beta) = -2
@@ -967,6 +980,16 @@ def test_sweep_json_rejects_non_finite(where, value):
     payload = {"scenario": "example1", "rows": [row], "summary": {}, "notes": [], "passed": True}
     with pytest.raises(ValueError, match="non-finite"):
         to_json(payload)
+
+
+def test_json_writer_reuses_float_text_but_keeps_each_zero_and_rejects_non_finite():
+    repeated = [0.0, -0.0, 1.5, np.float64(1.5), np.float64(-0.0), 0.0, 1e-300, np.float64(0.0)]
+    payload = {"a": repeated, "b": {"x": -0.0, "y": 2.5, "z": [2.5, np.float64(2.5), 1e-300]}}
+    assert to_json(payload) == json.dumps(payload, indent=2)
+    assert to_json([-0.0, 0.0, -0.0]) == json.dumps([-0.0, 0.0, -0.0], indent=2)
+    for value in (math.nan, math.inf, -np.float64(math.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_json([1.5, value, value])
 
 
 def test_json_writer_keeps_keys_outside_the_sweep_schema():
