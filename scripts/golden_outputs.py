@@ -18,6 +18,9 @@ The set covers every path from (algebra, structure) to a report:
   abelian dim-5 algebra on the same carrier, which is not Sasaki-like.
   Each gets `inspect` and `soliton` with `--solve`, with
   `--lambda/--lambda-tilde`, with `--mu` and with `--psi/--psi-tilde`;
+- example2 at (0, 0) in a dense integer frame of determinant 1, through
+  `inspect` and `soliton --solve`: every input entry is exact, but the
+  connection is dense, so a change in how curvature rounds shows here;
 - small sweeps in both formats: example1 through the degenerate t = 3 pi/4
   and beta = -1/(2n), example1 with `--tol 1e-3` and `--tol 1e-16` (which
   judge every check against the override), and example2 on single-value
@@ -42,7 +45,10 @@ import io
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from accrgeo.cli import main as cli_main
 from accrgeo.scenarios import sweep
@@ -85,6 +91,38 @@ INPUTS = (
     ("semidirect-n16", 16, semidirect_brackets(16), True),
     ("abelian-n2", 2, [], False),
 )
+
+#: f_a = sum_i DENSE_FRAME[i][a] e_i, with det 1 and an integer inverse
+DENSE_FRAME = [[min(i, j) + 1 for j in range(5)] for i in range(5)]
+
+
+def in_frame(definition: dict, frame: list) -> dict:
+    """An integer definition rewritten in the frame f_a = sum_i frame[i][a] e_i
+    of an integer matrix with det +-1; every entry stays an exact integer."""
+    dim = definition["dim"]
+    a = np.array(frame, dtype=np.int64)
+    inverse = np.rint(np.linalg.inv(a)).astype(np.int64)
+    c = np.zeros((dim,) * 3, dtype=np.int64)
+    for i, j, k, value in definition["structure_constants"]:
+        c[k, i, j], c[k, j, i] = value, -value
+    phi, g = (np.zeros((dim, dim), dtype=np.int64) for _ in range(2))
+    for matrix, key in ((phi, "phi"), (g, "g")):
+        for i, j, value in definition[key]:
+            matrix[i, j] = value
+    # moved[i, j, k] = c'[k, i, j], the f_k-component of [f_i, f_j]
+    moved = np.einsum("ck,kij,ia,jb->abc", inverse, c, a, a)
+
+    def entries(m: np.ndarray) -> list:
+        return [[*map(int, index), float(m[index])] for index in zip(*np.nonzero(m))]
+
+    return {
+        "dim": dim,
+        "structure_constants": [entry for entry in entries(moved) if entry[0] < entry[1]],
+        "phi": entries(inverse @ phi @ a),
+        "xi": (inverse @ np.array(definition["xi"], dtype=np.int64)).astype(float).tolist(),
+        "eta": (np.array(definition["eta"], dtype=np.int64) @ a).astype(float).tolist(),
+        "g": entries(a.T @ g @ a),
+    }
 
 
 def input_commands(path: str, stem: str, n: int, sasaki_like: bool):
@@ -140,6 +178,12 @@ def commands(inputs_dir: Path):
         path = inputs_dir / f"{stem}.json"
         path.write_text(json.dumps(carrier_definition(n, brackets), indent=2) + "\n")
         yield from input_commands(str(path), stem, n, sasaki_like)
+    stem, n, brackets, _ = INPUTS[0]
+    dense = in_frame(carrier_definition(n, brackets), DENSE_FRAME)
+    path = inputs_dir / "example2-dense-frame.json"
+    path.write_text(json.dumps(dense, indent=2) + "\n")
+    # inspect and soliton --solve
+    yield from islice(input_commands(str(path), "example2-dense-frame", n, True), 2)
 
 
 def small_sweeps():

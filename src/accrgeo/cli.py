@@ -331,7 +331,9 @@ def _input_analysis(config: RunConfig):
 
 def cmd_inspect(config: RunConfig):
     """Structure validity, curvature table, scalars, classification, fit."""
-    # unpacked at once: holding the whole analysis raises the peak RSS
+    # unpacked at once, so F is freed before curvature_nonzero builds R of g;
+    # at dim 33 the peak is then R and its listing, about 1.4 dim^4 float64
+    # arrays (tracemalloc)
     if config.input_path is not None:
         _, s, pkg, _, classification, assoc_pkg = _input_analysis(config)
     else:

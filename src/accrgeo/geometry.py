@@ -11,7 +11,7 @@ the convention
 
     R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z
     R_ijkl   = g(R(e_i, e_j) e_k, e_l)
-    rho_jk   = g^il R_ijkl
+    rho_jk   = g^il R_ijkl, the trace of x -> R(x, e_j) e_k
     tau      = g^jk rho_jk
     tau_star = g^jk rho(e_j, phi e_k)
 
@@ -26,19 +26,22 @@ curvature of g, the fundamental tensor F, the Sasaki-like classification
 and the curvature of the associated metric, returned as an Analysis.
 Scenarios, definition files and sweeps all go through it.
 
-Every contraction (the Jacobi identity, the Koszul formula, the curvature
-tensor and the fundamental tensor) runs as reshapes plus matrix products,
-so BLAS does the work; they are meant for dim up to about 33. The curvature
-tensor is the only dim^4 array a call builds: the Jacobiator, the
-antisymmetrization and bracket term of the curvature, and the four
-curvature symmetry checks run in blocks of rows of the first index that
-stay in cache. An analysis keeps one curvature tensor per metric, so
-inspect peaks at about 2.4 dim^4 float64 arrays (9.5 MB each at dim 33).
+Every contraction (the Jacobi identity, the Koszul formula, Ricci, the
+curvature tensor and the fundamental tensor) runs as reshapes plus matrix
+products, so BLAS does the work; they are meant for dim up to about 33.
+Ricci is summed from the connection, and the curvature tensor, the only
+dim^4 array a call builds, only when CurvaturePackage.riemann is read. The
+Jacobiator, the antisymmetrization and bracket term of the curvature, and
+its four symmetry checks run in blocks of rows of the first index that
+stay in cache. At dim 33 (9.5 MB per dim^4 float64 array) `soliton --input
+--solve` peaks at about 0.3 such arrays and `inspect --input` at 1.4
+(tracemalloc).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -149,13 +152,20 @@ class Connection:
 
 @dataclass(frozen=True)
 class CurvaturePackage:
-    """Connection, curvature, Ricci and both scalar traces for one metric."""
+    """Connection, Ricci and both scalar traces for one metric, and the
+    curvature tensor when it is read."""
 
+    alg: LieAlgebra
+    metric: MetricPair
     conn: Connection
-    riemann: Tensor
     ricci: Tensor
     tau: float
     tau_star: float
+
+    @cached_property
+    def riemann(self) -> Tensor:
+        """R_ijkl, a dim^4 array, built and checked on the first read."""
+        return riemann(self.conn, self.alg, self.metric)
 
 
 @dataclass(frozen=True)
@@ -247,20 +257,34 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     return Tensor(alg.frame, low)
 
 
-def ricci(riem: Tensor, metric: MetricPair) -> Tensor:
-    """Ricci tensor rho_jk = g^il R_ijkl; symmetry is asserted."""
-    rho = np.einsum("il,ijkl->jk", metric.inverse, riem.data)
+def ricci(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
+    """Ricci tensor rho_jk = g^il R_ijkl, summed from the connection without
+    building R; symmetry is asserted. The trace of x -> R(x, e_j) e_k needs
+    no metric, so metric is not read; ricci is called as riemann is. With
+    tr[m] = sum_i gamma[i, i, m]:
+
+        rho[j, k] =   sum_m tr[m] gamma[m, j, k]
+                    - sum_{i,m} gamma[i, j, m] gamma[m, i, k]
+                    - sum_{i,m} c[m, i, j] gamma[i, m, k]
+    """
+    gamma = conn.gamma.data
+    d = gamma.shape[0]
+    # swapped[j, i, m] = gamma[i, j, m], copied once for both of its reshapes
+    swapped = np.ascontiguousarray(gamma.transpose(1, 0, 2))
+    rho = (np.trace(gamma) @ gamma.reshape(d, d * d)).reshape(d, d)
+    rho -= swapped.reshape(d, d * d) @ swapped.reshape(d * d, d)
+    # the rows of c.transpose(2, 1, 0) are c[m, i, j] over (i, m) for each j
+    rho -= alg.c.data.transpose(2, 1, 0).reshape(d, d * d) @ gamma.reshape(d * d, d)
     require(rho - rho.T, "Ricci postcondition failed: not symmetric")
-    return Tensor(riem.frame, rho)
+    return Tensor(alg.frame, rho)
 
 
 def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> CurvaturePackage:
-    """Run the full pipeline for one metric: connection through scalars."""
+    """Run the pipeline for one metric: connection, Ricci, then both scalars."""
     conn = levi_civita(alg, metric)
-    riem = riemann(conn, alg, metric)
-    rho = ricci(riem, metric)
+    rho = ricci(conn, alg, metric)
     tau, tau_star = trace_g(rho, metric), phi_trace(rho, metric, phi)
-    return CurvaturePackage(conn=conn, riemann=riem, ricci=rho, tau=tau, tau_star=tau_star)
+    return CurvaturePackage(alg, metric, conn, rho, tau, tau_star)
 
 
 def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
@@ -344,7 +368,8 @@ def analyze(alg: LieAlgebra, s: AccRStructure) -> Analysis:
     """The one pipeline: curvature of g, the fundamental tensor F, the
     Sasaki-like classification, then curvature of the associated metric.
 
-    Every field is computed, in the order of the fields.
+    Every field is computed, in the order of the fields; the curvature
+    tensor of either metric is not, until its riemann is read.
     """
     pkg = curvature_package(alg, s.g, s.phi)
     fund = fundamental_tensor(pkg.conn, s)

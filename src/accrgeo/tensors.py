@@ -26,8 +26,9 @@ DEFAULT_TOL = 1e-9
 #: tighter tolerance used inside linear algebra
 LINALG_TOL = 1e-12
 #: largest frame dimension accepted from the command line or a definition
-#: file; inspect holds about 2.4 dense dim^4 float64 arrays at its peak,
-#: 0.33 GB at dim 65 (0.83 GB for a single array at dim 101)
+#: file; inspect, the one command that builds the curvature tensor of a
+#: definition file, peaks at about 1.4 dense dim^4 float64 arrays (measured
+#: at dim 33), 0.2 GB at dim 65 (0.83 GB for a single array at dim 101)
 MAX_DIM = 65
 
 

@@ -575,6 +575,37 @@ def _semidirect_n2_file(tmp_path):
     return str(path), analyze(alg, s)
 
 
+@pytest.mark.parametrize(
+    "argv,builds",
+    [
+        (("soliton", "--input", None, "--k", "0.5", "--k-prime=-2", "--solve"), 0),
+        (("inspect", "--input", None), 1),
+        (("soliton", "--scenario", "example2", "--solve"), 1),
+    ],
+)
+def test_curvature_tensor_is_built_only_where_it_is_listed(
+    capsys, monkeypatch, tmp_path, argv, builds
+):
+    # inspect's curvature_nonzero and example2's curvature_table read the
+    # curvature tensor of g; nothing reads the one of g_assoc
+    path, a = _semidirect_n2_file(tmp_path)
+    metrics = []
+    original = accrgeo.geometry.riemann
+
+    def counted(conn, alg, metric):
+        metrics.append(metric.matrix)
+        return original(conn, alg, metric)
+
+    monkeypatch.setattr(accrgeo.geometry, "riemann", counted)
+    scenarios.example2_state.cache_clear()
+    code, _, _ = run(capsys, *(path if arg is None else arg for arg in argv))
+    assert code == 0
+    assert len(metrics) == builds
+    # example2 lies on the same flat carrier of n = 2 as the file
+    assert not np.array_equal(a.s.g.matrix, a.s.g_assoc.matrix)
+    assert all(np.array_equal(matrix, a.s.g.matrix) for matrix in metrics)
+
+
 def _solve_span(checks):
     """The (name, residual, tol, note) of checks from scalar_sum_from_k_derivative
     through ricci_reconstruction."""
@@ -853,29 +884,47 @@ def test_soliton_prints_the_constants_the_report_used(capsys, argv, key):
 
 
 def test_size_limit_arithmetic():
-    # the bench's largest definition is dim 33; about 2.4 dim^4 float64
-    # arrays at the inspect peak stay under 0.35 GB at the limit
+    # the bench's largest definition is dim 33; the inspect peak, under 1.5
+    # dim^4 float64 arrays (test_inspect_peak_memory_at_dim33), stays under
+    # 0.25 GB at the limit
     assert MAX_DIM % 2 == 1 and MAX_DIM >= 33
-    assert 2.4 * MAX_DIM**4 * 8 < 0.35e9
+    assert 1.5 * MAX_DIM**4 * 8 < 0.25e9
     assert 2 * MAX_N + 1 == MAX_DIM
 
 
-def test_inspect_peak_memory_at_dim33(capsys, tmp_path):
-    # inspect keeps one curvature tensor per metric; every other array it
-    # holds at once, scratch blocks and the component listing included,
-    # stays under half of one more dim^4 array
+def _dim33_peak(capsys, tmp_path, command, *options):
+    """Exit code, JSON output and tracemalloc peak of command on the dim-33
+    semidirect file."""
     n = 16
     path = tmp_path / "dim33.json"
     alg = LieAlgebra(Frame(2 * n + 1), semidirect_constants(n))
     save_definition(ManifoldDefinition.from_structure(alg, flat_carrier_structure(n)), path)
     tracemalloc.start()
     try:
-        code, out, _ = run(capsys, "inspect", "--input", str(path), "--format", "json")
+        code, out, _ = run(capsys, command, "--input", str(path), *options, "--format", "json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and json.loads(out)["dim"] == 33
-    assert peak < 2.5 * 8 * 33**4
+    return code, json.loads(out), peak
+
+
+def test_inspect_peak_memory_at_dim33(capsys, tmp_path):
+    # inspect builds the curvature tensor of g alone (1.0 dim^4 float64
+    # arrays) for its listing; everything else it holds at once, the listing
+    # and R's scratch block included, measured 0.39 more
+    code, payload, peak = _dim33_peak(capsys, tmp_path, "inspect")
+    assert code == 0 and payload["dim"] == 33
+    assert peak < 1.5 * 8 * 33**4
+
+
+def test_soliton_peak_memory_at_dim33(capsys, tmp_path):
+    # soliton builds no curvature tensor: its peak measured 0.31 dim^4
+    # float64 arrays
+    code, payload, peak = _dim33_peak(
+        capsys, tmp_path, "soliton", "--k", "0.5", "--k-prime=-16", "--beta", "0.3", "--solve"
+    )
+    assert code == 0 and payload["scalars"]["dim"] == 33
+    assert peak < 0.5 * 8 * 33**4
 
 
 @pytest.mark.parametrize("case", ["n", "grid-n", "input-dim"])

@@ -197,9 +197,63 @@ def test_ricci_matches_loop_oracle(p, q):
     alg, s = build_example2(p, q)
     conn = levi_civita(alg, s.g)
     riem = riemann(conn, alg, s.g)
-    rho = ricci(riem, s.g)
+    rho = ricci(conn, alg, s.g)
     expected = oracle_ricci(riem.data, s.g.inverse)
     assert np.max(np.abs(rho.data - expected)) < 1e-12
+
+
+def _ricci_routes(alg, metric):
+    """Ricci from the connection, and as the loop contraction g^il R_ijkl."""
+    conn = levi_civita(alg, metric)
+    contracted = oracle_ricci(riemann(conn, alg, metric).data, metric.inverse)
+    return ricci(conn, alg, metric).data, contracted
+
+
+@pytest.mark.parametrize(
+    "case", [(p, q) for p in (-2.0, 0.0, 1.5) for q in (-2.0, 0.0, 1.0)] + [1, 2, 3, 4]
+)
+def test_ricci_from_connection_equals_contraction_of_curvature(case):
+    # example2 over a (p, q) grid, and the semidirect algebra at n = 1 .. 4
+    if isinstance(case, int):
+        alg = LieAlgebra(Frame(2 * case + 1), semidirect_constants(case))
+        s = flat_carrier_structure(case)
+    else:
+        alg, s = build_example2(*case)
+    for metric in (s.g, s.g_assoc):
+        direct, contracted = _ricci_routes(alg, metric)
+        assert np.max(np.abs(direct - contracted)) == 0.0
+
+
+def _unimodular_frame(seed, dim=5):
+    """A seeded integer matrix A with det A = +-1, and its integer inverse."""
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.integers(-1, 2, (dim, dim)), -1) + np.eye(dim, dtype=int)
+    upper = np.triu(rng.integers(-1, 2, (dim, dim)), 1) + np.eye(dim, dtype=int)
+    a = (lower @ upper)[rng.permutation(dim)].astype(float)
+    inverse = np.rint(np.linalg.inv(a))
+    assert np.array_equal(a @ inverse, np.eye(dim))
+    return a, inverse
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ricci_routes_under_integer_unimodular_frames(seed):
+    # in the frame f_a = A[i, a] e_i the brackets and both metrics of
+    # example2 at (0, 0) stay integers, and rho = 4 eta (x) eta of either
+    # metric becomes A^T (4 eta (x) eta) A exactly; both routes round, to
+    # within 1e-10 of its largest entry, and the direct one no worse
+    alg, s = build_example2(0.0, 0.0)
+    a, inverse = _unimodular_frame(seed)
+    c = np.einsum("ck,kij,ia,jb->cab", inverse, alg.c.data, a, a)
+    moved = LieAlgebra(alg.frame, c)
+    exact = a.T @ (4.0 * s.eta_outer) @ a
+    bound = 1e-10 * np.max(np.abs(exact))
+    for metric in (s.g, s.g_assoc):
+        moved_metric = invert_metric(Tensor(alg.frame, a.T @ metric.matrix @ a))
+        direct, contracted = _ricci_routes(moved, moved_metric)
+        direct_error = np.max(np.abs(direct - exact))
+        contracted_error = np.max(np.abs(contracted - exact))
+        assert contracted_error < bound
+        assert direct_error <= contracted_error
 
 
 def _dense_metric(s):
@@ -218,7 +272,7 @@ def test_dim9_curvature_matches_loop_oracles(semidirect_n4, dense):
     riem = riemann(conn, alg, metric)
     expected = oracle_riemann_lowered(alg.c.data, gamma, metric.matrix)
     assert np.max(np.abs(riem.data - expected)) < 1e-12
-    rho = ricci(riem, metric)
+    rho = ricci(conn, alg, metric)
     assert np.max(np.abs(rho.data - oracle_ricci(riem.data, metric.inverse))) < 1e-12
 
 
@@ -442,6 +496,7 @@ def test_ricci_reeb_line(ex2_structures):
         ("LieAlgebra", JacobiViolation, "Jacobi identity"),
         ("levi_civita", GeometryError, "metric not parallel"),
         ("riemann", GeometryError, "curvature symmetry"),
+        ("CurvaturePackage.riemann", GeometryError, "curvature symmetry"),
         ("ricci", GeometryError, "Ricci postcondition"),
         ("fundamental_tensor", GeometryError, "phi-recomposition"),
     ],
@@ -457,7 +512,9 @@ def test_every_postcondition_is_judged_by_check_passes(monkeypatch, layer, error
         "LieAlgebra": lambda: LieAlgebra(s.frame, a.alg.c),
         "levi_civita": lambda: levi_civita(a.alg, metric),
         "riemann": lambda: riemann(conn, a.alg, metric),
-        "ricci": lambda: ricci(a.pkg.riemann, metric),
+        # a new package, whose curvature tensor is built when it is read
+        "CurvaturePackage.riemann": lambda: curvature_package(a.alg, metric, s.phi).riemann,
+        "ricci": lambda: ricci(conn, a.alg, metric),
         "fundamental_tensor": lambda: fundamental_tensor(conn, s),
     }
     calls[layer]()

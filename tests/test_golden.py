@@ -19,7 +19,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
 
 #: every command of the set that exits nonzero, with its exit code; the
-#: other 29 exit 0
+#: other 31 exit 0
 NONZERO = {
     "soliton-ex1-override": 1,
     "soliton-ex2-unread-psi": 2,
@@ -67,7 +67,7 @@ def golden_dir(tmp_path_factory):
 def test_golden_commands_keep_their_verdicts(golden_dir):
     lines = (golden_dir / "exit_codes.txt").read_text().splitlines()
     codes = {stem: int(code) for stem, code in (line.split() for line in lines)}
-    assert len(codes) == len(lines) == 48
+    assert len(codes) == len(lines) == 50
     assert {stem: code for stem, code in codes.items() if code} == NONZERO
     for stem, code in codes.items():
         assert (golden_dir / f"{stem}.stderr").is_file() == (code != 0), stem
@@ -79,15 +79,15 @@ def test_golden_commands_keep_their_verdicts(golden_dir):
         assert (text == "") == (code == 2), stem
         if text:
             json.loads(text, parse_constant=_reject)
-    # 48 outputs, 19 stderr files, exit_codes.txt, the two check listings and
+    # 50 outputs, 19 stderr files, exit_codes.txt, the two check listings and
     # the inputs directory
-    assert len(list(golden_dir.iterdir())) == 71
+    assert len(list(golden_dir.iterdir())) == 73
 
 
 def test_golden_json_is_what_json_dumps_writes(golden_dir):
     outputs = [path.read_text() for path in sorted(golden_dir.glob("*.json"))]
     outputs = [text for text in outputs if text]
-    assert len(outputs) == 40
+    assert len(outputs) == 42
     for text in outputs:
         assert text.endswith("}\n")
         assert text[:-1] == json.dumps(json.loads(text), indent=2)
