@@ -60,6 +60,8 @@ from .tensors import MAX_DIM
 
 #: component magnitudes below this are not listed as nonzero
 DISPLAY_EPS = 1e-12
+#: entries that _nonzero_entries masks at once
+SCAN_BLOCK = 1 << 16
 #: largest contact dimension parameter n, so that dim = 2n + 1 <= MAX_DIM
 MAX_N = (MAX_DIM - 1) // 2
 #: largest magnitude of a float option or grid value; the scenario formulas
@@ -332,7 +334,7 @@ def _input_analysis(config: RunConfig):
 def cmd_inspect(config: RunConfig):
     """Structure validity, curvature table, scalars, classification, fit."""
     # unpacked at once, so F is freed before curvature_nonzero builds R of g;
-    # at dim 33 the peak is then R and its listing, about 1.4 dim^4 float64
+    # at dim 33 the peak is then R and its listing, about 1.2 dim^4 float64
     # arrays (tracemalloc)
     if config.input_path is not None:
         _, s, pkg, _, classification, assoc_pkg = _input_analysis(config)
@@ -374,10 +376,15 @@ def cmd_inspect(config: RunConfig):
 
 
 def _nonzero_entries(a: np.ndarray) -> list:
-    """[*index, value] of each entry of a with |value| > DISPLAY_EPS, in C order."""
-    flat = np.flatnonzero((a > DISPLAY_EPS) | (a < -DISPLAY_EPS))
+    """[*index, value] of each entry of a with |value| > DISPLAY_EPS, in C order,
+    masked SCAN_BLOCK entries at a time: no temporary the size of a dim^4 R."""
+    values, found = a.ravel(), []
+    for start in range(0, values.size, SCAN_BLOCK):
+        mask = np.abs(values[start : start + SCAN_BLOCK]) > DISPLAY_EPS
+        found.append(np.flatnonzero(mask) + start)
+    flat = np.concatenate(found)
     index = [axis.tolist() for axis in np.unravel_index(flat, a.shape)]
-    return list(map(list, zip(*index, a.ravel()[flat].tolist())))
+    return list(map(list, zip(*index, values[flat].tolist())))
 
 
 def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override=None):
@@ -493,7 +500,7 @@ def _soliton_from_input(config: RunConfig):
         scalars.update({"k": k.value, "k_prime": k.xi_derivative})
         level = vertical_level(a, k)
         lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
-        ((row_lam,),), ((row_lam_assoc,),), table = vertical_rows(
+        row_lam, row_lam_assoc, table = vertical_rows(
             a, (level,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]
         )
         scalars["lambda"] = row_lam

@@ -34,7 +34,7 @@ dim^4 array a call builds, only when CurvaturePackage.riemann is read. The
 Jacobiator, the antisymmetrization and bracket term of the curvature, and
 its four symmetry checks run in blocks of rows of the first index that
 stay in cache. At dim 33 (9.5 MB per dim^4 float64 array) `soliton --input
---solve` peaks at about 0.3 such arrays and `inspect --input` at 1.4
+--solve` peaks at about 0.3 such arrays and `inspect --input` at 1.2
 (tracemalloc).
 """
 

@@ -31,22 +31,20 @@ Ricci-level checks run on the flat carrier of the right dimension, with
 the Ricci tensor built from the published formula in (p, q). The
 denominator sqrt2 + cos t - sin t vanishes to second order at
 t = (8l+3)pi/4; every t where it is at most EXCLUDED_DEN in magnitude is
-excluded. One (t, n) of the curve is one record: (t, p, q) and the
-solitons.conformal_level there, with the curve's own checks prepended to
-its head; the reports at several beta are the rows of one
-solitons.conformal_row of such levels at the sums the theorem forces.
+excluded. One n of the curve is one array pass over its t
+(_example1_level): (p, q) and the solitons.conformal_level at every t it
+does not exclude, with the curve's own checks as columns at the head; the
+reports at several beta are the rows of one solitons.conformal_row of that
+level at the sums the theorem forces.
 
 example2 starts from the cached Analysis of its (p, q) (example2_state)
-and builds its vertical-potential checks with solitons.vertical_level and
-vertical_rows, the builders definition files use too; vertical_rows
-solves the constants of all potentials at all betas with the one solve,
-solitons.vertical_solutions, and the scenario adds its closed-form checks.
-example1 builds its conformal checks with conformal_level and
-conformal_row, as soliton --input --psi does. Each builds a check table
-(solitons.CheckTable), each check computed once per value of the
-parameters it depends on (see sweep); a single-point report is the one
-row of such a table, and a sweep row's report is built from its table
-only when it is read.
+and builds its checks with solitons.vertical_level and vertical_rows, the
+builders definition files use too, adding its closed-form checks. example1
+builds its checks with conformal_level and conformal_row, as soliton
+--input --psi does. Each builds a check table (solitons.CheckTable), each
+check computed once per value of the parameters it depends on (see sweep);
+a single-point report is the one row of such a table, and a sweep row's
+report is built from its table only when it is read.
 """
 
 from __future__ import annotations
@@ -206,9 +204,6 @@ _NOTES = {
     "tau_assoc_pipeline": "scalar curvature of the associated metric via its own connection",
     "tau_assoc_two_routes": "pipeline value against 2n - tau_star",
     "reeb_derivative_assoc": "the associated connection acts on xi the same way",
-    "tau_route_agreement": "through (p, q) against direct in t",
-    "tau_assoc_route_agreement": "through (p, q) against direct in t",
-    "ricci_reeb_value": "rho(xi, xi) = 2n",
 }
 
 
@@ -276,9 +271,9 @@ def _example2_rows(
     lam_assoc: float = None,
     mu: float = None,
 ) -> tuple:
-    """(ks, lams, lam_assocs, table): the vertical theorem at betas[i] and
-    t0s[j] is ks[j], lams[i][j] and lam_assocs[i][j], the constants in its
-    soliton residual, and row i * len(t0s) + j of table.
+    """(ks, lam, lam_assoc, table): the vertical theorem at betas[i] and
+    t0s[j] is ks[j], the constants of vertical_rows in its soliton residual,
+    and row i * len(t0s) + j of table.
 
     The reports wrap the shared vertical_level and vertical_rows checks in
     the scenario's geometry checks. k defaults to the scenario family
@@ -363,7 +358,7 @@ def example2_point(
     The report is built by the same per-level helpers as sweep's rows.
     """
     geom = _example2_geometry(params.p, params.q)
-    (k,), ((lam,),), ((lam_assoc,),), table = _example2_rows(
+    (k,), lam, lam_assoc, table = _example2_rows(
         geom, (params.t0,), (params.beta,), k, lam, lam_assoc, mu
     )
     return k, lam, lam_assoc, table.report(0)
@@ -382,60 +377,74 @@ def run_example2_report(
 
 
 class _Example1Level(NamedTuple):
-    """One (t, n) of the curve: its (p, q) and the conformal level of the
-    theorem there, whose head opens with the curve's own checks."""
+    """The curve of one n at some parameters t. excluded[i] is the message
+    of the i-th t when the curve excludes it, else None; p and q are arrays
+    over the other t, in order, and conformal is the conformal level of the
+    theorem at them, whose head opens with the curve's own checks."""
 
-    t: float
-    p: float
-    q: float
+    excluded: list
+    p: np.ndarray
+    q: np.ndarray
     conformal: ConformalLevel
 
 
-def _example1_level(t: float, n: int) -> _Example1Level:
-    """The curve at t for dimension 2n+1; see example1_curve.
+def _example1_level(ts, n: int) -> _Example1Level:
+    """The curve at each t of ts for dimension 2n+1, in one array pass over
+    the t it does not exclude; see example1_curve.
 
-    The Ricci tensor is the published formula in (p, q) on the flat
-    carrier of n, whose eta (.) eta coefficient vanishes on the curve.
+    cos t and sin t come from math, once per t (numpy's may round
+    differently); everything after them is array arithmetic in the
+    operation order of a single point. The Ricci tensor is the published
+    formula in (p, q) on the flat carrier of n, whose eta (.) eta
+    coefficient vanishes on the curve.
     """
     if n < 1:
         raise GeometryError(f"example1 needs n >= 1, got n={n!r}")
-    den = SQRT2 + math.cos(t) - math.sin(t)
-    if abs(den) <= EXCLUDED_DEN:
-        raise DegenerateParameter(
-            f"curve parameter t={t!r} makes the scalar-curvature denominator vanish"
-        )
-    p = 0.5 * (1.0 + SQRT2 * math.cos(t))
-    q = -0.5 * (1.0 - SQRT2 * math.sin(t))
+    cos_sin = [(math.cos(t), math.sin(t)) for t in ts]
+    excluded = [
+        f"curve parameter t={t!r} makes the scalar-curvature denominator vanish"
+        if abs(SQRT2 + cos - sin) <= EXCLUDED_DEN
+        else None
+        for t, (cos, sin) in zip(ts, cos_sin)
+    ]
+    kept = [j for j, text in enumerate(excluded) if text is None]
+    cos, sin = np.reshape(cos_sin, (-1, 2))[kept].T
+    den = SQRT2 + cos - sin
+    p = 0.5 * (1.0 + SQRT2 * cos)
+    q = -0.5 * (1.0 - SQRT2 * sin)
     square_sum = p * p + q * q
-    require(square_sum - p + q, "curve constraint violated by {residual:.3e}")
+    constraint = square_sum - p + q
+    require(constraint, "curve constraint violated by {residual:.3e}")
 
     tau_via_pq = 2.0 * n * (1.0 + 2.0 * n * p / square_sum)
     tau_assoc_via_pq = 2.0 * n * (1.0 - 2.0 * n * q / square_sum)
-    tau = 2.0 * n * ((n + 1.0) * SQRT2 + (2.0 * n + 1.0) * math.cos(t) - math.sin(t)) / den
-    tau_assoc = 2.0 * n * ((n + 1.0) * SQRT2 + math.cos(t) - (2.0 * n + 1.0) * math.sin(t)) / den
-    for label, left, right in (
-        ("tau", tau_via_pq, tau),
-        ("tau_assoc", tau_assoc_via_pq, tau_assoc),
-    ):
-        tol = 1e-9 * max(1.0, abs(left), abs(right))
-        require(left - right, label + " routes disagree by {residual:.3e} at t=" + repr(t), tol)
+    tau = 2.0 * n * ((n + 1.0) * SQRT2 + (2.0 * n + 1.0) * cos - sin) / den
+    tau_assoc = 2.0 * n * ((n + 1.0) * SQRT2 + cos - (2.0 * n + 1.0) * sin) / den
+    routes = {"tau": (tau_via_pq, tau), "tau_assoc": (tau_assoc_via_pq, tau_assoc)}
+    for label, (left, right) in routes.items():
+        tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(left)), np.abs(right))
+        # the first t whose routes disagree raises
+        for j in np.flatnonzero(~Check(label, np.abs(left - right), tol).passes())[:1]:
+            message = label + " routes disagree by {residual:.3e} at t=" + repr(ts[kept[j]])
+            require(left[j] - right[j], message, tol[j])
 
     s = _cached_carrier(n)
-    scale = 2.0 * n / square_sum
-    ricci = Tensor(
-        s.frame,
-        scale * (p * s.g.matrix - q * s.g_assoc.matrix + (square_sum - p + q) * s.eta_outer),
+    # the coefficients of the Ricci formula, one (1, 1) block per t
+    scale, p_, q_, c_ = (v[:, None, None] for v in (2.0 * n / square_sum, p, q, constraint))
+    ricci = scale * (p_ * s.g.matrix - q_ * s.g_assoc.matrix + c_ * s.eta_outer)
+    reeb = ricci @ s.xi.data @ s.xi.data - 2.0 * n
+    note = "through (p, q) against direct in t"
+    curve_columns = (
+        Column.of("curve_constraint", constraint, 1e-12),
+        *(
+            Column.of(f"{label}_route_agreement", left - right, note=note)
+            for label, (left, right) in routes.items()
+        ),
+        Column.of("ricci_reeb_value", reeb, note="rho(xi, xi) = 2n"),
     )
-    curve_checks = _closed_form_checks(
-        {
-            "curve_constraint": (square_sum - p, -q, 1e-12),
-            "tau_route_agreement": (tau_via_pq, tau),
-            "tau_assoc_route_agreement": (tau_assoc_via_pq, tau_assoc),
-            "ricci_reeb_value": (ricci.data @ s.xi.data @ s.xi.data, 2.0 * n),
-        }
-    )
-    level = conformal_level(tau, tau_assoc, n, ricci_tensor=ricci, structure=s)
-    return _Example1Level(t, p, q, level._replace(head=(*curve_checks, *level.head)))
+    level = conformal_level(tau, tau_assoc, n, ricci=ricci, structure=s)
+    level = level._replace(head=(*curve_columns, *level.head))
+    return _Example1Level(excluded, p, q, level)
 
 
 _SUMS_NOTE = (
@@ -444,37 +453,36 @@ _SUMS_NOTE = (
 )
 
 
-def _example1_rows(levels, betas, sums_override=None) -> tuple:
-    """(sum_g, sum_assoc, table) of the curve's levels (of one n) at betas:
+def _example1_rows(level: ConformalLevel, betas, sums_override=None) -> tuple:
+    """(sum_g, sum_assoc, table) of the curve's level (of one n) at betas:
     the sums psi + lam and psi_assoc + lam_assoc that the conformal theorem
-    forces, lists over the rows i * len(levels) + j of betas[i] at levels[j],
-    and the conformal_row table there, which checks the split
+    forces, lists over the rows i * points + j of betas[i] at point j, and
+    the conformal_row table there, which checks the split
     (psi, psi_assoc, lam, lam_assoc) of sums_override when one is given."""
-    n = levels[0].n
-    tau, tau_assoc = np.array([(level.tau, level.tau_assoc) for level in levels]).T
+    n = level.n
     beta = np.array(betas)[:, None]
     branch = is_degenerate_beta(beta, n)
     factor = 1.0 + 2.0 * n * beta
-    sum_g = np.where(branch, 1.0, 1.0 - factor * tau / (2.0 * n))
-    sum_assoc = np.where(branch, 1.0, 1.0 - factor * tau_assoc / (2.0 * n))
+    sum_g = np.where(branch, 1.0, 1.0 - factor * level.tau / (2.0 * n))
+    sum_assoc = np.where(branch, 1.0, 1.0 - factor * level.tau_assoc / (2.0 * n))
     if sums_override is None:
-        table = conformal_row(levels, betas, sum_g, sum_assoc, (_SUMS_NOTE,))
+        table = conformal_row(level, betas, sum_g, sum_assoc, (_SUMS_NOTE,))
     else:
         psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
-        table = conformal_row(levels, betas, psi + lam, psi_assoc + lam_assoc)
+        table = conformal_row(level, betas, psi + lam, psi_assoc + lam_assoc)
     return sum_g.ravel().tolist(), sum_assoc.ravel().tolist(), table
 
 
 def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tuple:
     """(Example1Point, report) of run_example1_report, from one evaluation
     of the curve."""
-    curve = _example1_level(t, n)
+    curve = _example1_level((t,), n)
+    if curve.excluded[0] is not None:
+        raise DegenerateParameter(curve.excluded[0])
     level = curve.conformal
-    (sum_g,), (sum_assoc,), table = _example1_rows((level,), (beta,), sums_override)
-    point = Example1Point(
-        curve.t, n, beta, curve.p, curve.q, level.tau, level.tau_assoc, sum_g, sum_assoc
-    )
-    return point, table.report(0)
+    (sum_g,), (sum_assoc,), table = _example1_rows(level, (beta,), sums_override)
+    scalars = (float(v[0]) for v in (curve.p, curve.q, level.tau, level.tau_assoc))
+    return Example1Point(t, n, beta, *scalars, sum_g, sum_assoc), table.report(0)
 
 
 def example1_curve(t: float, n: int, beta: float) -> Example1Point:
@@ -558,10 +566,11 @@ def sweep(
     built from its table only when it is read: example2 has one table per
     (p, q), whose geometry checks are computed once, its potential checks
     once per t0, and the solve, the constants and the soliton residual as
-    arrays over (beta, t0); example1 has one table per n, whose curve,
-    carrier Ricci tensor and beta-free checks are computed once per t, and
-    every other check as one array over (beta, t). The rows of a level
-    share its Check objects.
+    arrays over (beta, t0). example1 has one table per n from one array
+    pass over its t (_example1_level): the curve, its Ricci tensors and the
+    beta-free checks as arrays over t, every other check as one array over
+    (beta, t). The rows of a level (a t0, or an (n, t)) share its Check
+    objects, which a level column builds only when a report is read.
     """
     if scenario == "example2":
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
@@ -570,17 +579,18 @@ def sweep(
         for p, q in product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)):
             geom = _example2_geometry(p, q)
             tau, tau_assoc = geom.analysis.pkg.tau, geom.analysis.assoc_pkg.tau
-            _, lams, lam_assocs, table = _example2_rows(geom, t0s, betas)
-            for i, beta in enumerate(betas):
-                for j, t0 in enumerate(t0s):
-                    scalars = {
-                        "tau": tau,
-                        "tau_tilde": tau_assoc,
-                        "lambda": lams[i][j],
-                        "lambda_tilde": lam_assocs[i][j],
-                    }
-                    params = {"p": p, "q": q, "beta": beta, "t0": t0}
-                    rows.append(SweepRow(len(rows), params, scalars, table, i * len(t0s) + j))
+            _, *solved, table = _example2_rows(geom, t0s, betas)
+            shape = (len(betas), len(t0s))
+            lams, lam_assocs = (np.broadcast_to(v, shape).ravel().tolist() for v in solved)
+            for position, (beta, t0) in enumerate(product(betas, t0s)):
+                scalars = {
+                    "tau": tau,
+                    "tau_tilde": tau_assoc,
+                    "lambda": lams[position],
+                    "lambda_tilde": lam_assocs[position],
+                }
+                params = {"p": p, "q": q, "beta": beta, "t0": t0}
+                rows.append(SweepRow(len(rows), params, scalars, table, position))
         result = SweepResult("example2", rows)
         constants = {
             (round(row.scalars["lambda"], 12), round(row.scalars["lambda_tilde"], 12))
@@ -599,33 +609,29 @@ def sweep(
         ts = _grid(t_grid, DEFAULT_T_GRID)
         rows = []
         for n in n_values:
-            # the table of a DegenerateParameter's one row in place of an
-            # excluded t's level
-            curves = []
-            for t in ts:
-                try:
-                    curves.append(_example1_level(t, n))
-                except DegenerateParameter as exc:
-                    curves.append(CheckTable(1, notes=((str(exc), None),)))
-            levels = [curve.conformal for curve in curves if type(curve) is _Example1Level]
-            if levels:
-                sum_g, sum_assoc, table = _example1_rows(levels, betas)
+            curve = _example1_level(ts, n)
+            level = curve.conformal
+            if len(level.tau):
+                sum_g, sum_assoc, table = _example1_rows(level, betas)
+            # (p, q, tau, tau_tilde) of each t, or for an excluded t the table
+            # of its DegenerateParameter's one row
+            kept = zip(*(v.tolist() for v in (curve.p, curve.q, level.tau, level.tau_assoc)))
+            points = [
+                next(kept) if text is None else CheckTable(1, notes=((text, None),))
+                for text in curve.excluded
+            ]
             position = 0
             for beta in betas:
-                for t, curve in zip(ts, curves):
+                for t, point in zip(ts, points):
                     params = {"n": n, "beta": beta, "t": t}
-                    if type(curve) is CheckTable:
-                        rows.append(SweepRow(len(rows), params, {}, curve, 0, degenerate=True))
+                    if type(point) is CheckTable:
+                        rows.append(SweepRow(len(rows), params, {}, point, 0, degenerate=True))
                         continue
-                    level = curve.conformal
-                    scalars = {
-                        "p": curve.p,
-                        "q": curve.q,
-                        "tau": level.tau,
-                        "tau_tilde": level.tau_assoc,
-                        "psi_plus_lambda": sum_g[position],
-                        "psi_tilde_plus_lambda_tilde": sum_assoc[position],
-                    }
+                    scalars = dict(
+                        zip(("p", "q", "tau", "tau_tilde"), point),
+                        psi_plus_lambda=sum_g[position],
+                        psi_tilde_plus_lambda_tilde=sum_assoc[position],
+                    )
                     rows.append(SweepRow(len(rows), params, scalars, table, position))
                     position += 1
         return SweepResult("example1", rows)

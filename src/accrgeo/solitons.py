@@ -27,31 +27,27 @@ the scalar curvatures drop out of the coefficient equations there, so
 the checkers route to the degenerate branch instead of dividing by the
 vanishing factor.
 
-The report builders start from an Analysis and build check tables
-(CheckTable): one Column per check, an array over the rows that keeps the
-scalar operations of the one-point formula in their order. A row's
-TheoremReport is built from its table only when it is read, and _judge
-judges a table's rows and a report's checks alike.
+The report builders build check tables (CheckTable): one Column per
+check, its residuals computed over all rows at once in the operations of
+the one-point formula, in their order; a table of one row computes them in
+Python numbers (_operands). A row's TheoremReport is built from its table
+only when it is read, and _judge judges a table's rows and a report's
+checks alike. A report's checks are tensors.Check (re-exported here).
 
-A vertical table is built in levels: vertical_level holds the Lie
-derivatives of one potential, vertical_solutions is the one solve of the
-constants that potentials force, at all of their betas, and vertical_rows
-checks the equation for several potentials of one analysis at every beta.
-solve_vertical_soliton is vertical_solutions at one beta. The conformal
-theorem has the same shape: conformal_level holds the checks of one
-curvature point that are free of beta and the potential, and conformal_row
-builds the table of several levels at several betas for the sums
-psi + lam and psi_assoc + lam_assoc. verify_conformal_theorem and
-conformal_report are one row of one level, and example1 builds one table
-per n over (beta, t). Both scenarios and definition files go through
-these builders.
-
-A report's checks are tensors.Check (re-exported here).
+Each theorem has one builder over (beta, level). vertical_level holds the
+Lie derivatives of one potential, vertical_solutions solves the constants
+that potentials force at all betas, and vertical_rows checks the equation
+for several potentials of one analysis; solve_vertical_soliton is one row.
+conformal_level holds, at many curvature points at once, the checks that
+are free of beta and the potential, and conformal_row builds the table of
+its points at several betas; verify_conformal_theorem and
+conformal_report are one row, and example1 builds one level per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -148,44 +144,55 @@ def _judge(residual: np.ndarray, limit, present: np.ndarray) -> tuple:
     that check the worst, as a scan that compares each margin with > would.
     """
     passed = (Check("", residual, limit).passes() | ~present).all(axis=1)
-    margin = residual / limit
-    rows, first = np.arange(len(margin)), present.argmax(axis=1)
-    first_is_nan = np.isnan(margin[rows, first])
-    margin[~present | np.isnan(margin)] = -np.inf
-    return passed, np.where(first_is_nan, first, margin.argmax(axis=1))
+    margin = np.where(present, residual / limit, -np.inf)
+    nan, first = np.isnan(margin), present.argmax(axis=1)
+    margin[nan] = -np.inf
+    return passed, np.where(nan[np.arange(len(margin)), first], first, margin.argmax(axis=1))
 
 
 class Column(NamedTuple):
     """One check over the rows of a CheckTable, its name, tol and note
     stored once: residual holds |value| of each row, and present marks the
-    rows that hold it. A column of checks that rows share keeps them by
-    reference: row r holds checks[level[r]]."""
+    rows that hold it, each a sequence over the rows (a list for one row). A
+    column of checks that rows share gives them by level: row r holds
+    checks(level[r])."""
 
     name: str
-    residual: np.ndarray
+    residual: object
     tol: float
     note: str
-    present: np.ndarray
-    checks: tuple = None
-    level: np.ndarray = None
+    present: object
+    checks: object = None
+    level: object = None
 
     @classmethod
     def of(cls, name: str, values, tol: float = DEFAULT_TOL, note: str = "", present=True):
-        """The column of an array of values, one per row in C order."""
-        held = np.full(np.shape(values), present)
+        """The column of an array of values, one per row in C order, or of
+        the number of a table's one row (see _operands)."""
+        if not isinstance(values, np.ndarray):
+            return cls(name, [abs(values)], tol, note, [present])
+        held = np.full(values.shape, present)
         return cls(name, np.abs(values).ravel(), tol, note, held.ravel())
 
+    def shared(self, level: np.ndarray) -> "Column":
+        """This column of one residual per level as a column over rows, row r
+        holding the Check of level[r], built on the first read of a row of
+        that level; the rows of a level share it."""
+        name, residual, tol, note = self[:4]
+        checks = cache(lambda j: Check(name, float(residual[j]), tol, note))
+        held = np.ones(len(level), bool)
+        return self._replace(residual=residual[level], present=held, checks=checks, level=level)
 
-def shared_columns(levels, level) -> list:
+
+def shared_columns(levels, level: list) -> list:
     """A column for each check of levels[level[r]], the checks that row r
     shares with the other rows of its level; every level lists the same
-    checks, each computed at that level."""
-    held = np.ones(len(level), bool)
-    columns = []
+    checks, each computed at that level. These tables have few rows: lists."""
+    held, columns = [True] * len(level), []
     for same in zip(*levels):
-        residual = np.array([check.residual for check in same])[level]
-        c = same[0]
-        columns.append(Column(c.name, residual, c.tol, c.note, held, same, level))
+        residual = [same[j].residual for j in level]
+        checks = same.__getitem__
+        columns.append(Column(same[0].name, residual, same[0].tol, same[0].note, held, checks, level))
     return columns
 
 
@@ -204,7 +211,7 @@ class CheckTable(NamedTuple):
         checks = [
             Check(c.name, float(c.residual[row]), c.tol, c.note)
             if c.checks is None
-            else c.checks[c.level[row]]
+            else c.checks(c.level[row])
             for c in self.columns
             if c.present[row]
         ]
@@ -222,9 +229,21 @@ class CheckTable(NamedTuple):
         return passed.tolist(), names, residual[np.arange(self.rows), worst].tolist()
 
 
-def _quotient(numerator, denominator, where) -> np.ndarray:
+def _operands(betas, *per_level) -> tuple:
+    """beta and each sequence of per_level as operands of the row expressions
+    of a table over (betas, levels): beta[:, None] and arrays over the levels,
+    or for one row the values themselves, which Python then computes with the
+    IEEE operations numpy applies to each element of an array."""
+    if len(betas) * len(per_level[0]) == 1:
+        return (float(betas[0]), *(values[0] for values in per_level))
+    return (np.asarray(betas, dtype=float)[:, None], *map(np.asarray, per_level))
+
+
+def _quotient(numerator, denominator, where):
     """numerator / denominator on the rows where `where` holds, 0.0 elsewhere:
     a guarded division, evaluated only where its guard holds."""
+    if not isinstance(where, np.ndarray):
+        return numerator / denominator if where else 0.0
     shape = np.broadcast(numerator, denominator).shape
     return np.divide(numerator, denominator, out=np.zeros(shape), where=where)
 
@@ -286,50 +305,9 @@ def rb_like_residual(
     tau_assoc: float,
 ) -> Tensor:
     """Left-hand side of the two-metric soliton equation; zero means soliton."""
-    lhs = _rb_like_lhs(
-        ricci_tensor, lie_g, lie_assoc, s, spec.beta, spec.lam, spec.lam_assoc, tau, tau_assoc
-    )
+    assoc = (lie_assoc.data, spec.lam_assoc, tau_assoc)
+    lhs = _rb_like_lhs(ricci_tensor.data, s, spec.beta, lie_g.data, spec.lam, tau, assoc)
     return Tensor(s.frame, lhs)
-
-
-def rb_like_residual_norms(
-    ricci_tensor: Tensor,
-    lie_g: Tensor,
-    lie_assoc: Tensor,
-    s: AccRStructure,
-    beta,
-    lam,
-    lam_assoc,
-    tau: float,
-    tau_assoc: float,
-) -> np.ndarray:
-    """max |rb_like_residual| for each entry of the equal-length
-    sequences beta, lam and lam_assoc, evaluated in one array operation."""
-    lhs = _rb_like_lhs(
-        ricci_tensor,
-        lie_g,
-        lie_assoc,
-        s,
-        np.asarray(beta, dtype=float),
-        np.asarray(lam, dtype=float),
-        np.asarray(lam_assoc, dtype=float),
-        tau,
-        tau_assoc,
-    )
-    return np.max(np.abs(lhs), axis=(-2, -1))
-
-
-def _rb_like_lhs(ricci_tensor, lie_g, lie_assoc, s, beta, lam, lam_assoc, tau, tau_assoc):
-    # beta, lam and lam_assoc are scalars, or 1-d arrays that stack the
-    # results along a leading axis; each entry takes the same floating-point
-    # operations in the same order either way
-    return (
-        ricci_tensor.data
-        + 0.5 * lie_g.data
-        + 0.5 * lie_assoc.data
-        + np.multiply.outer(lam + beta * tau, s.g.matrix)
-        + np.multiply.outer(lam_assoc + beta * tau_assoc, s.g_assoc.matrix)
-    )
 
 
 def eta_rb_residual(
@@ -342,13 +320,28 @@ def eta_rb_residual(
     """Left-hand side of the single-metric variant with the eta (.) eta term."""
     if spec.mu is None:
         raise GeometryError("the single-metric soliton equation needs spec.mu (0 is allowed)")
-    arr = (
-        ricci_tensor.data
-        + 0.5 * lie_g.data
-        + (spec.lam + spec.beta * tau) * s.g.matrix
-        + spec.mu * s.eta_outer
-    )
-    return Tensor(s.frame, arr)
+    lhs = _rb_like_lhs(ricci_tensor.data, s, spec.beta, lie_g.data, spec.lam, tau, mu=spec.mu)
+    return Tensor(s.frame, lhs)
+
+
+def _rb_like_lhs(ricci, s, beta, lie_g, lam, tau, assoc=None, mu=None) -> np.ndarray:
+    """rho + (1/2) L_theta g + (lam + beta tau) g on arrays, then with assoc
+    = (L_theta g_assoc, lam_assoc, tau_assoc) the two-metric equation's terms
+    in g_assoc, and with mu the single-metric equation's mu eta (.) eta.
+
+    beta, lam and lam_assoc are numbers, or arrays that stack the results
+    along leading axes, as do stacks of Lie derivatives; each entry takes
+    the same floating-point operations in the same order either way.
+    """
+    lhs = ricci + 0.5 * lie_g
+    if assoc is not None:
+        lhs = lhs + 0.5 * assoc[0]
+    lhs = lhs + np.multiply.outer(lam + beta * tau, s.g.matrix)
+    if assoc is not None:
+        lhs = lhs + np.multiply.outer(assoc[1] + beta * assoc[2], s.g_assoc.matrix)
+    if mu is not None:
+        lhs = lhs + mu * s.eta_outer
+    return lhs
 
 
 @dataclass(frozen=True)
@@ -462,7 +455,7 @@ def solve_vertical_soliton(
     """
     if classification is not None:
         _require_sasaki_like(classification)
-    ((lam,),), ((lam_assoc,),), table = vertical_solutions((k,), tau, tau_assoc, n, (beta,))
+    lam, lam_assoc, table = vertical_solutions((k,), tau, tau_assoc, n, (beta,))
     report = table.report(0)
     if ricci_tensor is not None and structure is not None:
         reconstruction = ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
@@ -494,18 +487,18 @@ def ricci_reconstruction_check(
 
 def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple:
     """The solve of solve_vertical_soliton for the potentials k xi, k in ks,
-    each at every beta of betas, in array expressions.
+    each at every beta of betas, in row expressions (see _operands).
 
-    Returns (lams, lam_assocs, table): lams[i][j] and lam_assocs[i][j] are
-    the constants solved at betas[i] for ks[j], and row i * len(ks) + j of
-    table holds its checks. The first, scalar_sum_from_k_derivative,
-    tau + tau_assoc = 4n(k' + n + 1), holds at every beta and is one Check
-    per potential; then come the checks that involve the solved constants
-    (only k_derivative_from_trace at the branch point), and a note marks the
-    rows at the branch point.
+    Returns (lam, lam_assoc, table): the constants solved at betas[i] for
+    ks[j] are lam[i, j] and lam_assoc[i, j] (numbers for one row), and row
+    i * len(ks) + j of table holds its checks. The first,
+    scalar_sum_from_k_derivative, tau + tau_assoc = 4n(k' + n + 1), holds at
+    every beta and is one Check per potential; then come the checks that
+    involve the solved constants (only k_derivative_from_trace at the branch
+    point), and a note marks the rows at the branch point.
     """
     rows = len(betas) * len(ks)
-    k_value, k_prime = np.array([(k.value, k.xi_derivative) for k in ks]).T
+    beta, k_value, k_prime = _operands(betas, [k.value for k in ks], [k.xi_derivative for k in ks])
     scalar_sums = [
         (
             Check.between(
@@ -517,14 +510,14 @@ def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple
         )
         for k in ks
     ]
-    beta = np.asarray(betas, dtype=float)[:, None]
     factor = 1.0 + 2.0 * n * beta
     branch = is_degenerate_beta(beta, n)
-    regular = ~branch
-    lam = np.where(branch, 1.0 - k_value, 1.0 - k_value - tau * factor / (2.0 * n))
-    lam_assoc = np.where(branch, 1.0 + k_value, 1.0 + k_value - tau_assoc * factor / (2.0 * n))
+    regular = np.logical_not(branch)
+    # the scalar curvatures drop out at the branch point
+    lam = 1.0 - k_value - _quotient(tau * factor, 2.0 * n, regular)
+    lam_assoc = 1.0 + k_value - _quotient(tau_assoc * factor, 2.0 * n, regular)
     columns = (
-        *shared_columns(scalar_sums, np.arange(rows) % len(ks)),
+        *shared_columns(scalar_sums, [row % len(ks) for row in range(rows)]),
         Column.of(
             "k_derivative_from_trace",
             k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
@@ -547,8 +540,7 @@ def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple
         "beta at the branch point -1/(2n): scalar curvatures are not "
         "separately determined, only their sum is constrained"
     )
-    table = CheckTable(rows, columns, ((note, np.repeat(branch, len(ks))),))
-    return lam.tolist(), lam_assoc.tolist(), table
+    return lam, lam_assoc, CheckTable(rows, columns, ((note, np.repeat(branch, len(ks))),))
 
 
 def verify_conformal_theorem(
@@ -573,29 +565,31 @@ def verify_conformal_theorem(
     respective parameter values; the degenerate beta = -1/(2n) branch gets
     its own pair of checks instead.
 
-    This is one conformal_row of one conformal_level; callers that evaluate
-    many beta at one curvature point build the level once.
+    This is the one row of conformal_row at a one-point conformal_level;
+    callers that evaluate many beta or points build the level once.
     """
-    level = conformal_level(tau, tau_assoc, n, ricci_tensor=ricci_tensor, structure=structure)
-    return conformal_row((level,), (beta,), psi + lam, psi_assoc + lam_assoc).report(0)
+    ricci = None if ricci_tensor is None else ricci_tensor.data[None]
+    level = conformal_level([tau], [tau_assoc], n, ricci=ricci, structure=structure)
+    return conformal_row(level, (beta,), psi + lam, psi_assoc + lam_assoc).report(0)
 
 
 class ConformalLevel(NamedTuple):
-    """The conformal theorem at one curvature point, with the checks that
-    are free of beta and the potential.
+    """The conformal theorem at the curvature points of one n and one
+    structure, with the checks that are free of beta and the potential.
 
-    head opens every report of the level (scalar_sum, after any checks a
-    scenario prepends) and tail closes it (ricci_einstein_like; empty
-    without a Ricci tensor and structure). ricci_tensor and structure are
-    both None when either was not supplied; tau_star is then derived as
-    2n - tau_assoc instead of the Ricci tensor's phi-trace, and notes says so.
+    tau, tau_assoc and tau_star are arrays over the points, ricci stacks
+    their Ricci tensors, and head and tail are columns of one residual per
+    point: head opens every report (scalar_sum, after any checks a scenario
+    prepends) and tail closes it (ricci_einstein_like). ricci and structure
+    are both None when either was not supplied; tail is then empty, tau_star
+    is 2n - tau_assoc instead of the phi-trace, and notes says so.
     """
 
-    tau: float
-    tau_assoc: float
+    tau: np.ndarray
+    tau_assoc: np.ndarray
     n: int
-    tau_star: float
-    ricci_tensor: Tensor
+    tau_star: np.ndarray
+    ricci: np.ndarray
     structure: AccRStructure
     head: tuple
     tail: tuple
@@ -603,54 +597,51 @@ class ConformalLevel(NamedTuple):
 
 
 def conformal_level(
-    tau: float,
-    tau_assoc: float,
-    n: int,
-    *,
-    ricci_tensor: Tensor = None,
-    structure: AccRStructure = None,
+    tau, tau_assoc, n: int, *, ricci: np.ndarray = None, structure: AccRStructure = None
 ) -> ConformalLevel:
-    """The beta-free part of verify_conformal_theorem at (tau, tau_assoc)."""
-    scalar_sum = Check.between(
-        "scalar_sum", tau + tau_assoc, 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
+    """The beta-free part of verify_conformal_theorem at the points j of the
+    1-d arrays tau and tau_assoc, ricci[j] the Ricci tensor at point j."""
+    tau, tau_assoc = np.asarray(tau, dtype=float), np.asarray(tau_assoc, dtype=float)
+    scalar_sum = Column.of(
+        "scalar_sum", tau + tau_assoc - 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
     )
-    if ricci_tensor is None or structure is None:
+    if ricci is None or structure is None:
         notes = ("tau_star derived from tau_assoc; no Ricci tensor supplied",)
         return ConformalLevel(
             tau, tau_assoc, n, 2.0 * n - tau_assoc, None, None, (scalar_sum,), (), notes
         )
     einstein_form = (
-        ricci_tensor.data
-        - (tau / (2.0 * n) - 1.0) * structure.g.matrix
-        - (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
+        ricci
+        - (tau / (2.0 * n) - 1.0)[:, None, None] * structure.g.matrix
+        - (tau_assoc / (2.0 * n) - 1.0)[:, None, None] * structure.g_assoc.matrix
     )
-    einstein_like = Check.measure(
+    einstein_like = Column.of(
         "ricci_einstein_like",
-        einstein_form,
+        np.abs(einstein_form).max(axis=(-2, -1)),
         note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
     )
-    tau_star = phi_trace(ricci_tensor, structure.g, structure.phi)
+    # the phi-trace of tensors.phi_trace, one per point
+    tau_star = np.einsum("ij,tik,kj->t", structure.g.inverse, ricci, structure.phi.data)
     return ConformalLevel(
-        tau, tau_assoc, n, tau_star, ricci_tensor, structure, (scalar_sum,), (einstein_like,), ()
+        tau, tau_assoc, n, tau_star, ricci, structure, (scalar_sum,), (einstein_like,), ()
     )
 
 
-def conformal_row(levels, beta, sum_g, sum_assoc, notes=()) -> CheckTable:
+def conformal_row(level: ConformalLevel, beta, sum_g, sum_assoc, notes=()) -> CheckTable:
     """The reports of the conformal theorem at each of the 1-d array beta
-    and each of levels (of one n, one structure and the same notes), for the
-    sums sum_g = psi + lam and sum_assoc = psi_assoc + lam_assoc.
+    and each point of level, for the sums sum_g = psi + lam and
+    sum_assoc = psi_assoc + lam_assoc.
 
-    Row i * len(levels) + j is beta[i] at levels[j]. The levels' tau,
-    tau_assoc, tau_star and Ricci tensors are stacked into arrays that
-    broadcast against beta[:, None], as do sum_g and sum_assoc, so each check
-    is one array expression over all rows. A report lists its level's head,
-    the checks that involve beta or the sums, then its level's tail; its
-    notes are the level's notes, then notes, then the branch's.
+    Row i * points + j is beta[i] at point j. The level's arrays broadcast
+    against beta[:, None], as do sum_g and sum_assoc, so each check is one
+    array expression over all rows. A report lists its level's head, the
+    checks that involve beta or the sums, then its level's tail; its notes
+    are the level's notes, then notes, then the branch's.
     """
-    n, structure = levels[0].n, levels[0].structure
-    scalars = np.array([(level.tau, level.tau_assoc, level.tau_star) for level in levels])
+    n, structure = level.n, level.structure
+    scalars = (level.tau, level.tau_assoc, level.tau_star)
     beta, sum_g, sum_assoc, tau, tau_assoc, tau_star = np.broadcast_arrays(
-        np.asarray(beta, dtype=float)[:, None], sum_g, sum_assoc, *scalars.T
+        np.asarray(beta, dtype=float)[:, None], sum_g, sum_assoc, *scalars
     )
     factor = 1.0 + 2.0 * n * beta
     nested_factor = 1.0 + (2.0 * n + 1.0) * beta
@@ -727,18 +718,18 @@ def conformal_row(levels, beta, sum_g, sum_assoc, notes=()) -> CheckTable:
     ]
     if structure is not None:
         soliton_form = (
-            np.stack([level.ricci_tensor.data for level in levels])
+            level.ricci
             + (sum_g + beta * tau)[..., None, None] * structure.g.matrix
             + (sum_assoc + beta * tau_assoc)[..., None, None] * structure.g_assoc.matrix
         )
         note = "rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0"
-        form_residual = np.max(np.abs(soliton_form), axis=(-2, -1))
+        form_residual = np.abs(soliton_form).max(axis=(-2, -1))
         columns.append(Column.of("ricci_from_soliton_coeffs", form_residual, note=note))
-    row_level = np.arange(beta.size) % len(levels)
+    row_level = np.arange(beta.size) % len(level.tau)
     columns = (
-        *shared_columns([level.head for level in levels], row_level),
+        *(column.shared(row_level) for column in level.head),
         *columns,
-        *shared_columns([level.tail for level in levels], row_level),
+        *(column.shared(row_level) for column in level.tail),
     )
     branch_notes = {
         "beta at the branch point -1/(2n): the scalar curvatures decouple "
@@ -746,7 +737,7 @@ def conformal_row(levels, beta, sum_g, sum_assoc, notes=()) -> CheckTable:
         "beta = -1/(2n+1): nested tau elimination skipped (guarded division)": regular & ~nested,
         "beta = 0: tau_assoc elimination skipped (guarded division)": regular & ~solved,
     }
-    notes = [(text, None) for text in (*levels[0].notes, *notes)]
+    notes = [(text, None) for text in (*level.notes, *notes)]
     notes += [(text, present.ravel()) for text, present in branch_notes.items()]
     return CheckTable(beta.size, columns, tuple(notes))
 
@@ -798,10 +789,11 @@ def vertical_rows(
     """The vertical-potential theorem on one analysis for the potentials
     levels[j] at betas[i].
 
-    Returns (lams, lam_assocs, table). lams[i][j] and lam_assocs[i][j] are
-    the constants in the soliton residual (lam_assoc is None for the
-    single-metric equation), and row i * len(levels) + j of table holds the
-    report, whose last check is the soliton residual.
+    Returns (lam, lam_assoc, table): the constants in the soliton residual
+    (lam_assoc is None for the single-metric equation), each an array over
+    (betas, levels) or a number for every row (see _operands), and table,
+    whose row i * len(levels) + j holds the report, its last check the
+    soliton residual.
 
     With mu the claim is the single-metric equation, lam defaults to 0
     and nothing is solved. Otherwise, with solve, the constants are solved
@@ -811,13 +803,13 @@ def vertical_rows(
     against it. Without solve, lam and lam_assoc are both required and only
     the residual is checked. The check that depends on the analysis alone
     is computed once for all levels, and the solve and the soliton
-    residuals of all betas of a level are array operations.
+    residuals are row expressions over (betas, levels) (see _operands).
     """
     s, pkg = a.s, a.pkg
     tau, tau_assoc, n = pkg.tau, a.assoc_pkg.tau, s.n
-    shape = (len(betas), len(levels))
     rows = len(betas) * len(levels)
-    columns = shared_columns([level.checks for level in levels], np.arange(rows) % len(levels))
+    row_level = [row % len(levels) for row in range(rows)]
+    columns = shared_columns([level.checks for level in levels], row_level)
     notes = ()
     if not a.classification.is_sasaki_like:
         text = (
@@ -825,32 +817,25 @@ def vertical_rows(
             "apply, connection-based values used throughout"
         )
         notes = ((text, None),)
+    beta, lie_g, lie_assoc = _operands(
+        betas, [level.lie_g.data for level in levels], [level.lie_assoc.data for level in levels]
+    )
+    lams, lam_assocs = lam, lam_assoc
     if mu is not None:
-        eta_lam = 0.0 if lam is None else lam
-        norms = [
-            [
-                np.max(np.abs(eta_rb_residual(pkg.ricci, level.lie_g, s, spec, tau).data))
-                for level in levels
-            ]
-            for spec in (SolitonSpec(beta=beta, lam=eta_lam, mu=mu) for beta in betas)
-        ]
-        columns.append(Column.of("eta_soliton_residual", np.array(norms), 1e-10))
-        table = CheckTable(rows, tuple(columns), notes)
-        return np.full(shape, eta_lam).tolist(), np.full(shape, None).tolist(), table
-    lams, lam_assocs = np.full(shape, lam), np.full(shape, lam_assoc)
-    if solve:
+        lams, lam_assocs = 0.0 if lam is None else lam, None
+    elif solve:
         _require_sasaki_like(a.classification)
         solved_lams, solved_assocs, solved = vertical_solutions(
             [level.k for level in levels], tau, tau_assoc, n, betas
         )
         reconstruction = ricci_reconstruction_check(pkg.ricci, tau, tau_assoc, n, s)
-        columns += (*solved.columns, *shared_columns([(reconstruction,)], np.zeros(rows, np.intp)))
+        columns += (*solved.columns, *shared_columns([(reconstruction,)], [0] * rows))
         # solving needs a Sasaki-like structure, which has no notes
         notes = solved.notes
         if lam is None:
-            lams = np.array(solved_lams)
+            lams = solved_lams
         if lam_assoc is None:
-            lam_assocs = np.array(solved_assocs)
+            lam_assocs = solved_assocs
         if lam is not None or lam_assoc is not None:
             columns += (
                 Column.of(
@@ -866,14 +851,11 @@ def vertical_rows(
                     "supplied lam_assoc against the solved value",
                 ),
             )
-    norms = [
-        rb_like_residual_norms(
-            pkg.ricci, level.lie_g, level.lie_assoc, s, betas, *constants, tau, tau_assoc
-        )
-        for level, *constants in zip(levels, lams.T, lam_assocs.T)
-    ]
-    columns.append(Column.of("soliton_residual", np.stack(norms, axis=1), 1e-10))
-    return lams.tolist(), lam_assocs.tolist(), CheckTable(rows, tuple(columns), notes)
+    assoc = None if mu is not None else (lie_assoc, lam_assocs, tau_assoc)
+    name = "soliton_residual" if mu is None else "eta_soliton_residual"
+    lhs = _rb_like_lhs(pkg.ricci.data, s, beta, lie_g, lams, tau, assoc, mu)
+    columns.append(Column.of(name, np.abs(lhs).max(axis=(-2, -1)), 1e-10))
+    return lams, lam_assocs, CheckTable(rows, tuple(columns), notes)
 
 
 def conformal_report(
@@ -882,12 +864,12 @@ def conformal_report(
     """The conformal row of one analysis, then the soliton residual under
     the defining assumption L_theta g = 2 psi g and
     L_theta g_assoc = 2 psi_assoc g_assoc."""
-    s, pkg, tau_assoc = a.s, a.pkg, a.assoc_pkg.tau
-    level = conformal_level(pkg.tau, tau_assoc, s.n, ricci_tensor=pkg.ricci, structure=s)
-    report = conformal_row((level,), (beta,), psi + lam, psi_assoc + lam_assoc).report(0)
-    spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
-    lie_g = Tensor(s.frame, 2.0 * psi * s.g.matrix)
-    lie_assoc = Tensor(s.frame, 2.0 * psi_assoc * s.g_assoc.matrix)
-    lhs = rb_like_residual(pkg.ricci, lie_g, lie_assoc, s, spec, pkg.tau, tau_assoc)
-    report.add("soliton_residual", lhs.data, tol=1e-10)
+    s, pkg, tau, tau_assoc = a.s, a.pkg, a.pkg.tau, a.assoc_pkg.tau
+    scalars = (tau, tau_assoc, s.n)
+    report = verify_conformal_theorem(
+        beta, psi, psi_assoc, lam, lam_assoc, *scalars, ricci_tensor=pkg.ricci, structure=s
+    )
+    assoc = (2.0 * psi_assoc * s.g_assoc.matrix, lam_assoc, tau_assoc)
+    lhs = _rb_like_lhs(pkg.ricci.data, s, beta, 2.0 * psi * s.g.matrix, lam, tau, assoc)
+    report.add("soliton_residual", lhs, tol=1e-10)
     return report

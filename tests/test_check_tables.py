@@ -1,14 +1,18 @@
 """Check tables against scalar references.
 
-The batched builders (solitons.conformal_row, solitons.vertical_solutions)
-compute each check of a sweep as one array expression over its rows. The
-references here are the per-row forms they replaced, one Python float at a
-time, with every operation in the same order: a batched residual must equal
-its reference to the last bit. The verdict of a table is compared with the
-scan over a report's checks that TheoremReport.verdict used to be.
+The batched builders (solitons.conformal_row, solitons.vertical_solutions,
+solitons.vertical_rows) compute each check of a sweep as one array
+expression over its rows. The references here are the per-row forms they
+replaced, one Python float at a time, with every operation in the same
+order: a batched residual must equal its reference to the last bit. The
+verdict of a table is compared with the scan over a report's checks that
+TheoremReport.verdict used to be.
 """
 
 import math
+import os
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from accrgeo import (
     Example2Params,
     SolitonSpec,
     VerticalScalar,
+    eta_rb_residual,
     example2_state,
     rb_like_residual,
     run_example2_report,
@@ -31,6 +36,7 @@ from accrgeo.cli import RunConfig, cmd_sweep
 from accrgeo.errors import DegenerateParameter
 from accrgeo.scenarios import _SUMS_NOTE, _example1_level
 from accrgeo.solitons import DEGENERATE_BETA_TOL, CheckTable, Column, is_degenerate_beta
+from accrgeo.tensors import Tensor
 
 DEG_T = 3.0 * math.pi / 4.0
 
@@ -242,8 +248,44 @@ def _reference_example2(params, checks, lam=None, lam_assoc=None):
     return expected, notes, (row_lam, row_assoc)
 
 
+def _reference_eta_residual(a, level, beta, lam, mu):
+    """The single-metric soliton residual of one potential at one beta, as
+    the per-beta loop over eta_rb_residual computed it."""
+    lhs = (
+        a.pkg.ricci.data
+        + 0.5 * level.lie_g.data
+        + (lam + beta * a.pkg.tau) * a.s.g.matrix
+        + mu * a.s.eta_outer
+    )
+    return Check.measure("eta_soliton_residual", lhs, tol=1e-10)
+
+
 def _fields(checks):
     return [(c.name, repr(c.residual), c.tol, c.note) for c in checks]
+
+
+def _point_level(t, n):
+    """The curve's conformal level at one (t, n) as the scalar reference reads
+    it: numbers, the Checks of head and tail, and a Ricci Tensor."""
+    curve = _example1_level((t,), n)
+    if curve.excluded[0] is not None:
+        raise DegenerateParameter(curve.excluded[0])
+    level = curve.conformal
+
+    def checks(columns):
+        return [Check(c.name, float(c.residual[0]), c.tol, c.note) for c in columns]
+
+    return SimpleNamespace(
+        tau=float(level.tau[0]),
+        tau_assoc=float(level.tau_assoc[0]),
+        n=n,
+        tau_star=float(level.tau_star[0]),
+        ricci_tensor=Tensor(level.structure.frame, level.ricci[0]),
+        structure=level.structure,
+        head=checks(level.head),
+        tail=checks(level.tail),
+        notes=level.notes,
+    )
 
 
 def _assert_example1_rows_match_references(result):
@@ -251,7 +293,7 @@ def _assert_example1_rows_match_references(result):
         t, n, beta = row.params["t"], row.params["n"], row.params["beta"]
         report = row.report
         try:
-            level = _example1_level(t, n).conformal
+            level = _point_level(t, n)
         except DegenerateParameter as exc:
             assert row.degenerate
             assert (report.checks, report.notes) == ([], [str(exc)])
@@ -326,6 +368,103 @@ def test_example2_point_with_supplied_constants_matches_the_scalar_reference(
     expected, notes, _ = _reference_example2(params, report.checks, lam, lam_assoc)
     assert _fields(report.checks) == _fields(expected)
     assert report.notes == notes
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.5, 3.0])
+@pytest.mark.parametrize("lam", [None, 1.25])
+def test_single_metric_rows_match_the_per_beta_reference(mu, lam):
+    # --mu: one array expression over (beta, potential), including the
+    # betas where the two-metric theorem branches; each row equals the
+    # per-beta loop and the table of its one row alone
+    a = example2_state(0.5, -1.0)
+    n = a.s.n
+    betas = [-1.0, -1.0 / (2 * n), -1.0 / (2 * n + 1), 0.0, 0.3]
+    ks = [VerticalScalar(0.7, -2.0), VerticalScalar(-1.0, 0.5), VerticalScalar(0.0, 0.0)]
+    levels = [solitons.vertical_level(a, k) for k in ks]
+    row_lam, row_lam_assoc, table = solitons.vertical_rows(a, levels, betas, lam, mu=mu)
+    eta_lam = 0.0 if lam is None else lam
+    assert (row_lam, row_lam_assoc) == (eta_lam, None)
+    for i, beta in enumerate(betas):
+        for j, level in enumerate(levels):
+            report = table.report(i * len(levels) + j)
+            expected = _reference_eta_residual(a, level, beta, eta_lam, mu)
+            assert _fields(report.checks[-1:]) == _fields([expected]), (beta, j)
+            spec = SolitonSpec(beta=beta, lam=eta_lam, mu=mu)
+            lhs = eta_rb_residual(a.pkg.ricci, level.lie_g, a.s, spec, a.pkg.tau)
+            assert repr(Check.measure("", lhs.data).residual) == repr(expected.residual)
+            *_, alone = solitons.vertical_rows(a, (level,), (beta,), lam, mu=mu)
+            assert _fields(alone.report(0).checks) == _fields(report.checks)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -0.25, -0.2, 0.0, 0.6])
+@pytest.mark.parametrize("t0", [-1.0, 2.0])
+def test_rb_like_residual_is_the_two_metric_left_hand_side(beta, t0):
+    # the public one-row form of the soliton equation, at the solved
+    # constants of the scenario family: zero to the gate's 1e-10, and the
+    # residual vertical_rows reports
+    a = example2_state(-1.0, 0.5)
+    s, pkg, tau, tau_assoc = a.s, a.pkg, a.pkg.tau, a.assoc_pkg.tau
+    level = solitons.vertical_level(a, VerticalScalar(-2.0 * t0, -2.0))
+    lam, lam_assoc, table = solitons.vertical_rows(a, (level,), (beta,))
+    spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
+    lhs = rb_like_residual(pkg.ricci, level.lie_g, level.lie_assoc, s, spec, tau, tau_assoc)
+    expected = (
+        pkg.ricci.data
+        + 0.5 * level.lie_g.data
+        + 0.5 * level.lie_assoc.data
+        + (lam + beta * tau) * s.g.matrix
+        + (lam_assoc + beta * tau_assoc) * s.g_assoc.matrix
+    )
+    assert np.array_equal(lhs.data, expected)
+    assert np.max(np.abs(lhs.data)) < 1e-10
+    reported = table.report(0)["soliton_residual"]
+    assert repr(reported.residual) == repr(Check.measure("", expected).residual)
+
+
+# --- the one-row path ---------------------------------------------------------
+
+_NUMPY_DIR = os.path.dirname(np.__file__)
+
+
+def _numpy_calls(fn):
+    """The calls fn makes into numpy: Python functions of the numpy package,
+    and C functions and methods of numpy (array and ufunc methods too). An
+    operator or a direct ufunc call on an array is not seen."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_NUMPY_DIR):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            if str(getattr(arg, "__module__", "")).startswith("numpy") or isinstance(
+                owner, (np.ndarray, np.ufunc, np.generic)
+            ):
+                calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_one_row_report_makes_few_numpy_calls():
+    # one soliton --input --solve report: the solve and its checks run in
+    # Python numbers; numpy is left with the residuals of the dim x dim
+    # equations and the verdict. Per-element work on 1-element arrays made
+    # about 110 such calls.
+    a = example2_state(0.3, -1.2)
+    level = solitons.vertical_level(a, VerticalScalar(0.7, -2.0))
+
+    def one_row():
+        *_, table = solitons.vertical_rows(a, (level,), (0.3,))
+        return table.report(0).verdict()
+
+    one_row()
+    calls = _numpy_calls(one_row)
+    assert len(calls) <= 40, calls
 
 
 # --- the vectorised verdict --------------------------------------------------
@@ -449,6 +588,30 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
+#: the checks of example1 that each (n, t) shares among its betas
+_EXAMPLE1_LEVEL_CHECKS = (
+    "curve_constraint",
+    "tau_route_agreement",
+    "tau_assoc_route_agreement",
+    "ricci_reeb_value",
+    "scalar_sum",
+    "ricci_einstein_like",
+)
+
+
+def _record_level_checks(monkeypatch, built):
+    """Append to built the name of every example1 level Check constructed."""
+    original = Check.__new__
+
+    def recorded(cls, *args, **kwargs):
+        check = original(cls, *args, **kwargs)
+        if check.name in _EXAMPLE1_LEVEL_CHECKS:
+            built.append(check.name)
+        return check
+
+    monkeypatch.setattr(Check, "__new__", recorded)
+
+
 @pytest.mark.parametrize(
     "scenario,builder,calls,rows",
     [("example1", "conformal_row", 5, 1295), ("example2", "vertical_solutions", 25, 700)],
@@ -456,11 +619,36 @@ def _count_calls(monkeypatch, owner, name, counts):
 def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
     monkeypatch, scenario, builder, calls, rows
 ):
-    counts = {}
+    counts, built, expected = {}, [], {builder: calls}
     module = scenarios if builder == "conformal_row" else solitons
     _count_calls(monkeypatch, module, builder, counts)
     _count_calls(monkeypatch, solitons.TheoremReport, "add", counts)
     _count_calls(monkeypatch, CheckTable, "report", counts)
+    if scenario == "example1":
+        # one array pass per n, no Tensor per (n, t) (the carriers are
+        # cached before counting), and no level Check until a report is read
+        for n in scenarios.DEFAULT_N_GRID:
+            scenarios._cached_carrier(n)
+        _count_calls(monkeypatch, scenarios, "_example1_level", counts)
+        _count_calls(monkeypatch, Tensor, "__post_init__", counts)
+        _record_level_checks(monkeypatch, built)
+        expected["_example1_level"] = 5
     payload, code = cmd_sweep(RunConfig("sweep", scenario=scenario))
     assert (code, len(payload["rows"])) == (0, rows)
-    assert counts == {builder: calls}
+    assert counts == expected
+    assert built == []
+
+
+def test_reading_a_row_builds_the_checks_of_its_level_once(monkeypatch):
+    built = []
+    _record_level_checks(monkeypatch, built)
+    result = sweep("example1", n_grid=[2], beta_grid=[0.0, 0.5], t_grid=[0.0, 1.0, 2.0])
+    assert built == []
+    first = result.rows[0].report
+    assert built == list(_EXAMPLE1_LEVEL_CHECKS)
+    # (beta, t) = (0.5, 0): the same level, whose Checks are built already
+    fourth = result.rows[3].report
+    assert len(built) == len(_EXAMPLE1_LEVEL_CHECKS)
+    assert all(first[name] is fourth[name] for name in _EXAMPLE1_LEVEL_CHECKS)
+    result.rows[1].report
+    assert len(built) == 2 * len(_EXAMPLE1_LEVEL_CHECKS)

@@ -884,11 +884,11 @@ def test_soliton_prints_the_constants_the_report_used(capsys, argv, key):
 
 
 def test_size_limit_arithmetic():
-    # the bench's largest definition is dim 33; the inspect peak, under 1.5
+    # the bench's largest definition is dim 33; the inspect peak, under 1.3
     # dim^4 float64 arrays (test_inspect_peak_memory_at_dim33), stays under
-    # 0.25 GB at the limit
+    # 0.2 GB at the limit
     assert MAX_DIM % 2 == 1 and MAX_DIM >= 33
-    assert 1.5 * MAX_DIM**4 * 8 < 0.25e9
+    assert 1.3 * MAX_DIM**4 * 8 < 0.2e9
     assert 2 * MAX_N + 1 == MAX_DIM
 
 
@@ -911,10 +911,10 @@ def _dim33_peak(capsys, tmp_path, command, *options):
 def test_inspect_peak_memory_at_dim33(capsys, tmp_path):
     # inspect builds the curvature tensor of g alone (1.0 dim^4 float64
     # arrays) for its listing; everything else it holds at once, the listing
-    # and R's scratch block included, measured 0.39 more
+    # and R's scratch block included, measured 0.21 more
     code, payload, peak = _dim33_peak(capsys, tmp_path, "inspect")
     assert code == 0 and payload["dim"] == 33
-    assert peak < 1.5 * 8 * 33**4
+    assert peak < 1.3 * 8 * 33**4
 
 
 def test_soliton_peak_memory_at_dim33(capsys, tmp_path):
