@@ -25,11 +25,13 @@ so the commands raise no input error of their own.
 JSON output of every command comes from one writer, to_json: the bytes
 of json.dumps(payload, indent=2), without json's pure-Python indenting
 encoder, and an error rather than NaN or Infinity for a non-finite float.
+A sweep's rows stay columns up to the output text: no dict per row.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,6 +45,7 @@ from .errors import GeometryError, ParseError
 from .geometry import analyze, reeb_derivative_residual
 from .scenarios import (
     Example2Params,
+    SweepResult,
     example1_point,
     example2_point,
     example2_state,
@@ -257,7 +260,10 @@ def _parse_grid(raw: str, name: str):
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and kept: a
+    parse does not change it."""
     parser = argparse.ArgumentParser(
         prog="accrgeo",
         description=(
@@ -523,28 +529,14 @@ def cmd_sweep(config: RunConfig):
         t_grid=grids.get("t"),
         n_grid=grids.get("n"),
     )
-    rows = []
-    for row, verdict in zip(result.rows, result.verdicts(config.tol)):
-        passed, worst, worst_residual = verdict or (None, None, None)
-        # the payload only reads the rows' params and scalars dicts
-        rows.append(
-            {
-                "index": row.index,
-                "params": row.params,
-                "scalars": row.scalars,
-                "degenerate": row.degenerate,
-                "passed": passed,
-                "worst_check": worst,
-                "worst_residual": worst_residual,
-            }
-        )
-    n_pass = sum(row["passed"] is True for row in rows)
-    n_fail = sum(row["passed"] is False for row in rows)
+    rows = _SweepRows(result, result.verdict_columns(config.tol))
+    passed = rows.verdicts[0]
+    n_fail = passed.count(False)
     summary = {
         "rows": len(rows),
-        "pass": n_pass,
+        "pass": len(passed) - n_fail,
         "fail": n_fail,
-        "degenerate": len(rows) - n_pass - n_fail,
+        "degenerate": len(rows) - len(passed),
     }
     payload = {
         "scenario": result.scenario,
@@ -554,6 +546,21 @@ def cmd_sweep(config: RunConfig):
         "passed": n_fail == 0,
     }
     return payload, 0 if n_fail == 0 else 1
+
+
+@dataclass(frozen=True)
+class _SweepRows:
+    """The rows of a sweep payload, as columns: result's params, scalars and
+    degenerate rows, and verdicts, the (passed, worst check, worst residual)
+    columns over its judged rows. to_json writes it as the list of one dict
+    per row (index, params, scalars, degenerate, passed, worst_check,
+    worst_residual), with scalars {} and null verdicts on a degenerate row."""
+
+    result: SweepResult
+    verdicts: tuple
+
+    def __len__(self) -> int:
+        return len(self.result.excluded)
 
 
 # --- JSON writer -------------------------------------------------------------
@@ -592,11 +599,12 @@ def to_json(payload) -> str:
     CPython's C encoder does not run when indent is set, so json.dumps
     spends a large payload's time in pure-Python encoding; this writer
     produces the same bytes directly. It takes dicts with str keys, lists
-    and the scalar types of _JSON_SCALARS, float and numpy float64. A
-    non-finite float raises ValueError where json would write NaN or
-    Infinity, and any other type raises TypeError. The recursion lives in
-    _json_value, so a tracer that wraps public functions records one span
-    per document.
+    and the scalar types of _JSON_SCALARS, float and numpy float64, and a
+    sweep's rows as a _SweepRows column block, written as its list of row
+    dicts. A non-finite float raises ValueError where json would write NaN
+    or Infinity, and any other type raises TypeError. The recursion lives
+    in _json_value, so a tracer that wraps public functions records one
+    span per document.
     """
     text = _FloatText().__getitem__
     return _json_value(payload, "\n", {**_JSON_SCALARS, float: text, np.float64: text})
@@ -609,6 +617,8 @@ def _json_value(value, indent: str, writers: dict) -> str:
     write = writers.get(kind)
     if write is not None:
         return write(value)
+    if kind is _SweepRows:
+        return _json_sweep_rows(value, indent, writers)
     if kind is not dict and kind is not list:
         raise TypeError(f"JSON output has a {kind.__name__}")
     if not value:
@@ -628,6 +638,59 @@ def _json_value(value, indent: str, writers: dict) -> str:
         for key, item in value.items()
     ]
     return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+
+
+def _json_column(column: list, writers: dict):
+    """The JSON text of each value of column, one writer mapped over the
+    column when its values share a type."""
+    kinds = set(map(type, column))
+    missing = kinds - writers.keys()
+    if missing:
+        raise TypeError(f"JSON output has a {missing.pop().__name__}")
+    if len(kinds) == 1:
+        return map(writers[kinds.pop()], column)
+    return [writers[type(value)](value) for value in column]
+
+
+def _json_object(fields: dict, indent: str) -> str:
+    """The %-template of a dict of fields (key: the text or template of its
+    value) at the nesting whose newline-plus-indent is indent."""
+    if not fields:
+        return "{}"
+    inner = indent + "  "
+    items = [
+        f"{encode_basestring_ascii(key).replace('%', '%%')}: {text}"
+        for key, text in fields.items()
+    ]
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+
+
+def _json_sweep_rows(rows: _SweepRows, indent: str, writers: dict) -> str:
+    """rows as _json_value writes its list of row dicts at indent: each
+    column written at once by _json_column, then each row by one % over
+    the template of its shape, judged or degenerate."""
+    if not rows:
+        return "[]"
+    result, item = rows.result, indent + "  "
+    nested = item + "  "
+    head = {"index": "%s", "params": _json_object(dict.fromkeys(result.params, "%s"), nested)}
+    scalars = _json_object(dict.fromkeys(result.scalars, "%s"), nested)
+    verdict = dict.fromkeys(("passed", "worst_check", "worst_residual"), "%s")
+    judged = _json_object({**head, "scalars": scalars, "degenerate": "false", **verdict}, item)
+    degenerate = {**head, "scalars": "{}", "degenerate": "true", **dict.fromkeys(verdict, "null")}
+    degenerate = _json_object(degenerate, item)
+    heads = zip(
+        map(int.__repr__, range(len(rows))),
+        *(_json_column(column, writers) for column in result.params.values()),
+    )
+    tails = zip(
+        *(_json_column(column, writers) for column in (*result.scalars.values(), *rows.verdicts))
+    )
+    texts = [
+        judged % (*values, *next(tails)) if text is None else degenerate % values
+        for values, text in zip(heads, result.excluded)
+    ]
+    return f"[{item}{(',' + item).join(texts)}{indent}]"
 
 
 # --- text rendering ----------------------------------------------------------
@@ -716,30 +779,25 @@ def _render_sweep(payload: dict):
     lines = [f"scenario = {payload['scenario']}"]
     rows = payload["rows"]
     if rows:
-        param_names = list(rows[0]["params"].keys())
-        headers = ["index", *param_names, "worst_check", "worst_residual", "status"]
-        table = []
-        for row in rows:
-            if row["degenerate"]:
-                status, worst_name, worst_res = "degenerate", "-", "-"
-            else:
-                status = "pass" if row["passed"] else "FAIL"
-                worst_name, worst_res = row["worst_check"], _fmt_res(row["worst_residual"])
-            table.append(
-                [
-                    str(row["index"]),
-                    *[_fmt(row["params"][name]) for name in param_names],
-                    worst_name,
-                    worst_res,
-                    status,
-                ]
-            )
-        widths = [
-            max(len(headers[col]), *(len(line[col]) for line in table))
-            for col in range(len(headers))
+        result = rows.result
+        judged = zip(*rows.verdicts)
+        # worst check, worst residual and status of each row
+        verdicts = []
+        for text in result.excluded:
+            if text is not None:
+                verdicts.append(("-", "-", "degenerate"))
+                continue
+            passed, worst, residual = next(judged)
+            verdicts.append((worst, _fmt_res(residual), "pass" if passed else "FAIL"))
+        columns = [
+            list(map(str, range(len(rows)))),
+            *(list(map(_fmt, column)) for column in result.params.values()),
+            *zip(*verdicts),
         ]
+        headers = ["index", *result.params, "worst_check", "worst_residual", "status"]
+        widths = [max(len(header), *map(len, column)) for header, column in zip(headers, columns)]
         lines.append("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-        for line in table:
+        for line in zip(*columns):
             lines.append("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
     summary = payload["summary"]
     lines.append(

@@ -44,14 +44,16 @@ builds its checks with conformal_level and conformal_row, as soliton
 --input --psi does. Each builds a check table (solitons.CheckTable), each
 check computed once per value of the parameters it depends on (see sweep);
 a single-point report is the one row of such a table, and a sweep row's
-report is built from its table only when it is read.
+report is built from its table only when it is read. A sweep holds its
+rows as columns (SweepResult); a SweepRow is built only when its rows
+are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -531,18 +533,59 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """The rows of a sweep, held as columns.
+
+    params maps each parameter name to a list over the rows. excluded holds
+    the message of each degenerate row (an excluded point), None for the
+    others, which are the judged rows. The judged rows are the rows of
+    tables, table after table, each in its order: a judged row's (table,
+    position) is its place there. scalars maps each scalar name to a list
+    over the judged rows. rows builds one SweepRow per row when it is
+    first read.
+    """
+
     scenario: str
-    rows: list
+    params: dict
+    scalars: dict
+    excluded: list
+    tables: tuple
     notes: list = field(default_factory=list)
+
+    @cached_property
+    def rows(self) -> list:
+        judged = ((table, position) for table in self.tables for position in range(table.rows))
+        scalars = zip(*self.scalars.values())
+        rows = []
+        for index, (values, text) in enumerate(zip(zip(*self.params.values()), self.excluded)):
+            params = dict(zip(self.params, values))
+            if text is None:
+                scalar_values = dict(zip(self.scalars, next(scalars)))
+                rows.append(SweepRow(index, params, scalar_values, *next(judged)))
+            else:
+                table = CheckTable(1, notes=((text, None),))
+                rows.append(SweepRow(index, params, {}, table, 0, degenerate=True))
+        return rows
+
+    def verdict_columns(self, tol: float = None) -> tuple:
+        """(passed, worst check name, worst residual), each a list over the
+        judged rows: every table is judged once, by CheckTable.verdicts."""
+        columns = ([], [], [])
+        for table in self.tables:
+            for column, part in zip(columns, table.verdicts(tol)):
+                column += part
+        return columns
 
     def verdicts(self, tol: float = None) -> list:
         """(passed, worst check name, worst residual) of each row, None for a
-        degenerate row: every table is judged once, by CheckTable.verdicts."""
-        tables = {id(row.table): row.table for row in self.rows if not row.degenerate}
-        judged = {key: list(zip(*table.verdicts(tol))) for key, table in tables.items()}
-        return [
-            None if row.degenerate else judged[id(row.table)][row.position] for row in self.rows
-        ]
+        degenerate row."""
+        judged = zip(*self.verdict_columns(tol))
+        return [None if text is not None else next(judged) for text in self.excluded]
+
+
+def _extend(columns: dict, values) -> None:
+    """Append values[i] to the i-th list of columns."""
+    for column, part in zip(columns.values(), values):
+        column += part
 
 
 def sweep(
@@ -570,31 +613,34 @@ def sweep(
     pass over its t (_example1_level): the curve, its Ricci tensors and the
     beta-free checks as arrays over t, every other check as one array over
     (beta, t). The rows of a level (a t0, or an (n, t)) share its Check
-    objects, which a level column builds only when a report is read.
+    objects, which a level column builds only when a report is read. The
+    params and scalars of the rows are gathered as columns, a list per
+    name, with no object or dict per row.
     """
     if scenario == "example2":
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
         t0s = _grid(t0_grid, DEFAULT_T0_GRID)
-        rows = []
+        size = len(betas) * len(t0s)
+        beta_column = [beta for beta in betas for _ in t0s]
+        t0_column = list(t0s) * len(betas)
+        params = {name: [] for name in ("p", "q", "beta", "t0")}
+        scalars = {name: [] for name in ("tau", "tau_tilde", "lambda", "lambda_tilde")}
+        tables = []
         for p, q in product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)):
             geom = _example2_geometry(p, q)
             tau, tau_assoc = geom.analysis.pkg.tau, geom.analysis.assoc_pkg.tau
             _, *solved, table = _example2_rows(geom, t0s, betas)
-            shape = (len(betas), len(t0s))
-            lams, lam_assocs = (np.broadcast_to(v, shape).ravel().tolist() for v in solved)
-            for position, (beta, t0) in enumerate(product(betas, t0s)):
-                scalars = {
-                    "tau": tau,
-                    "tau_tilde": tau_assoc,
-                    "lambda": lams[position],
-                    "lambda_tilde": lam_assocs[position],
-                }
-                params = {"p": p, "q": q, "beta": beta, "t0": t0}
-                rows.append(SweepRow(len(rows), params, scalars, table, position))
-        result = SweepResult("example2", rows)
+            lams, lam_assocs = (
+                np.broadcast_to(v, (len(betas), len(t0s))).ravel().tolist() for v in solved
+            )
+            _extend(params, ([p] * size, [q] * size, beta_column, t0_column))
+            _extend(scalars, ([tau] * size, [tau_assoc] * size, lams, lam_assocs))
+            tables.append(table)
+        excluded = [None] * len(params["p"])
+        result = SweepResult("example2", params, scalars, excluded, tuple(tables))
         constants = {
-            (round(row.scalars["lambda"], 12), round(row.scalars["lambda_tilde"], 12))
-            for row in rows
+            (round(lam, 12), round(lam_assoc, 12))
+            for lam, lam_assoc in zip(scalars["lambda"], scalars["lambda_tilde"])
         }
         if len(constants) > 1:
             result.notes.append(
@@ -607,34 +653,25 @@ def sweep(
         n_values = tuple(int(v) for v in _grid(n_grid, DEFAULT_N_GRID))
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
         ts = _grid(t_grid, DEFAULT_T_GRID)
-        rows = []
+        size = len(betas) * len(ts)
+        beta_column = [beta for beta in betas for _ in ts]
+        t_column = list(ts) * len(betas)
+        params = {"n": [], "beta": [], "t": []}
+        names = ("p", "q", "tau", "tau_tilde", "psi_plus_lambda", "psi_tilde_plus_lambda_tilde")
+        scalars = {name: [] for name in names}
+        excluded, tables = [], []
         for n in n_values:
             curve = _example1_level(ts, n)
             level = curve.conformal
+            _extend(params, ([n] * size, beta_column, t_column))
+            excluded += curve.excluded * len(betas)
             if len(level.tau):
                 sum_g, sum_assoc, table = _example1_rows(level, betas)
-            # (p, q, tau, tau_tilde) of each t, or for an excluded t the table
-            # of its DegenerateParameter's one row
-            kept = zip(*(v.tolist() for v in (curve.p, curve.q, level.tau, level.tau_assoc)))
-            points = [
-                next(kept) if text is None else CheckTable(1, notes=((text, None),))
-                for text in curve.excluded
-            ]
-            position = 0
-            for beta in betas:
-                for t, point in zip(ts, points):
-                    params = {"n": n, "beta": beta, "t": t}
-                    if type(point) is CheckTable:
-                        rows.append(SweepRow(len(rows), params, {}, point, 0, degenerate=True))
-                        continue
-                    scalars = dict(
-                        zip(("p", "q", "tau", "tau_tilde"), point),
-                        psi_plus_lambda=sum_g[position],
-                        psi_tilde_plus_lambda_tilde=sum_assoc[position],
-                    )
-                    rows.append(SweepRow(len(rows), params, scalars, table, position))
-                    position += 1
-        return SweepResult("example1", rows)
+                # the rows of the table are (beta, kept t) in order
+                kept = (curve.p, curve.q, level.tau, level.tau_assoc)
+                _extend(scalars, (*(v.tolist() * len(betas) for v in kept), sum_g, sum_assoc))
+                tables.append(table)
+        return SweepResult("example1", params, scalars, excluded, tuple(tables))
 
     raise GeometryError(f"unknown scenario {scenario!r}; choose example1 or example2")
 

@@ -261,13 +261,24 @@ def lie_derivative_metric(
     """
     if not isinstance(potential, VerticalPotential):
         raise UnsupportedPotential(f"unknown potential kind {type(potential).__name__}")
-    k = potential.k
+    return Tensor(s.frame, _lie_derivative(_d_theta(potential.k, conn, s), metric.matrix))
+
+
+def _d_theta(k: VerticalScalar, conn: Connection, s: AccRStructure) -> np.ndarray:
+    """D theta of theta = k xi: (D_x theta)^m is row x, column m."""
     xi_field = s.xi.data
-    d_theta = k.xi_derivative * np.outer(xi_field, s.eta.data) + k.value * (
+    return k.xi_derivative * np.outer(xi_field, s.eta.data) + k.value * (
         conn.derivative_of_field(xi_field)
     )
-    half = np.einsum("mi,mj->ij", d_theta, metric.matrix)
-    return Tensor(s.frame, half + half.T)
+
+
+def _lie_derivative(d_theta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """L_theta of the constant-coefficient metric matrix, from d_theta =
+    _d_theta; frozen, so that a Tensor keeps it without a copy."""
+    half = np.einsum("mi,mj->ij", d_theta, matrix)
+    lie = half + half.T
+    lie.setflags(write=False)
+    return lie
 
 
 def vertical_lie_closed_form(
@@ -288,11 +299,16 @@ def vertical_lie_closed_form(
         raise NotSasakiLike(
             "closed-form vertical Lie derivatives hold only for Sasaki-like structures"
         )
+    return tuple(Tensor(s.frame, form) for form in _vertical_closed_forms(k, s))
+
+
+def _vertical_closed_forms(k: VerticalScalar, s: AccRStructure) -> tuple:
+    """The arrays of vertical_lie_closed_form, for any structure."""
     eta_outer = s.eta_outer
     h = 2.0 * k.xi_derivative * eta_outer
     lie_g = h - 2.0 * k.value * (s.g_assoc.matrix - eta_outer)
     lie_assoc = h + 2.0 * k.value * (s.g.matrix - eta_outer)
-    return Tensor(s.frame, lie_g), Tensor(s.frame, lie_assoc)
+    return lie_g, lie_assoc
 
 
 def rb_like_residual(
@@ -759,21 +775,19 @@ class VerticalLevel(NamedTuple):
 
 def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
     """Lie derivatives of both metrics along k xi, checked against their
-    closed forms on a Sasaki-like structure."""
-    s, conn = a.s, a.pkg.conn
-    potential = VerticalPotential(k)
-    lie_g = lie_derivative_metric(s.g, conn, potential, s)
-    lie_assoc = lie_derivative_metric(s.g_assoc, conn, potential, s)
+    closed forms on a Sasaki-like structure: lie_derivative_metric and
+    vertical_lie_closed_form, with D theta formed once for both metrics."""
+    s = a.s
+    d_theta = _d_theta(k, a.pkg.conn, s)
+    lie_g, lie_assoc = (_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
     checks = ()
     if a.classification.is_sasaki_like:
-        closed_g, closed_assoc = vertical_lie_closed_form(k, s, a.classification)
+        closed_g, closed_assoc = _vertical_closed_forms(k, s)
         checks = (
-            Check.between("lie_g_closed_vs_connection", closed_g.data, lie_g.data, tol=1e-10),
-            Check.between(
-                "lie_assoc_closed_vs_connection", closed_assoc.data, lie_assoc.data, tol=1e-10
-            ),
+            Check.between("lie_g_closed_vs_connection", closed_g, lie_g, tol=1e-10),
+            Check.between("lie_assoc_closed_vs_connection", closed_assoc, lie_assoc, tol=1e-10),
         )
-    return VerticalLevel(k, lie_g, lie_assoc, checks)
+    return VerticalLevel(k, Tensor(s.frame, lie_g), Tensor(s.frame, lie_assoc), checks)
 
 
 def vertical_rows(

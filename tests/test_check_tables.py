@@ -32,7 +32,7 @@ from accrgeo import (
     solitons,
     sweep,
 )
-from accrgeo.cli import RunConfig, cmd_sweep
+from accrgeo.cli import RunConfig, _render_sweep, cmd_sweep, to_json
 from accrgeo.errors import DegenerateParameter
 from accrgeo.scenarios import _SUMS_NOTE, _example1_level
 from accrgeo.solitons import DEGENERATE_BETA_TOL, CheckTable, Column, is_degenerate_beta
@@ -633,10 +633,27 @@ def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
         _count_calls(monkeypatch, Tensor, "__post_init__", counts)
         _record_level_checks(monkeypatch, built)
         expected["_example1_level"] = 5
+    # the rows stay columns up to the output text: no SweepRow and no row dict
+    _count_calls(monkeypatch, scenarios.SweepRow, "__init__", counts)
     payload, code = cmd_sweep(RunConfig("sweep", scenario=scenario))
     assert (code, len(payload["rows"])) == (0, rows)
+    to_json(payload)
+    _render_sweep(payload)
     assert counts == expected
     assert built == []
+    result = payload["rows"].result
+    assert not isinstance(payload["rows"], list)
+    assert all(len(column) == rows for column in result.params.values())
+    # a row read from the result is still the single-point report
+    for index in (0, rows // 2, rows - 1):
+        row = result.rows[index]
+        assert isinstance(row, scenarios.SweepRow) and row.index == index
+        params = row.params
+        if scenario == "example1":
+            single = scenarios.run_example1_report(params["t"], params["n"], params["beta"])
+        else:
+            single = run_example2_report(Example2Params(**params))
+        assert row.report == single
 
 
 def test_reading_a_row_builds_the_checks_of_its_level_once(monkeypatch):

@@ -1,5 +1,8 @@
 """Command-line interface: output contracts, exit codes, round-trips."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import os
@@ -23,13 +26,15 @@ from accrgeo import (
     analyze,
     build_example2,
     flat_carrier_structure,
+    cli,
     save_definition,
     scenarios,
     solitons,
     solve_vertical_soliton,
     sweep,
 )
-from accrgeo.cli import MAX_N, OPTIONS, RunConfig, cmd_inspect, main, to_json
+from accrgeo.cli import MAX_N, OPTIONS, RunConfig, cmd_inspect, cmd_sweep, main, to_json
+from accrgeo.scenarios import SweepResult
 from accrgeo.tensors import MAX_DIM
 
 from conftest import semidirect_constants
@@ -1029,6 +1034,223 @@ def test_sweep_json_rejects_non_finite(where, value):
     payload = {"scenario": "example1", "rows": [row], "summary": {}, "notes": [], "passed": True}
     with pytest.raises(ValueError, match="non-finite"):
         to_json(payload)
+
+
+def _row_dicts(payload: dict, tol=None) -> dict:
+    """payload with its rows as the list of one dict per row, from the
+    SweepRows of the result and its verdicts."""
+    result, rows = payload["rows"].result, []
+    for row, verdict in zip(result.rows, result.verdicts(tol)):
+        passed, worst, worst_residual = verdict or (None, None, None)
+        rows.append(
+            {
+                "index": row.index,
+                "params": row.params,
+                "scalars": row.scalars,
+                "degenerate": row.degenerate,
+                "passed": passed,
+                "worst_check": worst,
+                "worst_residual": worst_residual,
+            }
+        )
+    return {**payload, "rows": rows}
+
+
+def _assert_sweep_json_matches_the_row_dicts(config: RunConfig) -> dict:
+    payload, _ = cmd_sweep(config)
+    assert to_json(payload) == json.dumps(_row_dicts(payload, config.tol), indent=2)
+    return payload
+
+
+@pytest.mark.parametrize("scenario", ["example1", "example2"])
+def test_default_sweep_columns_write_the_row_dicts(scenario):
+    payload = _assert_sweep_json_matches_the_row_dicts(RunConfig("sweep", scenario=scenario))
+    assert len(payload["rows"]) == {"example1": 1295, "example2": 700}[scenario]
+
+
+def _golden_small_sweeps():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
+    spec = importlib.util.spec_from_file_location("golden_outputs", script)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return list(golden.small_sweeps())
+
+
+@pytest.mark.parametrize("stem,argv", _golden_small_sweeps())
+def test_small_sweep_columns_write_the_row_dicts(stem, argv):
+    config = RunConfig.from_args(cli._build_parser().parse_args(argv))
+    summary = _assert_sweep_json_matches_the_row_dicts(config)["summary"]
+    # the degenerate rows, and the failing rows of the strict override, are written
+    assert (summary["degenerate"] > 0) == (stem == "sweep-ex1-degenerate")
+    assert (summary["fail"] > 0) == (stem == "sweep-ex1-tol-1e-16")
+
+
+_grid_values = st.sampled_from([-2.0, -1.0, -0.0, 0.5, 1.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.fixed_dictionaries(
+            {
+                "n": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+                "beta": st.lists(
+                    st.sampled_from([-0.5, -0.25, -1.0 / 6.0]) | st.floats(-2.0, 2.0),
+                    min_size=1,
+                    max_size=3,
+                ),
+                "t": st.lists(
+                    st.sampled_from([3.0 * math.pi / 4.0, 2.3565]) | st.floats(0.0, 7.0),
+                    min_size=1,
+                    max_size=3,
+                ),
+            }
+        ),
+        st.fixed_dictionaries(
+            {
+                "p": st.lists(_grid_values, min_size=1, max_size=2),
+                "q": st.lists(_grid_values, min_size=1, max_size=2),
+                "beta": st.lists(
+                    st.sampled_from([-0.25, -0.2]) | st.floats(-2.0, 2.0), min_size=1, max_size=3
+                ),
+                "t0": st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=2),
+            }
+        ),
+    ),
+    st.sampled_from([None, 1e-16, 1e-3]),
+)
+def test_drawn_sweep_columns_write_the_row_dicts(grids, tol):
+    scenario = "example1" if "n" in grids else "example2"
+    config = RunConfig("sweep", scenario=scenario, tol=tol, grids=grids)
+    _assert_sweep_json_matches_the_row_dicts(config)
+
+
+@st.composite
+def _sweep_blocks(draw):
+    """A column block of any names, values and degenerate rows, and the
+    payload of its row dicts."""
+    keys = st.lists(st.text(max_size=6), max_size=3, unique=True)
+    params, scalars, rows = draw(keys), draw(keys), draw(st.integers(1, 4))
+    excluded = [draw(st.none() | st.just("excluded")) for _ in range(rows)]
+    judged = excluded.count(None)
+
+    def columns(names, size):
+        return {name: draw(st.lists(_json_numbers, min_size=size, max_size=size)) for name in names}
+
+    param_columns, scalar_columns = columns(params, rows), columns(scalars, judged)
+    verdicts = (
+        draw(st.lists(st.booleans(), min_size=judged, max_size=judged)),
+        draw(st.lists(st.text(max_size=12), min_size=judged, max_size=judged)),
+        draw(st.lists(_json_numbers, min_size=judged, max_size=judged)),
+    )
+    result = SweepResult("example1", param_columns, scalar_columns, excluded, ())
+    scalar_rows = [{name: scalar_columns[name][i] for name in scalars} for i in range(judged)]
+    judged_rows = zip(scalar_rows, *verdicts)
+    dicts = []
+    for index, text in enumerate(excluded):
+        row = {"index": index, "params": {name: param_columns[name][index] for name in params}}
+        if text is None:
+            values, passed, worst, residual = next(judged_rows)
+            row.update(scalars=values, degenerate=False, passed=passed)
+            row.update(worst_check=worst, worst_residual=residual)
+        else:
+            row.update(scalars={}, degenerate=True, passed=None)
+            row.update(worst_check=None, worst_residual=None)
+        dicts.append(row)
+    block = cli._SweepRows(result, verdicts)
+    return {"rows": block, "passed": True}, {"rows": dicts, "passed": True}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_blocks())
+def test_sweep_column_block_writes_its_row_dicts(drawn):
+    # keys with %, JSON escapes and non-ASCII, ints, -0.0 and mixed float types
+    block, dicts = drawn
+    assert to_json(block) == json.dumps(dicts, indent=2)
+
+
+def _small_sweep_payload() -> dict:
+    grids = {"n": [2], "beta": [0.0, 0.5], "t": [0.0, 3.0 * math.pi / 4.0, 1.0]}
+    payload, _ = cmd_sweep(RunConfig("sweep", scenario="example1", grids=grids))
+    return payload
+
+
+@pytest.mark.parametrize("where", ["params", "scalars", "worst_residual"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -np.float64(math.inf)])
+def test_sweep_columns_reject_non_finite(where, value):
+    payload = _small_sweep_payload()
+    rows = payload["rows"]
+    columns = {
+        "params": rows.result.params["t"],
+        "scalars": rows.result.scalars["tau"],
+        "worst_residual": rows.verdicts[2],
+    }
+    columns[where][-1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        to_json(payload)
+
+
+def test_sweep_columns_reject_other_types():
+    payload = _small_sweep_payload()
+    payload["rows"].result.scalars["p"][0] = np.float32(0.5)
+    with pytest.raises(TypeError):
+        to_json(payload)
+
+
+def test_tracing_records_one_to_json_span_per_document(capsys):
+    # the column writer's helpers are private, so the benchmark's tracer,
+    # which wraps public functions, sees one span per document
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.SpanRecorder()
+    bindings = tracing.install(recorder)
+    try:
+        for args in (
+            ["sweep", "--scenario", "example1", "--grid-n", "2", "--grid-t=0,2.356194490192345"],
+            ["sweep", "--scenario", "example2", "--grid-p", "1", "--grid-q", "0"],
+            ["soliton", "--scenario", "example2", "--solve"],
+        ):
+            assert cli.main([*args, "--format", "json"]) == 0
+    finally:
+        bindings.set(False)
+    capsys.readouterr()
+    names = [recorder.names[i] for i in recorder.arrays()["name_id"]]
+    assert names.count("cli.to_json") == names.count("cli.main") == 3
+    assert {name for name in names if name.startswith("cli.")} == {
+        "cli.main", "cli.cmd_sweep", "cli.cmd_soliton", "cli.to_json"
+    }
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    cli._build_parser.cache_clear()
+    # argparse rejects the request: exit 2, its message on the current stderr
+    code, out, err = run(capsys, "inspect", "--scenario", "example2", "--no-such-option")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --no-such-option" in err
+    code, out, _ = run(capsys, "soliton", "--scenario", "example2", "--solve")
+    assert code == 0 and "result = pass" in out
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["--help"]) == 0
+    fresh = cli._build_parser.__wrapped__()
+    assert stdout.getvalue() == fresh.format_help()
+    assert cli._build_parser().prog == fresh.prog == "accrgeo"
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    src = str(Path(accrgeo.__file__).resolve().parent.parent)
+    code = "import accrgeo.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "0\n"
 
 
 def test_json_writer_reuses_float_text_but_keeps_each_zero_and_rejects_non_finite():
