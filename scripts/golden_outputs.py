@@ -24,7 +24,10 @@ The set covers every path from (algebra, structure) to a report:
 - small sweeps in both formats: example1 through the degenerate t = 3 pi/4
   and beta = -1/(2n), example1 with `--tol 1e-3` and `--tol 1e-16` (which
   judge every check against the override), and example2 on single-value
-  grids.
+  grids;
+- the text format of `inspect` and `soliton --solve` of example2 at (0, 0),
+  example1 `soliton` at t = 0, and `inspect` and `soliton --psi` of the
+  example2 `--input` file (TEXT_STEMS), written last.
 
 Each command's stdout goes to `<stem>.json` (`<stem>-text.txt` for the text
 format), its stderr to `<stem>.stderr` (`<stem>-text.stderr`) when it exits
@@ -54,6 +57,15 @@ from accrgeo.cli import main as cli_main
 from accrgeo.scenarios import sweep
 
 PQ_POINTS = ((0.0, 0.0), (1.5, -2.0), (-2.0, 1.0))
+
+#: the commands of commands() that are run in the text format as well
+TEXT_STEMS = (
+    "inspect-p0-q0",
+    "soliton-p0-q0",
+    "soliton-ex1-t0-n2",
+    "example2-p0-q0-inspect",
+    "example2-p0-q0-psi",
+)
 
 
 def carrier_definition(n: int, brackets: list) -> dict:
@@ -223,8 +235,10 @@ def main(argv=None):
     outdir = Path(argv[0])
     inputs_dir = outdir / "inputs"
     inputs_dir.mkdir(parents=True, exist_ok=True)
-    runs = [(stem, args, "json") for stem, args in commands(inputs_dir)]
+    argvs = dict(commands(inputs_dir))
+    runs = [(stem, args, "json") for stem, args in argvs.items()]
     runs += [(stem, args, fmt) for stem, args in small_sweeps() for fmt in ("json", "text")]
+    runs += [(stem, argvs[stem], "text") for stem in TEXT_STEMS]
     codes = []
     for stem, args, fmt in runs:
         out, err = io.StringIO(), io.StringIO()

@@ -257,11 +257,10 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     return Tensor(alg.frame, low)
 
 
-def ricci(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
+def ricci(conn: Connection, alg: LieAlgebra) -> Tensor:
     """Ricci tensor rho_jk = g^il R_ijkl, summed from the connection without
     building R; symmetry is asserted. The trace of x -> R(x, e_j) e_k needs
-    no metric, so metric is not read; ricci is called as riemann is. With
-    tr[m] = sum_i gamma[i, i, m]:
+    no metric. With tr[m] = sum_i gamma[i, i, m]:
 
         rho[j, k] =   sum_m tr[m] gamma[m, j, k]
                     - sum_{i,m} gamma[i, j, m] gamma[m, i, k]
@@ -282,7 +281,7 @@ def ricci(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
 def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> CurvaturePackage:
     """Run the pipeline for one metric: connection, Ricci, then both scalars."""
     conn = levi_civita(alg, metric)
-    rho = ricci(conn, alg, metric)
+    rho = ricci(conn, alg)
     tau, tau_star = trace_g(rho, metric), phi_trace(rho, metric, phi)
     return CurvaturePackage(alg, metric, conn, rho, tau, tau_star)
 

@@ -142,7 +142,8 @@ def flat_carrier_structure(n: int) -> AccRStructure:
     return validate_structure(phi, reeb, reeb, g, Frame(dim))
 
 
-#: example1 reads the carrier once per (n, t)
+#: example1 reads the carrier once per n of a sweep, or once per point; the
+#: cache serves the repeated sweeps and points of one process
 _cached_carrier = lru_cache(maxsize=16)(flat_carrier_structure)
 
 
@@ -612,10 +613,8 @@ def sweep(
     arrays over (beta, t0). example1 has one table per n from one array
     pass over its t (_example1_level): the curve, its Ricci tensors and the
     beta-free checks as arrays over t, every other check as one array over
-    (beta, t). The rows of a level (a t0, or an (n, t)) share its Check
-    objects, which a level column builds only when a report is read. The
-    params and scalars of the rows are gathered as columns, a list per
-    name, with no object or dict per row.
+    (beta, t). The params and scalars of the rows are gathered as columns,
+    a list per name, with no object or dict per row.
     """
     if scenario == "example2":
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)

@@ -47,7 +47,6 @@ conformal_report are one row, and example1 builds one level per n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -153,17 +152,13 @@ def _judge(residual: np.ndarray, limit, present: np.ndarray) -> tuple:
 class Column(NamedTuple):
     """One check over the rows of a CheckTable, its name, tol and note
     stored once: residual holds |value| of each row, and present marks the
-    rows that hold it, each a sequence over the rows (a list for one row). A
-    column of checks that rows share gives them by level: row r holds
-    checks(level[r])."""
+    rows that hold it, each a sequence over the rows (a list for one row)."""
 
     name: str
     residual: object
     tol: float
     note: str
     present: object
-    checks: object = None
-    level: object = None
 
     @classmethod
     def of(cls, name: str, values, tol: float = DEFAULT_TOL, note: str = "", present=True):
@@ -176,24 +171,19 @@ class Column(NamedTuple):
 
     def shared(self, level: np.ndarray) -> "Column":
         """This column of one residual per level as a column over rows, row r
-        holding the Check of level[r], built on the first read of a row of
-        that level; the rows of a level share it."""
-        name, residual, tol, note = self[:4]
-        checks = cache(lambda j: Check(name, float(residual[j]), tol, note))
-        held = np.ones(len(level), bool)
-        return self._replace(residual=residual[level], present=held, checks=checks, level=level)
+        holding the residual of level[r]."""
+        return self._replace(residual=self.residual[level], present=np.ones(len(level), bool))
 
 
 def shared_columns(levels, level: list) -> list:
-    """A column for each check of levels[level[r]], the checks that row r
-    shares with the other rows of its level; every level lists the same
-    checks, each computed at that level. These tables have few rows: lists."""
-    held, columns = [True] * len(level), []
-    for same in zip(*levels):
-        residual = [same[j].residual for j in level]
-        checks = same.__getitem__
-        columns.append(Column(same[0].name, residual, same[0].tol, same[0].note, held, checks, level))
-    return columns
+    """A column for each check of levels[level[r]], row r holding the
+    residual of that level's Check; every level lists the same checks, each
+    computed at that level. These tables have few rows: lists."""
+    held = [True] * len(level)
+    return [
+        Column(same[0].name, [same[j].residual for j in level], same[0].tol, same[0].note, held)
+        for same in zip(*levels)
+    ]
 
 
 class CheckTable(NamedTuple):
@@ -210,8 +200,6 @@ class CheckTable(NamedTuple):
         """The report of one row, built from the table."""
         checks = [
             Check(c.name, float(c.residual[row]), c.tol, c.note)
-            if c.checks is None
-            else c.checks(c.level[row])
             for c in self.columns
             if c.present[row]
         ]
@@ -472,11 +460,10 @@ def solve_vertical_soliton(
     if classification is not None:
         _require_sasaki_like(classification)
     lam, lam_assoc, table = vertical_solutions((k,), tau, tau_assoc, n, (beta,))
-    report = table.report(0)
     if ricci_tensor is not None and structure is not None:
         reconstruction = ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
-        report.checks.append(reconstruction)
-    return lam, lam_assoc, report
+        table = table._replace(columns=(*table.columns, *shared_columns([(reconstruction,)], [0])))
+    return lam, lam_assoc, table.report(0)
 
 
 def _require_sasaki_like(classification: SasakiLikeResult) -> None:
@@ -875,15 +862,13 @@ def vertical_rows(
 def conformal_report(
     a: Analysis, beta: float, psi: float, psi_assoc: float, lam: float, lam_assoc: float
 ) -> TheoremReport:
-    """The conformal row of one analysis, then the soliton residual under
-    the defining assumption L_theta g = 2 psi g and
+    """The conformal row of one analysis (verify_conformal_theorem), then the
+    soliton residual under the defining assumption L_theta g = 2 psi g and
     L_theta g_assoc = 2 psi_assoc g_assoc."""
     s, pkg, tau, tau_assoc = a.s, a.pkg, a.pkg.tau, a.assoc_pkg.tau
-    scalars = (tau, tau_assoc, s.n)
-    report = verify_conformal_theorem(
-        beta, psi, psi_assoc, lam, lam_assoc, *scalars, ricci_tensor=pkg.ricci, structure=s
-    )
+    level = conformal_level([tau], [tau_assoc], s.n, ricci=pkg.ricci.data[None], structure=s)
+    table = conformal_row(level, (beta,), psi + lam, psi_assoc + lam_assoc)
     assoc = (2.0 * psi_assoc * s.g_assoc.matrix, lam_assoc, tau_assoc)
     lhs = _rb_like_lhs(pkg.ricci.data, s, beta, 2.0 * psi * s.g.matrix, lam, tau, assoc)
-    report.add("soliton_residual", lhs, tol=1e-10)
-    return report
+    residual = Column.of("soliton_residual", np.abs(lhs).max(), 1e-10)
+    return table._replace(columns=(*table.columns, residual)).report(0)

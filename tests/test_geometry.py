@@ -89,20 +89,24 @@ def _full_jacobiator(c):
 
 
 @pytest.mark.parametrize(
-    "defects",
+    "n,defects,blocks",
     [
         # [e_3, e_5] = e_20: the residual 1 is reached at r = 4 and at r = 20,
         # with different triples
-        ((20, 3, 5, 1.0),),
+        (16, ((20, 3, 5, 1.0),), {4, 20}),
         # [e_7, e_9] = 2 e_30 as well: residual 2 at r = 14 and r = 30, and
         # the earlier block of r = 4 holds a smaller maximum
-        ((20, 3, 5, 1.0), (30, 7, 9, 2.0)),
+        (16, ((20, 3, 5, 1.0), (30, 7, 9, 2.0)), {14, 30}),
+        # dim 17 runs in blocks of 6, 6 and 5 rows: [e_1, e_2] = 2 e_3 and
+        # [e_3, e_4] = 2 e_16 give the residual 4 at r = 16 alone, in the
+        # short last block, and 2 in each earlier block
+        (8, ((3, 1, 2, 2.0), (16, 3, 4, 2.0)), {2}),
     ],
-    ids=["tie-across-blocks", "larger-in-later-block"],
+    ids=["tie-across-blocks", "larger-in-later-block", "dim17-short-last-block"],
 )
-def test_blocked_jacobi_matches_full_array(defects):
-    # the semidirect algebra at dim 33 with extra brackets that break Jacobi
-    c = semidirect_constants(16)
+def test_blocked_jacobi_matches_full_array(n, defects, blocks):
+    # the semidirect algebra at dim 2n + 1 with extra brackets that break Jacobi
+    c = semidirect_constants(n)
     d = c.shape[0]
     for k, i, j, value in defects:
         c[k, i, j], c[k, j, i] = value, -value
@@ -111,12 +115,12 @@ def test_blocked_jacobi_matches_full_array(defects):
     worst = np.unravel_index(np.argmax(jac), jac.shape)
     maximal = np.argwhere(jac == residual)
     first_triple_by_r = {int(r): tuple(maximal[maximal[:, 0] == r][0][1:]) for r in maximal[:, 0]}
-    # the maximum lies outside the first block of r, in more than one block,
+    # the maximum lies outside the first block of r, in the given blocks,
     # and the blocks name different triples
     rows = _block_rows(d)
     assert worst[0] >= rows
-    assert len({r // rows for r in first_triple_by_r}) > 1
-    assert len(set(first_triple_by_r.values())) > 1
+    assert {r // rows for r in first_triple_by_r} == blocks
+    assert len(set(first_triple_by_r.values())) == len(blocks)
     with pytest.raises(JacobiViolation) as err:
         LieAlgebra(Frame(d), c)
     assert err.value.residual == residual
@@ -197,7 +201,7 @@ def test_ricci_matches_loop_oracle(p, q):
     alg, s = build_example2(p, q)
     conn = levi_civita(alg, s.g)
     riem = riemann(conn, alg, s.g)
-    rho = ricci(conn, alg, s.g)
+    rho = ricci(conn, alg)
     expected = oracle_ricci(riem.data, s.g.inverse)
     assert np.max(np.abs(rho.data - expected)) < 1e-12
 
@@ -206,7 +210,7 @@ def _ricci_routes(alg, metric):
     """Ricci from the connection, and as the loop contraction g^il R_ijkl."""
     conn = levi_civita(alg, metric)
     contracted = oracle_ricci(riemann(conn, alg, metric).data, metric.inverse)
-    return ricci(conn, alg, metric).data, contracted
+    return ricci(conn, alg).data, contracted
 
 
 @pytest.mark.parametrize(
@@ -272,7 +276,7 @@ def test_dim9_curvature_matches_loop_oracles(semidirect_n4, dense):
     riem = riemann(conn, alg, metric)
     expected = oracle_riemann_lowered(alg.c.data, gamma, metric.matrix)
     assert np.max(np.abs(riem.data - expected)) < 1e-12
-    rho = ricci(conn, alg, metric)
+    rho = ricci(conn, alg)
     assert np.max(np.abs(rho.data - oracle_ricci(riem.data, metric.inverse))) < 1e-12
 
 
@@ -285,12 +289,14 @@ def _full_riemann(c, gamma, g):
     return inner - inner.transpose(1, 0, 2, 3) - brackets
 
 
-def test_dim33_curvature_matches_whole_array_products():
-    # a dense metric makes every gamma entry live; at dim 33 riemann works
-    # in more than one block of rows
-    alg = LieAlgebra(Frame(33), semidirect_constants(16))
-    metric = _dense_metric(flat_carrier_structure(16))
-    assert _block_rows(33) < 33
+@pytest.mark.parametrize("n", [8, 16], ids=["dim17", "dim33"])
+def test_dim33_curvature_matches_whole_array_products(n):
+    # a dense metric makes every gamma entry live; riemann works in more
+    # than one block of rows: 6, 6 and 5 rows at dim 17, one row at dim 33
+    d = 2 * n + 1
+    alg = LieAlgebra(Frame(d), semidirect_constants(n))
+    metric = _dense_metric(flat_carrier_structure(n))
+    assert _block_rows(d) < d
     conn = levi_civita(alg, metric)
     riem = riemann(conn, alg, metric)
     expected = _full_riemann(alg.c.data, conn.gamma.data, metric.matrix)
@@ -514,7 +520,7 @@ def test_every_postcondition_is_judged_by_check_passes(monkeypatch, layer, error
         "riemann": lambda: riemann(conn, a.alg, metric),
         # a new package, whose curvature tensor is built when it is read
         "CurvaturePackage.riemann": lambda: curvature_package(a.alg, metric, s.phi).riemann,
-        "ricci": lambda: ricci(conn, a.alg, metric),
+        "ricci": lambda: ricci(conn, a.alg),
         "fundamental_tensor": lambda: fundamental_tensor(conn, s),
     }
     calls[layer]()

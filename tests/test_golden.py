@@ -19,7 +19,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
 
 #: every command of the set that exits nonzero, with its exit code; the
-#: other 31 exit 0
+#: other 35 exit 0
 NONZERO = {
     "soliton-ex1-override": 1,
     "soliton-ex2-unread-psi": 2,
@@ -40,6 +40,7 @@ NONZERO = {
     "abelian-n2-psi": 1,
     "sweep-ex1-tol-1e-16": 1,
     "sweep-ex1-tol-1e-16-text": 1,
+    "example2-p0-q0-psi-text": 1,
 }
 
 #: sha256 of each default sweep's check listing with the residual column
@@ -67,7 +68,7 @@ def golden_dir(tmp_path_factory):
 def test_golden_commands_keep_their_verdicts(golden_dir):
     lines = (golden_dir / "exit_codes.txt").read_text().splitlines()
     codes = {stem: int(code) for stem, code in (line.split() for line in lines)}
-    assert len(codes) == len(lines) == 50
+    assert len(codes) == len(lines) == 55
     assert {stem: code for stem, code in codes.items() if code} == NONZERO
     for stem, code in codes.items():
         assert (golden_dir / f"{stem}.stderr").is_file() == (code != 0), stem
@@ -79,9 +80,9 @@ def test_golden_commands_keep_their_verdicts(golden_dir):
         assert (text == "") == (code == 2), stem
         if text:
             json.loads(text, parse_constant=_reject)
-    # 50 outputs, 19 stderr files, exit_codes.txt, the two check listings and
+    # 55 outputs, 20 stderr files, exit_codes.txt, the two check listings and
     # the inputs directory
-    assert len(list(golden_dir.iterdir())) == 73
+    assert len(list(golden_dir.iterdir())) == 79
 
 
 def test_golden_json_is_what_json_dumps_writes(golden_dir):

@@ -300,30 +300,3 @@ def test_small_example1_grid_rows_equal_single_points():
     assert any("nested tau elimination skipped" in note for note in notes)
     assert any("tau_assoc elimination skipped" in note for note in notes)
     _assert_example1_rows_match_single_points(result)
-
-
-def test_sweep_rows_share_checks_of_their_level():
-    result = sweep(
-        "example2", p_grid=[0.0], q_grid=[0.0], beta_grid=[0.0, 0.5], t0_grid=[1.0, 2.0]
-    )
-    first, second = result.rows[0].report, result.rows[1].report
-    # same (p, q): the curvature check is one object; other t0: other Lie checks
-    assert first["curvature_table"] is second["curvature_table"]
-    assert first["lie_g_family_value"] is not second["lie_g_family_value"]
-    third = result.rows[2].report  # beta = 0.5, t0 = 1
-    assert first["lie_g_family_value"] is third["lie_g_family_value"]
-    # example1: rows of one (n, t) share its curve checks and conformal level
-    result = sweep("example1", n_grid=[2], beta_grid=[0.0, 0.5], t_grid=[0.0, 1.0])
-    # (beta, t) = (0, 0), (0, 1), (0.5, 0)
-    first, second, third = (row.report for row in result.rows[:3])
-    for name in (
-        "curve_constraint",
-        "tau_route_agreement",
-        "tau_assoc_route_agreement",
-        "ricci_reeb_value",
-        "scalar_sum",
-        "ricci_einstein_like",
-    ):
-        assert first[name] is third[name], name
-        assert first[name] is not second[name], name
-    assert first["g_trace_closure"] is not third["g_trace_closure"]
