@@ -14,10 +14,13 @@ The set covers every path from (algebra, structure) to a report:
 - the example1 sweep at t = 2.3565, next to the excluded t = 3 pi/4, which
   marks that row degenerate;
 - `--input` files, written here from literals: example2 at (0, 0), the
-  Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and the
-  abelian dim-5 algebra on the same carrier, which is not Sasaki-like.
-  Each gets `inspect` and `soliton` with `--solve`, with
-  `--lambda/--lambda-tilde`, with `--mu` and with `--psi/--psi-tilde`;
+  Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and three
+  algebras that are not Sasaki-like: the abelian dim-5 algebra on the same
+  carrier, sl(2, R) on the dim-3 carrier (Einstein-fit kind
+  `einstein_like`) and [e_1, e_3] = e_2, [e_2, e_3] = -e_2 on the dim-5
+  carrier (`not_einstein_like`). Each gets `inspect` and `soliton` with
+  `--solve`, with `--lambda/--lambda-tilde`, with `--mu` and with
+  `--psi/--psi-tilde`;
 - example2 at (0, 0) in a dense integer frame of determinant 1, through
   `inspect` and `soliton --solve`: every input entry is exact, but the
   connection is dense, so a change in how curvature rounds shows here;
@@ -38,23 +41,32 @@ line each (row index, name, repr of residual and tol, note), and every row
 note. Run it on two checkouts and compare the directories with `diff -r` to
 show that a change keeps the output byte-identical.
 
-Example (from the repository root):
+`--against REV OUTDIR` does that in one command: it exports the `src/` of
+the git revision REV with `git archive`, writes this command set against
+that `src/` into OUTDIR/against and against this checkout's `src/` into
+OUTDIR/current, each in a fresh interpreter, and runs `diff -r` on the two.
+It exits 0 only if they are identical, and 1, with the differences, if not.
+
+Examples (from the repository root):
     PYTHONPATH=src python scripts/golden_outputs.py /tmp/golden-new
     diff -r /tmp/golden-old /tmp/golden-new
+    python scripts/golden_outputs.py --against HEAD /tmp/golden-check
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tempfile
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from accrgeo.cli import main as cli_main
-from accrgeo.scenarios import sweep
+ROOT = Path(__file__).resolve().parent.parent
 
 PQ_POINTS = ((0.0, 0.0), (1.5, -2.0), (-2.0, 1.0))
 
@@ -102,6 +114,10 @@ INPUTS = (
     ("semidirect-n4", 4, semidirect_brackets(4), True),
     ("semidirect-n16", 16, semidirect_brackets(16), True),
     ("abelian-n2", 2, [], False),
+    # the two Einstein-fit kinds that no other output prints: sl(2, R) on the
+    # dim-3 carrier (einstein_like) and a solvable algebra (not_einstein_like)
+    ("sl2r-n1", 1, [[0, 1, 1, 1.0], [0, 2, 2, -1.0], [1, 2, 0, 1.0]], False),
+    ("solvable-n2", 2, [[1, 3, 2, 1.0], [2, 3, 2, -1.0]], False),
 )
 
 #: f_a = sum_i DENSE_FRAME[i][a] e_i, with det 1 and an integer inverse
@@ -217,6 +233,8 @@ def small_sweeps():
 def check_listing(scenario: str) -> str:
     """Every check and note of the default sweep of scenario, one per line,
     tab-separated."""
+    from accrgeo.scenarios import sweep
+
     lines = []
     for row in sweep(scenario).rows:
         lines.extend(
@@ -227,11 +245,36 @@ def check_listing(scenario: str) -> str:
     return "".join(lines)
 
 
+def against(rev: str, outdir: Path) -> int:
+    """Write the outputs against rev's src/ and against this checkout's, each
+    in a fresh interpreter, and compare them with diff -r: its exit code."""
+    if outdir.exists() and any(outdir.iterdir()):
+        print(f"error: {outdir} is not empty", file=sys.stderr)
+        return 2
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE)
+    if archive.returncode:
+        return 2
+    with tempfile.TemporaryDirectory() as export:
+        subprocess.run(["tar", "-x", "-C", export], input=archive.stdout, check=True)
+        for name, src in (("against", Path(export) / "src"), ("current", ROOT / "src")):
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            code = subprocess.call([sys.executable, __file__, str(outdir / name)], env=env)
+            if code:
+                print(f"error: writing {outdir / name} exited {code}", file=sys.stderr)
+                return 2
+    return subprocess.call(["diff", "-r", str(outdir / "against"), str(outdir / "current")])
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--against":
+        return against(argv[1], Path(argv[2]))
     if len(argv) != 1:
-        print(f"usage: {Path(sys.argv[0]).name} OUTDIR", file=sys.stderr)
+        print(f"usage: {Path(sys.argv[0]).name} [--against REV] OUTDIR", file=sys.stderr)
         return 2
+    # imported here, so that --against runs with no accrgeo on the path
+    from accrgeo.cli import main as cli_main
+
     outdir = Path(argv[0])
     inputs_dir = outdir / "inputs"
     inputs_dir.mkdir(parents=True, exist_ok=True)

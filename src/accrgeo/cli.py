@@ -114,11 +114,13 @@ OPTIONS = {
 
 
 #: the options that an option leaves unread, by name: --solve computes the
-#: constants, the single-metric equation (--mu) has no lambda_tilde, and a
-#: conformal potential is neither vertical nor solved
+#: constants, the single-metric equation (--mu) has no lambda_tilde, a given
+#: potential (--k) replaces the family one evaluated at t0, and a conformal
+#: potential is neither vertical nor solved
 UNREAD_WITH = {
     "solve": "lambda lambda_tilde mu",
     "mu": "lambda_tilde",
+    "k": "t0",
     "psi": "k k_prime mu solve",
     "psi_tilde": "k k_prime mu solve",
 }
@@ -405,7 +407,7 @@ def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override
         }
         for check in report.checks
     ]
-    passed, _ = report.verdict(tol_override)
+    passed = all(check["passed"] for check in checks)
     payload = {
         "scenario": scenario,
         "scalars": scalars,

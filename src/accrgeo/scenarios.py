@@ -13,11 +13,11 @@ structure, brackets driven by two free reals (p, q):
 build_example2 holds only this bracket table; the structure is the flat
 carrier of n = 2: g = diag(1, 1, 1, -1, -1), xi = e_0, phi e_1 = e_3 and
 phi e_2 = e_4. Its curvature is independent of (p, q). Every expected
-value is a closed form compared with the pipeline's value by
+value is a closed form compared with the pipeline's value, by
 Check.between: the frozen curvature table, rho = 4 eta (.) eta,
-tau = tau_assoc = 4, tau_star = 0, and, for the potential k = -2 t0 with
-k' = -2, the Lie derivatives of both metrics and the soliton constants
-lam = 2(t0 - 2 beta), lam_assoc = -2(t0 + 2 beta).
+tau = tau_assoc = 4, tau_star = 0 and, for the potential k = -2 t0 with
+k' = -2, the Lie derivatives of both metrics; by a Column over (beta, t0):
+the soliton constants lam = 2(t0 - 2 beta), lam_assoc = -2(t0 + 2 beta).
 tests/test_example2_exact.py derives each of them a second way, in exact
 arithmetic over Q(p, q).
 
@@ -532,9 +532,9 @@ class SweepRow:
         return self.table.report(self.position)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
-    """The rows of a sweep, held as columns.
+    """The rows of a sweep, held as columns, frozen once built.
 
     params maps each parameter name to a list over the rows. excluded holds
     the message of each degenerate row (an excluded point), None for the
@@ -636,17 +636,15 @@ def sweep(
             _extend(scalars, ([tau] * size, [tau_assoc] * size, lams, lam_assocs))
             tables.append(table)
         excluded = [None] * len(params["p"])
-        result = SweepResult("example2", params, scalars, excluded, tuple(tables))
         constants = {
             (round(lam, 12), round(lam_assoc, 12))
             for lam, lam_assoc in zip(scalars["lambda"], scalars["lambda_tilde"])
         }
-        if len(constants) > 1:
-            result.notes.append(
-                "soliton constants vary across the sweep: this is the almost-soliton "
-                "regime, reported as information only"
-            )
-        return result
+        notes = [
+            "soliton constants vary across the sweep: this is the almost-soliton "
+            "regime, reported as information only"
+        ] if len(constants) > 1 else []
+        return SweepResult("example2", params, scalars, excluded, tuple(tables), notes)
 
     if scenario == "example1":
         n_values = tuple(int(v) for v in _grid(n_grid, DEFAULT_N_GRID))

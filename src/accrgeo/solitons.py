@@ -31,8 +31,8 @@ The report builders build check tables (CheckTable): one Column per
 check, its residuals computed over all rows at once in the operations of
 the one-point formula, in their order; a table of one row computes them in
 Python numbers (_operands). A row's TheoremReport is built from its table
-only when it is read, and _judge judges a table's rows and a report's
-checks alike. A report's checks are tensors.Check (re-exported here).
+only when it is read, and is frozen; _judge judges a table's rows and a
+report's checks alike. A report's checks are tensors.Check (re-exported here).
 
 Each theorem has one builder over (beta, level). vertical_level holds the
 Lie derivatives of one potential, vertical_solutions solves the constants
@@ -94,15 +94,12 @@ class SolitonSpec:
     mu: float = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremReport:
-    """An ordered list of checks plus free-form notes."""
+    """An ordered list of checks plus free-form notes, frozen once built."""
 
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    def add(self, name: str, residual, tol: float = DEFAULT_TOL, note: str = "") -> None:
-        self.checks.append(Check.measure(name, residual, tol, note))
 
     def __getitem__(self, name: str) -> Check:
         for check in self.checks:

@@ -9,6 +9,7 @@ verdict of a table is compared with the scan over a report's checks that
 TheoremReport.verdict used to be.
 """
 
+import dataclasses
 import math
 import os
 import sys
@@ -23,6 +24,7 @@ from accrgeo import (
     Check,
     Example2Params,
     SolitonSpec,
+    TheoremReport,
     VerticalScalar,
     eta_rb_residual,
     example2_state,
@@ -619,10 +621,11 @@ def _record_level_checks(monkeypatch, built):
 def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
     monkeypatch, scenario, builder, calls, rows
 ):
-    counts, built, expected = {}, [], {builder: calls}
+    # one builder call and one verdict (_judge) per table
+    counts, built, expected = {}, [], {builder: calls, "_judge": calls}
+    _count_calls(monkeypatch, solitons, "_judge", counts)
     module = scenarios if builder == "conformal_row" else solitons
     _count_calls(monkeypatch, module, builder, counts)
-    _count_calls(monkeypatch, solitons.TheoremReport, "add", counts)
     _count_calls(monkeypatch, CheckTable, "report", counts)
     if scenario == "example1":
         # one array pass per n, no Tensor per (n, t) (the carriers are
@@ -642,6 +645,7 @@ def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
     assert counts == expected
     assert built == []
     result = payload["rows"].result
+    assert len(result.tables) == calls
     assert not isinstance(payload["rows"], list)
     assert all(len(column) == rows for column in result.params.values())
     # a row read from the result is still the single-point report
@@ -654,6 +658,19 @@ def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
         else:
             single = run_example2_report(Example2Params(**params))
         assert row.report == single
+
+
+def test_reports_and_sweeps_are_frozen():
+    report = TheoremReport([Check("x", 0.0)], ["note"])
+    result = sweep("example2", p_grid=[0.0], q_grid=[0.0], beta_grid=[0.0], t0_grid=[1.0])
+    # rows, a cached_property, is still built on the frozen result
+    assert result.rows[0].report.checks
+    for value, name in (
+        (report, "checks"), (report, "notes"), (result, "notes"), (result, "tables")
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, [])
+    assert not hasattr(TheoremReport, "add")
 
 
 def test_reading_a_row_builds_the_checks_of_its_level_once(monkeypatch):

@@ -377,7 +377,7 @@ def test_input_soliton_conformal_branches(capsys, tmp_path, beta):
 def test_mu_single_metric_route(capsys):
     code, out, _ = run(
         capsys,
-        "soliton", "--scenario", "example2", "--beta", "0", "--t0", "1",
+        "soliton", "--scenario", "example2", "--beta", "0",
         "--k", "0", "--k-prime", "0", "--mu", "-4",
     )
     assert code == 0
@@ -611,6 +611,40 @@ def test_curvature_tensor_is_built_only_where_it_is_listed(
     assert all(np.array_equal(matrix, a.s.g.matrix) for matrix in metrics)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("soliton", "--input", None, "--beta", "0.3", "--k", "0.7", "--k-prime=-2", "--solve"),
+        ("soliton", "--input", None, "--beta", "0.3", "--psi", "1", "--psi-tilde=-1",
+         "--lambda", "0.5", "--lambda-tilde", "0.25"),
+        ("soliton", "--scenario", "example2", "--beta", "0.25", "--solve"),
+        ("soliton", "--scenario", "example2", "--lambda", "5", "--lambda-tilde=-2"),
+        ("soliton", "--scenario", "example2", "--lambda", "2.000001", "--lambda-tilde=-2",
+         "--tol", "1e-3"),
+        ("soliton", "--scenario", "example1", "--t", "0.5", "--n", "3", "--beta", "0.1"),
+    ],
+)
+def test_soliton_judges_its_report_once(capsys, monkeypatch, tmp_path, argv):
+    # the verdict is the conjunction of the per-check verdicts it prints;
+    # no second verdict over the report (_judge) runs
+    path, _ = _semidirect_n2_file(tmp_path)
+    calls = []
+    judge = solitons._judge
+
+    def counted(*args):
+        calls.append(args)
+        return judge(*args)
+
+    monkeypatch.setattr(solitons, "_judge", counted)
+    code, out, _ = run(
+        capsys, *(path if arg is None else arg for arg in argv), "--format", "json"
+    )
+    payload = json.loads(out)
+    assert calls == []
+    assert payload["passed"] is all(check["passed"] for check in payload["checks"])
+    assert code == (0 if payload["passed"] else 1)
+
+
 def _solve_span(checks):
     """The (name, residual, tol, note) of checks from scalar_sum_from_k_derivative
     through ricci_reconstruction."""
@@ -741,6 +775,11 @@ def test_nan_in_every_option_and_grid_exits_2(capsys, command, name):
         (
             ("soliton", "--input", "F", "--psi", "0", "--k", "1", "--k-prime", "0"),
             "--k is not read by soliton --input with --psi",
+        ),
+        (
+            ("soliton", "--scenario", "example2", "--k", "0.5", "--k-prime=-2", "--t0", "7",
+             "--solve"),
+            "--t0 is not read by soliton --scenario example2 with --k",
         ),
     ],
 )

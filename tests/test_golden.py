@@ -19,7 +19,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
 
 #: every command of the set that exits nonzero, with its exit code; the
-#: other 35 exit 0
+#: other 37 exit 0
 NONZERO = {
     "soliton-ex1-override": 1,
     "soliton-ex2-unread-psi": 2,
@@ -38,6 +38,14 @@ NONZERO = {
     "abelian-n2-lambda": 1,
     "abelian-n2-mu": 1,
     "abelian-n2-psi": 1,
+    "sl2r-n1-solve": 2,
+    "sl2r-n1-lambda": 1,
+    "sl2r-n1-mu": 1,
+    "sl2r-n1-psi": 1,
+    "solvable-n2-solve": 2,
+    "solvable-n2-lambda": 1,
+    "solvable-n2-mu": 1,
+    "solvable-n2-psi": 1,
     "sweep-ex1-tol-1e-16": 1,
     "sweep-ex1-tol-1e-16-text": 1,
     "example2-p0-q0-psi-text": 1,
@@ -56,19 +64,33 @@ def _reject(constant):
 
 
 @pytest.fixture(scope="module")
-def golden_dir(tmp_path_factory):
+def golden():
     spec = importlib.util.spec_from_file_location("golden_outputs", SCRIPT)
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def golden_dir(golden, tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
     assert golden.main([str(path)]) == 0
     return path
 
 
+def test_against_writes_into_an_empty_outdir_only(golden, tmp_path, capsys):
+    # a stale file in OUTDIR would be compared as if it had been written
+    (tmp_path / "stale.json").write_text("{}\n")
+    assert golden.main(["--against", "HEAD", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path} is not empty\n"
+    assert golden.main(["--against", "HEAD"]) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_golden_commands_keep_their_verdicts(golden_dir):
     lines = (golden_dir / "exit_codes.txt").read_text().splitlines()
     codes = {stem: int(code) for stem, code in (line.split() for line in lines)}
-    assert len(codes) == len(lines) == 55
+    assert len(codes) == len(lines) == 65
     assert {stem: code for stem, code in codes.items() if code} == NONZERO
     for stem, code in codes.items():
         assert (golden_dir / f"{stem}.stderr").is_file() == (code != 0), stem
@@ -80,15 +102,15 @@ def test_golden_commands_keep_their_verdicts(golden_dir):
         assert (text == "") == (code == 2), stem
         if text:
             json.loads(text, parse_constant=_reject)
-    # 55 outputs, 20 stderr files, exit_codes.txt, the two check listings and
+    # 65 outputs, 28 stderr files, exit_codes.txt, the two check listings and
     # the inputs directory
-    assert len(list(golden_dir.iterdir())) == 79
+    assert len(list(golden_dir.iterdir())) == 97
 
 
 def test_golden_json_is_what_json_dumps_writes(golden_dir):
     outputs = [path.read_text() for path in sorted(golden_dir.glob("*.json"))]
     outputs = [text for text in outputs if text]
-    assert len(outputs) == 42
+    assert len(outputs) == 50
     for text in outputs:
         assert text.endswith("}\n")
         assert text[:-1] == json.dumps(json.loads(text), indent=2)

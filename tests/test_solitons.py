@@ -10,7 +10,6 @@ from accrgeo import (
     Check,
     SolitonSpec,
     Tensor,
-    TheoremReport,
     VerticalPotential,
     VerticalScalar,
     build_example2,
@@ -280,8 +279,5 @@ def test_check_record():
     assert measured.passes(2e-10) and not measured.passes(1e-10)
     assert check.passes(1e-8)
     assert type(measured.residual) is float
-    report = TheoremReport()
-    report.add("x", np.float64(-1e-10), tol=1e-9, note="n")
-    assert report.checks == [measured]
     with pytest.raises(AttributeError):
         check.residual = 0.0
