@@ -14,13 +14,15 @@ The set covers every path from (algebra, structure) to a report:
 - the example1 sweep at t = 2.3565, next to the excluded t = 3 pi/4, which
   marks that row degenerate;
 - `--input` files, written here from literals: example2 at (0, 0), the
-  Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and three
+  Sasaki-like semidirect family at n = 4 and n = 16 (dim 33), and four
   algebras that are not Sasaki-like: the abelian dim-5 algebra on the same
   carrier, sl(2, R) on the dim-3 carrier (Einstein-fit kind
-  `einstein_like`) and [e_1, e_3] = e_2, [e_2, e_3] = -e_2 on the dim-5
-  carrier (`not_einstein_like`). Each gets `inspect` and `soliton` with
-  `--solve`, with `--lambda/--lambda-tilde`, with `--mu` and with
-  `--psi/--psi-tilde`;
+  `einstein_like`), [e_1, e_3] = e_2, [e_2, e_3] = -e_2 on the dim-5
+  carrier (`not_einstein_like`) and Bianchi V, [e_0, e_1] = e_1,
+  [e_0, e_2] = e_2 on the dim-3 carrier, which is not unimodular, so the
+  trace term of the Ricci tensor shows in tau. Each gets `inspect` and
+  `soliton` with `--solve`, with `--lambda/--lambda-tilde`, with `--mu` and
+  with `--psi/--psi-tilde`;
 - example2 at (0, 0) in a dense integer frame of determinant 1, through
   `inspect` and `soliton --solve`: every input entry is exact, but the
   connection is dense, so a change in how curvature rounds shows here;
@@ -118,6 +120,8 @@ INPUTS = (
     # dim-3 carrier (einstein_like) and a solvable algebra (not_einstein_like)
     ("sl2r-n1", 1, [[0, 1, 1, 1.0], [0, 2, 2, -1.0], [1, 2, 0, 1.0]], False),
     ("solvable-n2", 2, [[1, 3, 2, 1.0], [2, 3, 2, -1.0]], False),
+    # Bianchi V: not unimodular (tr ad e_0 = 2), Einstein with tau = -6
+    ("bianchi-v-n1", 1, [[0, 1, 1, 1.0], [0, 2, 2, 1.0]], False),
 )
 
 #: f_a = sum_i DENSE_FRAME[i][a] e_i, with det 1 and an integer inverse

@@ -13,11 +13,12 @@ structure, brackets driven by two free reals (p, q):
 build_example2 holds only this bracket table; the structure is the flat
 carrier of n = 2: g = diag(1, 1, 1, -1, -1), xi = e_0, phi e_1 = e_3 and
 phi e_2 = e_4. Its curvature is independent of (p, q). Every expected
-value is a closed form compared with the pipeline's value, by
-Check.between: the frozen curvature table, rho = 4 eta (.) eta,
-tau = tau_assoc = 4, tau_star = 0 and, for the potential k = -2 t0 with
-k' = -2, the Lie derivatives of both metrics; by a Column over (beta, t0):
-the soliton constants lam = 2(t0 - 2 beta), lam_assoc = -2(t0 + 2 beta).
+value is a closed form compared with the pipeline's value, each a Column
+of the value it depends on: one per (p, q), by Column.between, for the
+frozen curvature table, rho = 4 eta (.) eta, tau = tau_assoc = 4 and
+tau_star = 0; over t0, for the Lie derivatives of both metrics along the
+potential k = -2 t0 with k' = -2; over (beta, t0), for the soliton
+constants lam = 2(t0 - 2 beta), lam_assoc = -2(t0 + 2 beta).
 tests/test_example2_exact.py derives each of them a second way, in exact
 arithmetic over Q(p, q).
 
@@ -73,7 +74,6 @@ from .solitons import (
     conformal_row,
     einstein_like_fit,
     is_degenerate_beta,
-    shared_columns,
     vertical_level,
     vertical_rows,
 )
@@ -210,19 +210,11 @@ _NOTES = {
 }
 
 
-def _closed_form_checks(forms: dict) -> tuple:
-    """Check.between of every name: (computed, closed form[, tol]) in forms,
-    with the name's note."""
-    return tuple(
-        Check.between(name, *form, note=_NOTES.get(name, "")) for name, form in forms.items()
-    )
-
-
 class _Example2Geometry(NamedTuple):
     """One (p, q) of example2 with the report's checks that depend on it alone.
 
-    head holds the checks that open the report, tail the Einstein-like fit
-    checks that close it.
+    head holds the one-level columns (Column.between) that open the report,
+    tail the Einstein-like fit checks that close it.
     """
 
     analysis: Analysis
@@ -234,27 +226,26 @@ def _example2_geometry(p: float, q: float) -> _Example2Geometry:
     a = example2_state(p, q)
     s, pkg, assoc_pkg = a.s, a.pkg, a.assoc_pkg
     n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
-    head = _closed_form_checks(
-        {
-            "curvature_table": (
-                pkg.riemann.data, example2_expected_curvature(s.frame).data, 1e-12
-            ),
-            "ricci_form": (pkg.ricci.data, 4.0 * s.eta_outer, 1e-12),
-            "tau_value": (pkg.tau, 4.0, 1e-10),
-            "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
-            "tau_assoc_pipeline": (assoc_pkg.tau, 4.0, 1e-10),
-            "tau_assoc_two_routes": (assoc_pkg.tau, 2.0 * n - pkg.tau_star, 1e-10),
-            "sasaki_like": (a.classification.residual, 0.0, 1e-12),
-            # D_x xi = -phi x for the connections of both metrics
-            "reeb_derivative": (pkg.conn.derivative_of_field(xi), minus_phi),
-            "reeb_derivative_assoc": (assoc_pkg.conn.derivative_of_field(xi), minus_phi),
-            "ricci_reeb_line": (pkg.ricci.data @ xi, 2.0 * n * s.eta.data),
-        }
+    forms = {
+        "curvature_table": (pkg.riemann.data, example2_expected_curvature(s.frame).data, 1e-12),
+        "ricci_form": (pkg.ricci.data, 4.0 * s.eta_outer, 1e-12),
+        "tau_value": (pkg.tau, 4.0, 1e-10),
+        "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
+        "tau_assoc_pipeline": (assoc_pkg.tau, 4.0, 1e-10),
+        "tau_assoc_two_routes": (assoc_pkg.tau, 2.0 * n - pkg.tau_star, 1e-10),
+        "sasaki_like": (a.classification.residual, 0.0, 1e-12),
+        # D_x xi = -phi x for the connections of both metrics
+        "reeb_derivative": (pkg.conn.derivative_of_field(xi), minus_phi),
+        "reeb_derivative_assoc": (assoc_pkg.conn.derivative_of_field(xi), minus_phi),
+        "ricci_reeb_line": (pkg.ricci.data @ xi, 2.0 * n * s.eta.data),
+    }
+    head = tuple(
+        Column.between(name, *form, note=_NOTES.get(name, "")) for name, form in forms.items()
     )
     fit = einstein_like_fit(pkg.ricci, s)
     tail = (
-        Check.between("einstein_fit_residual", fit.residual, 0.0, 1e-12),
-        Check.between(
+        Column.between("einstein_fit_residual", fit.residual, 0.0, 1e-12),
+        Column.between(
             "einstein_fit_coefficients",
             np.array((fit.a, fit.b, fit.c)),
             np.array((0.0, 0.0, 4.0)),
@@ -278,44 +269,46 @@ def _example2_rows(
     t0s[j] is ks[j], the constants of vertical_rows in its soliton residual,
     and row i * len(t0s) + j of table.
 
-    The reports wrap the shared vertical_level and vertical_rows checks in
-    the scenario's geometry checks. k defaults to the scenario family
-    k = -2 t0, k' = -2, whose Lie derivatives and solved constants are
-    then checked against their expected values too; a supplied k makes t0
+    The reports wrap the shared vertical_rows checks in the scenario's
+    geometry checks. k defaults to the scenario family k = -2 t0, k' = -2,
+    whose Lie derivatives and solved constants are then checked against
+    their expected values too, as columns over t0; a supplied k makes t0
     irrelevant.
     """
     a = geom.analysis
     family = k is None
-    levels = []
-    for t0 in t0s:
-        if not family:
-            levels.append(vertical_level(a, k))
-            continue
-        level = vertical_level(a, VerticalScalar(value=-2.0 * t0, xi_derivative=-2.0))
-        s = a.s
+    ks = [VerticalScalar(-2.0 * t0, -2.0) for t0 in t0s] if family else [k] * len(t0s)
+    levels = [vertical_level(a, scalar) for scalar in ks]
+    t0, level_columns = np.asarray(t0s, dtype=float), ()
+    if family:
+        s, k_prime = a.s, np.array([scalar.xi_derivative for scalar in ks])
         eta_outer = s.eta_outer
-        family_checks = _closed_form_checks(
-            {
-                "h_form": (2.0 * level.k.xi_derivative * eta_outer, -4.0 * eta_outer, 1e-12),
-                "lie_g_family_value": (
-                    level.lie_g.data,
-                    4.0 * t0 * s.g_assoc.matrix - 4.0 * (t0 + 1.0) * eta_outer,
-                    1e-10,
-                ),
-                "lie_assoc_family_value": (
-                    level.lie_assoc.data,
-                    -4.0 * t0 * s.g.matrix + 4.0 * (t0 - 1.0) * eta_outer,
-                    1e-10,
-                ),
-            }
+        forms = {
+            "h_form": (np.multiply.outer(2.0 * k_prime, eta_outer), -4.0 * eta_outer, 1e-12),
+            "lie_g_family_value": (
+                np.stack([level.lie_g.data for level in levels]),
+                np.multiply.outer(4.0 * t0, s.g_assoc.matrix)
+                - np.multiply.outer(4.0 * (t0 + 1.0), eta_outer),
+                1e-10,
+            ),
+            "lie_assoc_family_value": (
+                np.stack([level.lie_assoc.data for level in levels]),
+                np.multiply.outer(-4.0 * t0, s.g.matrix)
+                + np.multiply.outer(4.0 * (t0 - 1.0), eta_outer),
+                1e-10,
+            ),
+        }
+        level_columns = tuple(
+            Column.of(name, np.abs(computed - expected).max(axis=(-2, -1)), tol)
+            for name, (computed, expected, tol) in forms.items()
         )
-        levels.append(level._replace(checks=level.checks + family_checks))
-    lams, lam_assocs, table = vertical_rows(a, levels, betas, lam, lam_assoc, mu=mu)
+    lams, lam_assocs, table = vertical_rows(
+        a, levels, betas, lam, lam_assoc, mu=mu, level_columns=level_columns
+    )
     *checks, residual = table.columns
     constants = ()
     if family and mu is None and lam is None and lam_assoc is None:
         beta = np.asarray(betas, dtype=float)[:, None]
-        t0 = np.asarray(t0s, dtype=float)
         constants = (
             Column.of(
                 "lambda_family_value",
@@ -330,8 +323,8 @@ def _example2_rows(
                 "lam_assoc = -2(t0 + 2 beta)",
             ),
         )
-    every_row = np.zeros(table.rows, np.intp)
-    head, tail = (shared_columns([part], every_row) for part in (geom.head, geom.tail))
+    every_row = [0] * table.rows
+    head, tail = ([column.shared(every_row) for column in part] for part in (geom.head, geom.tail))
     columns = (*head, *checks, *constants, residual, *tail)
     return [level.k for level in levels], lams, lam_assocs, table._replace(columns=columns)
 

@@ -30,14 +30,17 @@ vanishing factor.
 The report builders build check tables (CheckTable): one Column per
 check, its residuals computed over all rows at once in the operations of
 the one-point formula, in their order; a table of one row computes them in
-Python numbers (_operands). A row's TheoremReport is built from its table
-only when it is read, and is frozen; _judge judges a table's rows and a
-report's checks alike. A report's checks are tensors.Check (re-exported here).
+Python numbers (_operands). A check computed once per level is a Column
+too (Column.between for a closed form), which Column.shared copies onto the
+rows of that level. A row's TheoremReport is built from its table only when
+it is read, and is frozen; _judge judges a table's rows and a report's checks
+alike. A report's checks are tensors.Check (re-exported here).
 
 Each theorem has one builder over (beta, level). vertical_level holds the
 Lie derivatives of one potential, vertical_solutions solves the constants
-that potentials force at all betas, and vertical_rows checks the equation
-for several potentials of one analysis; solve_vertical_soliton is one row.
+that potentials force at all betas, and vertical_rows checks the equation,
+and the Lie derivatives against their closed forms, for several potentials
+of one analysis; solve_vertical_soliton is one row.
 conformal_level holds, at many curvature points at once, the checks that
 are free of beta and the potential, and conformal_row builds the table of
 its points at several betas; verify_conformal_theorem and
@@ -166,21 +169,21 @@ class Column(NamedTuple):
         held = np.full(values.shape, present)
         return cls(name, np.abs(values).ravel(), tol, note, held.ravel())
 
-    def shared(self, level: np.ndarray) -> "Column":
+    @classmethod
+    def between(cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""):
+        """The column of one level's check of computed against its closed
+        form: the residual of Check.between, held as a list."""
+        residual = Check.between(name, computed, expected, tol).residual
+        return cls(name, [residual], tol, note, [True])
+
+    def shared(self, level) -> "Column":
         """This column of one residual per level as a column over rows, row r
-        holding the residual of level[r]."""
+        holding the residual of level[r]; a column held as a list (one
+        level, or a table of one row) stays a list."""
+        if isinstance(self.residual, list):
+            residual = [self.residual[j] for j in level]
+            return self._replace(residual=residual, present=[True] * len(level))
         return self._replace(residual=self.residual[level], present=np.ones(len(level), bool))
-
-
-def shared_columns(levels, level: list) -> list:
-    """A column for each check of levels[level[r]], row r holding the
-    residual of that level's Check; every level lists the same checks, each
-    computed at that level. These tables have few rows: lists."""
-    held = [True] * len(level)
-    return [
-        Column(same[0].name, [same[j].residual for j in level], same[0].tol, same[0].note, held)
-        for same in zip(*levels)
-    ]
 
 
 class CheckTable(NamedTuple):
@@ -284,15 +287,17 @@ def vertical_lie_closed_form(
         raise NotSasakiLike(
             "closed-form vertical Lie derivatives hold only for Sasaki-like structures"
         )
-    return tuple(Tensor(s.frame, form) for form in _vertical_closed_forms(k, s))
+    forms = _vertical_closed_forms(k.value, k.xi_derivative, s)
+    return tuple(Tensor(s.frame, form) for form in forms)
 
 
-def _vertical_closed_forms(k: VerticalScalar, s: AccRStructure) -> tuple:
-    """The arrays of vertical_lie_closed_form, for any structure."""
+def _vertical_closed_forms(k_value, k_prime, s: AccRStructure) -> tuple:
+    """The arrays of vertical_lie_closed_form, for any structure; k_value
+    and k_prime are numbers, or arrays that stack the forms."""
     eta_outer = s.eta_outer
-    h = 2.0 * k.xi_derivative * eta_outer
-    lie_g = h - 2.0 * k.value * (s.g_assoc.matrix - eta_outer)
-    lie_assoc = h + 2.0 * k.value * (s.g.matrix - eta_outer)
+    h = np.multiply.outer(2.0 * k_prime, eta_outer)
+    lie_g = h - np.multiply.outer(2.0 * k_value, s.g_assoc.matrix - eta_outer)
+    lie_assoc = h + np.multiply.outer(2.0 * k_value, s.g.matrix - eta_outer)
     return lie_g, lie_assoc
 
 
@@ -459,7 +464,7 @@ def solve_vertical_soliton(
     lam, lam_assoc, table = vertical_solutions((k,), tau, tau_assoc, n, (beta,))
     if ricci_tensor is not None and structure is not None:
         reconstruction = ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
-        table = table._replace(columns=(*table.columns, *shared_columns([(reconstruction,)], [0])))
+        table = table._replace(columns=(*table.columns, reconstruction.shared([0])))
     return lam, lam_assoc, table.report(0)
 
 
@@ -470,14 +475,15 @@ def _require_sasaki_like(classification: SasakiLikeResult) -> None:
 
 def ricci_reconstruction_check(
     ricci_tensor: Tensor, tau: float, tau_assoc: float, n: int, structure: AccRStructure
-) -> Check:
-    """rho rebuilt from (tau, tau_assoc) alone, which holds at every beta."""
+) -> Column:
+    """rho rebuilt from (tau, tau_assoc) alone, which holds at every beta: a
+    one-level column."""
     expected = (
         (tau / (2.0 * n) - 1.0) * structure.g.matrix
         + (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
         - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0)) * structure.eta_outer
     )
-    return Check.between(
+    return Column.between(
         "ricci_reconstruction",
         ricci_tensor.data,
         expected,
@@ -493,23 +499,17 @@ def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple
     ks[j] are lam[i, j] and lam_assoc[i, j] (numbers for one row), and row
     i * len(ks) + j of table holds its checks. The first,
     scalar_sum_from_k_derivative, tau + tau_assoc = 4n(k' + n + 1), holds at
-    every beta and is one Check per potential; then come the checks that
+    every beta and is computed once per potential; then come the checks that
     involve the solved constants (only k_derivative_from_trace at the branch
     point), and a note marks the rows at the branch point.
     """
     rows = len(betas) * len(ks)
     beta, k_value, k_prime = _operands(betas, [k.value for k in ks], [k.xi_derivative for k in ks])
-    scalar_sums = [
-        (
-            Check.between(
-                "scalar_sum_from_k_derivative",
-                tau + tau_assoc,
-                4.0 * n * (k.xi_derivative + n + 1.0),
-                note="tau + tau_assoc = 4n(k' + n + 1)",
-            ),
-        )
-        for k in ks
-    ]
+    scalar_sum = Column.of(
+        "scalar_sum_from_k_derivative",
+        tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
+        note="tau + tau_assoc = 4n(k' + n + 1)",
+    )
     factor = 1.0 + 2.0 * n * beta
     branch = is_degenerate_beta(beta, n)
     regular = np.logical_not(branch)
@@ -517,7 +517,7 @@ def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple
     lam = 1.0 - k_value - _quotient(tau * factor, 2.0 * n, regular)
     lam_assoc = 1.0 + k_value - _quotient(tau_assoc * factor, 2.0 * n, regular)
     columns = (
-        *shared_columns(scalar_sums, [row % len(ks) for row in range(rows)]),
+        scalar_sum.shared([row % len(ks) for row in range(rows)]),
         Column.of(
             "k_derivative_from_trace",
             k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
@@ -743,35 +743,25 @@ def conformal_row(level: ConformalLevel, beta, sum_g, sum_assoc, notes=()) -> Ch
 
 
 class VerticalLevel(NamedTuple):
-    """The potential theta = k xi on one analysis, with the checks that depend on it.
+    """The potential theta = k xi on one analysis.
 
     lie_g and lie_assoc are the connection-based Lie derivatives of g and
-    g_assoc, which every soliton residual uses. On a Sasaki-like structure
-    checks compares them with their closed forms; a scenario may append
-    checks of its own.
+    g_assoc, which every soliton residual uses; vertical_rows compares
+    them with their closed forms on a Sasaki-like structure.
     """
 
     k: VerticalScalar
     lie_g: Tensor
     lie_assoc: Tensor
-    checks: tuple
 
 
 def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
-    """Lie derivatives of both metrics along k xi, checked against their
-    closed forms on a Sasaki-like structure: lie_derivative_metric and
-    vertical_lie_closed_form, with D theta formed once for both metrics."""
+    """Lie derivatives of both metrics along k xi: lie_derivative_metric,
+    with D theta formed once for both metrics."""
     s = a.s
     d_theta = _d_theta(k, a.pkg.conn, s)
     lie_g, lie_assoc = (_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
-    checks = ()
-    if a.classification.is_sasaki_like:
-        closed_g, closed_assoc = _vertical_closed_forms(k, s)
-        checks = (
-            Check.between("lie_g_closed_vs_connection", closed_g, lie_g, tol=1e-10),
-            Check.between("lie_assoc_closed_vs_connection", closed_assoc, lie_assoc, tol=1e-10),
-        )
-    return VerticalLevel(k, Tensor(s.frame, lie_g), Tensor(s.frame, lie_assoc), checks)
+    return VerticalLevel(k, Tensor(s.frame, lie_g), Tensor(s.frame, lie_assoc))
 
 
 def vertical_rows(
@@ -783,6 +773,7 @@ def vertical_rows(
     *,
     solve: bool = True,
     mu: float = None,
+    level_columns=(),
 ) -> tuple:
     """The vertical-potential theorem on one analysis for the potentials
     levels[j] at betas[i].
@@ -799,25 +790,38 @@ def vertical_rows(
     of solve_vertical_soliton is checked; a supplied lam or lam_assoc
     replaces its solved value in the soliton residual and is checked
     against it. Without solve, lam and lam_assoc are both required and only
-    the residual is checked. The check that depends on the analysis alone
-    is computed once for all levels, and the solve and the soliton
-    residuals are row expressions over (betas, levels) (see _operands).
+    the residual is checked. A report opens with the Lie derivatives against
+    their closed forms (Sasaki-like structures only), then level_columns, a
+    scenario's columns of one residual per level. The checks of a level are
+    computed once for all rows, the check of the analysis alone once, and
+    the solve and the soliton residuals are row expressions over (betas,
+    levels) (see _operands).
     """
     s, pkg = a.s, a.pkg
     tau, tau_assoc, n = pkg.tau, a.assoc_pkg.tau, s.n
     rows = len(betas) * len(levels)
     row_level = [row % len(levels) for row in range(rows)]
-    columns = shared_columns([level.checks for level in levels], row_level)
-    notes = ()
-    if not a.classification.is_sasaki_like:
+    beta, lie_g, lie_assoc, k_value, k_prime = _operands(
+        betas,
+        [level.lie_g.data for level in levels],
+        [level.lie_assoc.data for level in levels],
+        [level.k.value for level in levels],
+        [level.k.xi_derivative for level in levels],
+    )
+    columns, notes = [], ()
+    if a.classification.is_sasaki_like:
+        closed = _vertical_closed_forms(k_value, k_prime, s)
+        columns = [
+            Column.of(f"{name}_closed_vs_connection", np.abs(form - lie).max(axis=(-2, -1)), 1e-10)
+            for name, form, lie in zip(("lie_g", "lie_assoc"), closed, (lie_g, lie_assoc))
+        ]
+    else:
         text = (
             "structure is not Sasaki-like: closed-form Lie derivatives do not "
             "apply, connection-based values used throughout"
         )
         notes = ((text, None),)
-    beta, lie_g, lie_assoc = _operands(
-        betas, [level.lie_g.data for level in levels], [level.lie_assoc.data for level in levels]
-    )
+    columns = [column.shared(row_level) for column in (*columns, *level_columns)]
     lams, lam_assocs = lam, lam_assoc
     if mu is not None:
         lams, lam_assocs = 0.0 if lam is None else lam, None
@@ -827,7 +831,7 @@ def vertical_rows(
             [level.k for level in levels], tau, tau_assoc, n, betas
         )
         reconstruction = ricci_reconstruction_check(pkg.ricci, tau, tau_assoc, n, s)
-        columns += (*solved.columns, *shared_columns([(reconstruction,)], [0] * rows))
+        columns += (*solved.columns, reconstruction.shared([0] * rows))
         # solving needs a Sasaki-like structure, which has no notes
         notes = solved.notes
         if lam is None:

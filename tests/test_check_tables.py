@@ -23,22 +23,31 @@ from hypothesis import strategies as st
 from accrgeo import (
     Check,
     Example2Params,
+    Frame,
+    LieAlgebra,
     SolitonSpec,
     TheoremReport,
+    VerticalPotential,
     VerticalScalar,
+    analyze,
     eta_rb_residual,
     example2_state,
+    flat_carrier_structure,
+    lie_derivative_metric,
     rb_like_residual,
     run_example2_report,
     scenarios,
     solitons,
     sweep,
+    vertical_lie_closed_form,
 )
 from accrgeo.cli import RunConfig, _render_sweep, cmd_sweep, to_json
 from accrgeo.errors import DegenerateParameter
 from accrgeo.scenarios import _SUMS_NOTE, _example1_level
 from accrgeo.solitons import DEGENERATE_BETA_TOL, CheckTable, Column, is_degenerate_beta
 from accrgeo.tensors import Tensor
+
+from conftest import semidirect_constants
 
 DEG_T = 3.0 * math.pi / 4.0
 
@@ -421,6 +430,100 @@ def test_rb_like_residual_is_the_two_metric_left_hand_side(beta, t0):
     assert np.max(np.abs(lhs.data)) < 1e-10
     reported = table.report(0)["soliton_residual"]
     assert repr(reported.residual) == repr(Check.measure("", expected).residual)
+
+
+# --- level checks against the one-potential routes ---------------------------
+
+#: three potentials k xi as (k, k'), one of them zero
+_POTENTIALS = (VerticalScalar(0.7, -2.0), VerticalScalar(-1.0, 0.5), VerticalScalar(0.0, 0.0))
+_CLOSED_FORM_NAMES = ("lie_g_closed_vs_connection", "lie_assoc_closed_vs_connection")
+
+
+def _closed_form_references(a, k):
+    """The closed-form checks of one potential through the public one-potential
+    routes: vertical_lie_closed_form against lie_derivative_metric."""
+    s, potential = a.s, VerticalPotential(k)
+    closed = vertical_lie_closed_form(k, s, a.classification)
+    lie = (lie_derivative_metric(m, a.pkg.conn, potential, s) for m in (s.g, s.g_assoc))
+    return [
+        Check.between(name, form.data, connection.data, 1e-10)
+        for name, form, connection in zip(_CLOSED_FORM_NAMES, closed, lie)
+    ]
+
+
+@pytest.mark.parametrize("case", [(1.5, -2.0), (-1.0, 0.5), "semidirect-n2"])
+def test_closed_form_columns_equal_the_one_potential_routes(case):
+    # the Lie derivatives against their closed forms, one array expression
+    # over the potentials, in a table over (beta, potential) and in the
+    # one-row table of each (beta, potential), which computes in numbers
+    if isinstance(case, str):
+        a = analyze(LieAlgebra(Frame(5), semidirect_constants(2)), flat_carrier_structure(2))
+    else:
+        a = example2_state(*case)
+    betas = [-1.0 / (2 * a.s.n), 0.0, 0.6]
+    levels = [solitons.vertical_level(a, k) for k in _POTENTIALS]
+    *_, table = solitons.vertical_rows(a, levels, betas)
+    for i, beta in enumerate(betas):
+        for j, k in enumerate(_POTENTIALS):
+            expected = _fields(_closed_form_references(a, k))
+            report = table.report(i * len(levels) + j)
+            assert _fields([report[name] for name in _CLOSED_FORM_NAMES]) == expected, (beta, k)
+            *_, alone = solitons.vertical_rows(a, levels[j : j + 1], (beta,))
+            assert _fields(alone.report(0).checks[:2]) == expected, (beta, k)
+
+
+def _family_references(a, t0):
+    """h_form and the family values of the Lie derivatives at one t0, each
+    Check.between of the per-potential expressions."""
+    s, eta_outer = a.s, a.s.eta_outer
+    level = solitons.vertical_level(a, VerticalScalar(-2.0 * t0, -2.0))
+    return [
+        Check.between("h_form", 2.0 * level.k.xi_derivative * eta_outer, -4.0 * eta_outer, 1e-12),
+        Check.between(
+            "lie_g_family_value",
+            level.lie_g.data,
+            4.0 * t0 * s.g_assoc.matrix - 4.0 * (t0 + 1.0) * eta_outer,
+            1e-10,
+        ),
+        Check.between(
+            "lie_assoc_family_value",
+            level.lie_assoc.data,
+            -4.0 * t0 * s.g.matrix + 4.0 * (t0 - 1.0) * eta_outer,
+            1e-10,
+        ),
+    ]
+
+
+def test_example2_family_columns_equal_the_per_t0_checks():
+    references = {}
+    for row in sweep("example2").rows:
+        p, q, t0 = (row.params[name] for name in ("p", "q", "t0"))
+        if (p, q, t0) not in references:
+            references[p, q, t0] = _fields(_family_references(example2_state(p, q), t0))
+        expected = references[p, q, t0]
+        report = row.report
+        assert _fields([report[name] for name, *_ in expected]) == expected, row.params
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"lam": 0.5, "lam_assoc": -1.5, "solve": False}, {"lam": 0.5, "mu": -4.0}]
+)
+def test_no_closed_form_columns_where_the_structure_is_not_sasaki_like(kwargs):
+    # the abelian algebra on the dim-5 carrier: every row, of one potential
+    # or of several, notes that the closed forms do not apply and holds none
+    a = analyze(LieAlgebra(Frame(5), np.zeros((5, 5, 5))), flat_carrier_structure(2))
+    assert not a.classification.is_sasaki_like
+    note = (
+        "structure is not Sasaki-like: closed-form Lie derivatives do not "
+        "apply, connection-based values used throughout"
+    )
+    levels = [solitons.vertical_level(a, k) for k in _POTENTIALS]
+    for chosen, betas in (((levels[0],), (0.3,)), (levels, (-0.25, 0.0, 0.3))):
+        *_, table = solitons.vertical_rows(a, chosen, betas, **kwargs)
+        for row in range(table.rows):
+            report = table.report(row)
+            assert not any(name in report for name in _CLOSED_FORM_NAMES)
+            assert report.notes == [note]
 
 
 # --- the one-row path ---------------------------------------------------------

@@ -228,6 +228,47 @@ def test_ricci_from_connection_equals_contraction_of_curvature(case):
         assert np.max(np.abs(direct - contracted)) == 0.0
 
 
+def _acting_on_ideal(n, action):
+    """c[k, i, j] of the algebra on dim 2n+1 in which e_0 acts on the abelian
+    ideal spanned by the other e_a as the matrix of action, a dict
+    {a: {b: value}} for [e_0, e_a] = sum_b value e_b."""
+    dim = 2 * n + 1
+    c = np.zeros((dim, dim, dim))
+    for a, images in action.items():
+        for b, value in images.items():
+            c[b, 0, a], c[b, a, 0] = value, -value
+    return c
+
+
+#: non-unimodular algebras (tr ad e_0 != 0), as (n, action of e_0): the
+#: Bianchi class-B types on the dim-3 carrier, then one dim-5 member
+NON_UNIMODULAR = {
+    "III": (1, {1: {1: 1.0}}),
+    "IV": (1, {1: {1: 1.0}, 2: {1: 1.0, 2: 1.0}}),
+    "V": (1, {1: {1: 1.0}, 2: {2: 1.0}}),
+    "VI_h=0.5": (1, {1: {1: 1.0}, 2: {2: 0.5}}),
+    "VI_h=-3": (1, {1: {1: 1.0}, 2: {2: -3.0}}),
+    "VII_h=0.5": (1, {1: {1: 0.5, 2: -1.0}, 2: {1: 1.0, 2: 0.5}}),
+    "VII_h=2": (1, {1: {1: 2.0, 2: -1.0}, 2: {1: 1.0, 2: 2.0}}),
+    "dim5": (2, {1: {1: 1.0}, 2: {3: 1.0}, 4: {4: 2.0}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIMODULAR))
+def test_ricci_trace_term_on_non_unimodular_algebras(name):
+    # example2 and the semidirect family are unimodular, so the term
+    # sum_m tr[m] gamma[m, j, k] of ricci vanishes on them; here tr =
+    # trace(gamma) is nonzero, and the direct Ricci is still the loop
+    # contraction of R, for both metrics
+    n, action = NON_UNIMODULAR[name]
+    alg = LieAlgebra(Frame(2 * n + 1), _acting_on_ideal(n, action))
+    s = flat_carrier_structure(n)
+    for metric in (s.g, s.g_assoc):
+        assert np.max(np.abs(np.trace(levi_civita(alg, metric).gamma.data))) >= 1.0
+        direct, contracted = _ricci_routes(alg, metric)
+        assert np.max(np.abs(direct - contracted)) == 0.0
+
+
 def _unimodular_frame(seed, dim=5):
     """A seeded integer matrix A with det A = +-1, and its integer inverse."""
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_outputs.py"
 
 #: every command of the set that exits nonzero, with its exit code; the
-#: other 37 exit 0
+#: other 38 exit 0
 NONZERO = {
     "soliton-ex1-override": 1,
     "soliton-ex2-unread-psi": 2,
@@ -46,6 +46,10 @@ NONZERO = {
     "solvable-n2-lambda": 1,
     "solvable-n2-mu": 1,
     "solvable-n2-psi": 1,
+    "bianchi-v-n1-solve": 2,
+    "bianchi-v-n1-lambda": 1,
+    "bianchi-v-n1-mu": 1,
+    "bianchi-v-n1-psi": 1,
     "sweep-ex1-tol-1e-16": 1,
     "sweep-ex1-tol-1e-16-text": 1,
     "example2-p0-q0-psi-text": 1,
@@ -90,7 +94,7 @@ def test_against_writes_into_an_empty_outdir_only(golden, tmp_path, capsys):
 def test_golden_commands_keep_their_verdicts(golden_dir):
     lines = (golden_dir / "exit_codes.txt").read_text().splitlines()
     codes = {stem: int(code) for stem, code in (line.split() for line in lines)}
-    assert len(codes) == len(lines) == 65
+    assert len(codes) == len(lines) == 70
     assert {stem: code for stem, code in codes.items() if code} == NONZERO
     for stem, code in codes.items():
         assert (golden_dir / f"{stem}.stderr").is_file() == (code != 0), stem
@@ -102,15 +106,15 @@ def test_golden_commands_keep_their_verdicts(golden_dir):
         assert (text == "") == (code == 2), stem
         if text:
             json.loads(text, parse_constant=_reject)
-    # 65 outputs, 28 stderr files, exit_codes.txt, the two check listings and
+    # 70 outputs, 32 stderr files, exit_codes.txt, the two check listings and
     # the inputs directory
-    assert len(list(golden_dir.iterdir())) == 97
+    assert len(list(golden_dir.iterdir())) == 106
 
 
 def test_golden_json_is_what_json_dumps_writes(golden_dir):
     outputs = [path.read_text() for path in sorted(golden_dir.glob("*.json"))]
     outputs = [text for text in outputs if text]
-    assert len(outputs) == 50
+    assert len(outputs) == 54
     for text in outputs:
         assert text.endswith("}\n")
         assert text[:-1] == json.dumps(json.loads(text), indent=2)
