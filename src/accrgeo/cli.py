@@ -25,7 +25,9 @@ so the commands raise no input error of their own.
 JSON output of every command comes from one writer, to_json: the bytes
 of json.dumps(payload, indent=2), without json's pure-Python indenting
 encoder, and an error rather than NaN or Infinity for a non-finite float.
-A sweep's rows stay columns up to the output text: no dict per row.
+A sweep's rows and inspect's two listings of nonzero components stay
+columns up to the output text, JSON or text: no dict per row and no list
+per listed entry.
 """
 
 from __future__ import annotations
@@ -383,16 +385,29 @@ def cmd_inspect(config: RunConfig):
     return payload, 0
 
 
-def _nonzero_entries(a: np.ndarray) -> list:
-    """[*index, value] of each entry of a with |value| > DISPLAY_EPS, in C order,
+@dataclass(frozen=True)
+class _Listing:
+    """Listed entries of an array as columns: index, one list of int indices
+    per axis, and values. to_json writes it as the list of one [*index,
+    value] list per entry, and _render_inspect as one line per entry."""
+
+    index: tuple
+    values: list
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _nonzero_entries(a: np.ndarray) -> _Listing:
+    """The entries of a with |value| > DISPLAY_EPS, in C order, as columns,
     masked SCAN_BLOCK entries at a time: no temporary the size of a dim^4 R."""
     values, found = a.ravel(), []
     for start in range(0, values.size, SCAN_BLOCK):
         mask = np.abs(values[start : start + SCAN_BLOCK]) > DISPLAY_EPS
         found.append(np.flatnonzero(mask) + start)
     flat = np.concatenate(found)
-    index = [axis.tolist() for axis in np.unravel_index(flat, a.shape)]
-    return list(map(list, zip(*index, values[flat].tolist())))
+    index = tuple(axis.tolist() for axis in np.unravel_index(flat, a.shape))
+    return _Listing(index, values[flat].tolist())
 
 
 def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override=None):
@@ -601,9 +616,10 @@ def to_json(payload) -> str:
     CPython's C encoder does not run when indent is set, so json.dumps
     spends a large payload's time in pure-Python encoding; this writer
     produces the same bytes directly. It takes dicts with str keys, lists
-    and the scalar types of _JSON_SCALARS, float and numpy float64, and a
+    and the scalar types of _JSON_SCALARS, float and numpy float64, a
     sweep's rows as a _SweepRows column block, written as its list of row
-    dicts. A non-finite float raises ValueError where json would write NaN
+    dicts, and a listing as a _Listing, written as its list of entry lists.
+    A non-finite float raises ValueError where json would write NaN
     or Infinity, and any other type raises TypeError. The recursion lives
     in _json_value, so a tracer that wraps public functions records one
     span per document.
@@ -621,6 +637,8 @@ def _json_value(value, indent: str, writers: dict) -> str:
         return write(value)
     if kind is _SweepRows:
         return _json_sweep_rows(value, indent, writers)
+    if kind is _Listing:
+        return _json_listing(value, indent, writers)
     if kind is not dict and kind is not list:
         raise TypeError(f"JSON output has a {kind.__name__}")
     if not value:
@@ -652,6 +670,19 @@ def _json_column(column: list, writers: dict):
     if len(kinds) == 1:
         return map(writers[kinds.pop()], column)
     return [writers[type(value)](value) for value in column]
+
+
+def _json_listing(listing: _Listing, indent: str, writers: dict) -> str:
+    """listing as _json_value writes its list of [*index, value] lists at
+    indent: the values written at once by _json_column, then each entry by
+    one % over one template, with %d for each index."""
+    if not listing:
+        return "[]"
+    item = indent + "  "
+    inner = item + "  "
+    template = f"[{inner}{(',' + inner).join(['%d'] * len(listing.index) + ['%s'])}{item}]"
+    texts = map(template.__mod__, zip(*listing.index, _json_column(listing.values, writers)))
+    return f"[{item}{(',' + item).join(texts)}{indent}]"
 
 
 def _json_object(fields: dict, indent: str) -> str:
@@ -726,12 +757,16 @@ def _render_inspect(payload: dict):
         f"einstein_fit_residual = {_fmt_res(fit['residual'])}",
         "curvature_nonzero:",
     ]
-    for i, j, k, l, value in payload["curvature_nonzero"]:
-        lines.append(f"  R[{i},{j},{k},{l}] = {_fmt(value)}")
+    lines.extend(_listing_lines("R", payload["curvature_nonzero"]))
     lines.append("ricci_nonzero:")
-    for i, j, value in payload["ricci_nonzero"]:
-        lines.append(f"  rho[{i},{j}] = {_fmt(value)}")
+    lines.extend(_listing_lines("rho", payload["ricci_nonzero"]))
     return lines
+
+
+def _listing_lines(name: str, listing: _Listing):
+    """The line "  name[i,j,...] = value" of each entry of listing."""
+    template = f"  {name}[{','.join(['%d'] * len(listing.index))}] = %s"
+    return map(template.__mod__, zip(*listing.index, map(_fmt, listing.values)))
 
 
 def _check_table(checks):

@@ -172,6 +172,9 @@ def parse_definition(text: str) -> ManifoldDefinition:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        # json's decoder recurses once per nested array or object
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     return ManifoldDefinition.from_dict(raw)
 
 

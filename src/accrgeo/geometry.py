@@ -33,13 +33,20 @@ Ricci is summed from the connection, and the curvature tensor, the only
 dim^4 array a call builds, only when CurvaturePackage.riemann is read. The
 Jacobiator, the antisymmetrization and bracket term of the curvature, and
 its four symmetry checks run in blocks of rows of the first index that
-stay in cache. At dim 33 (9.5 MB per dim^4 float64 array) `soliton --input
+stay in cache. A block of rows i reads only the index range that holds
+every value of its residual: the Jacobiator ad_[e_i,e_j] - [ad_i, ad_j] is
+alternating in (i, j, l), so it takes j >= the block's first row, and so
+do the (i, j)-antisymmetry (j), the pair swap (k) and the cyclic Bianchi
+sum (j and k); the (k, l)-antisymmetry reads the block alone. Each check
+still reads R itself: none is derived from another, and no half of R is
+mirrored. At dim 33 (9.5 MB per dim^4 float64 array) `soliton --input
 --solve` peaks at about 0.3 such arrays and `inspect --input` at 1.2
 (tracemalloc).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -79,15 +86,27 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_ENTRIES // d**3)
 
 
-def _jacobiator_block(c: np.ndarray, r0: int, rows: int) -> np.ndarray:
-    """|[[e_i,e_j],e_l] + cyclic| for r in r0 .. r0 + rows - 1, as an array
-    indexed (r - r0, i, j, l)."""
+def _scratch(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of the flat buffer buf, as a C-contiguous array of shape."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _jacobiator_rows(c, ad, pairs, i0, i1, j0, bufs) -> np.ndarray:
+    """|J[i, j, r, l]| for i0 <= i < i1 and j >= j0, in the first of the three
+    flat buffers bufs. J = ad_[e_i,e_j] - [ad_i, ad_j], so J[i, j, r, l] is the
+    e_r-component of [[e_i,e_j],e_l] + cyclic; ad[i, r, l] = c[r, i, l] and
+    pairs[i, j, m] = c[m, i, j]."""
     d = c.shape[0]
-    # u[r, i, j, l] = sum_m c[m, i, j] c[r, m, l], the e_r-component of
-    # [[e_i, e_j], e_l]; one gemm per r
-    u = np.matmul(c.reshape(d, d * d).T, c[r0 : r0 + rows]).reshape(-1, d, d, d)
-    jac = np.add(u, u.transpose(0, 3, 1, 2), out=np.empty_like(u))
-    jac += u.transpose(0, 2, 3, 1)
+    b, tail = i1 - i0, d - j0
+    jac = _scratch(bufs[0], b, tail, d, d)
+    np.matmul(pairs[i0:i1, j0:], ad.reshape(d, d * d), out=jac.reshape(b, tail, d * d))
+    # ad_i ad_j, indexed (i, r, j, l), and ad_j ad_i, indexed (i, j, r, l)
+    ij = _scratch(bufs[1], b, d, tail, d)
+    np.matmul(ad[i0:i1], c.reshape(d, d * d)[:, j0 * d :], out=ij.reshape(b, d, tail * d))
+    ji = _scratch(bufs[2], b, tail, d, d)
+    np.matmul(ad[j0:].reshape(tail * d, d), ad[i0:i1], out=ji.reshape(b, tail * d, d))
+    jac -= ij.transpose(0, 2, 1, 3)
+    jac += ji
     return np.abs(jac, out=jac)
 
 
@@ -123,19 +142,27 @@ class LieAlgebra:
             LINALG_TOL,
             AntisymmetryViolation,
         )
-        # the Jacobiator runs in blocks of r, so no dim^4 array is built;
-        # blocks run in order of r and a later block must exceed the largest
-        # residual so far, so the first maximal (r, i, j, l) is reported
+        # the Jacobiator runs in blocks of rows i, so no dim^4 array is
+        # built; it is alternating in (i, j, l), so every value has its
+        # smallest index in some block's rows i with j >= the block's first
+        ad = np.ascontiguousarray(arr.transpose(1, 0, 2))
+        pairs = np.ascontiguousarray(arr.transpose(1, 2, 0))
         rows = _block_rows(d)
-        residual, worst_block = -1.0, 0
-        for r0 in range(0, d, rows):
-            block_max = float(_jacobiator_block(arr, r0, rows).max())
-            if block_max > residual:
-                residual, worst_block = block_max, r0
+        bufs = np.empty((3, min(rows, d) * d**3))
+        blocks = [(i0, min(i0 + rows, d)) for i0 in range(0, d, rows)]
+        residual = max(
+            float(_jacobiator_rows(arr, ad, pairs, i0, i1, i0, bufs).max()) for i0, i1 in blocks
+        )
         if not Check("Jacobi identity", residual).passed:
-            jac = _jacobiator_block(arr, worst_block, rows)
-            worst = np.unravel_index(np.argmax(jac), jac.shape)
-            raise JacobiViolation(residual, tuple(int(i) for i in worst[1:]))
+            # one more pass over every j names the first maximal (r, i, j, l)
+            # in C order: each block's first, then the largest and first of those
+            found = []
+            for i0, i1 in blocks:
+                jac = _jacobiator_rows(arr, ad, pairs, i0, i1, 0, bufs).transpose(2, 0, 1, 3)
+                r, i, j, l = map(int, np.unravel_index(np.argmax(jac), jac.shape))
+                found.append((-float(jac[r, i, j, l]), (r, i0 + i, j, l)))
+            residual, worst = min(found)
+            raise JacobiViolation(-residual, worst[1:])
 
 
 @dataclass(frozen=True)
@@ -238,19 +265,29 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
         low[i0:i1] -= buf
 
     # the four symmetries, block by block in the same scratch; each takes
-    # its absolute value in place, so no check allocates
+    # its absolute value in place, so no check allocates. The absolute value
+    # of a residual is symmetric in (i, j), in (i, k) for the pair swap, or
+    # cyclic in (i, j, k) for Bianchi, so it takes every value with the
+    # smallest of these in some block's rows i: a block reads only j >= i0,
+    # k >= i0, or both
     message = "curvature symmetry postcondition failed"
+    flat = scratch.reshape(-1)
     for i0 in range(0, d, rows):
-        block, buf = low[i0 : i0 + rows], scratch[: min(rows, d - i0)]
-        rows_j, rows_k = low[:, i0 : i0 + rows], low[:, :, i0 : i0 + rows]
-        np.add(block, rows_j.transpose(1, 0, 2, 3), out=buf)
+        i1 = min(i0 + rows, d)
+        b, tail = i1 - i0, d - i0
+        block = low[i0:i1]
+        buf = _scratch(flat, b, tail, d, d)
+        np.add(low[i0:i1, i0:], low[i0:, i0:i1].transpose(1, 0, 2, 3), out=buf)
         require(np.abs(buf, out=buf).max(), message)
+        buf = scratch[:b]
         np.add(block, block.transpose(0, 1, 3, 2), out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        np.subtract(block, rows_k.transpose(2, 3, 0, 1), out=buf)
+        buf = _scratch(flat, b, d, tail, d)
+        np.subtract(low[i0:i1, :, i0:], low[i0:, :, i0:i1].transpose(2, 3, 0, 1), out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        np.add(block, rows_k.transpose(2, 0, 1, 3), out=buf)
-        buf += rows_j.transpose(1, 2, 0, 3)
+        buf = _scratch(flat, b, tail, tail, d)
+        np.add(low[i0:i1, i0:, i0:], low[i0:, i0:, i0:i1].transpose(2, 0, 1, 3), out=buf)
+        buf += low[i0:, i0:i1, i0:].transpose(1, 2, 0, 3)
         require(np.abs(buf, out=buf).max(), message)
     # frozen, low is handed to the Tensor without a copy
     low.setflags(write=False)

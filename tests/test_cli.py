@@ -1279,6 +1279,24 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+def test_deeply_nested_definition_exits_2(tmp_path):
+    # json's decoder raises RecursionError past the recursion limit; the
+    # command reports it as invalid input, with no traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    src = str(Path(accrgeo.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "accrgeo.cli", "inspect", "--input", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: invalid JSON: arrays or objects nested too deeply\n"
+
+
 def test_import_builds_no_parser():
     src = str(Path(accrgeo.__file__).resolve().parent.parent)
     code = "import accrgeo.cli as cli; print(cli._build_parser.cache_info().currsize)"
@@ -1322,14 +1340,62 @@ def test_json_writer_keeps_keys_outside_the_sweep_schema():
 _indices = st.integers(min_value=0, max_value=64)
 
 
+def _listing(entries: list, axes: int):
+    """[*index, value] entries as cli's listing columns."""
+    index = tuple([entry[axis] for entry in entries] for axis in range(axes))
+    return cli._Listing(index, [entry[-1] for entry in entries])
+
+
+_LISTING_AXES = {"curvature_nonzero": 4, "ricci_nonzero": 2}
+
+
+def _inspect_forms(payload: dict):
+    """(payload with its listings as columns, payload with them as lists)."""
+    columns = {key: _listing(payload[key], axes) for key, axes in _LISTING_AXES.items()}
+    return {**payload, **columns}, payload
+
+
+def _as_lists(payload: dict) -> dict:
+    """payload with its listing columns as the lists of [*index, value] entries."""
+    lists = {
+        key: [[*entry] for entry in zip(*payload[key].index, payload[key].values)]
+        for key in _LISTING_AXES
+    }
+    return {**payload, **lists}
+
+
+def _reference_listing_lines(payload: dict) -> list:
+    """The lines of _render_inspect from "curvature_nonzero:" on, one entry
+    of the listings as lists at a time."""
+    lines = ["curvature_nonzero:"]
+    for i, j, k, l, value in payload["curvature_nonzero"]:
+        lines.append(f"  R[{i},{j},{k},{l}] = {cli._fmt(value)}")
+    lines.append("ricci_nonzero:")
+    for i, j, value in payload["ricci_nonzero"]:
+        lines.append(f"  rho[{i},{j}] = {cli._fmt(value)}")
+    return lines
+
+
+def _assert_inspect_forms_agree(columns: dict, lists: dict, *, text=True):
+    expected = json.dumps(lists, indent=2)
+    assert to_json(lists) == expected
+    assert to_json(columns) == expected
+    if text:
+        lines = cli._render_inspect(columns)
+        assert lines[lines.index("curvature_nonzero:") :] == _reference_listing_lines(lists)
+
+
 @st.composite
 def _inspect_payloads(draw):
-    """Payloads of cmd_inspect's schema, with any scalars and component lists."""
+    """Payloads of cmd_inspect's schema, with any scalars and component
+    lists: (the payload with its listings as columns, with them as lists)."""
     scalars = {
         key: draw(_json_numbers)
         for key in ("sasaki_residual", "tau", "tau_star", "tau_tilde")
     }
-    return {
+    # values drawn from a few, so that entries repeat them
+    values = st.sampled_from(draw(st.lists(_json_numbers, min_size=1, max_size=3)))
+    payload = {
         "dim": draw(_indices),
         "n": draw(_indices),
         "signature": [draw(_indices), draw(_indices)],
@@ -1343,10 +1409,11 @@ def _inspect_payloads(draw):
             **{key: draw(_json_numbers) for key in ("a", "b", "c", "residual")},
         },
         "curvature_nonzero": draw(
-            st.lists(st.tuples(_indices, _indices, _indices, _indices, _json_numbers).map(list), max_size=5)
+            st.lists(st.tuples(_indices, _indices, _indices, _indices, values).map(list), max_size=5)
         ),
-        "ricci_nonzero": draw(st.lists(st.tuples(_indices, _indices, _json_numbers).map(list), max_size=5)),
+        "ricci_nonzero": draw(st.lists(st.tuples(_indices, _indices, values).map(list), max_size=5)),
     }
+    return _inspect_forms(payload)
 
 
 _INSPECT_PAYLOAD = {
@@ -1366,13 +1433,36 @@ _INSPECT_PAYLOAD = {
     "ricci_nonzero": [[0, 0, 4.0]],
 }
 
+#: repeated values, -0.0 beside 0.0 and both float types in one listing
+_REPEATED_VALUES = {
+    **_INSPECT_PAYLOAD,
+    "curvature_nonzero": [
+        [0, 1, 0, 1, -1.0],
+        [1, 0, 0, 1, 1.0],
+        [1, 0, 1, 0, -1.0],
+        [2, 3, 2, 3, np.float64(-1.0)],
+        [3, 2, 2, 3, 0.0],
+        [3, 2, 3, 2, -0.0],
+    ],
+    "ricci_nonzero": [[0, 0, 4.0], [1, 1, 4.0], [2, 2, np.float64(4.0)]],
+}
+
 
 @settings(max_examples=200, deadline=None)
 @given(_inspect_payloads())
-@example(_INSPECT_PAYLOAD)
-@example({**_INSPECT_PAYLOAD, "curvature_nonzero": [], "ricci_nonzero": [], "einstein_like": {}})
-def test_inspect_json_matches_json_dumps(payload):
-    assert to_json(payload) == json.dumps(payload, indent=2)
+@example(_inspect_forms(_INSPECT_PAYLOAD))
+@example(_inspect_forms(_REPEATED_VALUES))
+@example(_inspect_forms({**_INSPECT_PAYLOAD, "curvature_nonzero": [], "ricci_nonzero": []}))
+def test_inspect_json_matches_json_dumps(forms):
+    # JSON as json.dumps writes the listings as lists, and the same text lines
+    _assert_inspect_forms_agree(*forms)
+
+
+def test_inspect_json_writes_an_empty_dict():
+    _assert_inspect_forms_agree(
+        *_inspect_forms({**_INSPECT_PAYLOAD, "ricci_nonzero": [], "einstein_like": {}}),
+        text=False,
+    )
 
 
 @pytest.mark.parametrize("where", ["tau", "einstein_like", "curvature_nonzero"])
@@ -1384,14 +1474,21 @@ def test_inspect_json_rejects_non_finite(where, value):
     elif where == "einstein_like":
         payload["einstein_like"] = {**payload["einstein_like"], "c": value}
     else:
-        payload["curvature_nonzero"] = [[0, 1, 0, 1, value]]
+        payload["curvature_nonzero"] = _listing([[0, 1, 0, 1, -1.0], [0, 1, 1, 0, value]], 4)
     with pytest.raises(ValueError, match="non-finite"):
+        to_json(payload)
+
+
+def test_inspect_json_rejects_other_listing_types():
+    payload = {**_INSPECT_PAYLOAD, "ricci_nonzero": _listing([[0, 0, np.float32(4.0)]], 2)}
+    with pytest.raises(TypeError):
         to_json(payload)
 
 
 @pytest.mark.parametrize("source", ["example2", "semidirect-dim9", "abelian"])
 def test_inspect_json_matches_json_dumps_on_inspect_payloads(tmp_path, source):
-    # the writer's exact-type table covers every type cmd_inspect puts in
+    # the writer's exact-type table covers every type cmd_inspect puts in,
+    # and its listings are columns, repeated values among them
     if source == "example2":
         config = RunConfig(command="inspect", scenario="example2", options={"p": 1.5, "q": -2.0})
     else:
@@ -1402,8 +1499,12 @@ def test_inspect_json_matches_json_dumps_on_inspect_payloads(tmp_path, source):
         save_definition(ManifoldDefinition.from_structure(alg, flat_carrier_structure(n)), path)
         config = RunConfig(command="inspect", input_path=str(path))
     payload, _ = cmd_inspect(config)
-    assert bool(payload["curvature_nonzero"]) == (source != "abelian")
-    assert to_json(payload) == json.dumps(payload, indent=2)
+    listing = payload["curvature_nonzero"]
+    assert type(listing) is cli._Listing and len(listing.index) == 4
+    assert bool(listing) == (source != "abelian")
+    if source != "abelian":
+        assert len(set(listing.values)) < len(listing)
+    _assert_inspect_forms_agree(payload, _as_lists(payload))
 
 
 _json_trees = st.recursive(

@@ -63,6 +63,16 @@ def test_invalid_json_reports_position():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "opening,inner,closing", [("[", "", "]"), ('{"a": ', "1", "}")], ids=["array", "object"]
+)
+def test_deep_nesting_is_a_parse_error(opening, inner, closing):
+    # past the recursion limit json's decoder raises RecursionError
+    text = opening * 100000 + inner + closing * 100000
+    with pytest.raises(ParseError, match="invalid JSON: arrays or objects nested too deeply"):
+        parse_definition(text)
+
+
 def test_missing_file():
     with pytest.raises(ParseError):
         load_definition("/nonexistent/path.json")

@@ -16,6 +16,7 @@ from accrgeo import (
     example2_state,
     flat_carrier_structure,
     fundamental_tensor,
+    geometry,
     invert_metric,
     levi_civita,
     phi_trace,
@@ -33,7 +34,7 @@ from accrgeo.errors import (
     StructureViolation,
 )
 from accrgeo.geometry import _block_rows
-from accrgeo.tensors import MetricPair
+from accrgeo.tensors import MetricPair, require
 
 from conftest import (
     oracle_connection,
@@ -125,6 +126,25 @@ def test_blocked_jacobi_matches_full_array(n, defects, blocks):
         LieAlgebra(Frame(d), c)
     assert err.value.residual == residual
     assert err.value.triple == tuple(int(i) for i in worst[1:])
+
+
+@pytest.mark.parametrize("d", [17, 33])
+def test_jacobi_violation_names_the_first_maximum_across_blocks_of_rows(d):
+    # the check runs in blocks of rows i. Two defects of residual 1:
+    # [e_1, e_2] = e_3, [e_3, e_4] = e_(d-1) in the first block, at r = d - 1,
+    # and [e_(d-5), e_(d-4)] = e_(d-3), [e_(d-3), e_(d-2)] = e_5 in the last,
+    # at r = 5, which comes first in C order
+    c = np.zeros((d,) * 3)
+    for k, i, j in ((3, 1, 2), (d - 1, 3, 4), (d - 3, d - 5, d - 4), (5, d - 3, d - 2)):
+        c[k, i, j], c[k, j, i] = 1.0, -1.0
+    jac = _full_jacobiator(c)
+    maximal = np.argwhere(jac == jac.max())
+    assert jac.max() == 1.0 and tuple(maximal[0]) == (5, d - 5, d - 4, d - 2)
+    assert (d - 5) // _block_rows(d) > 0 and min(maximal[:, 1]) == 1
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(Frame(d), c)
+    assert err.value.residual == 1.0
+    assert err.value.triple == (d - 5, d - 4, d - 2)
 
 
 def _levi_civita_residuals(c, metric):
@@ -346,8 +366,11 @@ def test_dim33_curvature_matches_whole_array_products(n):
 
 #: frame indices that e_0 .. e_4 of the Heisenberg cases take at each dim;
 #: at dim 33 e_1 .. e_4 lie past the first block of rows, and e_1, e_2 keep
-#: g = +1 and e_3, e_4 keep g = -1
-_HEISENBERG_INDICES = {5: (0, 1, 2, 3, 4), 33: (0, 14, 15, 31, 32)}
+#: g = +1 and e_3, e_4 keep g = -1. At dim 17 (blocks of rows 0-5, 6-11 and
+#: 12-16) e_1 lies in the first block, e_3 and e_4 in the second and e_2 in
+#: the short last one; the curvature of the corrupt connections does not
+#: depend on the signs of the diagonal g
+_HEISENBERG_INDICES = {5: (0, 1, 2, 3, 4), 17: (0, 5, 12, 6, 11), 33: (0, 14, 15, 31, 32)}
 
 
 def _heisenberg(defect=0.0, dim=5):
@@ -410,12 +433,15 @@ _CORRUPT_CONNECTIONS = pytest.mark.parametrize(
         # D_0 = the bracket form omega: R = -omega (x) omega has every pair
         # symmetry, but omega ^ omega != 0 breaks the first Bianchi identity
         (3, _OMEGA, 1.0, 0.0),
+        # D_0 = e^34, half of omega: R = -omega (x) e^34 fails the pair swap
+        # only where one pair is (1, 2) and the other (3, 4), never at k = i
+        (2, ((3, 4, 1.0), (4, 3, -1.0)), 1.0, 0.0),
     ],
-    ids=["ij-antisymmetry", "kl-antisymmetry", "pair-swap", "bianchi"],
+    ids=["ij-antisymmetry", "kl-antisymmetry", "pair-swap", "bianchi", "pair-swap-across"],
 )
 
 
-def _assert_corrupt_connection_rejected(dim, failing, pairs, scale, bracket_defect):
+def _assert_corrupt_connection_rejected(monkeypatch, dim, failing, pairs, scale, bracket_defect):
     # Heisenberg algebra and a connection whose only nonzero derivative is
     # g(D_0 e_k, e_l) = b0[k, l]. D_i D_j = 0 unless i = j = 0, so
     # R_ijkl = -omega_ij b0[k, l] with omega = e^12 + e^34 = c[0].
@@ -435,23 +461,48 @@ def _assert_corrupt_connection_rejected(dim, failing, pairs, scale, bracket_defe
     residuals = _symmetry_residuals(lowered)
     assert all(r < 1e-9 for r in residuals[:failing])
     assert residuals[failing] > 1e-9
+    checks = []
+
+    def counted(residual, message, *args):
+        checks.append(message)
+        return require(residual, message, *args)
+
+    monkeypatch.setattr(geometry, "require", counted)
     with pytest.raises(GeometryError, match="curvature symmetry postcondition failed"):
         riemann(conn, alg, metric)
+    # riemann runs the four checks in order, block after block, so the named
+    # check raised: a later one would also fail on some of these defects
+    assert (len(checks) - 1) % 4 == failing
 
 
 @_CORRUPT_CONNECTIONS
-def test_curvature_postconditions_reject_corrupt_connection(failing, pairs, scale, bracket_defect):
-    _assert_corrupt_connection_rejected(5, failing, pairs, scale, bracket_defect)
+def test_curvature_postconditions_reject_corrupt_connection(
+    monkeypatch, failing, pairs, scale, bracket_defect
+):
+    _assert_corrupt_connection_rejected(monkeypatch, 5, failing, pairs, scale, bracket_defect)
 
 
 @_CORRUPT_CONNECTIONS
 def test_curvature_postconditions_reject_corrupt_connection_past_first_block(
-    failing, pairs, scale, bracket_defect
+    monkeypatch, failing, pairs, scale, bracket_defect
 ):
     # at dim 33 riemann works in more than one block of rows, and every
     # nonzero row of R lies outside the first
     assert _block_rows(33) <= min(_HEISENBERG_INDICES[33][1:])
-    _assert_corrupt_connection_rejected(33, failing, pairs, scale, bracket_defect)
+    _assert_corrupt_connection_rejected(monkeypatch, 33, failing, pairs, scale, bracket_defect)
+
+
+@_CORRUPT_CONNECTIONS
+def test_curvature_postconditions_reject_corrupt_connection_across_blocks(
+    monkeypatch, failing, pairs, scale, bracket_defect
+):
+    # each block of rows i reads j >= its first row for the (i, j) check,
+    # k >= it for the pair swap and j, k >= it for Bianchi. Every failing
+    # entry of the ij-antisymmetry, bianchi and pair-swap-across cases pairs
+    # rows of different blocks, and the short last block holds a row of
+    # every ij-antisymmetry entry and of some of the others
+    assert [r // _block_rows(17) for r in _HEISENBERG_INDICES[17]] == [0, 0, 2, 1, 1]
+    _assert_corrupt_connection_rejected(monkeypatch, 17, failing, pairs, scale, bracket_defect)
 
 
 def test_curvature_symmetries(ex2_generic):
