@@ -58,7 +58,6 @@ from .solitons import (
     VerticalScalar,
     conformal_report,
     einstein_like_fit,
-    vertical_level,
     vertical_rows,
 )
 from .tensors import MAX_DIM
@@ -81,6 +80,16 @@ def _fmt(value) -> str:
 
 def _fmt_res(value) -> str:
     return f"{float(value) + 0.0:.3e}"
+
+
+class _FmtText(dict):
+    """The _fmt text of every value written in one listing or column, by
+    value, so that a repeated value is formatted once. Equal values have
+    the same text (0.0 and -0.0 both give "0")."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _fmt(value)
+        return text
 
 
 #: every option a source reads, by name: (type, help, the commands that
@@ -521,10 +530,9 @@ def _soliton_from_input(config: RunConfig):
     else:
         k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])
         scalars.update({"k": k.value, "k_prime": k.xi_derivative})
-        level = vertical_level(a, k)
         lam, lam_assoc = opts["lambda"], opts["lambda_tilde"]
         row_lam, row_lam_assoc, table = vertical_rows(
-            a, (level,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]
+            a, (k,), (beta,), lam, lam_assoc, solve=opts["solve"], mu=opts["mu"]
         )
         scalars["lambda"] = row_lam
         if opts["mu"] is None:
@@ -766,7 +774,7 @@ def _render_inspect(payload: dict):
 def _listing_lines(name: str, listing: _Listing):
     """The line "  name[i,j,...] = value" of each entry of listing."""
     template = f"  {name}[{','.join(['%d'] * len(listing.index))}] = %s"
-    return map(template.__mod__, zip(*listing.index, map(_fmt, listing.values)))
+    return map(template.__mod__, zip(*listing.index, map(_FmtText().__getitem__, listing.values)))
 
 
 def _check_table(checks):
@@ -826,9 +834,10 @@ def _render_sweep(payload: dict):
                 continue
             passed, worst, residual = next(judged)
             verdicts.append((worst, _fmt_res(residual), "pass" if passed else "FAIL"))
+        text = _FmtText().__getitem__
         columns = [
             list(map(str, range(len(rows)))),
-            *(list(map(_fmt, column)) for column in result.params.values()),
+            *(list(map(text, column)) for column in result.params.values()),
             *zip(*verdicts),
         ]
         headers = ["index", *result.params, "worst_check", "worst_residual", "status"]

@@ -14,11 +14,12 @@ build_example2 holds only this bracket table; the structure is the flat
 carrier of n = 2: g = diag(1, 1, 1, -1, -1), xi = e_0, phi e_1 = e_3 and
 phi e_2 = e_4. Its curvature is independent of (p, q). Every expected
 value is a closed form compared with the pipeline's value, each a Column
-of the value it depends on: one per (p, q), by Column.between, for the
-frozen curvature table, rho = 4 eta (.) eta, tau = tau_assoc = 4 and
-tau_star = 0; over t0, for the Lie derivatives of both metrics along the
-potential k = -2 t0 with k' = -2; over (beta, t0), for the soliton
-constants lam = 2(t0 - 2 beta), lam_assoc = -2(t0 + 2 beta).
+of max |computed - expected| over the values it depends on: over (p, q),
+for the frozen curvature table, rho = 4 eta (.) eta, tau = tau_assoc = 4
+and tau_star = 0; over (p, q, t0), for the Lie derivatives of both
+metrics along the potential k = -2 t0 with k' = -2; over (p, q, beta,
+t0), for the soliton constants lam = 2(t0 - 2 beta), lam_assoc =
+-2(t0 + 2 beta).
 tests/test_example2_exact.py derives each of them a second way, in exact
 arithmetic over Q(p, q).
 
@@ -38,16 +39,16 @@ does not exclude, with the curve's own checks as columns at the head; the
 reports at several beta are the rows of one solitons.conformal_row of that
 level at the sums the theorem forces.
 
-example2 starts from the cached Analysis of its (p, q) (example2_state)
-and builds its checks with solitons.vertical_level and vertical_rows, the
-builders definition files use too, adding its closed-form checks. example1
-builds its checks with conformal_level and conformal_row, as soliton
---input --psi does. Each builds a check table (solitons.CheckTable), each
-check computed once per value of the parameters it depends on (see sweep);
-a single-point report is the one row of such a table, and a sweep row's
-report is built from its table only when it is read. A sweep holds its
-rows as columns (SweepResult); a SweepRow is built only when its rows
-are read.
+example2 starts from the cached Analyses of its (p, q) (example2_state)
+and builds its checks with solitons.vertical_lie and vertical_rows over
+the list of them, the builders definition files use too (with one
+analysis), adding its closed-form checks. example1 builds its checks with
+conformal_level and conformal_row, as soliton --input --psi does. Each
+builds a check table (solitons.CheckTable), each check computed once per
+value of the parameters it depends on (see sweep); a single-point report
+is the one row of such a table, and a sweep row's report is built from its
+table only when it is read. A sweep holds its rows as columns
+(SweepResult); a SweepRow is built only when its rows are read.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ from .solitons import (
     conformal_row,
     einstein_like_fit,
     is_degenerate_beta,
-    vertical_level,
+    vertical_lie,
     vertical_rows,
 )
-from .tensors import Frame, Tensor, require
+from .tensors import DEFAULT_TOL, Frame, Tensor, require
 
 DEFAULT_P_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_Q_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -210,54 +211,77 @@ _NOTES = {
 }
 
 
-class _Example2Geometry(NamedTuple):
-    """One (p, q) of example2 with the report's checks that depend on it alone.
+def _residuals(computed, expected) -> np.ndarray:
+    """max |computed - expected| of each analysis, computed stacking one value
+    per analysis along its first axis, shaped (analyses, 1, 1) to broadcast
+    over the rows (analyses, betas, t0s) of a table."""
+    difference = np.abs(computed - expected)
+    return difference.reshape(len(difference), 1, 1, -1).max(axis=-1)
 
-    head holds the one-level columns (Column.between) that open the report,
-    tail the Einstein-like fit checks that close it.
+
+def _example2_geometry(analyses, rows: tuple) -> tuple:
+    """(head, tail, reeb): the checks of example2's reports that depend on
+    (p, q) alone, each one array over analyses (one (p, q) each) broadcast
+    over rows, the shape of the table. head opens the reports, tail (the
+    Einstein-like fit) closes them, and reeb stacks D xi of each analysis.
     """
-
-    analysis: Analysis
-    head: tuple
-    tail: tuple
-
-
-def _example2_geometry(p: float, q: float) -> _Example2Geometry:
-    a = example2_state(p, q)
-    s, pkg, assoc_pkg = a.s, a.pkg, a.assoc_pkg
+    s = analyses[0].s
     n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
+    pkgs, assoc_pkgs = [a.pkg for a in analyses], [a.assoc_pkg for a in analyses]
+    ricci = np.stack([pkg.ricci.data for pkg in pkgs])
+    tau = np.array([pkg.tau for pkg in pkgs])
+    tau_star = np.array([pkg.tau_star for pkg in pkgs])
+    tau_assoc = np.array([pkg.tau for pkg in assoc_pkgs])
+    reeb = np.stack([pkg.conn.derivative_of_field(xi) for pkg in pkgs])
     forms = {
-        "curvature_table": (pkg.riemann.data, example2_expected_curvature(s.frame).data, 1e-12),
-        "ricci_form": (pkg.ricci.data, 4.0 * s.eta_outer, 1e-12),
-        "tau_value": (pkg.tau, 4.0, 1e-10),
-        "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
-        "tau_assoc_pipeline": (assoc_pkg.tau, 4.0, 1e-10),
-        "tau_assoc_two_routes": (assoc_pkg.tau, 2.0 * n - pkg.tau_star, 1e-10),
-        "sasaki_like": (a.classification.residual, 0.0, 1e-12),
+        "curvature_table": (
+            np.stack([pkg.riemann.data for pkg in pkgs]),
+            example2_expected_curvature(s.frame).data,
+            1e-12,
+        ),
+        "ricci_form": (ricci, 4.0 * s.eta_outer, 1e-12),
+        "tau_value": (tau, 4.0, 1e-10),
+        "tau_star_value": (tau_star, 0.0, 1e-10),
+        "tau_assoc_pipeline": (tau_assoc, 4.0, 1e-10),
+        "tau_assoc_two_routes": (tau_assoc, 2.0 * n - tau_star, 1e-10),
+        "sasaki_like": (np.array([a.classification.residual for a in analyses]), 0.0, 1e-12),
         # D_x xi = -phi x for the connections of both metrics
-        "reeb_derivative": (pkg.conn.derivative_of_field(xi), minus_phi),
-        "reeb_derivative_assoc": (assoc_pkg.conn.derivative_of_field(xi), minus_phi),
-        "ricci_reeb_line": (pkg.ricci.data @ xi, 2.0 * n * s.eta.data),
+        "reeb_derivative": (reeb, minus_phi, DEFAULT_TOL),
+        "reeb_derivative_assoc": (
+            np.stack([pkg.conn.derivative_of_field(xi) for pkg in assoc_pkgs]),
+            minus_phi,
+            DEFAULT_TOL,
+        ),
+        "ricci_reeb_line": (ricci @ xi, 2.0 * n * s.eta.data, DEFAULT_TOL),
     }
     head = tuple(
-        Column.between(name, *form, note=_NOTES.get(name, "")) for name, form in forms.items()
+        Column.of(name, _residuals(computed, expected), tol, _NOTES.get(name, ""), rows=rows)
+        for name, (computed, expected, tol) in forms.items()
     )
-    fit = einstein_like_fit(pkg.ricci, s)
+    fits = [einstein_like_fit(a.pkg.ricci, a.s) for a in analyses]
+    kinds = np.array([fit.kind for fit in fits])
+    coefficients = np.array([(fit.a, fit.b, fit.c) for fit in fits])
+    fit_residual = np.array([fit.residual for fit in fits])
+    # one column per fit kind, each held by the analyses of that kind
     tail = (
-        Column.between("einstein_fit_residual", fit.residual, 0.0, 1e-12),
-        Column.between(
-            "einstein_fit_coefficients",
-            np.array((fit.a, fit.b, fit.c)),
-            np.array((0.0, 0.0, 4.0)),
-            1e-10,
-            f"fit kind: {fit.kind}",
+        Column.of("einstein_fit_residual", _residuals(fit_residual, 0.0), 1e-12, rows=rows),
+        *(
+            Column.of(
+                "einstein_fit_coefficients",
+                _residuals(coefficients, np.array((0.0, 0.0, 4.0))),
+                1e-10,
+                f"fit kind: {kind}",
+                present=(kinds == kind).reshape(-1, 1, 1),
+                rows=rows,
+            )
+            for kind in dict.fromkeys(kinds.tolist())
         ),
     )
-    return _Example2Geometry(a, head, tail)
+    return head, tail, reeb
 
 
 def _example2_rows(
-    geom: _Example2Geometry,
+    analyses,
     t0s,
     betas,
     k: VerticalScalar = None,
@@ -265,45 +289,54 @@ def _example2_rows(
     lam_assoc: float = None,
     mu: float = None,
 ) -> tuple:
-    """(ks, lam, lam_assoc, table): the vertical theorem at betas[i] and
-    t0s[j] is ks[j], the constants of vertical_rows in its soliton residual,
-    and row i * len(t0s) + j of table.
+    """(ks, lam, lam_assoc, table): the vertical theorem on analyses[a] (one
+    (p, q) each) at betas[i] and t0s[j] is ks[j], the constants of
+    vertical_rows in its soliton residual, and row (a * len(betas) + i) *
+    len(t0s) + j of table.
 
     The reports wrap the shared vertical_rows checks in the scenario's
     geometry checks. k defaults to the scenario family k = -2 t0, k' = -2,
     whose Lie derivatives and solved constants are then checked against
-    their expected values too, as columns over t0; a supplied k makes t0
-    irrelevant.
+    their expected values too, over (p, q, t0) and over the rows; a supplied
+    k makes t0 irrelevant. The Lie derivatives of every (p, q, t0) are one
+    broadcast (solitons.vertical_lie).
     """
-    a = geom.analysis
+    rows = (len(analyses), len(betas), len(t0s))
+    head, tail, reeb = _example2_geometry(analyses, rows)
+    s = analyses[0].s
     family = k is None
     ks = [VerticalScalar(-2.0 * t0, -2.0) for t0 in t0s] if family else [k] * len(t0s)
-    levels = [vertical_level(a, scalar) for scalar in ks]
+    lie = vertical_lie(s, ks, reeb)
     t0, level_columns = np.asarray(t0s, dtype=float), ()
     if family:
-        s, k_prime = a.s, np.array([scalar.xi_derivative for scalar in ks])
-        eta_outer = s.eta_outer
+        k_prime, eta_outer = np.array([scalar.xi_derivative for scalar in ks]), s.eta_outer
         forms = {
             "h_form": (np.multiply.outer(2.0 * k_prime, eta_outer), -4.0 * eta_outer, 1e-12),
             "lie_g_family_value": (
-                np.stack([level.lie_g.data for level in levels]),
+                lie[0],
                 np.multiply.outer(4.0 * t0, s.g_assoc.matrix)
                 - np.multiply.outer(4.0 * (t0 + 1.0), eta_outer),
                 1e-10,
             ),
             "lie_assoc_family_value": (
-                np.stack([level.lie_assoc.data for level in levels]),
+                lie[1],
                 np.multiply.outer(-4.0 * t0, s.g.matrix)
                 + np.multiply.outer(4.0 * (t0 - 1.0), eta_outer),
                 1e-10,
             ),
         }
+        # residuals over t0, or over (p, q, t0), with the beta axis inserted
         level_columns = tuple(
-            Column.of(name, np.abs(computed - expected).max(axis=(-2, -1)), tol)
+            Column.of(
+                name,
+                np.expand_dims(np.abs(computed - expected).max(axis=(-2, -1)), -2),
+                tol,
+                rows=rows,
+            )
             for name, (computed, expected, tol) in forms.items()
         )
     lams, lam_assocs, table = vertical_rows(
-        a, levels, betas, lam, lam_assoc, mu=mu, level_columns=level_columns
+        analyses, ks, betas, lam, lam_assoc, mu=mu, lie=lie, level_columns=level_columns
     )
     *checks, residual = table.columns
     constants = ()
@@ -315,18 +348,18 @@ def _example2_rows(
                 np.subtract(lams, 2.0 * (t0 - 2.0 * beta)),
                 1e-10,
                 "lam = 2(t0 - 2 beta)",
+                rows=rows,
             ),
             Column.of(
                 "lambda_assoc_family_value",
                 np.subtract(lam_assocs, -2.0 * (t0 + 2.0 * beta)),
                 1e-10,
                 "lam_assoc = -2(t0 + 2 beta)",
+                rows=rows,
             ),
         )
-    every_row = [0] * table.rows
-    head, tail = ([column.shared(every_row) for column in part] for part in (geom.head, geom.tail))
     columns = (*head, *checks, *constants, residual, *tail)
-    return [level.k for level in levels], lams, lam_assocs, table._replace(columns=columns)
+    return ks, lams, lam_assocs, table._replace(columns=columns)
 
 
 def example2_point(
@@ -353,9 +386,9 @@ def example2_point(
 
     The report is built by the same per-level helpers as sweep's rows.
     """
-    geom = _example2_geometry(params.p, params.q)
+    analyses = [example2_state(params.p, params.q)]
     (k,), lam, lam_assoc, table = _example2_rows(
-        geom, (params.t0,), (params.beta,), k, lam, lam_assoc, mu
+        analyses, (params.t0,), (params.beta,), k, lam, lam_assoc, mu
     )
     return k, lam, lam_assoc, table.report(0)
 
@@ -600,44 +633,47 @@ def sweep(
 
     The checks are held as check tables (solitons.CheckTable), built by the
     helpers that build the single-point reports, and a row's report is
-    built from its table only when it is read: example2 has one table per
-    (p, q), whose geometry checks are computed once, its potential checks
-    once per t0, and the solve, the constants and the soliton residual as
-    arrays over (beta, t0). example1 has one table per n from one array
-    pass over its t (_example1_level): the curve, its Ricci tensors and the
-    beta-free checks as arrays over t, every other check as one array over
-    (beta, t). The params and scalars of the rows are gathered as columns,
-    a list per name, with no object or dict per row.
+    built from its table only when it is read: example2 has one table over
+    (p, q, beta, t0), whose geometry checks are arrays over (p, q), its
+    potential checks over (p, q, t0), and the solve, the constants and the
+    soliton residual over (p, q, beta, t0). example1 has one table per n
+    from one array pass over its t (_example1_level): the curve, its Ricci
+    tensors and the beta-free checks as arrays over t, every other check as
+    one array over (beta, t). The params and scalars of the rows are
+    gathered as columns, a list per name, with no object or dict per row.
     """
     if scenario == "example2":
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
         t0s = _grid(t0_grid, DEFAULT_T0_GRID)
+        grid = list(product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)))
+        analyses = [example2_state(p, q) for p, q in grid]
+        _, *solved, table = _example2_rows(analyses, t0s, betas)
         size = len(betas) * len(t0s)
-        beta_column = [beta for beta in betas for _ in t0s]
-        t0_column = list(t0s) * len(betas)
-        params = {name: [] for name in ("p", "q", "beta", "t0")}
-        scalars = {name: [] for name in ("tau", "tau_tilde", "lambda", "lambda_tilde")}
-        tables = []
-        for p, q in product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)):
-            geom = _example2_geometry(p, q)
-            tau, tau_assoc = geom.analysis.pkg.tau, geom.analysis.assoc_pkg.tau
-            _, *solved, table = _example2_rows(geom, t0s, betas)
-            lams, lam_assocs = (
-                np.broadcast_to(v, (len(betas), len(t0s))).ravel().tolist() for v in solved
-            )
-            _extend(params, ([p] * size, [q] * size, beta_column, t0_column))
-            _extend(scalars, ([tau] * size, [tau_assoc] * size, lams, lam_assocs))
-            tables.append(table)
-        excluded = [None] * len(params["p"])
+        params = {
+            "p": [p for p, _ in grid for _ in range(size)],
+            "q": [q for _, q in grid for _ in range(size)],
+            "beta": [beta for beta in betas for _ in t0s] * len(grid),
+            "t0": list(t0s) * (len(betas) * len(grid)),
+        }
+        lams, lam_assocs = (
+            np.broadcast_to(v, (len(grid), len(betas), len(t0s))).ravel().tolist() for v in solved
+        )
+        scalars = {
+            "tau": [a.pkg.tau for a in analyses for _ in range(size)],
+            "tau_tilde": [a.assoc_pkg.tau for a in analyses for _ in range(size)],
+            "lambda": lams,
+            "lambda_tilde": lam_assocs,
+        }
+        # the distinct pairs are the set a scan over the rows rounds
         constants = {
-            (round(lam, 12), round(lam_assoc, 12))
-            for lam, lam_assoc in zip(scalars["lambda"], scalars["lambda_tilde"])
+            (round(lam, 12), round(lam_assoc, 12)) for lam, lam_assoc in set(zip(lams, lam_assocs))
         }
         notes = [
             "soliton constants vary across the sweep: this is the almost-soliton "
             "regime, reported as information only"
         ] if len(constants) > 1 else []
-        return SweepResult("example2", params, scalars, excluded, tuple(tables), notes)
+        excluded = [None] * table.rows
+        return SweepResult("example2", params, scalars, excluded, (table,), notes)
 
     if scenario == "example1":
         n_values = tuple(int(v) for v in _grid(n_grid, DEFAULT_N_GRID))

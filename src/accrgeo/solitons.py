@@ -30,17 +30,22 @@ vanishing factor.
 The report builders build check tables (CheckTable): one Column per
 check, its residuals computed over all rows at once in the operations of
 the one-point formula, in their order; a table of one row computes them in
-Python numbers (_operands). A check computed once per level is a Column
-too (Column.between for a closed form), which Column.shared copies onto the
-rows of that level. A row's TheoremReport is built from its table only when
-it is read, and is frozen; _judge judges a table's rows and a report's checks
-alike. A report's checks are tensors.Check (re-exported here).
+Python numbers (_operands). A check that depends on some of the row
+axes is computed once per value of those, as an array that Column.of
+broadcasts over the rows; a conformal level's columns are copied onto its
+rows by Column.shared. A row's TheoremReport is built from its table only
+when it is read, and is frozen; _judge judges a table's rows and a report's
+checks alike. A report's checks are tensors.Check (re-exported here).
 
-Each theorem has one builder over (beta, level). vertical_level holds the
-Lie derivatives of one potential, vertical_solutions solves the constants
-that potentials force at all betas, and vertical_rows checks the equation,
-and the Lie derivatives against their closed forms, for several potentials
-of one analysis; solve_vertical_soliton is one row.
+Each theorem has one builder over (beta, level). The vertical theorem's
+row expressions take a leading axis of analyses that share one structure:
+vertical_lie forms the Lie derivatives of many potentials on many analyses
+in one broadcast (vertical_level and lie_derivative_metric are its
+one-potential calls), vertical_solutions solves the constants that the
+potentials force at all betas, and vertical_rows checks the equation, and
+the Lie derivatives against their closed forms, over (analyses, betas,
+potentials); one Analysis is its one-analysis case, and
+solve_vertical_soliton is one row.
 conformal_level holds, at many curvature points at once, the checks that
 are free of beta and the potential, and conformal_row builds the table of
 its points at several betas; verify_conformal_theorem and
@@ -49,6 +54,7 @@ conformal_report are one row, and example1 builds one level per n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -161,28 +167,24 @@ class Column(NamedTuple):
     present: object
 
     @classmethod
-    def of(cls, name: str, values, tol: float = DEFAULT_TOL, note: str = "", present=True):
-        """The column of an array of values, one per row in C order, or of
-        the number of a table's one row (see _operands)."""
+    def of(
+        cls, name: str, values, tol: float = DEFAULT_TOL, note: str = "", present=True, rows=()
+    ):
+        """The column of an array of values over the rows in C order, or of
+        the number of a table's one row (see _operands). Given rows, the
+        shape of the rows, values are broadcast to it, so a check that
+        depends on some of their axes is computed once per value of those;
+        present is broadcast against the values."""
         if not isinstance(values, np.ndarray):
             return cls(name, [abs(values)], tol, note, [present])
+        if rows:
+            values = np.broadcast_to(values, rows)
         held = np.full(values.shape, present)
         return cls(name, np.abs(values).ravel(), tol, note, held.ravel())
 
-    @classmethod
-    def between(cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""):
-        """The column of one level's check of computed against its closed
-        form: the residual of Check.between, held as a list."""
-        residual = Check.between(name, computed, expected, tol).residual
-        return cls(name, [residual], tol, note, [True])
-
     def shared(self, level) -> "Column":
         """This column of one residual per level as a column over rows, row r
-        holding the residual of level[r]; a column held as a list (one
-        level, or a table of one row) stays a list."""
-        if isinstance(self.residual, list):
-            residual = [self.residual[j] for j in level]
-            return self._replace(residual=residual, present=[True] * len(level))
+        holding the residual of level[r]."""
         return self._replace(residual=self.residual[level], present=np.ones(len(level), bool))
 
 
@@ -217,14 +219,33 @@ class CheckTable(NamedTuple):
         return passed.tolist(), names, residual[np.arange(self.rows), worst].tolist()
 
 
-def _operands(betas, *per_level) -> tuple:
-    """beta and each sequence of per_level as operands of the row expressions
-    of a table over (betas, levels): beta[:, None] and arrays over the levels,
-    or for one row the values themselves, which Python then computes with the
-    IEEE operations numpy applies to each element of an array."""
-    if len(betas) * len(per_level[0]) == 1:
-        return (float(betas[0]), *(values[0] for values in per_level))
-    return (np.asarray(betas, dtype=float)[:, None], *map(np.asarray, per_level))
+def _operands(betas, ks, per_analysis, per_pair=()) -> tuple:
+    """The operands of the row expressions of a table over (analyses, betas,
+    ks), rows in C order: beta, the value and xi-derivative of each k of ks,
+    then each sequence of per_analysis (an entry per analysis) and each array
+    of per_pair (shape (analyses, ks, ...)). For one row these are the
+    entries themselves, which Python then computes with the IEEE operations
+    numpy applies to each element of an array; otherwise arrays that
+    broadcast against the rows, an entry's own axes trailing."""
+    analyses = len(per_analysis[0])
+    if analyses * len(betas) * len(ks) == 1:
+        (k,) = ks
+        return (
+            float(betas[0]),
+            k.value,
+            k.xi_derivative,
+            *(values[0] for values in per_analysis),
+            *(values[0, 0] for values in per_pair),
+        )
+    k_value, k_prime = np.array([(k.value, k.xi_derivative) for k in ks], dtype=float).T
+    entries = (np.asarray(values) for values in per_analysis)
+    return (
+        np.asarray(betas, dtype=float)[:, None],
+        k_value,
+        k_prime,
+        *(values.reshape(analyses, 1, 1, *values.shape[1:]) for values in entries),
+        *(values[:, None] for values in per_pair),
+    )
 
 
 def _quotient(numerator, denominator, where):
@@ -249,24 +270,35 @@ def lie_derivative_metric(
     """
     if not isinstance(potential, VerticalPotential):
         raise UnsupportedPotential(f"unknown potential kind {type(potential).__name__}")
-    return Tensor(s.frame, _lie_derivative(_d_theta(potential.k, conn, s), metric.matrix))
+    k, reeb = potential.k, conn.derivative_of_field(s.xi.data)
+    d_theta = _d_theta(k.value, k.xi_derivative, reeb, s)
+    return Tensor(s.frame, _lie_derivative(d_theta, metric.matrix))
 
 
-def _d_theta(k: VerticalScalar, conn: Connection, s: AccRStructure) -> np.ndarray:
-    """D theta of theta = k xi: (D_x theta)^m is row x, column m."""
-    xi_field = s.xi.data
-    return k.xi_derivative * np.outer(xi_field, s.eta.data) + k.value * (
-        conn.derivative_of_field(xi_field)
-    )
+def _d_theta(k_value, k_prime, reeb, s: AccRStructure) -> np.ndarray:
+    """D theta of theta = k xi from reeb = D xi (Connection.derivative_of_field):
+    (D_x theta)^m is row x, column m. k_value, k_prime and reeb are numbers
+    and one matrix, or arrays that stack the results along leading axes."""
+    return k_prime * np.outer(s.xi.data, s.eta.data) + k_value * reeb
 
 
 def _lie_derivative(d_theta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """L_theta of the constant-coefficient metric matrix, from d_theta =
-    _d_theta; frozen, so that a Tensor keeps it without a copy."""
-    half = np.einsum("mi,mj->ij", d_theta, matrix)
-    lie = half + half.T
+    _d_theta, along its leading axes; frozen, so that a Tensor keeps it
+    without a copy."""
+    half = np.einsum("...mi,mj->...ij", d_theta, matrix)
+    lie = half + half.swapaxes(-1, -2)
     lie.setflags(write=False)
     return lie
+
+
+def vertical_lie(s: AccRStructure, ks, reeb: np.ndarray) -> tuple:
+    """(L_theta g, L_theta g_assoc) of theta = k xi for each k of ks on the
+    analyses of structure s whose D xi stack in reeb: arrays over (analyses,
+    ks), from one D theta, as vertical_level forms them for one potential."""
+    k_value, k_prime = np.array([(k.value, k.xi_derivative) for k in ks], dtype=float).T
+    d_theta = _d_theta(k_value[:, None, None], k_prime[:, None, None], reeb[:, None], s)
+    return tuple(_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
 
 
 def vertical_lie_closed_form(
@@ -461,10 +493,11 @@ def solve_vertical_soliton(
     """
     if classification is not None:
         _require_sasaki_like(classification)
-    lam, lam_assoc, table = vertical_solutions((k,), tau, tau_assoc, n, (beta,))
+    lam, lam_assoc, table = vertical_solutions((k,), (tau,), (tau_assoc,), n, (beta,))
     if ricci_tensor is not None and structure is not None:
-        reconstruction = ricci_reconstruction_check(ricci_tensor, tau, tau_assoc, n, structure)
-        table = table._replace(columns=(*table.columns, reconstruction.shared([0])))
+        ricci = ricci_tensor.data
+        reconstruction = ricci_reconstruction_check(ricci, tau, tau_assoc, n, structure)
+        table = table._replace(columns=(*table.columns, reconstruction))
     return lam, lam_assoc, table.report(0)
 
 
@@ -474,42 +507,40 @@ def _require_sasaki_like(classification: SasakiLikeResult) -> None:
 
 
 def ricci_reconstruction_check(
-    ricci_tensor: Tensor, tau: float, tau_assoc: float, n: int, structure: AccRStructure
+    ricci: np.ndarray, tau, tau_assoc, n: int, structure: AccRStructure, rows=()
 ) -> Column:
-    """rho rebuilt from (tau, tau_assoc) alone, which holds at every beta: a
-    one-level column."""
+    """rho rebuilt from (tau, tau_assoc) alone, which holds at every beta: the
+    column of one Ricci tensor and its scalar curvatures, or of arrays that
+    stack them along leading axes, broadcast against rows (see Column.of)."""
     expected = (
-        (tau / (2.0 * n) - 1.0) * structure.g.matrix
-        + (tau_assoc / (2.0 * n) - 1.0) * structure.g_assoc.matrix
-        - ((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0)) * structure.eta_outer
+        np.multiply.outer(tau / (2.0 * n) - 1.0, structure.g.matrix)
+        + np.multiply.outer(tau_assoc / (2.0 * n) - 1.0, structure.g_assoc.matrix)
+        - np.multiply.outer((tau + tau_assoc) / (2.0 * n) - 2.0 * (n + 1.0), structure.eta_outer)
     )
-    return Column.between(
+    return Column.of(
         "ricci_reconstruction",
-        ricci_tensor.data,
-        expected,
+        np.abs(ricci - expected).max(axis=(-2, -1)),
         note="rho rebuilt from (tau, tau_assoc) alone",
+        rows=rows,
     )
 
 
-def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple:
+def vertical_solutions(ks, tau, tau_assoc, n: int, betas) -> tuple:
     """The solve of solve_vertical_soliton for the potentials k xi, k in ks,
-    each at every beta of betas, in row expressions (see _operands).
+    each at every beta of betas, on analyses whose scalar curvatures are the
+    sequences tau and tau_assoc, in row expressions (see _operands).
 
-    Returns (lam, lam_assoc, table): the constants solved at betas[i] for
-    ks[j] are lam[i, j] and lam_assoc[i, j] (numbers for one row), and row
-    i * len(ks) + j of table holds its checks. The first,
-    scalar_sum_from_k_derivative, tau + tau_assoc = 4n(k' + n + 1), holds at
-    every beta and is computed once per potential; then come the checks that
-    involve the solved constants (only k_derivative_from_trace at the branch
-    point), and a note marks the rows at the branch point.
+    Returns (lam, lam_assoc, table): the constants solved on analysis a at
+    betas[i] for ks[j] are lam[a, i, j] and lam_assoc[a, i, j] (numbers for
+    one row), and row (a * len(betas) + i) * len(ks) + j of table holds its
+    checks. The first, scalar_sum_from_k_derivative, tau + tau_assoc =
+    4n(k' + n + 1), holds at every beta and is computed once per analysis
+    and potential; then come the checks that involve the solved constants
+    (only k_derivative_from_trace at the branch point), and a note marks the
+    rows at the branch point.
     """
-    rows = len(betas) * len(ks)
-    beta, k_value, k_prime = _operands(betas, [k.value for k in ks], [k.xi_derivative for k in ks])
-    scalar_sum = Column.of(
-        "scalar_sum_from_k_derivative",
-        tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
-        note="tau + tau_assoc = 4n(k' + n + 1)",
-    )
+    shape = (len(tau), len(betas), len(ks))
+    beta, k_value, k_prime, tau, tau_assoc = _operands(betas, ks, (tau, tau_assoc))
     factor = 1.0 + 2.0 * n * beta
     branch = is_degenerate_beta(beta, n)
     regular = np.logical_not(branch)
@@ -517,30 +548,39 @@ def vertical_solutions(ks, tau: float, tau_assoc: float, n: int, betas) -> tuple
     lam = 1.0 - k_value - _quotient(tau * factor, 2.0 * n, regular)
     lam_assoc = 1.0 + k_value - _quotient(tau_assoc * factor, 2.0 * n, regular)
     columns = (
-        scalar_sum.shared([row % len(ks) for row in range(rows)]),
+        Column.of(
+            "scalar_sum_from_k_derivative",
+            tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
+            note="tau + tau_assoc = 4n(k' + n + 1)",
+            rows=shape,
+        ),
         Column.of(
             "k_derivative_from_trace",
             k_prime + 0.5 * (lam + lam_assoc + beta * (tau + tau_assoc) + 2.0 * n),
             note="k' = -(lam + lam_assoc + beta(tau + tau_assoc) + 2n)/2",
+            rows=shape,
         ),
         Column.of(
             "k_derivative_consistency",
             k_prime - (_quotient(-(lam + lam_assoc - 2.0), 2.0 * factor, regular) - n - 1.0),
             note="k' recovered from the solved constants",
             present=regular,
+            rows=shape,
         ),
         Column.of(
             "scalar_sum_from_lambdas",
             tau + tau_assoc + _quotient(2.0 * n * (lam + lam_assoc - 2.0), factor, regular),
             note="tau + tau_assoc recovered from the solved constants",
             present=regular,
+            rows=shape,
         ),
     )
     note = (
         "beta at the branch point -1/(2n): scalar curvatures are not "
         "separately determined, only their sum is constrained"
     )
-    return lam, lam_assoc, CheckTable(rows, columns, ((note, np.repeat(branch, len(ks))),))
+    held = np.broadcast_to(branch, shape).ravel() if isinstance(branch, np.ndarray) else [branch]
+    return lam, lam_assoc, CheckTable(math.prod(shape), columns, ((note, held),))
 
 
 def verify_conformal_theorem(
@@ -757,82 +797,94 @@ class VerticalLevel(NamedTuple):
 
 def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
     """Lie derivatives of both metrics along k xi: lie_derivative_metric,
-    with D theta formed once for both metrics."""
+    with D theta formed once for both metrics; vertical_rows forms the same
+    for many analyses and potentials at once (vertical_lie)."""
     s = a.s
-    d_theta = _d_theta(k, a.pkg.conn, s)
+    d_theta = _d_theta(k.value, k.xi_derivative, a.pkg.conn.derivative_of_field(s.xi.data), s)
     lie_g, lie_assoc = (_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
     return VerticalLevel(k, Tensor(s.frame, lie_g), Tensor(s.frame, lie_assoc))
 
 
 def vertical_rows(
-    a: Analysis,
-    levels,
+    a,
+    ks,
     betas,
     lam: float = None,
     lam_assoc: float = None,
     *,
     solve: bool = True,
     mu: float = None,
+    lie: tuple = None,
     level_columns=(),
 ) -> tuple:
-    """The vertical-potential theorem on one analysis for the potentials
-    levels[j] at betas[i].
+    """The vertical-potential theorem on a, an Analysis or a sequence of
+    analyses that share one structure, for the potentials k xi, k in ks, at
+    betas.
 
     Returns (lam, lam_assoc, table): the constants in the soliton residual
     (lam_assoc is None for the single-metric equation), each an array over
-    (betas, levels) or a number for every row (see _operands), and table,
-    whose row i * len(levels) + j holds the report, its last check the
-    soliton residual.
+    (analyses, betas, ks) or a number for every row (see _operands), and
+    table, whose row (a * len(betas) + i) * len(ks) + j holds the report of
+    analysis a, betas[i] and ks[j], its last check the soliton residual.
 
     With mu the claim is the single-metric equation, lam defaults to 0
     and nothing is solved. Otherwise, with solve, the constants are solved
-    at each beta (which needs a Sasaki-like structure) and every identity
+    at each beta (which needs Sasaki-like structures) and every identity
     of solve_vertical_soliton is checked; a supplied lam or lam_assoc
     replaces its solved value in the soliton residual and is checked
     against it. Without solve, lam and lam_assoc are both required and only
     the residual is checked. A report opens with the Lie derivatives against
-    their closed forms (Sasaki-like structures only), then level_columns, a
-    scenario's columns of one residual per level. The checks of a level are
-    computed once for all rows, the check of the analysis alone once, and
-    the solve and the soliton residuals are row expressions over (betas,
-    levels) (see _operands).
+    their closed forms (Sasaki-like analyses only), then level_columns, a
+    scenario's columns over the rows. lie holds the Lie derivatives of g and
+    g_assoc along every (analysis, k), arrays of shape (analyses, ks, dim,
+    dim), formed here (vertical_lie) when not given. Each check is computed
+    once per value of the parameters it depends on: the Lie-derivative
+    checks per (analysis, k), the reconstruction of rho per analysis, and
+    the solve and the soliton residuals as row expressions (see _operands).
     """
-    s, pkg = a.s, a.pkg
-    tau, tau_assoc, n = pkg.tau, a.assoc_pkg.tau, s.n
-    rows = len(betas) * len(levels)
-    row_level = [row % len(levels) for row in range(rows)]
-    beta, lie_g, lie_assoc, k_value, k_prime = _operands(
-        betas,
-        [level.lie_g.data for level in levels],
-        [level.lie_assoc.data for level in levels],
-        [level.k.value for level in levels],
-        [level.k.xi_derivative for level in levels],
+    analyses = (a,) if isinstance(a, Analysis) else tuple(a)
+    s = analyses[0].s
+    n = s.n
+    shape = (len(analyses), len(betas), len(ks))
+    if lie is None:
+        reeb = np.stack([b.pkg.conn.derivative_of_field(s.xi.data) for b in analyses])
+        lie = vertical_lie(s, ks, reeb)
+    taus = [b.pkg.tau for b in analyses]
+    tau_assocs = [b.assoc_pkg.tau for b in analyses]
+    sasaki_like = [b.classification.is_sasaki_like for b in analyses]
+    per_analysis = (taus, tau_assocs, [b.pkg.ricci.data for b in analyses], sasaki_like)
+    beta, k_value, k_prime, tau, tau_assoc, ricci, sasaki, lie_g, lie_assoc = _operands(
+        betas, ks, per_analysis, lie
     )
-    columns, notes = [], ()
-    if a.classification.is_sasaki_like:
-        closed = _vertical_closed_forms(k_value, k_prime, s)
-        columns = [
-            Column.of(f"{name}_closed_vs_connection", np.abs(form - lie).max(axis=(-2, -1)), 1e-10)
-            for name, form, lie in zip(("lie_g", "lie_assoc"), closed, (lie_g, lie_assoc))
-        ]
-    else:
+    closed = _vertical_closed_forms(k_value, k_prime, s)
+    columns = [
+        Column.of(
+            f"{name}_closed_vs_connection",
+            np.abs(form - connection).max(axis=(-2, -1)),
+            1e-10,
+            present=sasaki,
+            rows=shape,
+        )
+        for name, form, connection in zip(("lie_g", "lie_assoc"), closed, (lie_g, lie_assoc))
+    ]
+    notes = ()
+    if not all(sasaki_like):
         text = (
             "structure is not Sasaki-like: closed-form Lie derivatives do not "
             "apply, connection-based values used throughout"
         )
-        notes = ((text, None),)
-    columns = [column.shared(row_level) for column in (*columns, *level_columns)]
+        notes = ((text, np.repeat(np.logical_not(sasaki_like), shape[1] * shape[2])),)
+    columns += level_columns
     lams, lam_assocs = lam, lam_assoc
     if mu is not None:
         lams, lam_assocs = 0.0 if lam is None else lam, None
     elif solve:
-        _require_sasaki_like(a.classification)
-        solved_lams, solved_assocs, solved = vertical_solutions(
-            [level.k for level in levels], tau, tau_assoc, n, betas
-        )
-        reconstruction = ricci_reconstruction_check(pkg.ricci, tau, tau_assoc, n, s)
-        columns += (*solved.columns, reconstruction.shared([0] * rows))
-        # solving needs a Sasaki-like structure, which has no notes
+        for b in analyses:
+            _require_sasaki_like(b.classification)
+        solved_lams, solved_assocs, solved = vertical_solutions(ks, taus, tau_assocs, n, betas)
+        reconstruction = ricci_reconstruction_check(ricci, tau, tau_assoc, n, s, shape)
+        columns += (*solved.columns, reconstruction)
+        # solving needs Sasaki-like structures, which have no notes
         notes = solved.notes
         if lam is None:
             lams = solved_lams
@@ -845,19 +897,21 @@ def vertical_rows(
                     lams - solved_lams,
                     1e-10,
                     "supplied lam against the solved value",
+                    rows=shape,
                 ),
                 Column.of(
                     "lambda_assoc_matches_solution",
                     lam_assocs - solved_assocs,
                     1e-10,
                     "supplied lam_assoc against the solved value",
+                    rows=shape,
                 ),
             )
     assoc = None if mu is not None else (lie_assoc, lam_assocs, tau_assoc)
     name = "soliton_residual" if mu is None else "eta_soliton_residual"
-    lhs = _rb_like_lhs(pkg.ricci.data, s, beta, lie_g, lams, tau, assoc, mu)
-    columns.append(Column.of(name, np.abs(lhs).max(axis=(-2, -1)), 1e-10))
-    return lams, lam_assocs, CheckTable(rows, tuple(columns), notes)
+    lhs = _rb_like_lhs(ricci, s, beta, lie_g, lams, tau, assoc, mu)
+    columns.append(Column.of(name, np.abs(lhs).max(axis=(-2, -1)), 1e-10, rows=shape))
+    return lams, lam_assocs, CheckTable(math.prod(shape), tuple(columns), notes)
 
 
 def conformal_report(

@@ -67,8 +67,9 @@ class Check(NamedTuple):
     def between(
         cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""
     ) -> "Check":
-        """Check.measure of computed - expected: the one form of every check
-        of a computed value against its closed form."""
+        """Check.measure of computed - expected: the residual of a computed
+        value against its closed form, which a report's Column holds as
+        max |computed - expected| over the values it depends on."""
         return cls.measure(name, computed - expected, tol, note)
 
 

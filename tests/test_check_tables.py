@@ -30,6 +30,7 @@ from accrgeo import (
     VerticalPotential,
     VerticalScalar,
     analyze,
+    build_example2,
     eta_rb_residual,
     example2_state,
     flat_carrier_structure,
@@ -39,6 +40,7 @@ from accrgeo import (
     scenarios,
     solitons,
     sweep,
+    validate_structure,
     vertical_lie_closed_form,
 )
 from accrgeo.cli import RunConfig, _render_sweep, cmd_sweep, to_json
@@ -392,7 +394,7 @@ def test_single_metric_rows_match_the_per_beta_reference(mu, lam):
     betas = [-1.0, -1.0 / (2 * n), -1.0 / (2 * n + 1), 0.0, 0.3]
     ks = [VerticalScalar(0.7, -2.0), VerticalScalar(-1.0, 0.5), VerticalScalar(0.0, 0.0)]
     levels = [solitons.vertical_level(a, k) for k in ks]
-    row_lam, row_lam_assoc, table = solitons.vertical_rows(a, levels, betas, lam, mu=mu)
+    row_lam, row_lam_assoc, table = solitons.vertical_rows(a, ks, betas, lam, mu=mu)
     eta_lam = 0.0 if lam is None else lam
     assert (row_lam, row_lam_assoc) == (eta_lam, None)
     for i, beta in enumerate(betas):
@@ -403,7 +405,7 @@ def test_single_metric_rows_match_the_per_beta_reference(mu, lam):
             spec = SolitonSpec(beta=beta, lam=eta_lam, mu=mu)
             lhs = eta_rb_residual(a.pkg.ricci, level.lie_g, a.s, spec, a.pkg.tau)
             assert repr(Check.measure("", lhs.data).residual) == repr(expected.residual)
-            *_, alone = solitons.vertical_rows(a, (level,), (beta,), lam, mu=mu)
+            *_, alone = solitons.vertical_rows(a, (level.k,), (beta,), lam, mu=mu)
             assert _fields(alone.report(0).checks) == _fields(report.checks)
 
 
@@ -416,7 +418,7 @@ def test_rb_like_residual_is_the_two_metric_left_hand_side(beta, t0):
     a = example2_state(-1.0, 0.5)
     s, pkg, tau, tau_assoc = a.s, a.pkg, a.pkg.tau, a.assoc_pkg.tau
     level = solitons.vertical_level(a, VerticalScalar(-2.0 * t0, -2.0))
-    lam, lam_assoc, table = solitons.vertical_rows(a, (level,), (beta,))
+    lam, lam_assoc, table = solitons.vertical_rows(a, (level.k,), (beta,))
     spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
     lhs = rb_like_residual(pkg.ricci, level.lie_g, level.lie_assoc, s, spec, tau, tau_assoc)
     expected = (
@@ -461,14 +463,13 @@ def test_closed_form_columns_equal_the_one_potential_routes(case):
     else:
         a = example2_state(*case)
     betas = [-1.0 / (2 * a.s.n), 0.0, 0.6]
-    levels = [solitons.vertical_level(a, k) for k in _POTENTIALS]
-    *_, table = solitons.vertical_rows(a, levels, betas)
+    *_, table = solitons.vertical_rows(a, _POTENTIALS, betas)
     for i, beta in enumerate(betas):
         for j, k in enumerate(_POTENTIALS):
             expected = _fields(_closed_form_references(a, k))
-            report = table.report(i * len(levels) + j)
+            report = table.report(i * len(_POTENTIALS) + j)
             assert _fields([report[name] for name in _CLOSED_FORM_NAMES]) == expected, (beta, k)
-            *_, alone = solitons.vertical_rows(a, levels[j : j + 1], (beta,))
+            *_, alone = solitons.vertical_rows(a, (k,), (beta,))
             assert _fields(alone.report(0).checks[:2]) == expected, (beta, k)
 
 
@@ -517,8 +518,7 @@ def test_no_closed_form_columns_where_the_structure_is_not_sasaki_like(kwargs):
         "structure is not Sasaki-like: closed-form Lie derivatives do not "
         "apply, connection-based values used throughout"
     )
-    levels = [solitons.vertical_level(a, k) for k in _POTENTIALS]
-    for chosen, betas in (((levels[0],), (0.3,)), (levels, (-0.25, 0.0, 0.3))):
+    for chosen, betas in ((_POTENTIALS[:1], (0.3,)), (_POTENTIALS, (-0.25, 0.0, 0.3))):
         *_, table = solitons.vertical_rows(a, chosen, betas, **kwargs)
         for row in range(table.rows):
             report = table.report(row)
@@ -559,12 +559,14 @@ def test_one_row_report_makes_few_numpy_calls():
     # one soliton --input --solve report: the solve and its checks run in
     # Python numbers; numpy is left with the residuals of the dim x dim
     # equations and the verdict. Per-element work on 1-element arrays made
-    # about 110 such calls.
+    # about 110 such calls. The Lie derivatives are formed beforehand, as
+    # vertical_level forms them.
     a = example2_state(0.3, -1.2)
     level = solitons.vertical_level(a, VerticalScalar(0.7, -2.0))
+    lie = (level.lie_g.data[None, None], level.lie_assoc.data[None, None])
 
     def one_row():
-        *_, table = solitons.vertical_rows(a, (level,), (0.3,))
+        *_, table = solitons.vertical_rows(a, (level.k,), (0.3,), lie=lie)
         return table.report(0).verdict()
 
     one_row()
@@ -719,12 +721,17 @@ def _record_level_checks(monkeypatch, built):
 
 @pytest.mark.parametrize(
     "scenario,builder,calls,rows",
-    [("example1", "conformal_row", 5, 1295), ("example2", "vertical_solutions", 25, 700)],
+    [("example1", "conformal_row", 5, 1295), ("example2", "vertical_solutions", 1, 700)],
 )
 def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
     monkeypatch, scenario, builder, calls, rows
 ):
-    # one builder call and one verdict (_judge) per table
+    # one builder call and one verdict (_judge) per table: one per n for
+    # example1, one over the whole (p, q, beta, t0) grid for example2
+    if scenario == "example2":
+        # the analyses of every (p, q) and their curvature tensors are cached
+        # before counting
+        sweep("example2")
     counts, built, expected = {}, [], {builder: calls, "_judge": calls}
     _count_calls(monkeypatch, solitons, "_judge", counts)
     module = scenarios if builder == "conformal_row" else solitons
@@ -736,9 +743,13 @@ def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
         for n in scenarios.DEFAULT_N_GRID:
             scenarios._cached_carrier(n)
         _count_calls(monkeypatch, scenarios, "_example1_level", counts)
-        _count_calls(monkeypatch, Tensor, "__post_init__", counts)
         _record_level_checks(monkeypatch, built)
         expected["_example1_level"] = 5
+    else:
+        # the Lie derivatives of all (p, q, t0) are one broadcast, with no
+        # VerticalLevel and no Tensor per (p, q, t0)
+        _count_calls(monkeypatch, solitons, "vertical_level", counts)
+    _count_calls(monkeypatch, Tensor, "__post_init__", counts)
     # the rows stay columns up to the output text: no SweepRow and no row dict
     _count_calls(monkeypatch, scenarios.SweepRow, "__init__", counts)
     payload, code = cmd_sweep(RunConfig("sweep", scenario=scenario))
@@ -783,3 +794,151 @@ def test_reading_a_row_builds_the_checks_of_its_level_once(monkeypatch):
     assert built == []
     result.rows[0].report
     assert built == list(_EXAMPLE1_LEVEL_CHECKS)
+
+
+# --- the axis of analyses ---------------------------------------------------
+
+#: f_a = sum_i _DENSE_FRAME[i, a] e_i, integer with det 1 and an integer inverse
+_DENSE_FRAME = np.array([[min(i, j) + 1.0 for j in range(5)] for i in range(5)])
+
+
+def _brackets(*entries):
+    """The structure constants c[k, i, j] of [e_i, e_j] = value e_k on the
+    dim-5 carrier, from (i, j, k, value) entries."""
+    c = np.zeros((5, 5, 5))
+    for i, j, k, value in entries:
+        c[k, i, j], c[k, j, i] = value, -value
+    return c
+
+
+#: example2 at three (p, q), which are Sasaki-like and share their Lie
+#: derivatives along k xi, then two algebras that are not Sasaki-like and
+#: whose Lie derivatives differ from those and from each other
+_ALGEBRAS = (
+    *(build_example2(p, q)[0].c.data for p, q in ((0.0, 0.0), (1.5, -2.0), (-1.0, 0.5))),
+    _brackets((1, 3, 2, 1.0), (2, 3, 2, -1.0)),
+    _brackets((0, 1, 1, 1.0), (0, 2, 3, 1.0), (0, 4, 4, 2.0)),
+)
+
+
+def _dense_frame_analyses(algebras):
+    """Each algebra of algebras (structure constants on the dim-5 carrier),
+    written in _DENSE_FRAME: analyses that share one structure whose metrics
+    are dense and whose Reeb field is no basis vector, so every sum of the
+    Lie derivatives has several terms."""
+    frame, inverse = _DENSE_FRAME, np.rint(np.linalg.inv(_DENSE_FRAME))
+    carrier = flat_carrier_structure(2)
+    s = validate_structure(
+        inverse @ carrier.phi.data @ frame,
+        inverse @ carrier.xi.data,
+        carrier.eta.data @ frame,
+        frame.T @ carrier.g.matrix @ frame,
+        Frame(5),
+    )
+    moved = (np.einsum("Kk,kij,iI,jJ->KIJ", inverse, c, frame, frame) for c in algebras)
+    return [analyze(LieAlgebra(Frame(5), c), s) for c in moved]
+
+
+@pytest.mark.parametrize("frame", ["carrier", "dense"])
+def test_vertical_level_is_the_slice_of_the_broadcast(frame):
+    # the one-potential routes (vertical_level, lie_derivative_metric) and the
+    # Lie derivatives of every (analysis, potential) from one broadcast agree
+    # to the last bit
+    if frame == "dense":
+        analyses = _dense_frame_analyses(_ALGEBRAS)
+    else:
+        analyses = [analyze(LieAlgebra(Frame(5), c), flat_carrier_structure(2)) for c in _ALGEBRAS]
+    s = analyses[0].s
+    reeb = np.stack([a.pkg.conn.derivative_of_field(s.xi.data) for a in analyses])
+    stacked = solitons.vertical_lie(s, _POTENTIALS, reeb)
+    assert all(lie.shape == (len(analyses), len(_POTENTIALS), 5, 5) for lie in stacked)
+    # the Lie derivatives tell the algebras apart, so a mixed-up axis shows
+    assert not np.array_equal(stacked[0][0], stacked[0][3])
+    assert not np.array_equal(stacked[0][3], stacked[0][4])
+    for i, a in enumerate(analyses):
+        for j, k in enumerate(_POTENTIALS):
+            level = solitons.vertical_level(a, k)
+            metric = (
+                lie_derivative_metric(m, a.pkg.conn, VerticalPotential(k), a.s)
+                for m in (a.s.g, a.s.g_assoc)
+            )
+            for one, route, lie in zip((level.lie_g, level.lie_assoc), metric, stacked):
+                assert one.data.tobytes() == route.data.tobytes() == lie[i, j].tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"lam": 2.0}, {"lam": 0.5, "mu": -4.0}, {"lam": 0.5, "lam_assoc": -1.5, "solve": False}],
+)
+def test_rows_over_analyses_equal_the_rows_of_each_analysis(kwargs):
+    # one table over (analyses, betas, potentials) in a dense frame: each
+    # row is the one-row table of its analysis, beta and potential, which
+    # computes in Python numbers, and so are the constants. Solving needs
+    # Sasaki-like analyses; the other claims mix in two that are not, whose
+    # rows hold no closed-form checks and the note that says so
+    solve = kwargs.get("solve", True) and "mu" not in kwargs
+    analyses = _dense_frame_analyses(_ALGEBRAS[:3] if solve else _ALGEBRAS)
+    sasaki_like = [a.classification.is_sasaki_like for a in analyses]
+    assert sasaki_like == [True] * 3 + [False] * (len(analyses) - 3)
+    betas = [-0.25, -0.2, 0.0, 0.6]
+    lam, lam_assoc, table = solitons.vertical_rows(analyses, _POTENTIALS, betas, **kwargs)
+    shape = (len(analyses), len(betas), len(_POTENTIALS))
+    assert table.rows == math.prod(shape)
+    for row in range(table.rows):
+        a, rest = divmod(row, len(betas) * len(_POTENTIALS))
+        i, j = divmod(rest, len(_POTENTIALS))
+        one_lam, one_assoc, alone = solitons.vertical_rows(
+            analyses[a], _POTENTIALS[j : j + 1], betas[i : i + 1], **kwargs
+        )
+        assert isinstance(alone.columns[-1].residual, list)
+        report, single = table.report(row), alone.report(0)
+        assert _fields(report.checks) == _fields(single.checks), (a, i, j)
+        assert report.notes == single.notes
+        assert np.broadcast_to(lam, shape)[a, i, j] == one_lam
+        if one_assoc is None:
+            assert lam_assoc is None
+        else:
+            assert np.broadcast_to(lam_assoc, shape)[a, i, j] == one_assoc
+    if not solve:
+        _assert_verdicts_match_the_scan([(table, row) for row in range(table.rows)], None)
+
+
+def _assert_rows_equal_single_points(result):
+    for row in result.rows:
+        params = Example2Params(**row.params)
+        _, lam, lam_assoc, single = scenarios.example2_point(params)
+        assert _fields(row.report.checks) == _fields(single.checks), row.params
+        assert row.report.notes == single.notes
+        assert (row.scalars["lambda"], row.scalars["lambda_tilde"]) == (lam, lam_assoc)
+        a = example2_state(params.p, params.q)
+        assert (row.scalars["tau"], row.scalars["tau_tilde"]) == (a.pkg.tau, a.assoc_pkg.tau)
+
+
+#: grids at the edges of the axis of analyses: one (p, q); several (p, q)
+#: at one beta and t0; one row; a repeated p
+_EDGE_GRIDS = {
+    "one-pq": ([1.5], [-2.0], [-1.0, -0.25, -0.2, 0.0, 0.7], [-1.0, 0.5, 2.0]),
+    "analyses-only": ([-2.0, 0.0, 1.5], [-1.0, 2.0], [0.3], [1.0]),
+    "one-row": ([0.5], [-1.5], [-0.25], [2.0]),
+    "repeated-p": ([1.0, -1.0, 1.0], [0.0, 0.5], [-0.2, 0.25], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("grid", list(_EDGE_GRIDS))
+def test_sweep_rows_equal_single_points_at_the_edges_of_the_analysis_axis(grid):
+    p_grid, q_grid, beta_grid, t0_grid = _EDGE_GRIDS[grid]
+    result = sweep("example2", p_grid=p_grid, q_grid=q_grid, beta_grid=beta_grid, t0_grid=t0_grid)
+    (table,) = result.tables
+    assert table.rows == len(result.rows) == math.prod(map(len, _EDGE_GRIDS[grid]))
+    size = len(beta_grid) * len(t0_grid)
+    grid = [(p, q) for p in p_grid for q in q_grid for _ in range(size)]
+    assert list(zip(result.params["p"], result.params["q"])) == grid
+    _assert_rows_equal_single_points(result)
+    if grid == "one-row":
+        # the vertical theorem's checks are numbers, as in soliton
+        (residual,) = (c for c in table.columns if c.name == "soliton_residual")
+        assert isinstance(residual.residual, list)
+    if grid == "analyses-only":
+        judged = [(row.table, row.position) for row in result.rows]
+        for tol in (None, 1e-3, 1e-16):
+            _assert_verdicts_match_the_scan(judged, tol)

@@ -1507,6 +1507,30 @@ def test_inspect_json_matches_json_dumps_on_inspect_payloads(tmp_path, source):
     _assert_inspect_forms_agree(payload, _as_lists(payload))
 
 
+def test_listing_lines_format_each_entry_as_fmt():
+    # each distinct value is formatted once per listing; every line is the
+    # one a per-entry _fmt gives, for repeated values, both zeros, both
+    # float types, an int equal to a float and NaNs
+    values = [1.0, -1.0, 1.0, 0.0, -0.0, np.float64(-1.0), 1, 2.5e-13, math.nan, math.nan, 1.0]
+    listing = cli._Listing((list(range(len(values))), [7] * len(values)), values)
+    expected = [f"  x[{i},7] = {cli._fmt(value)}" for i, value in enumerate(values)]
+    assert list(cli._listing_lines("x", listing)) == expected
+
+
+def test_sweep_text_formats_each_parameter_as_fmt():
+    # a repeated grid value, -0.0 beside 0.0, and n as an int column: every
+    # parameter cell of the text table is the per-entry _fmt of its value
+    grids = {"p": [0.0, -0.0, 1.5], "q": [1.5], "beta": [-0.25, 0.5], "t0": [1.0, 1.0]}
+    for scenario, grid in (("example2", grids), ("example1", {"n": [1, 2], "t": [0.5, 0.5]})):
+        payload, _ = cmd_sweep(RunConfig("sweep", scenario=scenario, grids=grid))
+        params = payload["rows"].result.params
+        lines = cli._render_sweep(payload)
+        header = lines[1].split()
+        assert header[1 : 1 + len(params)] == list(params)
+        cells = [line.split()[1 : 1 + len(params)] for line in lines[2 : 2 + len(payload["rows"])]]
+        assert cells == [list(map(cli._fmt, values)) for values in zip(*params.values())]
+
+
 _json_trees = st.recursive(
     st.none() | st.booleans() | _json_numbers | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4)
