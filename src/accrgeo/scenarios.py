@@ -40,9 +40,10 @@ reports at several beta are the rows of one solitons.conformal_row of that
 level at the sums the theorem forces.
 
 example2 starts from the cached Analyses of its (p, q) (example2_state)
-and builds its checks with solitons.vertical_lie and vertical_rows over
-the list of them, the builders definition files use too (with one
-analysis), adding its closed-form checks. example1 builds its checks with
+and their cached Einstein-like fits, and builds its checks with
+solitons.vertical_lie and vertical_rows over the list of them, the
+builders definition files use too (with one analysis), adding its
+closed-form checks. example1 builds its checks with
 conformal_level and conformal_row, as soliton --input --psi does. Each
 builds a check table (solitons.CheckTable), each check computed once per
 value of the parameters it depends on (see sweep); a single-point report
@@ -69,6 +70,7 @@ from .solitons import (
     CheckTable,
     Column,
     ConformalLevel,
+    EinsteinLikeFit,
     TheoremReport,
     VerticalScalar,
     conformal_level,
@@ -202,6 +204,13 @@ def example2_state(p: float, q: float) -> Analysis:
     return analyze(*build_example2(float(p), float(q)))
 
 
+@lru_cache(maxsize=64)
+def _example2_fit(p: float, q: float) -> EinsteinLikeFit:
+    """The Einstein-like fit of the Ricci tensor at (p, q), cached."""
+    a = example2_state(p, q)
+    return einstein_like_fit(a.pkg.ricci, a.s)
+
+
 #: notes of the scenarios' checks against closed forms, by check name
 _NOTES = {
     "curvature_table": "all nonzero components and their symmetry images",
@@ -219,11 +228,11 @@ def _residuals(computed, expected) -> np.ndarray:
     return difference.reshape(len(difference), 1, 1, -1).max(axis=-1)
 
 
-def _example2_geometry(analyses, rows: tuple) -> tuple:
+def _example2_geometry(analyses, fits, rows: tuple) -> tuple:
     """(head, tail, reeb): the checks of example2's reports that depend on
     (p, q) alone, each one array over analyses (one (p, q) each) broadcast
-    over rows, the shape of the table. head opens the reports, tail (the
-    Einstein-like fit) closes them, and reeb stacks D xi of each analysis.
+    over rows, the shape of the table. head opens the reports, tail (their
+    Einstein-like fits) closes them, and reeb stacks D xi of each analysis.
     """
     s = analyses[0].s
     n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
@@ -258,7 +267,6 @@ def _example2_geometry(analyses, rows: tuple) -> tuple:
         Column.of(name, _residuals(computed, expected), tol, _NOTES.get(name, ""), rows=rows)
         for name, (computed, expected, tol) in forms.items()
     )
-    fits = [einstein_like_fit(a.pkg.ricci, a.s) for a in analyses]
     kinds = np.array([fit.kind for fit in fits])
     coefficients = np.array([(fit.a, fit.b, fit.c) for fit in fits])
     fit_residual = np.array([fit.residual for fit in fits])
@@ -281,7 +289,7 @@ def _example2_geometry(analyses, rows: tuple) -> tuple:
 
 
 def _example2_rows(
-    analyses,
+    grid,
     t0s,
     betas,
     k: VerticalScalar = None,
@@ -289,10 +297,10 @@ def _example2_rows(
     lam_assoc: float = None,
     mu: float = None,
 ) -> tuple:
-    """(ks, lam, lam_assoc, table): the vertical theorem on analyses[a] (one
-    (p, q) each) at betas[i] and t0s[j] is ks[j], the constants of
-    vertical_rows in its soliton residual, and row (a * len(betas) + i) *
-    len(t0s) + j of table.
+    """(ks, lam, lam_assoc, table): the vertical theorem at the a-th (p, q)
+    of grid, betas[i] and t0s[j] is ks[j], the constants of vertical_rows in
+    its soliton residual, and row (a * len(betas) + i) * len(t0s) + j of
+    table.
 
     The reports wrap the shared vertical_rows checks in the scenario's
     geometry checks. k defaults to the scenario family k = -2 t0, k' = -2,
@@ -301,8 +309,10 @@ def _example2_rows(
     k makes t0 irrelevant. The Lie derivatives of every (p, q, t0) are one
     broadcast (solitons.vertical_lie).
     """
+    analyses = [example2_state(p, q) for p, q in grid]
     rows = (len(analyses), len(betas), len(t0s))
-    head, tail, reeb = _example2_geometry(analyses, rows)
+    fits = [_example2_fit(p, q) for p, q in grid]
+    head, tail, reeb = _example2_geometry(analyses, fits, rows)
     s = analyses[0].s
     family = k is None
     ks = [VerticalScalar(-2.0 * t0, -2.0) for t0 in t0s] if family else [k] * len(t0s)
@@ -386,23 +396,10 @@ def example2_point(
 
     The report is built by the same per-level helpers as sweep's rows.
     """
-    analyses = [example2_state(params.p, params.q)]
     (k,), lam, lam_assoc, table = _example2_rows(
-        analyses, (params.t0,), (params.beta,), k, lam, lam_assoc, mu
+        [(params.p, params.q)], (params.t0,), (params.beta,), k, lam, lam_assoc, mu
     )
     return k, lam, lam_assoc, table.report(0)
-
-
-def run_example2_report(
-    params: Example2Params,
-    *,
-    k: VerticalScalar = None,
-    lam: float = None,
-    lam_assoc: float = None,
-    mu: float = None,
-) -> TheoremReport:
-    """The report of example2_point."""
-    return example2_point(params, k=k, lam=lam, lam_assoc=lam_assoc, mu=mu)[3]
 
 
 class _Example1Level(NamedTuple):
@@ -647,7 +644,7 @@ def sweep(
         t0s = _grid(t0_grid, DEFAULT_T0_GRID)
         grid = list(product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)))
         analyses = [example2_state(p, q) for p, q in grid]
-        _, *solved, table = _example2_rows(analyses, t0s, betas)
+        _, *solved, table = _example2_rows(grid, t0s, betas)
         size = len(betas) * len(t0s)
         params = {
             "p": [p for p, _ in grid for _ in range(size)],

@@ -40,16 +40,17 @@ checks alike. A report's checks are tensors.Check (re-exported here).
 Each theorem has one builder over (beta, level). The vertical theorem's
 row expressions take a leading axis of analyses that share one structure:
 vertical_lie forms the Lie derivatives of many potentials on many analyses
-in one broadcast (vertical_level and lie_derivative_metric are its
-one-potential calls), vertical_solutions solves the constants that the
-potentials force at all betas, and vertical_rows checks the equation, and
-the Lie derivatives against their closed forms, over (analyses, betas,
+in one broadcast (lie_derivative_metric is its one-potential, one-metric
+call), vertical_solutions solves the constants that the potentials force
+at all betas, and vertical_rows checks the equation, and the Lie
+derivatives against their closed forms, over (analyses, betas,
 potentials); one Analysis is its one-analysis case, and
 solve_vertical_soliton is one row.
 conformal_level holds, at many curvature points at once, the checks that
 are free of beta and the potential, and conformal_row builds the table of
-its points at several betas; verify_conformal_theorem and
-conformal_report are one row, and example1 builds one level per n.
+its points at several betas; verify_conformal_theorem is one row, which
+conformal_report closes with the soliton residual, and example1 builds one
+level per n.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def _lie_derivative(d_theta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def vertical_lie(s: AccRStructure, ks, reeb: np.ndarray) -> tuple:
     """(L_theta g, L_theta g_assoc) of theta = k xi for each k of ks on the
     analyses of structure s whose D xi stack in reeb: arrays over (analyses,
-    ks), from one D theta, as vertical_level forms them for one potential."""
+    ks), from one D theta, as lie_derivative_metric forms one of them."""
     k_value, k_prime = np.array([(k.value, k.xi_derivative) for k in ks], dtype=float).T
     d_theta = _d_theta(k_value[:, None, None], k_prime[:, None, None], reeb[:, None], s)
     return tuple(_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
@@ -782,29 +783,6 @@ def conformal_row(level: ConformalLevel, beta, sum_g, sum_assoc, notes=()) -> Ch
     return CheckTable(beta.size, columns, tuple(notes))
 
 
-class VerticalLevel(NamedTuple):
-    """The potential theta = k xi on one analysis.
-
-    lie_g and lie_assoc are the connection-based Lie derivatives of g and
-    g_assoc, which every soliton residual uses; vertical_rows compares
-    them with their closed forms on a Sasaki-like structure.
-    """
-
-    k: VerticalScalar
-    lie_g: Tensor
-    lie_assoc: Tensor
-
-
-def vertical_level(a: Analysis, k: VerticalScalar) -> VerticalLevel:
-    """Lie derivatives of both metrics along k xi: lie_derivative_metric,
-    with D theta formed once for both metrics; vertical_rows forms the same
-    for many analyses and potentials at once (vertical_lie)."""
-    s = a.s
-    d_theta = _d_theta(k.value, k.xi_derivative, a.pkg.conn.derivative_of_field(s.xi.data), s)
-    lie_g, lie_assoc = (_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
-    return VerticalLevel(k, Tensor(s.frame, lie_g), Tensor(s.frame, lie_assoc))
-
-
 def vertical_rows(
     a,
     ks,
@@ -917,13 +895,15 @@ def vertical_rows(
 def conformal_report(
     a: Analysis, beta: float, psi: float, psi_assoc: float, lam: float, lam_assoc: float
 ) -> TheoremReport:
-    """The conformal row of one analysis (verify_conformal_theorem), then the
-    soliton residual under the defining assumption L_theta g = 2 psi g and
-    L_theta g_assoc = 2 psi_assoc g_assoc."""
+    """verify_conformal_theorem on one analysis, then the soliton residual
+    under the defining assumption L_theta g = 2 psi g and L_theta g_assoc =
+    2 psi_assoc g_assoc."""
     s, pkg, tau, tau_assoc = a.s, a.pkg, a.pkg.tau, a.assoc_pkg.tau
-    level = conformal_level([tau], [tau_assoc], s.n, ricci=pkg.ricci.data[None], structure=s)
-    table = conformal_row(level, (beta,), psi + lam, psi_assoc + lam_assoc)
+    report = verify_conformal_theorem(
+        beta, psi, psi_assoc, lam, lam_assoc, tau, tau_assoc, s.n,
+        ricci_tensor=pkg.ricci, structure=s,
+    )
     assoc = (2.0 * psi_assoc * s.g_assoc.matrix, lam_assoc, tau_assoc)
     lhs = _rb_like_lhs(pkg.ricci.data, s, beta, 2.0 * psi * s.g.matrix, lam, tau, assoc)
-    residual = Column.of("soliton_residual", np.abs(lhs).max(), 1e-10)
-    return table._replace(columns=(*table.columns, residual)).report(0)
+    residual = Check("soliton_residual", float(np.abs(lhs).max()), 1e-10)
+    return TheoremReport([*report.checks, residual], report.notes)

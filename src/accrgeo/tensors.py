@@ -63,15 +63,6 @@ class Check(NamedTuple):
             residual = np.abs(residual).max() if residual.size else 0.0
         return cls(name, abs(float(residual)), tol, note)
 
-    @classmethod
-    def between(
-        cls, name: str, computed, expected, tol: float = DEFAULT_TOL, note: str = ""
-    ) -> "Check":
-        """Check.measure of computed - expected: the residual of a computed
-        value against its closed form, which a report's Column holds as
-        max |computed - expected| over the values it depends on."""
-        return cls.measure(name, computed - expected, tol, note)
-
 
 def require(residual, message: str, tol: float = DEFAULT_TOL, error=GeometryError) -> float:
     """The residual of Check.measure(message, residual, tol); unless the check

@@ -36,7 +36,6 @@ from accrgeo import (
     flat_carrier_structure,
     lie_derivative_metric,
     rb_like_residual,
-    run_example2_report,
     scenarios,
     solitons,
     sweep,
@@ -148,13 +147,18 @@ def _reference_conformal_row(level, beta, sum_g, sum_assoc, notes=()):
     return checks, notes
 
 
+def _lie(a, k):
+    """(L_{k xi} g, L_{k xi} g_assoc) on a, each through lie_derivative_metric."""
+    s, potential = a.s, VerticalPotential(k)
+    return tuple(lie_derivative_metric(m, a.pkg.conn, potential, s) for m in (s.g, s.g_assoc))
+
+
 def _reference_vertical_solution(k, tau, tau_assoc, n, beta):
     """(scalar_sum, lam, lam_assoc, checks, notes) of one potential at one beta."""
     k_prime = k.xi_derivative
-    scalar_sum = Check.between(
+    scalar_sum = Check.measure(
         "scalar_sum_from_k_derivative",
-        tau + tau_assoc,
-        4.0 * n * (k_prime + n + 1.0),
+        tau + tau_assoc - 4.0 * n * (k_prime + n + 1.0),
         note="tau + tau_assoc = 4n(k' + n + 1)",
     )
     factor = 1.0 + 2.0 * n * beta
@@ -211,41 +215,37 @@ def _reference_example2(params, checks, lam=None, lam_assoc=None):
     row_assoc = solved_assoc if lam_assoc is None else lam_assoc
     if lam is None and lam_assoc is None:
         constants = [
-            Check.between(
+            Check.measure(
                 "lambda_family_value",
-                row_lam,
-                2.0 * (t0 - 2.0 * beta),
+                row_lam - 2.0 * (t0 - 2.0 * beta),
                 tol=1e-10,
                 note="lam = 2(t0 - 2 beta)",
             ),
-            Check.between(
+            Check.measure(
                 "lambda_assoc_family_value",
-                row_assoc,
-                -2.0 * (t0 + 2.0 * beta),
+                row_assoc - (-2.0 * (t0 + 2.0 * beta)),
                 tol=1e-10,
                 note="lam_assoc = -2(t0 + 2 beta)",
             ),
         ]
     else:
         constants = [
-            Check.between(
+            Check.measure(
                 "lambda_matches_solution",
-                row_lam,
-                solved,
+                row_lam - solved,
                 tol=1e-10,
                 note="supplied lam against the solved value",
             ),
-            Check.between(
+            Check.measure(
                 "lambda_assoc_matches_solution",
-                row_assoc,
-                solved_assoc,
+                row_assoc - solved_assoc,
                 tol=1e-10,
                 note="supplied lam_assoc against the solved value",
             ),
         ]
-    level = solitons.vertical_level(a, k)
+    lie_g, lie_assoc = _lie(a, k)
     spec = SolitonSpec(beta=beta, lam=row_lam, lam_assoc=row_assoc)
-    lhs = rb_like_residual(a.pkg.ricci, level.lie_g, level.lie_assoc, a.s, spec, tau, tau_assoc)
+    lhs = rb_like_residual(a.pkg.ricci, lie_g, lie_assoc, a.s, spec, tau, tau_assoc)
     residual = Check.measure("soliton_residual", lhs.data, tol=1e-10)
     names = [check.name for check in checks]
     start, reconstruction = names.index(scalar_sum.name), names.index("ricci_reconstruction")
@@ -261,12 +261,13 @@ def _reference_example2(params, checks, lam=None, lam_assoc=None):
     return expected, notes, (row_lam, row_assoc)
 
 
-def _reference_eta_residual(a, level, beta, lam, mu):
-    """The single-metric soliton residual of one potential at one beta, as
-    the per-beta loop over eta_rb_residual computed it."""
+def _reference_eta_residual(a, lie_g, beta, lam, mu):
+    """The single-metric soliton residual of one potential, whose L_theta g
+    is lie_g, at one beta, as the per-beta loop over eta_rb_residual
+    computed it."""
     lhs = (
         a.pkg.ricci.data
-        + 0.5 * level.lie_g.data
+        + 0.5 * lie_g.data
         + (lam + beta * a.pkg.tau) * a.s.g.matrix
         + mu * a.s.eta_outer
     )
@@ -377,7 +378,7 @@ def test_example2_point_with_supplied_constants_matches_the_scalar_reference(
     beta, lam, lam_assoc
 ):
     params = Example2Params(p=-1.0, q=0.5, beta=beta, t0=1.0)
-    report = run_example2_report(params, lam=lam, lam_assoc=lam_assoc)
+    report = scenarios.example2_point(params, lam=lam, lam_assoc=lam_assoc)[3]
     expected, notes, _ = _reference_example2(params, report.checks, lam, lam_assoc)
     assert _fields(report.checks) == _fields(expected)
     assert report.notes == notes
@@ -393,19 +394,19 @@ def test_single_metric_rows_match_the_per_beta_reference(mu, lam):
     n = a.s.n
     betas = [-1.0, -1.0 / (2 * n), -1.0 / (2 * n + 1), 0.0, 0.3]
     ks = [VerticalScalar(0.7, -2.0), VerticalScalar(-1.0, 0.5), VerticalScalar(0.0, 0.0)]
-    levels = [solitons.vertical_level(a, k) for k in ks]
+    lie_gs = [_lie(a, k)[0] for k in ks]
     row_lam, row_lam_assoc, table = solitons.vertical_rows(a, ks, betas, lam, mu=mu)
     eta_lam = 0.0 if lam is None else lam
     assert (row_lam, row_lam_assoc) == (eta_lam, None)
     for i, beta in enumerate(betas):
-        for j, level in enumerate(levels):
-            report = table.report(i * len(levels) + j)
-            expected = _reference_eta_residual(a, level, beta, eta_lam, mu)
+        for j, (k, lie_g) in enumerate(zip(ks, lie_gs)):
+            report = table.report(i * len(ks) + j)
+            expected = _reference_eta_residual(a, lie_g, beta, eta_lam, mu)
             assert _fields(report.checks[-1:]) == _fields([expected]), (beta, j)
             spec = SolitonSpec(beta=beta, lam=eta_lam, mu=mu)
-            lhs = eta_rb_residual(a.pkg.ricci, level.lie_g, a.s, spec, a.pkg.tau)
+            lhs = eta_rb_residual(a.pkg.ricci, lie_g, a.s, spec, a.pkg.tau)
             assert repr(Check.measure("", lhs.data).residual) == repr(expected.residual)
-            *_, alone = solitons.vertical_rows(a, (level.k,), (beta,), lam, mu=mu)
+            *_, alone = solitons.vertical_rows(a, (k,), (beta,), lam, mu=mu)
             assert _fields(alone.report(0).checks) == _fields(report.checks)
 
 
@@ -417,14 +418,15 @@ def test_rb_like_residual_is_the_two_metric_left_hand_side(beta, t0):
     # residual vertical_rows reports
     a = example2_state(-1.0, 0.5)
     s, pkg, tau, tau_assoc = a.s, a.pkg, a.pkg.tau, a.assoc_pkg.tau
-    level = solitons.vertical_level(a, VerticalScalar(-2.0 * t0, -2.0))
-    lam, lam_assoc, table = solitons.vertical_rows(a, (level.k,), (beta,))
+    k = VerticalScalar(-2.0 * t0, -2.0)
+    lie_g, lie_assoc = _lie(a, k)
+    lam, lam_assoc, table = solitons.vertical_rows(a, (k,), (beta,))
     spec = SolitonSpec(beta=beta, lam=lam, lam_assoc=lam_assoc)
-    lhs = rb_like_residual(pkg.ricci, level.lie_g, level.lie_assoc, s, spec, tau, tau_assoc)
+    lhs = rb_like_residual(pkg.ricci, lie_g, lie_assoc, s, spec, tau, tau_assoc)
     expected = (
         pkg.ricci.data
-        + 0.5 * level.lie_g.data
-        + 0.5 * level.lie_assoc.data
+        + 0.5 * lie_g.data
+        + 0.5 * lie_assoc.data
         + (lam + beta * tau) * s.g.matrix
         + (lam_assoc + beta * tau_assoc) * s.g_assoc.matrix
     )
@@ -444,12 +446,10 @@ _CLOSED_FORM_NAMES = ("lie_g_closed_vs_connection", "lie_assoc_closed_vs_connect
 def _closed_form_references(a, k):
     """The closed-form checks of one potential through the public one-potential
     routes: vertical_lie_closed_form against lie_derivative_metric."""
-    s, potential = a.s, VerticalPotential(k)
-    closed = vertical_lie_closed_form(k, s, a.classification)
-    lie = (lie_derivative_metric(m, a.pkg.conn, potential, s) for m in (s.g, s.g_assoc))
+    closed = vertical_lie_closed_form(k, a.s, a.classification)
     return [
-        Check.between(name, form.data, connection.data, 1e-10)
-        for name, form, connection in zip(_CLOSED_FORM_NAMES, closed, lie)
+        Check.measure(name, form.data - connection.data, 1e-10)
+        for name, form, connection in zip(_CLOSED_FORM_NAMES, closed, _lie(a, k))
     ]
 
 
@@ -475,21 +475,20 @@ def test_closed_form_columns_equal_the_one_potential_routes(case):
 
 def _family_references(a, t0):
     """h_form and the family values of the Lie derivatives at one t0, each
-    Check.between of the per-potential expressions."""
+    Check.measure of the per-potential expression minus its value."""
     s, eta_outer = a.s, a.s.eta_outer
-    level = solitons.vertical_level(a, VerticalScalar(-2.0 * t0, -2.0))
+    k = VerticalScalar(-2.0 * t0, -2.0)
+    lie_g, lie_assoc = _lie(a, k)
     return [
-        Check.between("h_form", 2.0 * level.k.xi_derivative * eta_outer, -4.0 * eta_outer, 1e-12),
-        Check.between(
+        Check.measure("h_form", 2.0 * k.xi_derivative * eta_outer - (-4.0 * eta_outer), 1e-12),
+        Check.measure(
             "lie_g_family_value",
-            level.lie_g.data,
-            4.0 * t0 * s.g_assoc.matrix - 4.0 * (t0 + 1.0) * eta_outer,
+            lie_g.data - (4.0 * t0 * s.g_assoc.matrix - 4.0 * (t0 + 1.0) * eta_outer),
             1e-10,
         ),
-        Check.between(
+        Check.measure(
             "lie_assoc_family_value",
-            level.lie_assoc.data,
-            -4.0 * t0 * s.g.matrix + 4.0 * (t0 - 1.0) * eta_outer,
+            lie_assoc.data - (-4.0 * t0 * s.g.matrix + 4.0 * (t0 - 1.0) * eta_outer),
             1e-10,
         ),
     ]
@@ -560,13 +559,13 @@ def test_one_row_report_makes_few_numpy_calls():
     # Python numbers; numpy is left with the residuals of the dim x dim
     # equations and the verdict. Per-element work on 1-element arrays made
     # about 110 such calls. The Lie derivatives are formed beforehand, as
-    # vertical_level forms them.
+    # lie_derivative_metric forms them.
     a = example2_state(0.3, -1.2)
-    level = solitons.vertical_level(a, VerticalScalar(0.7, -2.0))
-    lie = (level.lie_g.data[None, None], level.lie_assoc.data[None, None])
+    k = VerticalScalar(0.7, -2.0)
+    lie = tuple(tensor.data[None, None] for tensor in _lie(a, k))
 
     def one_row():
-        *_, table = solitons.vertical_rows(a, (level.k,), (0.3,), lie=lie)
+        *_, table = solitons.vertical_rows(a, (k,), (0.3,), lie=lie)
         return table.report(0).verdict()
 
     one_row()
@@ -747,8 +746,9 @@ def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
         expected["_example1_level"] = 5
     else:
         # the Lie derivatives of all (p, q, t0) are one broadcast, with no
-        # VerticalLevel and no Tensor per (p, q, t0)
-        _count_calls(monkeypatch, solitons, "vertical_level", counts)
+        # Tensor per (p, q, t0), and the Einstein-like fits of every (p, q)
+        # are cached with their analyses
+        _count_calls(monkeypatch, scenarios, "einstein_like_fit", counts)
     _count_calls(monkeypatch, Tensor, "__post_init__", counts)
     # the rows stay columns up to the output text: no SweepRow and no row dict
     _count_calls(monkeypatch, scenarios.SweepRow, "__init__", counts)
@@ -770,7 +770,7 @@ def test_a_default_sweep_builds_one_table_per_level_and_no_row_report(
         if scenario == "example1":
             single = scenarios.run_example1_report(params["t"], params["n"], params["beta"])
         else:
-            single = run_example2_report(Example2Params(**params))
+            single = scenarios.example2_point(Example2Params(**params))[3]
         assert row.report == single
 
 
@@ -840,9 +840,9 @@ def _dense_frame_analyses(algebras):
 
 
 @pytest.mark.parametrize("frame", ["carrier", "dense"])
-def test_vertical_level_is_the_slice_of_the_broadcast(frame):
-    # the one-potential routes (vertical_level, lie_derivative_metric) and the
-    # Lie derivatives of every (analysis, potential) from one broadcast agree
+def test_lie_derivative_metric_is_the_slice_of_vertical_lie(frame):
+    # the one-potential route (lie_derivative_metric) and the Lie derivatives
+    # of every (analysis, potential) from one broadcast (vertical_lie) agree
     # to the last bit
     if frame == "dense":
         analyses = _dense_frame_analyses(_ALGEBRAS)
@@ -857,13 +857,8 @@ def test_vertical_level_is_the_slice_of_the_broadcast(frame):
     assert not np.array_equal(stacked[0][3], stacked[0][4])
     for i, a in enumerate(analyses):
         for j, k in enumerate(_POTENTIALS):
-            level = solitons.vertical_level(a, k)
-            metric = (
-                lie_derivative_metric(m, a.pkg.conn, VerticalPotential(k), a.s)
-                for m in (a.s.g, a.s.g_assoc)
-            )
-            for one, route, lie in zip((level.lie_g, level.lie_assoc), metric, stacked):
-                assert one.data.tobytes() == route.data.tobytes() == lie[i, j].tobytes()
+            for route, lie in zip(_lie(a, k), stacked):
+                assert route.data.tobytes() == lie[i, j].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from accrgeo import (
     example2_expected_curvature,
     example2_state,
     run_example1_report,
-    run_example2_report,
     solve_vertical_soliton,
     sweep,
 )
@@ -23,6 +22,7 @@ from accrgeo.scenarios import (
     DEFAULT_BETA_GRID,
     DEFAULT_T_GRID,
     SQRT2,
+    example2_point,
 )
 
 DEG_T = 3.0 * math.pi / 4.0
@@ -36,7 +36,7 @@ def _counts(result) -> tuple:
 
 
 def test_example2_report_defaults_pass():
-    report = run_example2_report(Example2Params())
+    report = example2_point(Example2Params())[3]
     assert report.passed, report.worst()
     for name in (
         "curvature_table",
@@ -55,7 +55,7 @@ def test_example2_report_defaults_pass():
 
 
 def test_example2_report_away_from_origin():
-    report = run_example2_report(Example2Params(p=2.0, q=-1.5, beta=0.5, t0=-1.0))
+    report = example2_point(Example2Params(p=2.0, q=-1.5, beta=0.5, t0=-1.0))[3]
     assert report.passed, report.worst()
 
 
@@ -67,9 +67,9 @@ def test_example2_expected_table_size():
 
 def test_example2_supplied_lambda_pass_and_fail():
     params = Example2Params(beta=0.0, t0=1.0)
-    good = run_example2_report(params, lam=2.0, lam_assoc=-2.0)
+    good = example2_point(params, lam=2.0, lam_assoc=-2.0)[3]
     assert good.passed
-    bad = run_example2_report(params, lam=5.0, lam_assoc=-2.0)
+    bad = example2_point(params, lam=5.0, lam_assoc=-2.0)[3]
     assert not bad.passed
     assert not bad["lambda_matches_solution"].passed
 
@@ -80,9 +80,7 @@ def test_example2_eta_variant():
     from accrgeo import VerticalScalar
 
     params = Example2Params(beta=0.0, t0=0.0)
-    report = run_example2_report(
-        params, k=VerticalScalar(0.0, 0.0), mu=-4.0
-    )
+    report = example2_point(params, k=VerticalScalar(0.0, 0.0), mu=-4.0)[3]
     assert report.passed, report.worst()
     assert "eta_soliton_residual" in report
 
@@ -224,7 +222,7 @@ def _assert_same_report(row_report, single):
 def _assert_example2_rows_match_single_points(result):
     for row in result.rows:
         params = Example2Params(**row.params)
-        _assert_same_report(row.report, run_example2_report(params))
+        _assert_same_report(row.report, example2_point(params)[3])
         _, _, pkg, _, classification, assoc_pkg = example2_state(params.p, params.q)
         lam, lam_assoc, _ = solve_vertical_soliton(
             params.beta,
