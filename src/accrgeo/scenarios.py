@@ -34,21 +34,21 @@ the Ricci tensor built from the published formula in (p, q). The
 denominator sqrt2 + cos t - sin t vanishes to second order at
 t = (8l+3)pi/4; every t where it is at most EXCLUDED_DEN in magnitude is
 excluded. One n of the curve is one array pass over its t
-(_example1_level): (p, q) and the solitons.conformal_level at every t it
-does not exclude, with the curve's own checks as columns at the head; the
-reports at several beta are the rows of one solitons.conformal_row of that
-level at the sums the theorem forces.
+(_example1_level): (p, q), the scalar curvatures, the Ricci tensors and the
+curve's own checks at every t it does not exclude; the reports at several
+beta are the rows of one solitons.conformal_row of those points at the sums
+the theorem forces, with the curve's checks put at their head.
 
+Each scenario builds one table with its theorem's builder, the one that
+definition files use too, and adds its own checks around that table.
 example2 starts from the cached Analyses of its (p, q) (example2_state)
-and their cached Einstein-like fits, and builds its checks with
-solitons.vertical_lie and vertical_rows over the list of them, the
-builders definition files use too (with one analysis), adding its
-closed-form checks. example1 builds its checks with
-conformal_level and conformal_row, as soliton --input --psi does. Each
-builds a check table (solitons.CheckTable), each check computed once per
-value of the parameters it depends on (see sweep); a single-point report
-is the one row of such a table, and a sweep row's report is built from its
-table only when it is read. A sweep holds its rows as columns
+and their cached Einstein-like fits, and calls solitons.vertical_lie and
+vertical_rows over the list of them, adding its closed-form checks.
+example1 calls conformal_row, as soliton --input --psi does (through
+solitons.conformal_report, with one point). Each check is computed once
+per value of the parameters it depends on (see sweep); a single-point
+report is the one row of such a table, and a sweep row's report is built
+from its table only when it is read. A sweep holds its rows as columns
 (SweepResult); a SweepRow is built only when its rows are read.
 """
 
@@ -69,11 +69,9 @@ from .solitons import (
     Check,
     CheckTable,
     Column,
-    ConformalLevel,
     EinsteinLikeFit,
     TheoremReport,
     VerticalScalar,
-    conformal_level,
     conformal_row,
     einstein_like_fit,
     is_degenerate_beta,
@@ -317,7 +315,7 @@ def _example2_rows(
     family = k is None
     ks = [VerticalScalar(-2.0 * t0, -2.0) for t0 in t0s] if family else [k] * len(t0s)
     lie = vertical_lie(s, ks, reeb)
-    t0, level_columns = np.asarray(t0s, dtype=float), ()
+    t0, family_columns = np.asarray(t0s, dtype=float), ()
     if family:
         k_prime, eta_outer = np.array([scalar.xi_derivative for scalar in ks]), s.eta_outer
         forms = {
@@ -336,7 +334,7 @@ def _example2_rows(
             ),
         }
         # residuals over t0, or over (p, q, t0), with the beta axis inserted
-        level_columns = tuple(
+        family_columns = tuple(
             Column.of(
                 name,
                 np.expand_dims(np.abs(computed - expected).max(axis=(-2, -1)), -2),
@@ -345,10 +343,9 @@ def _example2_rows(
             )
             for name, (computed, expected, tol) in forms.items()
         )
-    lams, lam_assocs, table = vertical_rows(
-        analyses, ks, betas, lam, lam_assoc, mu=mu, lie=lie, level_columns=level_columns
-    )
-    *checks, residual = table.columns
+    lams, lam_assocs, table = vertical_rows(analyses, ks, betas, lam, lam_assoc, mu=mu, lie=lie)
+    # the table opens with the two Lie derivatives against their closed forms
+    closed, checks, residual = table.columns[:2], table.columns[2:-1], table.columns[-1]
     constants = ()
     if family and mu is None and lam is None and lam_assoc is None:
         beta = np.asarray(betas, dtype=float)[:, None]
@@ -368,7 +365,7 @@ def _example2_rows(
                 rows=rows,
             ),
         )
-    columns = (*head, *checks, *constants, residual, *tail)
+    columns = (*head, *closed, *family_columns, *checks, *constants, residual, *tail)
     return ks, lams, lam_assocs, table._replace(columns=columns)
 
 
@@ -404,14 +401,18 @@ def example2_point(
 
 class _Example1Level(NamedTuple):
     """The curve of one n at some parameters t. excluded[i] is the message
-    of the i-th t when the curve excludes it, else None; p and q are arrays
-    over the other t, in order, and conformal is the conformal level of the
-    theorem at them, whose head opens with the curve's own checks."""
+    of the i-th t when the curve excludes it, else None; p, q, tau and
+    tau_assoc are arrays over the other t, in order, ricci stacks their
+    Ricci tensors, and columns are the curve's own checks, one residual per
+    kept t."""
 
     excluded: list
     p: np.ndarray
     q: np.ndarray
-    conformal: ConformalLevel
+    tau: np.ndarray
+    tau_assoc: np.ndarray
+    ricci: np.ndarray
+    columns: tuple
 
 
 def _example1_level(ts, n: int) -> _Example1Level:
@@ -468,9 +469,7 @@ def _example1_level(ts, n: int) -> _Example1Level:
         ),
         Column.of("ricci_reeb_value", reeb, note="rho(xi, xi) = 2n"),
     )
-    level = conformal_level(tau, tau_assoc, n, ricci=ricci, structure=s)
-    level = level._replace(head=(*curve_columns, *level.head))
-    return _Example1Level(excluded, p, q, level)
+    return _Example1Level(excluded, p, q, tau, tau_assoc, ricci, curve_columns)
 
 
 _SUMS_NOTE = (
@@ -479,35 +478,45 @@ _SUMS_NOTE = (
 )
 
 
-def _example1_rows(level: ConformalLevel, betas, sums_override=None) -> tuple:
-    """(sum_g, sum_assoc, table) of the curve's level (of one n) at betas:
-    the sums psi + lam and psi_assoc + lam_assoc that the conformal theorem
-    forces, lists over the rows i * points + j of betas[i] at point j, and
-    the conformal_row table there, which checks the split
-    (psi, psi_assoc, lam, lam_assoc) of sums_override when one is given."""
-    n = level.n
+def _example1_rows(curve: _Example1Level, n: int, betas, sums_override=None) -> tuple:
+    """(sum_g, sum_assoc, table) of the curve of n at betas: the sums
+    psi + lam and psi_assoc + lam_assoc that the conformal theorem forces,
+    lists over the rows i * points + j of betas[i] at point j, and the
+    conformal_row table there, which checks the split (psi, psi_assoc, lam,
+    lam_assoc) of sums_override when one is given. The curve's own checks
+    open every report."""
     beta = np.array(betas)[:, None]
     branch = is_degenerate_beta(beta, n)
     factor = 1.0 + 2.0 * n * beta
-    sum_g = np.where(branch, 1.0, 1.0 - factor * level.tau / (2.0 * n))
-    sum_assoc = np.where(branch, 1.0, 1.0 - factor * level.tau_assoc / (2.0 * n))
-    if sums_override is None:
-        table = conformal_row(level, betas, sum_g, sum_assoc, (_SUMS_NOTE,))
-    else:
+    sum_g = np.where(branch, 1.0, 1.0 - factor * curve.tau / (2.0 * n))
+    sum_assoc = np.where(branch, 1.0, 1.0 - factor * curve.tau_assoc / (2.0 * n))
+    sums, notes = (sum_g, sum_assoc), (_SUMS_NOTE,)
+    if sums_override is not None:
         psi, psi_assoc, lam, lam_assoc = (float(v) for v in sums_override)
-        table = conformal_row(level, betas, psi + lam, psi_assoc + lam_assoc)
-    return sum_g.ravel().tolist(), sum_assoc.ravel().tolist(), table
+        sums, notes = (psi + lam, psi_assoc + lam_assoc), ()
+    table = conformal_row(
+        curve.tau, curve.tau_assoc, n, betas, *sums,
+        ricci=curve.ricci, structure=_cached_carrier(n), notes=notes,
+    )
+    point = np.arange(table.rows) % len(curve.tau)
+    columns = (*(column.shared(point) for column in curve.columns), *table.columns)
+    return sum_g.ravel().tolist(), sum_assoc.ravel().tolist(), table._replace(columns=columns)
 
 
 def example1_point(t: float, n: int, beta: float, *, sums_override=None) -> tuple:
     """(Example1Point, report) of run_example1_report, from one evaluation
-    of the curve."""
+    of the curve.
+
+    sums_override, when given, is a (psi, psi_assoc, lam, lam_assoc)
+    split supplied by the caller; the theorem is then checked against
+    that split instead of the curve's forced sums, so an inconsistent
+    split shows up as failing checks.
+    """
     curve = _example1_level((t,), n)
     if curve.excluded[0] is not None:
         raise DegenerateParameter(curve.excluded[0])
-    level = curve.conformal
-    (sum_g,), (sum_assoc,), table = _example1_rows(level, (beta,), sums_override)
-    scalars = (float(v[0]) for v in (curve.p, curve.q, level.tau, level.tau_assoc))
+    (sum_g,), (sum_assoc,), table = _example1_rows(curve, n, (beta,), sums_override)
+    scalars = (float(v[0]) for v in (curve.p, curve.q, curve.tau, curve.tau_assoc))
     return Example1Point(t, n, beta, *scalars, sum_g, sum_assoc), table.report(0)
 
 
@@ -522,21 +531,16 @@ def example1_curve(t: float, n: int, beta: float) -> Example1Point:
     return example1_point(t, n, beta)[0]
 
 
-def run_example1_report(t: float, n: int, beta: float, *, sums_override=None) -> TheoremReport:
+def run_example1_report(t: float, n: int, beta: float) -> TheoremReport:
     """Full conformal-potential verification at one curve point.
 
     Formula-level scalars feed the theorem checker; entrywise Ricci checks
     run on the flat carrier with the published transformed-Ricci formula,
     whose eta(.)eta coefficient vanishes exactly on the curve.
 
-    sums_override, when given, is a (psi, psi_assoc, lam, lam_assoc)
-    split supplied by the caller; the theorem is then checked against
-    that split instead of the curve's forced sums, so an inconsistent
-    split shows up as failing checks.
-
     The report is built by the same per-level helpers as sweep's rows.
     """
-    return example1_point(t, n, beta, sums_override=sums_override)[1]
+    return example1_point(t, n, beta)[1]
 
 
 @dataclass(frozen=True)
@@ -685,13 +689,12 @@ def sweep(
         excluded, tables = [], []
         for n in n_values:
             curve = _example1_level(ts, n)
-            level = curve.conformal
             _extend(params, ([n] * size, beta_column, t_column))
             excluded += curve.excluded * len(betas)
-            if len(level.tau):
-                sum_g, sum_assoc, table = _example1_rows(level, betas)
+            if len(curve.tau):
+                sum_g, sum_assoc, table = _example1_rows(curve, n, betas)
                 # the rows of the table are (beta, kept t) in order
-                kept = (curve.p, curve.q, level.tau, level.tau_assoc)
+                kept = (curve.p, curve.q, curve.tau, curve.tau_assoc)
                 _extend(scalars, (*(v.tolist() * len(betas) for v in kept), sum_g, sum_assoc))
                 tables.append(table)
         return SweepResult("example1", params, scalars, excluded, tuple(tables))

@@ -32,25 +32,26 @@ check, its residuals computed over all rows at once in the operations of
 the one-point formula, in their order; a table of one row computes them in
 Python numbers (_operands). A check that depends on some of the row
 axes is computed once per value of those, as an array that Column.of
-broadcasts over the rows; a conformal level's columns are copied onto its
-rows by Column.shared. A row's TheoremReport is built from its table only
-when it is read, and is frozen; _judge judges a table's rows and a report's
-checks alike. A report's checks are tensors.Check (re-exported here).
+broadcasts over the rows, or as one residual per curvature point that
+Column.shared copies onto the point's rows. A row's TheoremReport is built
+from its table only when it is read, and is frozen; _judge judges a table's
+rows and a report's checks alike. A report's checks are tensors.Check
+(re-exported here).
 
-Each theorem has one builder over (beta, level). The vertical theorem's
+Each theorem has one table builder, and a scenario adds its own checks
+around the table that builder returns. The vertical theorem's
 row expressions take a leading axis of analyses that share one structure:
 vertical_lie forms the Lie derivatives of many potentials on many analyses
 in one broadcast (lie_derivative_metric is its one-potential, one-metric
 call), vertical_solutions solves the constants that the potentials force
-at all betas, and vertical_rows checks the equation, and the Lie
-derivatives against their closed forms, over (analyses, betas,
-potentials); one Analysis is its one-analysis case, and
-solve_vertical_soliton is one row.
-conformal_level holds, at many curvature points at once, the checks that
-are free of beta and the potential, and conformal_row builds the table of
-its points at several betas; verify_conformal_theorem is one row, which
-conformal_report closes with the soliton residual, and example1 builds one
-level per n.
+at all betas (solve_vertical_soliton is one row), and vertical_rows, the
+builder, checks the equation, and the Lie derivatives against their closed
+forms, over (analyses, betas, potentials); one Analysis is its one-analysis
+case. conformal_row, the conformal theorem's builder, checks many
+curvature points at several betas, the checks free of beta and the
+potential once per point; verify_conformal_theorem is one row, which
+conformal_report closes with the soliton residual, and example1 calls
+conformal_row once per n.
 """
 
 from __future__ import annotations
@@ -474,8 +475,6 @@ def solve_vertical_soliton(
     n: int,
     *,
     classification: SasakiLikeResult = None,
-    ricci_tensor: Tensor = None,
-    structure: AccRStructure = None,
 ) -> tuple:
     """Soliton constants forced by a vertical potential on a Sasaki-like structure.
 
@@ -488,17 +487,12 @@ def solve_vertical_soliton(
     lam = 1 - k and lam_assoc = 1 + k with (tau, tau_assoc) constrained
     only through their sum. Returns (lam, lam_assoc, report); the report
     re-derives the constants through every independent identity the
-    theorem provides. This is vertical_solutions at one beta, then
-    ricci_reconstruction when a Ricci tensor and structure are given;
-    vertical_rows uses the same two parts for many beta.
+    theorem provides. This is the one row of vertical_solutions, which
+    vertical_rows solves at many beta.
     """
     if classification is not None:
         _require_sasaki_like(classification)
     lam, lam_assoc, table = vertical_solutions((k,), (tau,), (tau_assoc,), n, (beta,))
-    if ricci_tensor is not None and structure is not None:
-        ricci = ricci_tensor.data
-        reconstruction = ricci_reconstruction_check(ricci, tau, tau_assoc, n, structure)
-        table = table._replace(columns=(*table.columns, reconstruction))
     return lam, lam_assoc, table.report(0)
 
 
@@ -508,7 +502,7 @@ def _require_sasaki_like(classification: SasakiLikeResult) -> None:
 
 
 def ricci_reconstruction_check(
-    ricci: np.ndarray, tau, tau_assoc, n: int, structure: AccRStructure, rows=()
+    ricci: np.ndarray, tau, tau_assoc, n: int, structure: AccRStructure, rows
 ) -> Column:
     """rho rebuilt from (tau, tau_assoc) alone, which holds at every beta: the
     column of one Ricci tensor and its scalar curvatures, or of arrays that
@@ -606,83 +600,58 @@ def verify_conformal_theorem(
     respective parameter values; the degenerate beta = -1/(2n) branch gets
     its own pair of checks instead.
 
-    This is the one row of conformal_row at a one-point conformal_level;
-    callers that evaluate many beta or points build the level once.
+    This is the one row of conformal_row at one curvature point; callers
+    that evaluate many beta or points call conformal_row once.
     """
     ricci = None if ricci_tensor is None else ricci_tensor.data[None]
-    level = conformal_level([tau], [tau_assoc], n, ricci=ricci, structure=structure)
-    return conformal_row(level, (beta,), psi + lam, psi_assoc + lam_assoc).report(0)
+    table = conformal_row(
+        [tau], [tau_assoc], n, (beta,), psi + lam, psi_assoc + lam_assoc,
+        ricci=ricci, structure=structure,
+    )
+    return table.report(0)
 
 
-class ConformalLevel(NamedTuple):
-    """The conformal theorem at the curvature points of one n and one
-    structure, with the checks that are free of beta and the potential.
+def conformal_row(
+    tau, tau_assoc, n: int, beta, sum_g, sum_assoc, *, ricci=None, structure=None, notes=()
+) -> CheckTable:
+    """The reports of the conformal theorem at each of the 1-d array beta
+    and each curvature point j of the 1-d arrays tau and tau_assoc, ricci[j]
+    the Ricci tensor at point j, for the sums sum_g = psi + lam and
+    sum_assoc = psi_assoc + lam_assoc.
 
-    tau, tau_assoc and tau_star are arrays over the points, ricci stacks
-    their Ricci tensors, and head and tail are columns of one residual per
-    point: head opens every report (scalar_sum, after any checks a scenario
-    prepends) and tail closes it (ricci_einstein_like). ricci and structure
-    are both None when either was not supplied; tail is then empty, tau_star
-    is 2n - tau_assoc instead of the phi-trace, and notes says so.
+    Row i * points + j is beta[i] at point j. The checks that are free of
+    beta and the sums are computed once per point and shared onto its rows
+    (Column.shared): scalar_sum opens every report and ricci_einstein_like
+    closes it. The points' arrays broadcast against beta[:, None], as do
+    sum_g and sum_assoc, so every other check is one array expression over
+    all rows. Without both ricci and structure there are no Ricci checks,
+    tau_star is 2n - tau_assoc instead of the phi-trace, and a note says so;
+    a report's notes are that note, then notes, then the branch's.
     """
-
-    tau: np.ndarray
-    tau_assoc: np.ndarray
-    n: int
-    tau_star: np.ndarray
-    ricci: np.ndarray
-    structure: AccRStructure
-    head: tuple
-    tail: tuple
-    notes: tuple
-
-
-def conformal_level(
-    tau, tau_assoc, n: int, *, ricci: np.ndarray = None, structure: AccRStructure = None
-) -> ConformalLevel:
-    """The beta-free part of verify_conformal_theorem at the points j of the
-    1-d arrays tau and tau_assoc, ricci[j] the Ricci tensor at point j."""
     tau, tau_assoc = np.asarray(tau, dtype=float), np.asarray(tau_assoc, dtype=float)
-    scalar_sum = Column.of(
+    head = Column.of(
         "scalar_sum", tau + tau_assoc - 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
     )
     if ricci is None or structure is None:
-        notes = ("tau_star derived from tau_assoc; no Ricci tensor supplied",)
-        return ConformalLevel(
-            tau, tau_assoc, n, 2.0 * n - tau_assoc, None, None, (scalar_sum,), (), notes
+        tail, ricci_notes = (), ("tau_star derived from tau_assoc; no Ricci tensor supplied",)
+        tau_star = 2.0 * n - tau_assoc
+    else:
+        einstein_form = (
+            ricci
+            - (tau / (2.0 * n) - 1.0)[:, None, None] * structure.g.matrix
+            - (tau_assoc / (2.0 * n) - 1.0)[:, None, None] * structure.g_assoc.matrix
         )
-    einstein_form = (
-        ricci
-        - (tau / (2.0 * n) - 1.0)[:, None, None] * structure.g.matrix
-        - (tau_assoc / (2.0 * n) - 1.0)[:, None, None] * structure.g_assoc.matrix
-    )
-    einstein_like = Column.of(
-        "ricci_einstein_like",
-        np.abs(einstein_form).max(axis=(-2, -1)),
-        note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
-    )
-    # the phi-trace of tensors.phi_trace, one per point
-    tau_star = np.einsum("ij,tik,kj->t", structure.g.inverse, ricci, structure.phi.data)
-    return ConformalLevel(
-        tau, tau_assoc, n, tau_star, ricci, structure, (scalar_sum,), (einstein_like,), ()
-    )
-
-
-def conformal_row(level: ConformalLevel, beta, sum_g, sum_assoc, notes=()) -> CheckTable:
-    """The reports of the conformal theorem at each of the 1-d array beta
-    and each point of level, for the sums sum_g = psi + lam and
-    sum_assoc = psi_assoc + lam_assoc.
-
-    Row i * points + j is beta[i] at point j. The level's arrays broadcast
-    against beta[:, None], as do sum_g and sum_assoc, so each check is one
-    array expression over all rows. A report lists its level's head, the
-    checks that involve beta or the sums, then its level's tail; its notes
-    are the level's notes, then notes, then the branch's.
-    """
-    n, structure = level.n, level.structure
-    scalars = (level.tau, level.tau_assoc, level.tau_star)
+        einstein_like = Column.of(
+            "ricci_einstein_like",
+            np.abs(einstein_form).max(axis=(-2, -1)),
+            note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
+        )
+        tail, ricci_notes = (einstein_like,), ()
+        # the phi-trace of tensors.phi_trace, one per point
+        tau_star = np.einsum("ij,tik,kj->t", structure.g.inverse, ricci, structure.phi.data)
+    point = np.arange(len(beta) * len(tau)) % len(tau)
     beta, sum_g, sum_assoc, tau, tau_assoc, tau_star = np.broadcast_arrays(
-        np.asarray(beta, dtype=float)[:, None], sum_g, sum_assoc, *scalars
+        np.asarray(beta, dtype=float)[:, None], sum_g, sum_assoc, tau, tau_assoc, tau_star
     )
     factor = 1.0 + 2.0 * n * beta
     nested_factor = 1.0 + (2.0 * n + 1.0) * beta
@@ -757,28 +726,24 @@ def conformal_row(level: ConformalLevel, beta, sum_g, sum_assoc, notes=()) -> Ch
             present=solved,
         ),
     ]
-    if structure is not None:
+    if tail:
+        # ricci and structure were both supplied
         soliton_form = (
-            level.ricci
+            ricci
             + (sum_g + beta * tau)[..., None, None] * structure.g.matrix
             + (sum_assoc + beta * tau_assoc)[..., None, None] * structure.g_assoc.matrix
         )
         note = "rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0"
         form_residual = np.abs(soliton_form).max(axis=(-2, -1))
         columns.append(Column.of("ricci_from_soliton_coeffs", form_residual, note=note))
-    row_level = np.arange(beta.size) % len(level.tau)
-    columns = (
-        *(column.shared(row_level) for column in level.head),
-        *columns,
-        *(column.shared(row_level) for column in level.tail),
-    )
+    columns = (head.shared(point), *columns, *(column.shared(point) for column in tail))
     branch_notes = {
         "beta at the branch point -1/(2n): the scalar curvatures decouple "
         "from the potential sums": branch,
         "beta = -1/(2n+1): nested tau elimination skipped (guarded division)": regular & ~nested,
         "beta = 0: tau_assoc elimination skipped (guarded division)": regular & ~solved,
     }
-    notes = [(text, None) for text in (*level.notes, *notes)]
+    notes = [(text, None) for text in (*ricci_notes, *notes)]
     notes += [(text, present.ravel()) for text, present in branch_notes.items()]
     return CheckTable(beta.size, columns, tuple(notes))
 
@@ -793,7 +758,6 @@ def vertical_rows(
     solve: bool = True,
     mu: float = None,
     lie: tuple = None,
-    level_columns=(),
 ) -> tuple:
     """The vertical-potential theorem on a, an Analysis or a sequence of
     analyses that share one structure, for the potentials k xi, k in ks, at
@@ -812,8 +776,7 @@ def vertical_rows(
     replaces its solved value in the soliton residual and is checked
     against it. Without solve, lam and lam_assoc are both required and only
     the residual is checked. A report opens with the Lie derivatives against
-    their closed forms (Sasaki-like analyses only), then level_columns, a
-    scenario's columns over the rows. lie holds the Lie derivatives of g and
+    their closed forms (Sasaki-like analyses only). lie holds the Lie derivatives of g and
     g_assoc along every (analysis, k), arrays of shape (analyses, ks, dim,
     dim), formed here (vertical_lie) when not given. Each check is computed
     once per value of the parameters it depends on: the Lie-derivative
@@ -852,7 +815,6 @@ def vertical_rows(
             "apply, connection-based values used throughout"
         )
         notes = ((text, np.repeat(np.logical_not(sasaki_like), shape[1] * shape[2])),)
-    columns += level_columns
     lams, lam_assocs = lam, lam_assoc
     if mu is not None:
         lams, lam_assocs = 0.0 if lam is None else lam, None

@@ -280,25 +280,36 @@ def _fields(checks):
 
 def _point_level(t, n):
     """The curve's conformal level at one (t, n) as the scalar reference reads
-    it: numbers, the Checks of head and tail, and a Ricci Tensor."""
+    it: numbers, the Checks of head and tail, and a Ricci Tensor. The curve
+    and its own checks come from the scenario; the checks free of beta and
+    tau_star are derived here, one point at a time."""
     curve = _example1_level((t,), n)
     if curve.excluded[0] is not None:
         raise DegenerateParameter(curve.excluded[0])
-    level = curve.conformal
-
-    def checks(columns):
-        return [Check(c.name, float(c.residual[0]), c.tol, c.note) for c in columns]
-
+    tau, tau_assoc, ricci = float(curve.tau[0]), float(curve.tau_assoc[0]), curve.ricci[0]
+    s = flat_carrier_structure(n)
+    scalar_sum = Check.measure(
+        "scalar_sum", tau + tau_assoc - 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
+    )
+    einstein_like = Check.measure(
+        "ricci_einstein_like",
+        ricci
+        - (tau / (2.0 * n) - 1.0) * s.g.matrix
+        - (tau_assoc / (2.0 * n) - 1.0) * s.g_assoc.matrix,
+        note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
+    )
+    curve_checks = [Check(c.name, float(c.residual[0]), c.tol, c.note) for c in curve.columns]
     return SimpleNamespace(
-        tau=float(level.tau[0]),
-        tau_assoc=float(level.tau_assoc[0]),
+        tau=tau,
+        tau_assoc=tau_assoc,
         n=n,
-        tau_star=float(level.tau_star[0]),
-        ricci_tensor=Tensor(level.structure.frame, level.ricci[0]),
-        structure=level.structure,
-        head=checks(level.head),
-        tail=checks(level.tail),
-        notes=level.notes,
+        # the phi-trace of tensors.phi_trace, as one stacked einsum
+        tau_star=float(np.einsum("ij,tik,kj->t", s.g.inverse, curve.ricci, s.phi.data)[0]),
+        ricci_tensor=Tensor(s.frame, ricci),
+        structure=s,
+        head=[*curve_checks, scalar_sum],
+        tail=[einstein_like],
+        notes=(),
     )
 
 

@@ -647,24 +647,22 @@ def test_soliton_judges_its_report_once(capsys, monkeypatch, tmp_path, argv):
 
 def _solve_span(checks):
     """The (name, residual, tol, note) of checks from scalar_sum_from_k_derivative
-    through ricci_reconstruction."""
+    up to ricci_reconstruction."""
     names = [check[0] for check in checks]
     first = names.index("scalar_sum_from_k_derivative")
-    last = names.index("ricci_reconstruction")
-    return [tuple(check) for check in checks[first : last + 1]]
+    end = names.index("ricci_reconstruction")
+    return [tuple(check) for check in checks[first:end]]
 
 
 @pytest.mark.parametrize("beta", [-0.25, -0.2, 0.0, 0.7])
 def test_rows_hold_the_checks_of_solve_vertical_soliton(capsys, tmp_path, beta):
     # sweeps and --input solve a vertical potential through vertical_rows; a
     # single point through solve_vertical_soliton: the same checks and notes
-    _, s, pkg, _, _, assoc_pkg = scenarios.example2_state(1.5, -2.0)
+    _, _, pkg, _, _, assoc_pkg = scenarios.example2_state(1.5, -2.0)
     result = sweep("example2", p_grid=[1.5], q_grid=[-2.0], beta_grid=[beta], t0_grid=[-1, 2])
     for row in result.rows:
         k = VerticalScalar(-2.0 * row.params["t0"], -2.0)
-        _, _, single = solve_vertical_soliton(
-            beta, k, pkg.tau, assoc_pkg.tau, 2, ricci_tensor=pkg.ricci, structure=s
-        )
+        _, _, single = solve_vertical_soliton(beta, k, pkg.tau, assoc_pkg.tau, 2)
         assert _solve_span(row.report.checks) == [tuple(c) for c in single.checks]
         assert row.report.notes == single.notes
 
@@ -676,8 +674,7 @@ def test_rows_hold_the_checks_of_solve_vertical_soliton(capsys, tmp_path, beta):
     )
     payload = json.loads(out)
     _, _, single = solve_vertical_soliton(
-        beta, VerticalScalar(0.5, -2.0), a.pkg.tau, a.assoc_pkg.tau, 2,
-        ricci_tensor=a.pkg.ricci, structure=a.s,
+        beta, VerticalScalar(0.5, -2.0), a.pkg.tau, a.assoc_pkg.tau, 2
     )
     keys = ("name", "residual", "tol", "note")
     listed = [tuple(check[key] for key in keys) for check in payload["checks"]]

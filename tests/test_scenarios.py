@@ -22,6 +22,7 @@ from accrgeo.scenarios import (
     DEFAULT_BETA_GRID,
     DEFAULT_T_GRID,
     SQRT2,
+    example1_point,
     example2_point,
 )
 
@@ -150,7 +151,7 @@ def test_example1_degenerate_beta_unit_sums():
 
 
 def test_example1_sums_override_inconsistent_fails():
-    report = run_example1_report(0.0, 2, 0.0, sums_override=(3.0, 0.0, 0.0, 0.0))
+    report = example1_point(0.0, 2, 0.0, sums_override=(3.0, 0.0, 0.0, 0.0))[1]
     assert not report.passed
 
 

@@ -25,6 +25,7 @@ from accrgeo import (
     vertical_lie_closed_form,
 )
 from accrgeo.errors import GeometryError, NotSasakiLike, UnsupportedPotential
+from accrgeo.solitons import ricci_reconstruction_check
 
 from conftest import oracle_lie_derivative
 
@@ -119,12 +120,14 @@ def test_solve_vertical_example_values():
     # t0 = 1, beta = 0: lam = 2(t0 - 2 beta) = 2, lam_assoc = -2(t0 + 2 beta) = -2
     k = VerticalScalar(-2.0, -2.0)
     lam, lam_assoc, report = solve_vertical_soliton(
-        0.0, k, pkg.tau, assoc_pkg.tau, s.n,
-        classification=classification, ricci_tensor=pkg.ricci, structure=s,
+        0.0, k, pkg.tau, assoc_pkg.tau, s.n, classification=classification
     )
     assert lam == pytest.approx(2.0, abs=1e-12)
     assert lam_assoc == pytest.approx(-2.0, abs=1e-12)
     assert report.passed
+    # vertical_rows adds the reconstruction of rho to the solved checks
+    reconstruction = ricci_reconstruction_check(pkg.ricci.data, pkg.tau, assoc_pkg.tau, 2, s, ())
+    assert reconstruction.residual[0] <= DEFAULT_TOL
 
 
 @settings(max_examples=40, deadline=None)
