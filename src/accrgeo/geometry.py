@@ -24,7 +24,12 @@ Structure constants are stored as c[k, i, j], the e_k-component of
 analyze(alg, s) is the one pipeline every report starts from: the
 curvature of g, the fundamental tensor F, the Sasaki-like classification
 and the curvature of the associated metric, returned as an Analysis.
-Scenarios, definition files and sweeps all go through it.
+Scenarios, definition files and sweeps all go through it. alg may be a
+stack of algebras on one structure (its constants a stacked Tensor
+c[a, k, i, j]): every kernel below is one batched expression over the
+stack, each postcondition judges the whole stack, and every field of the
+Analysis is stacked (its scalars arrays over the stack). One algebra is the
+stack of one, through the same kernels, with the same messages.
 
 Every contraction (the Jacobi identity, the Koszul formula, Ricci, the
 curvature tensor and the fundamental tensor) runs as reshapes plus matrix
@@ -91,32 +96,58 @@ def _scratch(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
+def _stack(tensor: Tensor) -> np.ndarray:
+    """tensor's data with one leading axis over its stack: a view, whose axis
+    has length one for an unstacked tensor."""
+    return tensor.data if tensor.stacked else tensor.data[None]
+
+
+def _unstack(like: Tensor, arr: np.ndarray) -> Tensor:
+    """arr, which has one leading axis over the stack of like, as a Tensor
+    stacked as like is."""
+    return Tensor(like.frame, arr if like.stacked else arr[0], like.stacked)
+
+
 def _jacobiator_rows(c, ad, pairs, i0, i1, j0, bufs) -> np.ndarray:
-    """|J[i, j, r, l]| for i0 <= i < i1 and j >= j0, in the first of the three
-    flat buffers bufs. J = ad_[e_i,e_j] - [ad_i, ad_j], so J[i, j, r, l] is the
-    e_r-component of [[e_i,e_j],e_l] + cyclic; ad[i, r, l] = c[r, i, l] and
-    pairs[i, j, m] = c[m, i, j]."""
-    d = c.shape[0]
+    """|J[a, i, j, r, l]| of each algebra a of the stack c, for i0 <= i < i1
+    and j >= j0, in the first of the three flat buffers bufs. J =
+    ad_[e_i,e_j] - [ad_i, ad_j], so J[a, i, j, r, l] is the e_r-component of
+    [[e_i,e_j],e_l] + cyclic; ad[a, i, r, l] = c[a, r, i, l] and
+    pairs[a, i, j, m] = c[a, m, i, j]."""
+    stack, d = c.shape[:2]
     b, tail = i1 - i0, d - j0
-    jac = _scratch(bufs[0], b, tail, d, d)
-    np.matmul(pairs[i0:i1, j0:], ad.reshape(d, d * d), out=jac.reshape(b, tail, d * d))
-    # ad_i ad_j, indexed (i, r, j, l), and ad_j ad_i, indexed (i, j, r, l)
-    ij = _scratch(bufs[1], b, d, tail, d)
-    np.matmul(ad[i0:i1], c.reshape(d, d * d)[:, j0 * d :], out=ij.reshape(b, d, tail * d))
-    ji = _scratch(bufs[2], b, tail, d, d)
-    np.matmul(ad[j0:].reshape(tail * d, d), ad[i0:i1], out=ji.reshape(b, tail * d, d))
-    jac -= ij.transpose(0, 2, 1, 3)
+    jac = _scratch(bufs[0], stack, b, tail, d, d)
+    np.matmul(
+        pairs[:, i0:i1, j0:],
+        ad.reshape(stack, 1, d, d * d),
+        out=jac.reshape(stack, b, tail, d * d),
+    )
+    # ad_i ad_j, indexed (a, i, r, j, l), and ad_j ad_i, indexed (a, i, j, r, l)
+    ij = _scratch(bufs[1], stack, b, d, tail, d)
+    np.matmul(
+        ad[:, i0:i1],
+        c.reshape(stack, 1, d, d * d)[..., j0 * d :],
+        out=ij.reshape(stack, b, d, tail * d),
+    )
+    ji = _scratch(bufs[2], stack, b, tail, d, d)
+    np.matmul(
+        ad[:, j0:].reshape(stack, 1, tail * d, d),
+        ad[:, i0:i1],
+        out=ji.reshape(stack, b, tail * d, d),
+    )
+    jac -= ij.transpose(0, 1, 3, 2, 4)
     jac += ji
     return np.abs(jac, out=jac)
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure constants of a Lie algebra over a frame.
+    """Structure constants of a Lie algebra over a frame, or, with c
+    stacked, of a stack of algebras on the frame.
 
     Antisymmetry in the bracket pair is required exactly (to 1e-12) and
-    the Jacobi identity to 1e-9; both are hard errors, since curvature on
-    top of a non-algebra is meaningless.
+    the Jacobi identity to 1e-9, of every algebra of a stack; both are hard
+    errors, since curvature on top of a non-algebra is meaningless.
     """
 
     frame: Frame
@@ -124,7 +155,7 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_tensor(self.c, self.frame, 3))
-        arr = self.c.data
+        arr = _stack(self.c)
         d = self.frame.dim
         # the Jacobi identity, curvature and Ricci sum products of two
         # constants (or of connection coefficients of their size) over dim
@@ -137,7 +168,7 @@ class LieAlgebra:
                 f"exceeds {limit:.3e}, past which products overflow float64 at dim {d}"
             )
         require(
-            arr + np.swapaxes(arr, 1, 2),
+            arr + np.swapaxes(arr, 2, 3),
             "c[k,i,j] + c[k,j,i] has residual {residual:.3e}",
             LINALG_TOL,
             AntisymmetryViolation,
@@ -145,42 +176,46 @@ class LieAlgebra:
         # the Jacobiator runs in blocks of rows i, so no dim^4 array is
         # built; it is alternating in (i, j, l), so every value has its
         # smallest index in some block's rows i with j >= the block's first
-        ad = np.ascontiguousarray(arr.transpose(1, 0, 2))
-        pairs = np.ascontiguousarray(arr.transpose(1, 2, 0))
+        ad = np.ascontiguousarray(arr.transpose(0, 2, 1, 3))
+        pairs = np.ascontiguousarray(arr.transpose(0, 2, 3, 1))
         rows = _block_rows(d)
-        bufs = np.empty((3, min(rows, d) * d**3))
+        bufs = np.empty((3, len(arr) * min(rows, d) * d**3))
         blocks = [(i0, min(i0 + rows, d)) for i0 in range(0, d, rows)]
         residual = max(
             float(_jacobiator_rows(arr, ad, pairs, i0, i1, i0, bufs).max()) for i0, i1 in blocks
         )
         if not Check("Jacobi identity", residual).passed:
-            # one more pass over every j names the first maximal (r, i, j, l)
-            # in C order: each block's first, then the largest and first of those
+            # one more pass over every j names the first maximal (a, r, i, j,
+            # l) in C order: each block's first, then the largest and first of
+            # those, which is an algebra's own when it alone fails
             found = []
             for i0, i1 in blocks:
-                jac = _jacobiator_rows(arr, ad, pairs, i0, i1, 0, bufs).transpose(2, 0, 1, 3)
-                r, i, j, l = map(int, np.unravel_index(np.argmax(jac), jac.shape))
-                found.append((-float(jac[r, i, j, l]), (r, i0 + i, j, l)))
+                jac = _jacobiator_rows(arr, ad, pairs, i0, i1, 0, bufs).transpose(0, 3, 1, 2, 4)
+                a, r, i, j, l = map(int, np.unravel_index(np.argmax(jac), jac.shape))
+                found.append((-float(jac[a, r, i, j, l]), (a, r, i0 + i, j, l)))
             residual, worst = min(found)
-            raise JacobiViolation(-residual, worst[1:])
+            raise JacobiViolation(-residual, worst[2:])
 
 
 @dataclass(frozen=True)
 class Connection:
-    """Levi-Civita coefficients gamma[l, i, j]: the e_l-component of D_i e_j."""
+    """Levi-Civita coefficients gamma[l, i, j]: the e_l-component of D_i e_j;
+    stacked, one connection per algebra of a stack."""
 
     frame: Frame
     gamma: Tensor
 
     def derivative_of_field(self, v: np.ndarray) -> np.ndarray:
-        """Matrix d[l, i] of components of D_i v for a constant field v."""
-        return np.einsum("lij,j->li", self.gamma.data, np.asarray(v, dtype=float))
+        """Matrix d[l, i] of components of D_i v for a constant field v,
+        stacked as gamma is."""
+        return np.einsum("...lij,j->...li", self.gamma.data, np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
 class CurvaturePackage:
     """Connection, Ricci and both scalar traces for one metric, and the
-    curvature tensor when it is read."""
+    curvature tensor when it is read; of a stack of algebras, each field is
+    stacked, the traces arrays over the stack."""
 
     alg: LieAlgebra
     metric: MetricPair
@@ -197,7 +232,8 @@ class CurvaturePackage:
 
 @dataclass(frozen=True)
 class SasakiLikeResult:
-    """Outcome of testing F against the Sasaki-like closed form."""
+    """Outcome of testing F against the Sasaki-like closed form: a bool and
+    a float, or arrays over a stack."""
 
     is_sasaki_like: bool
     residual: float
@@ -209,60 +245,71 @@ def levi_civita(alg: LieAlgebra, metric: MetricPair) -> Connection:
     Zero torsion and metric compatibility are consequences of the formula;
     they are re-verified here as a guard against convention drift.
     """
-    c = alg.c.data
+    c = _stack(alg.c)
     g = metric.matrix
-    d = g.shape[0]
-    # a[i,j,k] = g([e_i, e_j], e_k)
-    a = (c.reshape(d, d * d).T @ g).reshape(d, d, d)
-    # b[i,j,k] = a[i,j,k] - a[j,k,i] + a[k,i,j]
-    b = a - a.transpose(2, 0, 1) + a.transpose(1, 2, 0)
-    gamma = (0.5 * (metric.inverse @ b.reshape(d * d, d).T)).reshape(d, d, d)
+    stack, d = c.shape[:2]
+    # a[., i,j,k] = g([e_i, e_j], e_k)
+    a = (c.reshape(stack, d, d * d).transpose(0, 2, 1) @ g).reshape(stack, d, d, d)
+    # b[., i,j,k] = a[., i,j,k] - a[., j,k,i] + a[., k,i,j]
+    b = a - a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1)
+    gamma = 0.5 * (metric.inverse @ b.reshape(stack, d * d, d).transpose(0, 2, 1))
+    gamma = gamma.reshape(stack, d, d, d)
 
-    torsion = gamma - np.swapaxes(gamma, 1, 2) - c
+    torsion = gamma - np.swapaxes(gamma, 2, 3) - c
     require(torsion, "Levi-Civita postcondition failed: torsion is nonzero")
-    # gl[i,j,k] = g(D_i e_j, e_k); metric compatibility is gl[i,j,k] + gl[i,k,j] = 0
-    gl = (gamma.reshape(d, d * d).T @ g).reshape(d, d, d)
-    require(gl + gl.transpose(0, 2, 1), "Levi-Civita postcondition failed: metric not parallel")
-    return Connection(alg.frame, Tensor(alg.frame, gamma))
+    # gl[., i,j,k] = g(D_i e_j, e_k); metric compatibility is gl[., i,j,k] + gl[., i,k,j] = 0
+    gl = (gamma.reshape(stack, d, d * d).transpose(0, 2, 1) @ g).reshape(stack, d, d, d)
+    require(gl + gl.transpose(0, 1, 3, 2), "Levi-Civita postcondition failed: metric not parallel")
+    return Connection(alg.frame, _unstack(alg.c, gamma))
 
 
 def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
-    """Fully lowered curvature tensor R_ijkl.
+    """Fully lowered curvature tensor R_ijkl, stacked as conn is.
 
     The pair antisymmetries, pair-swap symmetry and first Bianchi identity
     are asserted before returning; a violation indicates corrupt inputs.
     """
-    gamma = conn.gamma.data
-    d = gamma.shape[0]
+    gamma = _stack(conn.gamma)
+    stack, d = gamma.shape[:2]
     rows = _block_rows(d)
-    # gl[i, m, l] = g(D_i e_m, e_l)
-    gl = (gamma.reshape(d, d * d).T @ metric.matrix).reshape(d, d, d)
-    # low, which the returned Tensor keeps, is the only dim^4 array; every
+    # gl[., i, m, l] = g(D_i e_m, e_l)
+    gl = (gamma.reshape(stack, d, d * d).transpose(0, 2, 1) @ metric.matrix).reshape(stack, d, d, d)
+    # result, which the returned Tensor keeps, is the only dim^4 array of
+    # each algebra, and low its view with one axis over the stack; every
     # step below works in a scratch block of rows of the first index
-    low = np.empty((d,) * 4)
-    scratch = np.empty((min(rows, d), d, d, d))
-    # low[i, j, k, l] = sum_m gamma[m, j, k] gl[i, m, l] = g(D_i D_j e_k, e_l);
+    result = np.empty(conn.gamma.data.shape[:-3] + (d,) * 4)
+    low = result.reshape((stack,) + (d,) * 4)
+    scratch = np.empty((stack, min(rows, d), d, d, d))
+    # low[., i, j, k, l] = sum_m gamma[., m, j, k] gl[., i, m, l] = g(D_i D_j e_k, e_l);
     # one gemm per i
-    np.matmul(gamma.reshape(d, d * d).T, gl, out=low.reshape(d, d * d, d))
-    c = alg.c.data.reshape(d, d * d)
-    gl = gl.reshape(d, d * d)
+    np.matmul(
+        gamma.reshape(stack, 1, d, d * d).transpose(0, 1, 3, 2),
+        gl,
+        out=low.reshape(stack, d, d * d, d),
+    )
+    c = _stack(alg.c).reshape(stack, d, d * d)
+    gl = gl.reshape(stack, d, d * d)
     for i0 in range(0, d, rows):
         i1 = min(i0 + rows, d)
-        buf = scratch[: i1 - i0]
-        # low[i, j] - low[j, i] in place, for the block's rows i and j >= i0;
-        # the rows j < i0 were paired with them by the earlier blocks
-        diag = low[i0:i1, i0:i1]
-        before = buf[:, : i1 - i0]
+        buf = scratch[:, : i1 - i0]
+        # low[., i, j] - low[., j, i] in place, for the block's rows i and
+        # j >= i0; the rows j < i0 were paired with them by the earlier blocks
+        diag = low[:, i0:i1, i0:i1]
+        before = buf[:, :, : i1 - i0]
         before[...] = diag
-        np.subtract(before, before.transpose(1, 0, 2, 3), out=diag)
-        upper, lower = low[i0:i1, i1:], low[i1:, i0:i1]
-        before = buf[:, : d - i1]
+        np.subtract(before, before.transpose(0, 2, 1, 3, 4), out=diag)
+        upper, lower = low[:, i0:i1, i1:], low[:, i1:, i0:i1]
+        before = buf[:, :, : d - i1]
         before[...] = upper
-        np.subtract(upper, lower.transpose(1, 0, 2, 3), out=upper)
-        np.subtract(lower, before.transpose(1, 0, 2, 3), out=lower)
-        # buf[i, j, k, l] = sum_m c[m, i, j] gl[m, k, l] = g(D_[e_i,e_j] e_k, e_l)
-        np.matmul(c[:, i0 * d : i1 * d].T, gl, out=buf.reshape((i1 - i0) * d, d * d))
-        low[i0:i1] -= buf
+        np.subtract(upper, lower.transpose(0, 2, 1, 3, 4), out=upper)
+        np.subtract(lower, before.transpose(0, 2, 1, 3, 4), out=lower)
+        # buf[., i, j, k, l] = sum_m c[., m, i, j] gl[., m, k, l] = g(D_[e_i,e_j] e_k, e_l)
+        np.matmul(
+            c[:, :, i0 * d : i1 * d].transpose(0, 2, 1),
+            gl,
+            out=buf.reshape(stack, (i1 - i0) * d, d * d),
+        )
+        low[:, i0:i1] -= buf
 
     # the four symmetries, block by block in the same scratch; each takes
     # its absolute value in place, so no check allocates. The absolute value
@@ -275,44 +322,50 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     for i0 in range(0, d, rows):
         i1 = min(i0 + rows, d)
         b, tail = i1 - i0, d - i0
-        block = low[i0:i1]
-        buf = _scratch(flat, b, tail, d, d)
-        np.add(low[i0:i1, i0:], low[i0:, i0:i1].transpose(1, 0, 2, 3), out=buf)
+        block = low[:, i0:i1]
+        buf = _scratch(flat, stack, b, tail, d, d)
+        np.add(low[:, i0:i1, i0:], low[:, i0:, i0:i1].transpose(0, 2, 1, 3, 4), out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        buf = scratch[:b]
-        np.add(block, block.transpose(0, 1, 3, 2), out=buf)
+        buf = scratch[:, :b]
+        np.add(block, block.transpose(0, 1, 2, 4, 3), out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        buf = _scratch(flat, b, d, tail, d)
-        np.subtract(low[i0:i1, :, i0:], low[i0:, :, i0:i1].transpose(2, 3, 0, 1), out=buf)
+        buf = _scratch(flat, stack, b, d, tail, d)
+        np.subtract(
+            low[:, i0:i1, :, i0:], low[:, i0:, :, i0:i1].transpose(0, 3, 4, 1, 2), out=buf
+        )
         require(np.abs(buf, out=buf).max(), message)
-        buf = _scratch(flat, b, tail, tail, d)
-        np.add(low[i0:i1, i0:, i0:], low[i0:, i0:, i0:i1].transpose(2, 0, 1, 3), out=buf)
-        buf += low[i0:, i0:i1, i0:].transpose(1, 2, 0, 3)
+        buf = _scratch(flat, stack, b, tail, tail, d)
+        np.add(
+            low[:, i0:i1, i0:, i0:], low[:, i0:, i0:, i0:i1].transpose(0, 3, 1, 2, 4), out=buf
+        )
+        buf += low[:, i0:, i0:i1, i0:].transpose(0, 2, 3, 1, 4)
         require(np.abs(buf, out=buf).max(), message)
-    # frozen, low is handed to the Tensor without a copy
-    low.setflags(write=False)
-    return Tensor(alg.frame, low)
+    # frozen, result is handed to the Tensor without a copy
+    result.setflags(write=False)
+    return Tensor(alg.frame, result, conn.gamma.stacked)
 
 
 def ricci(conn: Connection, alg: LieAlgebra) -> Tensor:
-    """Ricci tensor rho_jk = g^il R_ijkl, summed from the connection without
-    building R; symmetry is asserted. The trace of x -> R(x, e_j) e_k needs
-    no metric. With tr[m] = sum_i gamma[i, i, m]:
+    """Ricci tensor rho_jk = g^il R_ijkl, stacked as conn is, summed from the
+    connection without building R; symmetry is asserted. The trace of
+    x -> R(x, e_j) e_k needs no metric. With tr[m] = sum_i gamma[i, i, m]:
 
         rho[j, k] =   sum_m tr[m] gamma[m, j, k]
                     - sum_{i,m} gamma[i, j, m] gamma[m, i, k]
                     - sum_{i,m} c[m, i, j] gamma[i, m, k]
     """
-    gamma = conn.gamma.data
-    d = gamma.shape[0]
-    # swapped[j, i, m] = gamma[i, j, m], copied once for both of its reshapes
-    swapped = np.ascontiguousarray(gamma.transpose(1, 0, 2))
-    rho = (np.trace(gamma) @ gamma.reshape(d, d * d)).reshape(d, d)
-    rho -= swapped.reshape(d, d * d) @ swapped.reshape(d * d, d)
-    # the rows of c.transpose(2, 1, 0) are c[m, i, j] over (i, m) for each j
-    rho -= alg.c.data.transpose(2, 1, 0).reshape(d, d * d) @ gamma.reshape(d * d, d)
-    require(rho - rho.T, "Ricci postcondition failed: not symmetric")
-    return Tensor(alg.frame, rho)
+    gamma = _stack(conn.gamma)
+    stack, d = gamma.shape[:2]
+    # swapped[., j, i, m] = gamma[., i, j, m], copied once for both of its reshapes
+    swapped = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))
+    trace = np.trace(gamma, axis1=1, axis2=2)[:, None]
+    rho = (trace @ gamma.reshape(stack, d, d * d)).reshape(stack, d, d)
+    rho -= swapped.reshape(stack, d, d * d) @ swapped.reshape(stack, d * d, d)
+    # the rows of c.transpose(0, 3, 2, 1) are c[., m, i, j] over (i, m) for each j
+    c = _stack(alg.c).transpose(0, 3, 2, 1)
+    rho -= c.reshape(stack, d, d * d) @ gamma.reshape(stack, d * d, d)
+    require(rho - rho.transpose(0, 2, 1), "Ricci postcondition failed: not symmetric")
+    return _unstack(alg.c, rho)
 
 
 def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> CurvaturePackage:
@@ -324,63 +377,67 @@ def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> Curva
 
 
 def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
-    """F(x, y, z) = g((D_x phi) y, z), with its symmetries asserted.
+    """F(x, y, z) = g((D_x phi) y, z), stacked as conn is, with its
+    symmetries asserted.
 
     F is symmetric in the last two slots, satisfies
     F(x, y, z) = F(x, phi y, phi z) + eta(y) F(x, xi, z) + eta(z) F(x, y, xi),
     and F(x, phi y, xi) = g(D_x xi, y). All three are consequences of the
     structure identities plus metric compatibility.
     """
-    gamma = conn.gamma.data
+    gamma = _stack(conn.gamma)
     phi, g = s.phi.data, s.g.matrix
-    d = phi.shape[0]
-    # components d_phi[l, i, j] of (D_i phi) e_j = D_i (phi e_j) - phi (D_i e_j)
-    d_phi = (gamma.reshape(d * d, d) @ phi).reshape(d, d, d) - (
-        phi @ gamma.reshape(d, d * d)
-    ).reshape(d, d, d)
-    f = (d_phi.reshape(d, d * d).T @ g).reshape(d, d, d)
+    stack, d = gamma.shape[:2]
+    shape = (stack, d, d, d)
+    # components d_phi[., l, i, j] of (D_i phi) e_j = D_i (phi e_j) - phi (D_i e_j)
+    d_phi = (gamma.reshape(stack, d * d, d) @ phi).reshape(shape) - (
+        phi @ gamma.reshape(stack, d, d * d)
+    ).reshape(shape)
+    f = (d_phi.reshape(stack, d, d * d).transpose(0, 2, 1) @ g).reshape(shape)
 
     eta, xi = s.eta.data, s.xi.data
     f_xi_mid = np.matmul(xi, f)
     f_xi_last = f @ xi
     recompose = (
         np.matmul(phi.T, f @ phi)
-        + eta[:, None] * f_xi_mid[:, None, :]
-        + eta * f_xi_last[:, :, None]
+        + eta[:, None] * f_xi_mid[:, :, None, :]
+        + eta * f_xi_last[:, :, :, None]
     )
-    nabla_xi = conn.derivative_of_field(xi)
-    reeb_link = f_xi_last @ phi - nabla_xi.T @ g
+    nabla_xi = conn.derivative_of_field(xi).reshape(stack, d, d)
+    reeb_link = f_xi_last @ phi - nabla_xi.transpose(0, 2, 1) @ g
     message = "fundamental tensor postcondition failed: "
-    require(f - f.transpose(0, 2, 1), message + "last-two-slot symmetry")
+    require(f - f.transpose(0, 1, 3, 2), message + "last-two-slot symmetry")
     require(f - recompose, message + "phi-recomposition")
     require(reeb_link, message + "Reeb-derivative link")
-    return Tensor(s.frame, f)
+    return _unstack(conn.gamma, f)
 
 
 def classify_sasaki_like(
     F: Tensor, s: AccRStructure, *, conn: Connection = None, ricci_tensor: Tensor = None
 ) -> SasakiLikeResult:
-    """Test F(x,y,z) = g(phi x, phi y) eta(z) + g(phi x, phi z) eta(y).
+    """Test F(x,y,z) = g(phi x, phi y) eta(z) + g(phi x, phi z) eta(y), of
+    each F of a stack.
 
     When the test passes and a connection or Ricci tensor is supplied, the
     known consequences D_x xi = -phi x, rho(., xi) = 2n eta are verified as
-    well; their failure on a structure that classified positively is an
-    internal error, not a classification result.
+    well (stacked as F, on the algebras that pass); their failure on a
+    structure that classified positively is an internal error, not a
+    classification result.
     """
     phi, g, eta = s.phi.data, s.g.matrix, s.eta.data
     phi_pullback = phi.T @ g @ phi
-    closed_form = np.einsum("ij,k->ijk", phi_pullback, eta) + np.einsum(
-        "ik,j->ijk", phi_pullback, eta
-    )
-    test = Check.measure("Sasaki-like", F.data - closed_form)
-    if test.passed:
-        if conn is not None:
-            reeb = conn.derivative_of_field(s.xi.data) + phi
-            require(reeb, "Sasaki-like consequence failed: D_x xi != -phi x")
-        if ricci_tensor is not None:
-            line = ricci_tensor.data @ s.xi.data - 2 * s.n * eta
-            require(line, "Sasaki-like consequence failed: rho(., xi) != 2n eta")
-    return SasakiLikeResult(is_sasaki_like=test.passed, residual=test.residual)
+    closed_form = phi_pullback[:, :, None] * eta + phi_pullback[:, None, :] * eta[:, None]
+    residual = np.abs(F.data - closed_form).max(axis=(-3, -2, -1))
+    passed = Check("Sasaki-like", residual).passes()
+    if conn is not None:
+        reeb = conn.derivative_of_field(s.xi.data) + phi
+        require(reeb[passed], "Sasaki-like consequence failed: D_x xi != -phi x")
+    if ricci_tensor is not None:
+        line = ricci_tensor.data @ s.xi.data - 2 * s.n * eta
+        require(line[passed], "Sasaki-like consequence failed: rho(., xi) != 2n eta")
+    if not F.stacked:
+        passed, residual = bool(passed), float(residual)
+    return SasakiLikeResult(is_sasaki_like=passed, residual=residual)
 
 
 def reeb_derivative_residual(conn: Connection, s: AccRStructure) -> float:

@@ -41,9 +41,10 @@ the theorem forces, with the curve's checks put at their head.
 
 Each scenario builds one table with its theorem's builder, the one that
 definition files use too, and adds its own checks around that table.
-example2 starts from the cached Analyses of its (p, q) (example2_state)
-and their cached Einstein-like fits, and calls solitons.vertical_lie and
-vertical_rows over the list of them, adding its closed-form checks.
+example2 starts from one stacked Analysis of the algebras of its (p, q)
+grid on the carrier, validated once, and their Einstein-like fits from one
+solve (_example2_stack, cached per grid), and calls solitons.vertical_lie
+and vertical_rows on that stack, adding its closed-form checks.
 example1 calls conformal_row, as soliton --input --psi does (through
 solitons.conformal_report, with one point). Each check is computed once
 per value of the parameters it depends on (see sweep); a single-point
@@ -148,11 +149,10 @@ def flat_carrier_structure(n: int) -> AccRStructure:
 _cached_carrier = lru_cache(maxsize=16)(flat_carrier_structure)
 
 
-def build_example2(p: float, q: float):
-    """The five-dimensional scenario algebra for given (p, q), on the flat
-    carrier of n = 2."""
-    s = flat_carrier_structure(2)
-    c = np.zeros((5, 5, 5))
+def _example2_constants(p, q) -> np.ndarray:
+    """c[..., k, i, j] of the scenario's brackets at (p, q): numbers, or
+    arrays over a grid that stack the constants along leading axes."""
+    c = np.zeros(np.shape(p) + (5, 5, 5))
     # (i, k, value): [e_0, e_i] has e_k-component value
     for i, k, value in (
         (1, 2, p), (1, 3, 1.0), (1, 4, q),
@@ -160,9 +160,16 @@ def build_example2(p: float, q: float):
         (3, 1, -1.0), (3, 2, -q), (3, 4, p),
         (4, 1, q), (4, 2, -1.0), (4, 3, -p),
     ):
-        c[k, 0, i] = value
-        c[k, i, 0] = -value
-    return LieAlgebra(s.frame, Tensor(s.frame, c)), s
+        c[..., k, 0, i] = value
+        c[..., k, i, 0] = -value
+    return c
+
+
+def build_example2(p: float, q: float):
+    """The five-dimensional scenario algebra for given (p, q), on the flat
+    carrier of n = 2, validated anew on every call."""
+    s = flat_carrier_structure(2)
+    return LieAlgebra(s.frame, Tensor(s.frame, _example2_constants(p, q))), s
 
 
 @lru_cache(maxsize=4)
@@ -198,15 +205,21 @@ def example2_expected_curvature(frame: Frame) -> Tensor:
 
 @lru_cache(maxsize=64)
 def example2_state(p: float, q: float) -> Analysis:
-    """The analysis of the scenario at (p, q), cached."""
+    """The analysis of the scenario at (p, q), cached: one point, as inspect
+    reads it; the reports read _example2_stack."""
     return analyze(*build_example2(float(p), float(q)))
 
 
-@lru_cache(maxsize=64)
-def _example2_fit(p: float, q: float) -> EinsteinLikeFit:
-    """The Einstein-like fit of the Ricci tensor at (p, q), cached."""
-    a = example2_state(p, q)
-    return einstein_like_fit(a.pkg.ricci, a.s)
+@lru_cache(maxsize=16)
+def _example2_stack(grid: tuple) -> tuple:
+    """(analysis, fit): the analysis of the scenario's algebras at the (p, q)
+    of grid, one stack on the carrier, validated once, and the Einstein-like
+    fits of their Ricci tensors; cached per grid, so a repeated sweep or
+    point runs no geometry."""
+    s = _cached_carrier(2)
+    p, q = np.array(grid, dtype=float).reshape(-1, 2).T
+    a = analyze(LieAlgebra(s.frame, Tensor(s.frame, _example2_constants(p, q), True)), s)
+    return a, einstein_like_fit(a.pkg.ricci, s)
 
 
 #: notes of the scenarios' checks against closed forms, by check name
@@ -226,38 +239,33 @@ def _residuals(computed, expected) -> np.ndarray:
     return difference.reshape(len(difference), 1, 1, -1).max(axis=-1)
 
 
-def _example2_geometry(analyses, fits, rows: tuple) -> tuple:
+def _example2_geometry(a: Analysis, fit: EinsteinLikeFit, rows: tuple) -> tuple:
     """(head, tail, reeb): the checks of example2's reports that depend on
-    (p, q) alone, each one array over analyses (one (p, q) each) broadcast
-    over rows, the shape of the table. head opens the reports, tail (their
-    Einstein-like fits) closes them, and reeb stacks D xi of each analysis.
+    (p, q) alone, each one array over the stack of a (one (p, q) each)
+    broadcast over rows, the shape of the table. head opens the reports,
+    tail (the Einstein-like fits, stacked in fit) closes them, and reeb is
+    D xi of each algebra.
     """
-    s = analyses[0].s
+    s, pkg, assoc_pkg = a.s, a.pkg, a.assoc_pkg
     n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
-    pkgs, assoc_pkgs = [a.pkg for a in analyses], [a.assoc_pkg for a in analyses]
-    ricci = np.stack([pkg.ricci.data for pkg in pkgs])
-    tau = np.array([pkg.tau for pkg in pkgs])
-    tau_star = np.array([pkg.tau_star for pkg in pkgs])
-    tau_assoc = np.array([pkg.tau for pkg in assoc_pkgs])
-    reeb = np.stack([pkg.conn.derivative_of_field(xi) for pkg in pkgs])
+    ricci = pkg.ricci.data
+    reeb = pkg.conn.derivative_of_field(xi)
     forms = {
         "curvature_table": (
-            np.stack([pkg.riemann.data for pkg in pkgs]),
+            pkg.riemann.data,
             example2_expected_curvature(s.frame).data,
             1e-12,
         ),
         "ricci_form": (ricci, 4.0 * s.eta_outer, 1e-12),
-        "tau_value": (tau, 4.0, 1e-10),
-        "tau_star_value": (tau_star, 0.0, 1e-10),
-        "tau_assoc_pipeline": (tau_assoc, 4.0, 1e-10),
-        "tau_assoc_two_routes": (tau_assoc, 2.0 * n - tau_star, 1e-10),
-        "sasaki_like": (np.array([a.classification.residual for a in analyses]), 0.0, 1e-12),
+        "tau_value": (pkg.tau, 4.0, 1e-10),
+        "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
+        "tau_assoc_pipeline": (assoc_pkg.tau, 4.0, 1e-10),
+        "tau_assoc_two_routes": (assoc_pkg.tau, 2.0 * n - pkg.tau_star, 1e-10),
+        "sasaki_like": (a.classification.residual, 0.0, 1e-12),
         # D_x xi = -phi x for the connections of both metrics
         "reeb_derivative": (reeb, minus_phi, DEFAULT_TOL),
         "reeb_derivative_assoc": (
-            np.stack([pkg.conn.derivative_of_field(xi) for pkg in assoc_pkgs]),
-            minus_phi,
-            DEFAULT_TOL,
+            assoc_pkg.conn.derivative_of_field(xi), minus_phi, DEFAULT_TOL
         ),
         "ricci_reeb_line": (ricci @ xi, 2.0 * n * s.eta.data, DEFAULT_TOL),
     }
@@ -265,12 +273,10 @@ def _example2_geometry(analyses, fits, rows: tuple) -> tuple:
         Column.of(name, _residuals(computed, expected), tol, _NOTES.get(name, ""), rows=rows)
         for name, (computed, expected, tol) in forms.items()
     )
-    kinds = np.array([fit.kind for fit in fits])
-    coefficients = np.array([(fit.a, fit.b, fit.c) for fit in fits])
-    fit_residual = np.array([fit.residual for fit in fits])
+    kinds, coefficients = fit.kind, np.stack([fit.a, fit.b, fit.c], axis=-1)
     # one column per fit kind, each held by the analyses of that kind
     tail = (
-        Column.of("einstein_fit_residual", _residuals(fit_residual, 0.0), 1e-12, rows=rows),
+        Column.of("einstein_fit_residual", _residuals(fit.residual, 0.0), 1e-12, rows=rows),
         *(
             Column.of(
                 "einstein_fit_coefficients",
@@ -295,10 +301,10 @@ def _example2_rows(
     lam_assoc: float = None,
     mu: float = None,
 ) -> tuple:
-    """(ks, lam, lam_assoc, table): the vertical theorem at the a-th (p, q)
-    of grid, betas[i] and t0s[j] is ks[j], the constants of vertical_rows in
-    its soliton residual, and row (a * len(betas) + i) * len(t0s) + j of
-    table.
+    """(analysis, ks, lam, lam_assoc, table): the vertical theorem at the
+    a-th (p, q) of grid, betas[i] and t0s[j] is ks[j], the constants of
+    vertical_rows in its soliton residual, and row (a * len(betas) + i) *
+    len(t0s) + j of table, on the stacked analysis of grid (_example2_stack).
 
     The reports wrap the shared vertical_rows checks in the scenario's
     geometry checks. k defaults to the scenario family k = -2 t0, k' = -2,
@@ -307,11 +313,10 @@ def _example2_rows(
     k makes t0 irrelevant. The Lie derivatives of every (p, q, t0) are one
     broadcast (solitons.vertical_lie).
     """
-    analyses = [example2_state(p, q) for p, q in grid]
-    rows = (len(analyses), len(betas), len(t0s))
-    fits = [_example2_fit(p, q) for p, q in grid]
-    head, tail, reeb = _example2_geometry(analyses, fits, rows)
-    s = analyses[0].s
+    a, fit = _example2_stack(tuple(grid))
+    rows = (len(grid), len(betas), len(t0s))
+    head, tail, reeb = _example2_geometry(a, fit, rows)
+    s = a.s
     family = k is None
     ks = [VerticalScalar(-2.0 * t0, -2.0) for t0 in t0s] if family else [k] * len(t0s)
     lie = vertical_lie(s, ks, reeb)
@@ -343,7 +348,7 @@ def _example2_rows(
             )
             for name, (computed, expected, tol) in forms.items()
         )
-    lams, lam_assocs, table = vertical_rows(analyses, ks, betas, lam, lam_assoc, mu=mu, lie=lie)
+    lams, lam_assocs, table = vertical_rows(a, ks, betas, lam, lam_assoc, mu=mu, lie=lie)
     # the table opens with the two Lie derivatives against their closed forms
     closed, checks, residual = table.columns[:2], table.columns[2:-1], table.columns[-1]
     constants = ()
@@ -366,7 +371,7 @@ def _example2_rows(
             ),
         )
     columns = (*head, *closed, *family_columns, *checks, *constants, residual, *tail)
-    return ks, lams, lam_assocs, table._replace(columns=columns)
+    return a, ks, lams, lam_assocs, table._replace(columns=columns)
 
 
 def example2_point(
@@ -393,7 +398,7 @@ def example2_point(
 
     The report is built by the same per-level helpers as sweep's rows.
     """
-    (k,), lam, lam_assoc, table = _example2_rows(
+    _, (k,), lam, lam_assoc, table = _example2_rows(
         [(params.p, params.q)], (params.t0,), (params.beta,), k, lam, lam_assoc, mu
     )
     return k, lam, lam_assoc, table.report(0)
@@ -647,8 +652,7 @@ def sweep(
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
         t0s = _grid(t0_grid, DEFAULT_T0_GRID)
         grid = list(product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)))
-        analyses = [example2_state(p, q) for p, q in grid]
-        _, *solved, table = _example2_rows(grid, t0s, betas)
+        a, _, *solved, table = _example2_rows(grid, t0s, betas)
         size = len(betas) * len(t0s)
         params = {
             "p": [p for p, _ in grid for _ in range(size)],
@@ -660,8 +664,8 @@ def sweep(
             np.broadcast_to(v, (len(grid), len(betas), len(t0s))).ravel().tolist() for v in solved
         )
         scalars = {
-            "tau": [a.pkg.tau for a in analyses for _ in range(size)],
-            "tau_tilde": [a.assoc_pkg.tau for a in analyses for _ in range(size)],
+            "tau": np.repeat(a.pkg.tau, size).tolist(),
+            "tau_tilde": np.repeat(a.assoc_pkg.tau, size).tolist(),
             "lambda": lams,
             "lambda_tilde": lam_assocs,
         }

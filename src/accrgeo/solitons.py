@@ -391,7 +391,8 @@ class EinsteinLikeFit:
     kind is one of "einstein", "eta_einstein", "einstein_like",
     "not_einstein_like"; the trace residuals record how well
     tau = (2n+1)a + b + c and tau_star = -2nb hold for the fitted
-    coefficients.
+    coefficients. The fit of a stacked rho holds an array over the stack
+    in each field.
     """
 
     a: float
@@ -403,57 +404,61 @@ class EinsteinLikeFit:
     tau_star_residual: float
 
 
+#: EinsteinLikeFit.kind by exact * (1 + zero_b * (1 + zero_c)): an inexact
+#: fit, then an exact one with b != 0, with b = 0 and c != 0, with b = c = 0
+_FIT_KINDS = np.array(["not_einstein_like", "einstein_like", "eta_einstein", "einstein"])
+
+
 def einstein_like_fit(ricci_tensor: Tensor, s: AccRStructure) -> EinsteinLikeFit:
-    """Decompose rho = a g + b g_assoc + c eta (.) eta if possible.
+    """Decompose rho = a g + b g_assoc + c eta (.) eta if possible, for each
+    rho of a stacked ricci_tensor: the basis and its Gram matrix depend on
+    s alone, and one solve fits the stack.
 
     The basis Gram matrix is nonsingular for every valid structure, so a
     SingularFit signals corrupted inputs rather than a tight geometry.
     """
-    basis = np.stack([s.g.matrix.ravel(), s.g_assoc.matrix.ravel(), s.eta_outer.ravel()])
-    gram = basis @ basis.T
-    rhs = basis @ ricci_tensor.data.ravel()
+    basis = np.stack([s.g.matrix, s.g_assoc.matrix, s.eta_outer])
+    flat = basis.reshape(3, -1)
+    gram = flat @ flat.T
+    rho = ricci_tensor.data
+    rhs = flat @ rho.reshape(*rho.shape[:-2], -1, 1)
     if abs(np.linalg.det(gram)) < 1e-12:
         raise SingularFit("fit basis {g, g_assoc, eta(.)eta} is numerically dependent")
-    coeffs = np.linalg.solve(gram, rhs)
+    # each right side solved on its own: (a, b, c) of each rho along the
+    # third axis from the end, which scales the basis
+    coeffs = np.linalg.solve(gram, rhs)[..., None]
 
-    def recompose(v):
-        return v[0] * s.g.matrix + v[1] * s.g_assoc.matrix + v[2] * s.eta_outer
+    def residual(v):
+        """max |rho - (a g + b g_assoc + c eta (.) eta)| of each rho, summed in that order."""
+        return np.abs(rho - (v * basis).sum(axis=-3)).max(axis=(-2, -1))
 
     # prefer exact zeros when they decompose rho just as well: the
     # sub-class labels below depend on which coefficients vanish
     snapped = np.where(np.abs(coeffs) < DEFAULT_TOL, 0.0, coeffs)
-    if Check.measure("snapped", ricci_tensor.data - recompose(snapped)).passed:
-        coeffs = snapped
-    a, b, c = coeffs
-    fit = Check.measure("fit", ricci_tensor.data - recompose(coeffs))
-    residual, exact = fit.residual, fit.passed
-    if not exact:
-        kind = "not_einstein_like"
-    elif abs(b) < DEFAULT_TOL and abs(c) < DEFAULT_TOL:
-        kind = "einstein"
-    elif abs(b) < DEFAULT_TOL:
-        kind = "eta_einstein"
-    else:
-        kind = "einstein_like"
+    keep = Check("snapped", residual(snapped)).passes()
+    coeffs = np.where(keep[..., None, None, None], snapped, coeffs)
+    fit = residual(coeffs)
+    a, b, c = coeffs[..., 0, 0].T
+    exact = Check("fit", fit).passes()
+    zero_b, zero_c = np.abs(b) < DEFAULT_TOL, np.abs(c) < DEFAULT_TOL
+    kind = _FIT_KINDS[exact * (1 + zero_b * (1 + zero_c))]
 
     n = s.n
     tau = trace_g(ricci_tensor, s.g)
     tau_star = phi_trace(ricci_tensor, s.g, s.phi)
-    tau_residual = abs(tau - ((2 * n + 1) * a + b + c))
-    tau_star_residual = abs(tau_star + 2 * n * b)
-    if exact:
-        message = "Einstein-like fit trace consequences failed on an exact decomposition"
-        require(tau_residual, message)
-        require(tau_star_residual, message)
-    return EinsteinLikeFit(
-        a=float(a),
-        b=float(b),
-        c=float(c),
-        residual=residual,
-        kind=kind,
-        tau_residual=tau_residual,
-        tau_star_residual=tau_star_residual,
+    tau_residual = np.abs(tau - ((2 * n + 1) * a + b + c))
+    tau_star_residual = np.abs(tau_star + 2 * n * b)
+    consequences = np.maximum(tau_residual, tau_star_residual)
+    require(
+        consequences[exact],
+        "Einstein-like fit trace consequences failed on an exact decomposition",
     )
+    if not ricci_tensor.stacked:
+        a, b, c, fit, tau_residual, tau_star_residual = map(
+            float, (a, b, c, fit, tau_residual, tau_star_residual)
+        )
+        kind = str(kind)
+    return EinsteinLikeFit(a, b, c, fit, kind, tau_residual, tau_star_residual)
 
 
 def is_degenerate_beta(beta: float, n: int) -> bool:
@@ -497,7 +502,7 @@ def solve_vertical_soliton(
 
 
 def _require_sasaki_like(classification: SasakiLikeResult) -> None:
-    if not classification.is_sasaki_like:
+    if not np.all(classification.is_sasaki_like):
         raise NotSasakiLike("the vertical-potential theorem needs a Sasaki-like structure")
 
 
@@ -759,9 +764,9 @@ def vertical_rows(
     mu: float = None,
     lie: tuple = None,
 ) -> tuple:
-    """The vertical-potential theorem on a, an Analysis or a sequence of
-    analyses that share one structure, for the potentials k xi, k in ks, at
-    betas.
+    """The vertical-potential theorem on a, an Analysis of one algebra or of
+    a stack of algebras that share one structure, for the potentials k xi,
+    k in ks, at betas.
 
     Returns (lam, lam_assoc, table): the constants in the soliton residual
     (lam_assoc is None for the single-metric equation), each an array over
@@ -783,17 +788,15 @@ def vertical_rows(
     checks per (analysis, k), the reconstruction of rho per analysis, and
     the solve and the soliton residuals as row expressions (see _operands).
     """
-    analyses = (a,) if isinstance(a, Analysis) else tuple(a)
-    s = analyses[0].s
-    n = s.n
-    shape = (len(analyses), len(betas), len(ks))
+    s, n = a.s, a.s.n
+    # the fields read per analysis, each with one leading axis over the stack
+    fields = (a.pkg.tau, a.assoc_pkg.tau, a.pkg.ricci.data, a.classification.is_sasaki_like)
+    per_analysis = fields if a.pkg.ricci.stacked else tuple([value] for value in fields)
+    taus, tau_assocs, _, sasaki_like = per_analysis
+    shape = (len(taus), len(betas), len(ks))
     if lie is None:
-        reeb = np.stack([b.pkg.conn.derivative_of_field(s.xi.data) for b in analyses])
+        reeb = a.pkg.conn.derivative_of_field(s.xi.data).reshape(len(taus), *s.phi.data.shape)
         lie = vertical_lie(s, ks, reeb)
-    taus = [b.pkg.tau for b in analyses]
-    tau_assocs = [b.assoc_pkg.tau for b in analyses]
-    sasaki_like = [b.classification.is_sasaki_like for b in analyses]
-    per_analysis = (taus, tau_assocs, [b.pkg.ricci.data for b in analyses], sasaki_like)
     beta, k_value, k_prime, tau, tau_assoc, ricci, sasaki, lie_g, lie_assoc = _operands(
         betas, ks, per_analysis, lie
     )
@@ -819,8 +822,7 @@ def vertical_rows(
     if mu is not None:
         lams, lam_assocs = 0.0 if lam is None else lam, None
     elif solve:
-        for b in analyses:
-            _require_sasaki_like(b.classification)
+        _require_sasaki_like(a.classification)
         solved_lams, solved_assocs, solved = vertical_solutions(ks, taus, tau_assocs, n, betas)
         reconstruction = ricci_reconstruction_check(ricci, tau, tau_assoc, n, s, shape)
         columns += (*solved.columns, reconstruction)

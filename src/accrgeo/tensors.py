@@ -27,8 +27,12 @@ DEFAULT_TOL = 1e-9
 LINALG_TOL = 1e-12
 #: largest frame dimension accepted from the command line or a definition
 #: file; inspect, the one command that builds the curvature tensor of a
-#: definition file, peaks at about 1.2 dense dim^4 float64 arrays (measured
-#: at dim 33), 0.17 GB at dim 65 (0.83 GB for a single array at dim 101)
+#: definition file, holds about 1.2 dense dim^4 float64 arrays of numpy
+#: data (tracemalloc, on the sparse semidirect file at dim 33), which would
+#: be 0.17 GB at dim 65 (0.83 GB for a single array at dim 101). The
+#: listing costs more: on a dense-frame dim-33 file, inspect --format json
+#: peaked at 291 MB RSS and wrote 58.1 MB; the dense dim-65 figure is
+#: extrapolated, not run
 MAX_DIM = 65
 
 
@@ -93,7 +97,9 @@ class Frame:
 
 @dataclass(frozen=True)
 class Tensor:
-    """A rank-r array of components over ``frame``.
+    """A rank-r array of components over ``frame``; stacked, an array of
+    them along one leading axis, one per algebra of a stack that shares a
+    structure (see geometry).
 
     Components are stored fully covariant or fully contravariant at the
     caller's discretion; the wrapper only tracks the frame and the shape.
@@ -106,6 +112,7 @@ class Tensor:
 
     frame: Frame
     data: np.ndarray
+    stacked: bool = False
 
     def __post_init__(self):
         arr = self.data
@@ -117,7 +124,8 @@ class Tensor:
         ):
             arr = np.array(arr, dtype=float, copy=True)
             arr.setflags(write=False)
-        if arr.shape != (self.frame.dim,) * arr.ndim:
+        rank = arr.ndim - self.stacked
+        if rank < 0 or arr.shape[self.stacked :] != (self.frame.dim,) * rank:
             raise DimensionMismatch(
                 f"tensor shape {arr.shape} does not match frame dimension {self.frame.dim}"
             )
@@ -125,7 +133,7 @@ class Tensor:
 
     @property
     def rank(self) -> int:
-        return self.data.ndim
+        return self.data.ndim - self.stacked
 
 
 def as_tensor(value, frame: Frame, rank: int) -> Tensor:
@@ -188,18 +196,26 @@ def invert_metric(g: Tensor) -> MetricPair:
     return MetricPair(Tensor(g.frame, mat), Tensor(g.frame, inv))
 
 
-def trace_g(tensor: Tensor, metric: MetricPair) -> float:
-    """Metric trace g^{ij} T_{ij} of a rank-2 tensor."""
+def trace_g(tensor: Tensor, metric: MetricPair):
+    """Metric trace g^{ij} T_{ij} of a rank-2 tensor: a float, or an array
+    over a stack."""
     _require_rank2_on_frame(tensor, metric)
-    return float(np.einsum("ij,ij->", metric.inverse, tensor.data))
+    return _scalars(tensor, np.einsum("ij,...ij->...", metric.inverse, tensor.data))
 
 
-def phi_trace(tensor: Tensor, metric: MetricPair, phi: Tensor) -> float:
-    """Twisted trace g^{ij} T(e_i, phi e_j) of a rank-2 tensor."""
+def phi_trace(tensor: Tensor, metric: MetricPair, phi: Tensor):
+    """Twisted trace g^{ij} T(e_i, phi e_j) of a rank-2 tensor: a float, or
+    an array over a stack."""
     _require_rank2_on_frame(tensor, metric)
-    if phi.rank != 2 or phi.frame != tensor.frame:
+    if phi.rank != 2 or phi.stacked or phi.frame != tensor.frame:
         raise DimensionMismatch("endomorphism must be rank 2 on the same frame")
-    return float(np.einsum("ij,ik,kj->", metric.inverse, tensor.data, phi.data))
+    return _scalars(tensor, np.einsum("ij,...ik,kj->...", metric.inverse, tensor.data, phi.data))
+
+
+def _scalars(tensor: Tensor, values):
+    """values, one per tensor of tensor's stack, as that array, or as the
+    float of an unstacked tensor."""
+    return values if tensor.stacked else float(values)
 
 
 def _require_rank2_on_frame(tensor: Tensor, metric: MetricPair) -> None:

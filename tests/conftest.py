@@ -8,7 +8,15 @@ with the library's vectorized implementations. Slow but unambiguous.
 import numpy as np
 import pytest
 
-from accrgeo import Frame, LieAlgebra, build_example2, example2_state, flat_carrier_structure
+from accrgeo import (
+    Frame,
+    LieAlgebra,
+    Tensor,
+    analyze,
+    build_example2,
+    example2_state,
+    flat_carrier_structure,
+)
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +51,13 @@ def semidirect_constants(n):
         c[n + a, 0, a], c[n + a, a, 0] = 1.0, -1.0
         c[a, 0, n + a], c[a, n + a, 0] = -1.0, 1.0
     return c
+
+
+def analyze_stack(constants, s):
+    """The analysis of the algebras with the structure constants of the
+    sequence constants, on structure s, as one stack."""
+    frame = s.frame
+    return analyze(LieAlgebra(frame, Tensor(frame, np.stack(constants), stacked=True)), s)
 
 
 @pytest.fixture(scope="session")

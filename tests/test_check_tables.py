@@ -48,7 +48,7 @@ from accrgeo.scenarios import _SUMS_NOTE, _example1_level
 from accrgeo.solitons import DEGENERATE_BETA_TOL, CheckTable, Column, is_degenerate_beta
 from accrgeo.tensors import Tensor
 
-from conftest import semidirect_constants
+from conftest import analyze_stack, semidirect_constants
 
 DEG_T = 3.0 * math.pi / 4.0
 
@@ -887,7 +887,8 @@ def test_rows_over_analyses_equal_the_rows_of_each_analysis(kwargs):
     sasaki_like = [a.classification.is_sasaki_like for a in analyses]
     assert sasaki_like == [True] * 3 + [False] * (len(analyses) - 3)
     betas = [-0.25, -0.2, 0.0, 0.6]
-    lam, lam_assoc, table = solitons.vertical_rows(analyses, _POTENTIALS, betas, **kwargs)
+    stack = analyze_stack([a.alg.c.data for a in analyses], analyses[0].s)
+    lam, lam_assoc, table = solitons.vertical_rows(stack, _POTENTIALS, betas, **kwargs)
     shape = (len(analyses), len(betas), len(_POTENTIALS))
     assert table.rows == math.prod(shape)
     for row in range(table.rows):

@@ -602,7 +602,7 @@ def test_curvature_tensor_is_built_only_where_it_is_listed(
         return original(conn, alg, metric)
 
     monkeypatch.setattr(accrgeo.geometry, "riemann", counted)
-    scenarios.example2_state.cache_clear()
+    scenarios._example2_stack.cache_clear()
     code, _, _ = run(capsys, *(path if arg is None else arg for arg in argv))
     assert code == 0
     assert len(metrics) == builds

@@ -13,6 +13,7 @@ from accrgeo import (
     build_example2,
     classify_sasaki_like,
     curvature_package,
+    einstein_like_fit,
     example2_state,
     flat_carrier_structure,
     fundamental_tensor,
@@ -622,3 +623,76 @@ def test_every_postcondition_is_judged_by_check_passes(monkeypatch, layer, error
     assert type(err.value) is error
     if error is not JacobiViolation:
         assert marker in str(err.value)
+
+
+def _stack_cases():
+    """(constants, structure) of the stacks the stacked analysis is checked on:
+    example2's default grid, semidirect n = 1..4 (one algebra each) and
+    example2 at (0, 0) in a dense integer frame of determinant 1."""
+    grid = [(p, q) for p in range(-2, 3) for q in range(-2, 3)]
+    cases = [([build_example2(float(p), float(q))[0].c.data for p, q in grid], flat_carrier_structure(2))]
+    cases += [([semidirect_constants(n)], flat_carrier_structure(n)) for n in range(1, 5)]
+    frame = np.array([[min(i, j) + 1.0 for j in range(5)] for i in range(5)])
+    inverse = np.rint(np.linalg.inv(frame))
+    carrier = flat_carrier_structure(2)
+    moved = validate_structure(
+        inverse @ carrier.phi.data @ frame,
+        inverse @ carrier.xi.data,
+        carrier.eta.data @ frame,
+        frame.T @ carrier.g.matrix @ frame,
+        Frame(5),
+    )
+    c = build_example2(0.0, 0.0)[0].c.data
+    cases.append(([np.einsum("Kk,kij,iI,jJ->KIJ", inverse, c, frame, frame)], moved))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6), ids=["example2-grid", "n1", "n2", "n3", "n4", "dense"])
+def test_stacked_analysis_equals_each_algebra_bytewise(case):
+    from conftest import analyze_stack
+
+    constants, s = _stack_cases()[case]
+    stack = analyze_stack(constants, s)
+    for a, c in enumerate(constants):
+        single = analyze(LieAlgebra(s.frame, c), s)
+        for got, want in (
+            (stack.pkg.conn.gamma.data[a], single.pkg.conn.gamma.data),
+            (stack.pkg.ricci.data[a], single.pkg.ricci.data),
+            (stack.pkg.riemann.data[a], single.pkg.riemann.data),
+            (stack.assoc_pkg.ricci.data[a], single.assoc_pkg.ricci.data),
+            (stack.fund.data[a], single.fund.data),
+        ):
+            assert got.tobytes() == want.tobytes()
+        scalars = (stack.pkg.tau, stack.pkg.tau_star, stack.assoc_pkg.tau, stack.assoc_pkg.tau_star)
+        assert [float(v[a]) for v in scalars] == [
+            single.pkg.tau, single.pkg.tau_star, single.assoc_pkg.tau, single.assoc_pkg.tau_star
+        ]
+        assert float(stack.classification.residual[a]) == single.classification.residual
+        assert bool(stack.classification.is_sasaki_like[a]) is single.classification.is_sasaki_like
+        fit, one = einstein_like_fit(stack.pkg.ricci, s), einstein_like_fit(single.pkg.ricci, s)
+        assert [float(fit.a[a]), float(fit.b[a]), float(fit.c[a]), float(fit.residual[a])] == [
+            one.a, one.b, one.c, one.residual
+        ]
+        assert str(fit.kind[a]) == one.kind
+
+
+@pytest.mark.parametrize(
+    "defect,error",
+    [("antisymmetry", AntisymmetryViolation), ("jacobi", JacobiViolation)],
+)
+def test_stack_with_one_corrupt_algebra_raises_as_that_algebra_alone(defect, error):
+    from conftest import analyze_stack
+
+    constants = [build_example2(float(p), 0.5)[0].c.data.copy() for p in range(-2, 3)]
+    bad = constants[3]
+    if defect == "antisymmetry":
+        bad[2, 0, 1] += 1e-6
+    else:
+        bad[1, 2, 3], bad[1, 3, 2] = 0.7, -0.7
+    s = flat_carrier_structure(2)
+    with pytest.raises(error) as alone:
+        LieAlgebra(s.frame, bad)
+    with pytest.raises(error) as stacked:
+        analyze_stack(constants, s)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)

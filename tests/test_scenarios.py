@@ -299,3 +299,72 @@ def test_small_example1_grid_rows_equal_single_points():
     assert any("nested tau elimination skipped" in note for note in notes)
     assert any("tau_assoc elimination skipped" in note for note in notes)
     _assert_example1_rows_match_single_points(result)
+
+
+def _counting(monkeypatch, module, name, calls, size=None):
+    """Count the calls of module.name in calls[name] (or the stack sizes that
+    size(args) reads off each call)."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + (1 if size is None else size(args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_large_example2_sweep_analyses_each_point_once(monkeypatch):
+    # more (p, q) than any per-point cache held: each algebra is analysed once
+    import accrgeo.scenarios as scenarios
+
+    scenarios._example2_stack.cache_clear()
+    calls = {}
+    _counting(monkeypatch, scenarios, "analyze", calls, lambda args: len(args[0].c.data))
+    grid = [float(v) for v in np.linspace(-2.0, 2.0, 9)]
+    result = sweep("example2", p_grid=grid, q_grid=grid, beta_grid=[0.3], t0_grid=[1.0])
+    assert len(result.rows) == 81
+    assert calls == {"analyze": 81}
+
+
+def test_cold_example2_sweep_runs_each_kernel_once(monkeypatch):
+    import accrgeo.geometry as geometry
+    import accrgeo.scenarios as scenarios
+    import accrgeo.structure as structure
+
+    scenarios._example2_stack.cache_clear()
+    scenarios._cached_carrier.cache_clear()
+    calls = {}
+    _counting(monkeypatch, scenarios, "validate_structure", calls)
+    _counting(monkeypatch, structure, "validate_structure", calls)
+    for name in ("levi_civita", "ricci", "riemann"):
+        _counting(monkeypatch, geometry, name, calls)
+    sweep("example2")
+    assert calls == {"validate_structure": 1, "levi_civita": 2, "ricci": 2, "riemann": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "example2", "--format", "json"],
+        ["soliton", "--scenario", "example2", "--solve", "--format", "json"],
+    ],
+)
+def test_cold_and_warm_runs_print_the_same_bytes(argv):
+    import contextlib
+    import io
+    import os
+    import subprocess
+    import sys
+
+    import accrgeo.cli
+
+    src = os.path.dirname(os.path.dirname(accrgeo.__file__))
+    code = f"import accrgeo.cli, sys; sys.exit(accrgeo.cli.main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": src}
+    cold = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    assert cold.returncode == 0
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert accrgeo.cli.main(argv) == 0
+    assert out.getvalue().encode() == cold.stdout
