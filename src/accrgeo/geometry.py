@@ -28,8 +28,10 @@ Scenarios, definition files and sweeps all go through it. alg may be a
 stack of algebras on one structure (its constants a stacked Tensor
 c[a, k, i, j]): every kernel below is one batched expression over the
 stack, each postcondition judges the whole stack, and every field of the
-Analysis is stacked (its scalars arrays over the stack). One algebra is the
-stack of one, through the same kernels, with the same messages.
+Analysis is stacked (its scalars arrays over the stack). The kernels index
+from the last axis, so one algebra runs the same expressions with no
+leading axis at all (an extra axis costs numpy time on every call at dim
+5), and raises the same messages.
 
 Every contraction (the Jacobi identity, the Koszul formula, Ricci, the
 curvature tensor and the fundamental tensor) runs as reshapes plus matrix
@@ -96,46 +98,25 @@ def _scratch(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _stack(tensor: Tensor) -> np.ndarray:
-    """tensor's data with one leading axis over its stack: a view, whose axis
-    has length one for an unstacked tensor."""
-    return tensor.data if tensor.stacked else tensor.data[None]
-
-
-def _unstack(like: Tensor, arr: np.ndarray) -> Tensor:
-    """arr, which has one leading axis over the stack of like, as a Tensor
-    stacked as like is."""
-    return Tensor(like.frame, arr if like.stacked else arr[0], like.stacked)
-
-
 def _jacobiator_rows(c, ad, pairs, i0, i1, j0, bufs) -> np.ndarray:
-    """|J[a, i, j, r, l]| of each algebra a of the stack c, for i0 <= i < i1
-    and j >= j0, in the first of the three flat buffers bufs. J =
-    ad_[e_i,e_j] - [ad_i, ad_j], so J[a, i, j, r, l] is the e_r-component of
-    [[e_i,e_j],e_l] + cyclic; ad[a, i, r, l] = c[a, r, i, l] and
-    pairs[a, i, j, m] = c[a, m, i, j]."""
-    stack, d = c.shape[:2]
+    """|J[..., i, j, r, l]| for i0 <= i < i1 and j >= j0, in the first of the
+    three flat buffers bufs. J = ad_[e_i,e_j] - [ad_i, ad_j], so J[i, j, r, l]
+    is the e_r-component of [[e_i,e_j],e_l] + cyclic; ad[..., i, r, l] =
+    c[..., r, i, l] and pairs[..., i, j, m] = c[..., m, i, j]."""
+    lead, d = c.shape[:-3], c.shape[-1]
     b, tail = i1 - i0, d - j0
-    jac = _scratch(bufs[0], stack, b, tail, d, d)
-    np.matmul(
-        pairs[:, i0:i1, j0:],
-        ad.reshape(stack, 1, d, d * d),
-        out=jac.reshape(stack, b, tail, d * d),
-    )
-    # ad_i ad_j, indexed (a, i, r, j, l), and ad_j ad_i, indexed (a, i, j, r, l)
-    ij = _scratch(bufs[1], stack, b, d, tail, d)
-    np.matmul(
-        ad[:, i0:i1],
-        c.reshape(stack, 1, d, d * d)[..., j0 * d :],
-        out=ij.reshape(stack, b, d, tail * d),
-    )
-    ji = _scratch(bufs[2], stack, b, tail, d, d)
-    np.matmul(
-        ad[:, j0:].reshape(stack, 1, tail * d, d),
-        ad[:, i0:i1],
-        out=ji.reshape(stack, b, tail * d, d),
-    )
-    jac -= ij.transpose(0, 1, 3, 2, 4)
+    rows = ad[..., i0:i1, :, :]
+    jac = _scratch(bufs[0], *lead, b, tail, d, d)
+    flat_ad = ad.reshape(lead + (1, d, d * d))
+    np.matmul(pairs[..., i0:i1, j0:, :], flat_ad, out=jac.reshape(lead + (b, tail, d * d)))
+    # ad_i ad_j, indexed (i, r, j, l), and ad_j ad_i, indexed (i, j, r, l)
+    ij = _scratch(bufs[1], *lead, b, d, tail, d)
+    tail_c = c.reshape(lead + (1, d, d * d))[..., j0 * d :]
+    np.matmul(rows, tail_c, out=ij.reshape(lead + (b, d, tail * d)))
+    ji = _scratch(bufs[2], *lead, b, tail, d, d)
+    tail_ad = ad[..., j0:, :, :].reshape(lead + (1, tail * d, d))
+    np.matmul(tail_ad, rows, out=ji.reshape(lead + (b, tail * d, d)))
+    jac -= ij.swapaxes(-3, -2)
     jac += ji
     return np.abs(jac, out=jac)
 
@@ -155,7 +136,7 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_tensor(self.c, self.frame, 3))
-        arr = _stack(self.c)
+        arr = self.c.data
         d = self.frame.dim
         # the Jacobi identity, curvature and Ricci sum products of two
         # constants (or of connection coefficients of their size) over dim
@@ -168,7 +149,7 @@ class LieAlgebra:
                 f"exceeds {limit:.3e}, past which products overflow float64 at dim {d}"
             )
         require(
-            arr + np.swapaxes(arr, 2, 3),
+            arr + arr.swapaxes(-2, -1),
             "c[k,i,j] + c[k,j,i] has residual {residual:.3e}",
             LINALG_TOL,
             AntisymmetryViolation,
@@ -176,21 +157,23 @@ class LieAlgebra:
         # the Jacobiator runs in blocks of rows i, so no dim^4 array is
         # built; it is alternating in (i, j, l), so every value has its
         # smallest index in some block's rows i with j >= the block's first
-        ad = np.ascontiguousarray(arr.transpose(0, 2, 1, 3))
-        pairs = np.ascontiguousarray(arr.transpose(0, 2, 3, 1))
+        ad = np.ascontiguousarray(arr.swapaxes(-3, -2))
+        pairs = np.ascontiguousarray(ad.swapaxes(-2, -1))
         rows = _block_rows(d)
-        bufs = np.empty((3, len(arr) * min(rows, d) * d**3))
+        bufs = np.empty((3, math.prod(arr.shape[:-3]) * min(rows, d) * d**3))
         blocks = [(i0, min(i0 + rows, d)) for i0 in range(0, d, rows)]
         residual = max(
             float(_jacobiator_rows(arr, ad, pairs, i0, i1, i0, bufs).max()) for i0, i1 in blocks
         )
         if not Check("Jacobi identity", residual).passed:
             # one more pass over every j names the first maximal (a, r, i, j,
-            # l) in C order: each block's first, then the largest and first of
-            # those, which is an algebra's own when it alone fails
+            # l) in C order, a over the stack: each block's first, then the
+            # largest and first of those, which is an algebra's own when it
+            # alone fails
             found = []
             for i0, i1 in blocks:
-                jac = _jacobiator_rows(arr, ad, pairs, i0, i1, 0, bufs).transpose(0, 3, 1, 2, 4)
+                jac = _jacobiator_rows(arr, ad, pairs, i0, i1, 0, bufs)
+                jac = jac.reshape((-1,) + jac.shape[-4:]).transpose(0, 3, 1, 2, 4)
                 a, r, i, j, l = map(int, np.unravel_index(np.argmax(jac), jac.shape))
                 found.append((-float(jac[a, r, i, j, l]), (a, r, i0 + i, j, l)))
             residual, worst = min(found)
@@ -245,22 +228,22 @@ def levi_civita(alg: LieAlgebra, metric: MetricPair) -> Connection:
     Zero torsion and metric compatibility are consequences of the formula;
     they are re-verified here as a guard against convention drift.
     """
-    c = _stack(alg.c)
+    c = alg.c.data
     g = metric.matrix
-    stack, d = c.shape[:2]
-    # a[., i,j,k] = g([e_i, e_j], e_k)
-    a = (c.reshape(stack, d, d * d).transpose(0, 2, 1) @ g).reshape(stack, d, d, d)
-    # b[., i,j,k] = a[., i,j,k] - a[., j,k,i] + a[., k,i,j]
-    b = a - a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1)
-    gamma = 0.5 * (metric.inverse @ b.reshape(stack, d * d, d).transpose(0, 2, 1))
-    gamma = gamma.reshape(stack, d, d, d)
+    lead, d = c.shape[:-3], g.shape[0]
+    # a[..., i,j,k] = g([e_i, e_j], e_k)
+    a = (c.reshape(lead + (d, d * d)).swapaxes(-1, -2) @ g).reshape(c.shape)
+    # b[..., i,j,k] = a[..., i,j,k] - a[..., j,k,i] + a[..., k,i,j]
+    b = a - a.swapaxes(-3, -1).swapaxes(-2, -1) + a.swapaxes(-3, -2).swapaxes(-2, -1)
+    gamma = 0.5 * (metric.inverse @ b.reshape(lead + (d * d, d)).swapaxes(-1, -2))
+    gamma = gamma.reshape(c.shape)
 
-    torsion = gamma - np.swapaxes(gamma, 2, 3) - c
+    torsion = gamma - gamma.swapaxes(-2, -1) - c
     require(torsion, "Levi-Civita postcondition failed: torsion is nonzero")
-    # gl[., i,j,k] = g(D_i e_j, e_k); metric compatibility is gl[., i,j,k] + gl[., i,k,j] = 0
-    gl = (gamma.reshape(stack, d, d * d).transpose(0, 2, 1) @ g).reshape(stack, d, d, d)
-    require(gl + gl.transpose(0, 1, 3, 2), "Levi-Civita postcondition failed: metric not parallel")
-    return Connection(alg.frame, _unstack(alg.c, gamma))
+    # gl[..., i,j,k] = g(D_i e_j, e_k); metric compatibility is gl[..., i,j,k] + gl[..., i,k,j] = 0
+    gl = (gamma.reshape(lead + (d, d * d)).swapaxes(-1, -2) @ g).reshape(c.shape)
+    require(gl + gl.swapaxes(-2, -1), "Levi-Civita postcondition failed: metric not parallel")
+    return Connection(alg.frame, Tensor(alg.frame, gamma, alg.c.stacked))
 
 
 def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
@@ -269,47 +252,40 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     The pair antisymmetries, pair-swap symmetry and first Bianchi identity
     are asserted before returning; a violation indicates corrupt inputs.
     """
-    gamma = _stack(conn.gamma)
-    stack, d = gamma.shape[:2]
+    gamma = conn.gamma.data
+    lead, d = gamma.shape[:-3], gamma.shape[-1]
     rows = _block_rows(d)
-    # gl[., i, m, l] = g(D_i e_m, e_l)
-    gl = (gamma.reshape(stack, d, d * d).transpose(0, 2, 1) @ metric.matrix).reshape(stack, d, d, d)
-    # result, which the returned Tensor keeps, is the only dim^4 array of
-    # each algebra, and low its view with one axis over the stack; every
-    # step below works in a scratch block of rows of the first index
-    result = np.empty(conn.gamma.data.shape[:-3] + (d,) * 4)
-    low = result.reshape((stack,) + (d,) * 4)
-    scratch = np.empty((stack, min(rows, d), d, d, d))
-    # low[., i, j, k, l] = sum_m gamma[., m, j, k] gl[., i, m, l] = g(D_i D_j e_k, e_l);
+    # gl[..., i, m, l] = g(D_i e_m, e_l)
+    gl = (gamma.reshape(lead + (d, d * d)).swapaxes(-1, -2) @ metric.matrix).reshape(gamma.shape)
+    # low, which the returned Tensor keeps, is the only dim^4 array of each
+    # algebra; every step below works in a scratch block of rows of the
+    # first index
+    low = np.empty(lead + (d,) * 4)
+    scratch = np.empty(lead + (min(rows, d), d, d, d))
+    # low[..., i, j, k, l] = sum_m gamma[..., m, j, k] gl[..., i, m, l] = g(D_i D_j e_k, e_l);
     # one gemm per i
-    np.matmul(
-        gamma.reshape(stack, 1, d, d * d).transpose(0, 1, 3, 2),
-        gl,
-        out=low.reshape(stack, d, d * d, d),
-    )
-    c = _stack(alg.c).reshape(stack, d, d * d)
-    gl = gl.reshape(stack, d, d * d)
+    first = gamma.reshape(lead + (1, d, d * d)).swapaxes(-1, -2)
+    np.matmul(first, gl, out=low.reshape(lead + (d, d * d, d)))
+    c = alg.c.data.reshape(lead + (d, d * d))
+    gl = gl.reshape(lead + (d, d * d))
     for i0 in range(0, d, rows):
         i1 = min(i0 + rows, d)
-        buf = scratch[:, : i1 - i0]
-        # low[., i, j] - low[., j, i] in place, for the block's rows i and
-        # j >= i0; the rows j < i0 were paired with them by the earlier blocks
-        diag = low[:, i0:i1, i0:i1]
-        before = buf[:, :, : i1 - i0]
+        buf = scratch[..., : i1 - i0, :, :, :]
+        # low[i, j] - low[j, i] in place, for the block's rows i and j >= i0;
+        # the rows j < i0 were paired with them by the earlier blocks
+        diag = low[..., i0:i1, i0:i1, :, :]
+        before = buf[..., : i1 - i0, :, :]
         before[...] = diag
-        np.subtract(before, before.transpose(0, 2, 1, 3, 4), out=diag)
-        upper, lower = low[:, i0:i1, i1:], low[:, i1:, i0:i1]
-        before = buf[:, :, : d - i1]
+        np.subtract(before, before.swapaxes(-4, -3), out=diag)
+        upper, lower = low[..., i0:i1, i1:, :, :], low[..., i1:, i0:i1, :, :]
+        before = buf[..., : d - i1, :, :]
         before[...] = upper
-        np.subtract(upper, lower.transpose(0, 2, 1, 3, 4), out=upper)
-        np.subtract(lower, before.transpose(0, 2, 1, 3, 4), out=lower)
-        # buf[., i, j, k, l] = sum_m c[., m, i, j] gl[., m, k, l] = g(D_[e_i,e_j] e_k, e_l)
-        np.matmul(
-            c[:, :, i0 * d : i1 * d].transpose(0, 2, 1),
-            gl,
-            out=buf.reshape(stack, (i1 - i0) * d, d * d),
-        )
-        low[:, i0:i1] -= buf
+        np.subtract(upper, lower.swapaxes(-4, -3), out=upper)
+        np.subtract(lower, before.swapaxes(-4, -3), out=lower)
+        # buf[..., i, j, k, l] = sum_m c[..., m, i, j] gl[..., m, k, l] = g(D_[e_i,e_j] e_k, e_l)
+        bracket = c[..., i0 * d : i1 * d].swapaxes(-1, -2)
+        np.matmul(bracket, gl, out=buf.reshape(lead + ((i1 - i0) * d, d * d)))
+        low[..., i0:i1, :, :, :] -= buf
 
     # the four symmetries, block by block in the same scratch; each takes
     # its absolute value in place, so no check allocates. The absolute value
@@ -322,27 +298,27 @@ def riemann(conn: Connection, alg: LieAlgebra, metric: MetricPair) -> Tensor:
     for i0 in range(0, d, rows):
         i1 = min(i0 + rows, d)
         b, tail = i1 - i0, d - i0
-        block = low[:, i0:i1]
-        buf = _scratch(flat, stack, b, tail, d, d)
-        np.add(low[:, i0:i1, i0:], low[:, i0:, i0:i1].transpose(0, 2, 1, 3, 4), out=buf)
+        block = low[..., i0:i1, :, :, :]
+        buf = _scratch(flat, *lead, b, tail, d, d)
+        np.add(block[..., i0:, :, :], low[..., i0:, i0:i1, :, :].swapaxes(-4, -3), out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        buf = scratch[:, :b]
-        np.add(block, block.transpose(0, 1, 2, 4, 3), out=buf)
+        buf = scratch[..., :b, :, :, :]
+        np.add(block, block.swapaxes(-2, -1), out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        buf = _scratch(flat, stack, b, d, tail, d)
-        np.subtract(
-            low[:, i0:i1, :, i0:], low[:, i0:, :, i0:i1].transpose(0, 3, 4, 1, 2), out=buf
-        )
+        # the pair swap (i, j, k, l) -> (k, l, i, j)
+        buf = _scratch(flat, *lead, b, d, tail, d)
+        swapped = low[..., i0:, :, i0:i1, :].swapaxes(-4, -2).swapaxes(-3, -1)
+        np.subtract(block[..., :, i0:, :], swapped, out=buf)
         require(np.abs(buf, out=buf).max(), message)
-        buf = _scratch(flat, stack, b, tail, tail, d)
-        np.add(
-            low[:, i0:i1, i0:, i0:], low[:, i0:, i0:, i0:i1].transpose(0, 3, 1, 2, 4), out=buf
-        )
-        buf += low[:, i0:, i0:i1, i0:].transpose(0, 2, 3, 1, 4)
+        # Bianchi: R[i, j, k] + R[j, k, i] + R[k, i, j], over the last index
+        buf = _scratch(flat, *lead, b, tail, tail, d)
+        cycled = low[..., i0:, i0:, i0:i1, :].swapaxes(-4, -2).swapaxes(-3, -2)
+        np.add(block[..., i0:, i0:, :], cycled, out=buf)
+        buf += low[..., i0:, i0:i1, i0:, :].swapaxes(-4, -3).swapaxes(-3, -2)
         require(np.abs(buf, out=buf).max(), message)
-    # frozen, result is handed to the Tensor without a copy
-    result.setflags(write=False)
-    return Tensor(alg.frame, result, conn.gamma.stacked)
+    # frozen, low is handed to the Tensor without a copy
+    low.setflags(write=False)
+    return Tensor(alg.frame, low, conn.gamma.stacked)
 
 
 def ricci(conn: Connection, alg: LieAlgebra) -> Tensor:
@@ -354,18 +330,18 @@ def ricci(conn: Connection, alg: LieAlgebra) -> Tensor:
                     - sum_{i,m} gamma[i, j, m] gamma[m, i, k]
                     - sum_{i,m} c[m, i, j] gamma[i, m, k]
     """
-    gamma = _stack(conn.gamma)
-    stack, d = gamma.shape[:2]
-    # swapped[., j, i, m] = gamma[., i, j, m], copied once for both of its reshapes
-    swapped = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))
-    trace = np.trace(gamma, axis1=1, axis2=2)[:, None]
-    rho = (trace @ gamma.reshape(stack, d, d * d)).reshape(stack, d, d)
-    rho -= swapped.reshape(stack, d, d * d) @ swapped.reshape(stack, d * d, d)
-    # the rows of c.transpose(0, 3, 2, 1) are c[., m, i, j] over (i, m) for each j
-    c = _stack(alg.c).transpose(0, 3, 2, 1)
-    rho -= c.reshape(stack, d, d * d) @ gamma.reshape(stack, d * d, d)
-    require(rho - rho.transpose(0, 2, 1), "Ricci postcondition failed: not symmetric")
-    return _unstack(alg.c, rho)
+    gamma = conn.gamma.data
+    lead, d = gamma.shape[:-3], gamma.shape[-1]
+    # swapped[..., j, i, m] = gamma[..., i, j, m], copied once for both of its reshapes
+    swapped = np.ascontiguousarray(gamma.swapaxes(-3, -2))
+    trace = gamma.trace(0, -3, -2)[..., None, :]
+    rho = (trace @ gamma.reshape(lead + (d, d * d))).reshape(lead + (d, d))
+    rho -= swapped.reshape(lead + (d, d * d)) @ swapped.reshape(lead + (d * d, d))
+    # the rows of c.swapaxes(-3, -1) are c[..., m, i, j] over (i, m) for each j
+    c = alg.c.data.swapaxes(-3, -1)
+    rho -= c.reshape(lead + (d, d * d)) @ gamma.reshape(lead + (d * d, d))
+    require(rho - rho.swapaxes(-2, -1), "Ricci postcondition failed: not symmetric")
+    return Tensor(alg.frame, rho, conn.gamma.stacked)
 
 
 def curvature_package(alg: LieAlgebra, metric: MetricPair, phi: Tensor) -> CurvaturePackage:
@@ -385,31 +361,30 @@ def fundamental_tensor(conn: Connection, s: AccRStructure) -> Tensor:
     and F(x, phi y, xi) = g(D_x xi, y). All three are consequences of the
     structure identities plus metric compatibility.
     """
-    gamma = _stack(conn.gamma)
+    gamma = conn.gamma.data
     phi, g = s.phi.data, s.g.matrix
-    stack, d = gamma.shape[:2]
-    shape = (stack, d, d, d)
-    # components d_phi[., l, i, j] of (D_i phi) e_j = D_i (phi e_j) - phi (D_i e_j)
-    d_phi = (gamma.reshape(stack, d * d, d) @ phi).reshape(shape) - (
-        phi @ gamma.reshape(stack, d, d * d)
-    ).reshape(shape)
-    f = (d_phi.reshape(stack, d, d * d).transpose(0, 2, 1) @ g).reshape(shape)
+    lead, d = gamma.shape[:-3], phi.shape[0]
+    # components d_phi[..., l, i, j] of (D_i phi) e_j = D_i (phi e_j) - phi (D_i e_j)
+    d_phi = (gamma.reshape(lead + (d * d, d)) @ phi).reshape(gamma.shape) - (
+        phi @ gamma.reshape(lead + (d, d * d))
+    ).reshape(gamma.shape)
+    f = (d_phi.reshape(lead + (d, d * d)).swapaxes(-1, -2) @ g).reshape(gamma.shape)
 
     eta, xi = s.eta.data, s.xi.data
     f_xi_mid = np.matmul(xi, f)
     f_xi_last = f @ xi
     recompose = (
         np.matmul(phi.T, f @ phi)
-        + eta[:, None] * f_xi_mid[:, :, None, :]
-        + eta * f_xi_last[:, :, :, None]
+        + eta[:, None] * f_xi_mid[..., None, :]
+        + eta * f_xi_last[..., None]
     )
-    nabla_xi = conn.derivative_of_field(xi).reshape(stack, d, d)
-    reeb_link = f_xi_last @ phi - nabla_xi.transpose(0, 2, 1) @ g
+    nabla_xi = conn.derivative_of_field(xi)
+    reeb_link = f_xi_last @ phi - nabla_xi.swapaxes(-1, -2) @ g
     message = "fundamental tensor postcondition failed: "
-    require(f - f.transpose(0, 1, 3, 2), message + "last-two-slot symmetry")
+    require(f - f.swapaxes(-1, -2), message + "last-two-slot symmetry")
     require(f - recompose, message + "phi-recomposition")
     require(reeb_link, message + "Reeb-derivative link")
-    return _unstack(conn.gamma, f)
+    return Tensor(s.frame, f, conn.gamma.stacked)
 
 
 def classify_sasaki_like(

@@ -434,13 +434,15 @@ def einstein_like_fit(ricci_tensor: Tensor, s: AccRStructure) -> EinsteinLikeFit
 
     # prefer exact zeros when they decompose rho just as well: the
     # sub-class labels below depend on which coefficients vanish
-    snapped = np.where(np.abs(coeffs) < DEFAULT_TOL, 0.0, coeffs)
+    small = np.abs(coeffs) < DEFAULT_TOL
+    snapped = np.where(small, 0.0, coeffs)
     keep = Check("snapped", residual(snapped)).passes()
     coeffs = np.where(keep[..., None, None, None], snapped, coeffs)
     fit = residual(coeffs)
     a, b, c = coeffs[..., 0, 0].T
     exact = Check("fit", fit).passes()
-    zero_b, zero_c = np.abs(b) < DEFAULT_TOL, np.abs(c) < DEFAULT_TOL
+    # the fitted b and c vanish where the solved ones are small, snapped or not
+    zero_b, zero_c = small[..., 1:, 0, 0].T
     kind = _FIT_KINDS[exact * (1 + zero_b * (1 + zero_c))]
 
     n = s.n
