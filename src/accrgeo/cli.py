@@ -358,9 +358,8 @@ def cmd_inspect(config: RunConfig):
     if config.input_path is not None:
         _, s, pkg, _, classification, assoc_pkg = _input_analysis(config)
     else:
-        p = config.options.get("p") or 0.0
-        q = config.options.get("q") or 0.0
-        _, s, pkg, _, classification, assoc_pkg = example2_state(p, q)
+        params = _example2_params(config.options)
+        _, s, pkg, _, classification, assoc_pkg = example2_state(params.p, params.q)
     fit = einstein_like_fit(pkg.ricci, s)
     payload = {
         "dim": s.frame.dim,
@@ -442,12 +441,17 @@ def _soliton_result(scenario, scalars: dict, report: TheoremReport, tol_override
     return payload, 0 if passed else 1
 
 
+def _example2_params(opts: dict) -> Example2Params:
+    """The example2 point of opts: an option not given, or not taken by the
+    command, keeps its Example2Params default."""
+    names = ("p", "q", "beta", "t0")
+    return Example2Params(**{name: opts[name] for name in names if opts.get(name) is not None})
+
+
 def cmd_soliton(config: RunConfig):
     opts = config.options
     if config.scenario == "example2":
-        params = Example2Params(
-            **{name: opts[name] for name in ("p", "q", "beta", "t0") if opts[name] is not None}
-        )
+        params = _example2_params(opts)
         k = None
         if opts["k"] is not None:
             k = VerticalScalar(value=opts["k"], xi_derivative=opts["k_prime"])

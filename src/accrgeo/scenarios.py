@@ -41,16 +41,18 @@ the theorem forces, with the curve's checks put at their head.
 
 Each scenario builds one table with its theorem's builder, the one that
 definition files use too, and adds its own checks around that table.
-example2 starts from one stacked Analysis of the algebras of its (p, q)
-grid on the carrier, validated once, and their Einstein-like fits from one
-solve (_example2_stack, cached per grid), and calls solitons.vertical_lie
-and vertical_rows on that stack, adding its closed-form checks.
-example1 calls conformal_row, as soliton --input --psi does (through
-solitons.conformal_report, with one point). Each check is computed once
-per value of the parameters it depends on (see sweep); a single-point
-report is the one row of such a table, and a sweep row's report is built
-from its table only when it is read. A sweep holds its rows as columns
-(SweepResult); a SweepRow is built only when its rows are read.
+example2 starts from one Analysis and its Einstein-like fit: a point is
+one algebra (example2_state, cached per (p, q)), a sweep the stack of the
+algebras of its (p, q) grid on the carrier, validated once and fitted in
+one solve (_example2_stack, cached per grid). It calls
+solitons.vertical_lie and vertical_rows on that Analysis, adding its
+closed-form checks. example1 calls conformal_row, as soliton --input
+--psi does (through solitons.conformal_report, with one point). Each
+check is computed once per value of the parameters it depends on (see
+sweep); a single-point report is the one row of such a table, and a sweep
+row's report is built from its table only when it is read. A sweep holds
+its rows as columns (SweepResult); a SweepRow is built only when its rows
+are read.
 """
 
 from __future__ import annotations
@@ -205,17 +207,18 @@ def example2_expected_curvature(frame: Frame) -> Tensor:
 
 @lru_cache(maxsize=64)
 def example2_state(p: float, q: float) -> Analysis:
-    """The analysis of the scenario at (p, q), cached: one point, as inspect
-    reads it; the reports read _example2_stack."""
+    """The analysis of the scenario at (p, q), one algebra, cached: inspect,
+    soliton and example2_point read the same one, so a repeated point runs
+    no geometry."""
     return analyze(*build_example2(float(p), float(q)))
 
 
 @lru_cache(maxsize=16)
 def _example2_stack(grid: tuple) -> tuple:
     """(analysis, fit): the analysis of the scenario's algebras at the (p, q)
-    of grid, one stack on the carrier, validated once, and the Einstein-like
-    fits of their Ricci tensors; cached per grid, so a repeated sweep or
-    point runs no geometry."""
+    of a sweep's grid, one stack on the carrier, validated once, and the
+    Einstein-like fits of their Ricci tensors; cached per grid, so a
+    repeated sweep runs no geometry."""
     s = _cached_carrier(2)
     p, q = np.array(grid, dtype=float).reshape(-1, 2).T
     a = analyze(LieAlgebra(s.frame, Tensor(s.frame, _example2_constants(p, q), True)), s)
@@ -231,31 +234,25 @@ _NOTES = {
 }
 
 
-def _residuals(computed, expected) -> np.ndarray:
-    """max |computed - expected| of each analysis, computed stacking one value
-    per analysis along its first axis, shaped (analyses, 1, 1) to broadcast
-    over the rows (analyses, betas, t0s) of a table."""
-    difference = np.abs(computed - expected)
-    return difference.reshape(len(difference), 1, 1, -1).max(axis=-1)
-
-
 def _example2_geometry(a: Analysis, fit: EinsteinLikeFit, rows: tuple) -> tuple:
     """(head, tail, reeb): the checks of example2's reports that depend on
-    (p, q) alone, each one array over the stack of a (one (p, q) each)
-    broadcast over rows, the shape of the table. head opens the reports,
-    tail (the Einstein-like fits, stacked in fit) closes them, and reeb is
-    D xi of each algebra.
+    (p, q) alone, each one array over the analyses of a (one algebra, or a
+    stack with one (p, q) each) broadcast over rows, the shape of the
+    table. head opens the reports, tail (the Einstein-like fits of a in
+    fit) closes them, and reeb is D xi of each algebra.
     """
     s, pkg, assoc_pkg = a.s, a.pkg, a.assoc_pkg
     n, xi, minus_phi = s.n, s.xi.data, -s.phi.data
     ricci = pkg.ricci.data
     reeb = pkg.conn.derivative_of_field(xi)
+
+    def residuals(computed, expected):
+        """max |computed - expected| of each analysis (a leading axis, none
+        for one algebra), shaped (analyses, 1, 1)."""
+        return np.abs(computed - expected).reshape(rows[0], 1, 1, -1).max(axis=-1)
+
     forms = {
-        "curvature_table": (
-            pkg.riemann.data,
-            example2_expected_curvature(s.frame).data,
-            1e-12,
-        ),
+        "curvature_table": (pkg.riemann.data, example2_expected_curvature(s.frame).data, 1e-12),
         "ricci_form": (ricci, 4.0 * s.eta_outer, 1e-12),
         "tau_value": (pkg.tau, 4.0, 1e-10),
         "tau_star_value": (pkg.tau_star, 0.0, 1e-10),
@@ -264,23 +261,21 @@ def _example2_geometry(a: Analysis, fit: EinsteinLikeFit, rows: tuple) -> tuple:
         "sasaki_like": (a.classification.residual, 0.0, 1e-12),
         # D_x xi = -phi x for the connections of both metrics
         "reeb_derivative": (reeb, minus_phi, DEFAULT_TOL),
-        "reeb_derivative_assoc": (
-            assoc_pkg.conn.derivative_of_field(xi), minus_phi, DEFAULT_TOL
-        ),
+        "reeb_derivative_assoc": (assoc_pkg.conn.derivative_of_field(xi), minus_phi, DEFAULT_TOL),
         "ricci_reeb_line": (ricci @ xi, 2.0 * n * s.eta.data, DEFAULT_TOL),
     }
     head = tuple(
-        Column.of(name, _residuals(computed, expected), tol, _NOTES.get(name, ""), rows=rows)
+        Column.of(name, residuals(computed, expected), tol, _NOTES.get(name, ""), rows=rows)
         for name, (computed, expected, tol) in forms.items()
     )
-    kinds, coefficients = fit.kind, np.stack([fit.a, fit.b, fit.c], axis=-1)
+    kinds, coefficients = np.reshape(fit.kind, -1), np.stack([fit.a, fit.b, fit.c], axis=-1)
     # one column per fit kind, each held by the analyses of that kind
     tail = (
-        Column.of("einstein_fit_residual", _residuals(fit.residual, 0.0), 1e-12, rows=rows),
+        Column.of("einstein_fit_residual", residuals(fit.residual, 0.0), 1e-12, rows=rows),
         *(
             Column.of(
                 "einstein_fit_coefficients",
-                _residuals(coefficients, np.array((0.0, 0.0, 4.0))),
+                residuals(coefficients, np.array((0.0, 0.0, 4.0))),
                 1e-10,
                 f"fit kind: {kind}",
                 present=(kinds == kind).reshape(-1, 1, 1),
@@ -293,7 +288,8 @@ def _example2_geometry(a: Analysis, fit: EinsteinLikeFit, rows: tuple) -> tuple:
 
 
 def _example2_rows(
-    grid,
+    a: Analysis,
+    fit: EinsteinLikeFit,
     t0s,
     betas,
     k: VerticalScalar = None,
@@ -301,10 +297,11 @@ def _example2_rows(
     lam_assoc: float = None,
     mu: float = None,
 ) -> tuple:
-    """(analysis, ks, lam, lam_assoc, table): the vertical theorem at the
-    a-th (p, q) of grid, betas[i] and t0s[j] is ks[j], the constants of
-    vertical_rows in its soliton residual, and row (a * len(betas) + i) *
-    len(t0s) + j of table, on the stacked analysis of grid (_example2_stack).
+    """(ks, lam, lam_assoc, table): the vertical theorem on a, the analysis
+    of one (p, q) (example2_state) or of a grid (_example2_stack), fitted in
+    fit: at the a-th analysis, betas[i] and t0s[j], ks[j] is the potential's
+    scalar, and vertical_rows' constants are in the soliton residual of row
+    (a * len(betas) + i) * len(t0s) + j of table.
 
     The reports wrap the shared vertical_rows checks in the scenario's
     geometry checks. k defaults to the scenario family k = -2 t0, k' = -2,
@@ -313,8 +310,7 @@ def _example2_rows(
     k makes t0 irrelevant. The Lie derivatives of every (p, q, t0) are one
     broadcast (solitons.vertical_lie).
     """
-    a, fit = _example2_stack(tuple(grid))
-    rows = (len(grid), len(betas), len(t0s))
+    rows = (np.size(a.pkg.tau), len(betas), len(t0s))
     head, tail, reeb = _example2_geometry(a, fit, rows)
     s = a.s
     family = k is None
@@ -371,7 +367,7 @@ def _example2_rows(
             ),
         )
     columns = (*head, *closed, *family_columns, *checks, *constants, residual, *tail)
-    return a, ks, lams, lam_assocs, table._replace(columns=columns)
+    return ks, lams, lam_assocs, table._replace(columns=columns)
 
 
 def example2_point(
@@ -396,10 +392,12 @@ def example2_point(
     eta (.) eta term: the two-metric solve is skipped and lam defaults to
     0 there.
 
-    The report is built by the same per-level helpers as sweep's rows.
+    The report reads the one algebra of example2_state, through the same
+    per-level helpers as sweep's rows.
     """
-    _, (k,), lam, lam_assoc, table = _example2_rows(
-        [(params.p, params.q)], (params.t0,), (params.beta,), k, lam, lam_assoc, mu
+    a = example2_state(params.p, params.q)
+    (k,), lam, lam_assoc, table = _example2_rows(
+        a, einstein_like_fit(a.pkg.ricci, a.s), (params.t0,), (params.beta,), k, lam, lam_assoc, mu
     )
     return k, lam, lam_assoc, table.report(0)
 
@@ -503,8 +501,8 @@ def _example1_rows(curve: _Example1Level, n: int, betas, sums_override=None) -> 
         curve.tau, curve.tau_assoc, n, betas, *sums,
         ricci=curve.ricci, structure=_cached_carrier(n), notes=notes,
     )
-    point = np.arange(table.rows) % len(curve.tau)
-    columns = (*(column.shared(point) for column in curve.columns), *table.columns)
+    rows = (len(betas), len(curve.tau))
+    columns = (*(Column.of(*column[:4], rows=rows) for column in curve.columns), *table.columns)
     return sum_g.ravel().tolist(), sum_assoc.ravel().tolist(), table._replace(columns=columns)
 
 
@@ -652,7 +650,8 @@ def sweep(
         betas = _grid(beta_grid, DEFAULT_BETA_GRID)
         t0s = _grid(t0_grid, DEFAULT_T0_GRID)
         grid = list(product(_grid(p_grid, DEFAULT_P_GRID), _grid(q_grid, DEFAULT_Q_GRID)))
-        a, _, *solved, table = _example2_rows(grid, t0s, betas)
+        a, fit = _example2_stack(tuple(grid))
+        _, *solved, table = _example2_rows(a, fit, t0s, betas)
         size = len(betas) * len(t0s)
         params = {
             "p": [p for p, _ in grid for _ in range(size)],

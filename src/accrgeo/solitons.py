@@ -32,10 +32,9 @@ check, its residuals computed over all rows at once in the operations of
 the one-point formula, in their order; a table of one row computes them in
 Python numbers (_operands). A check that depends on some of the row
 axes is computed once per value of those, as an array that Column.of
-broadcasts over the rows, or as one residual per curvature point that
-Column.shared copies onto the point's rows. A row's TheoremReport is built
-from its table only when it is read, and is frozen; _judge judges a table's
-rows and a report's checks alike. A report's checks are tensors.Check
+broadcasts over the rows. A row's TheoremReport is built from its table
+only when it is read, and is frozen; _judge judges a table's rows and a
+report's checks alike. A report's checks are tensors.Check
 (re-exported here).
 
 Each theorem has one table builder, and a scenario adds its own checks
@@ -179,15 +178,9 @@ class Column(NamedTuple):
         present is broadcast against the values."""
         if not isinstance(values, np.ndarray):
             return cls(name, [abs(values)], tol, note, [present])
-        if rows:
-            values = np.broadcast_to(values, rows)
-        held = np.full(values.shape, present)
-        return cls(name, np.abs(values).ravel(), tol, note, held.ravel())
-
-    def shared(self, level) -> "Column":
-        """This column of one residual per level as a column over rows, row r
-        holding the residual of level[r]."""
-        return self._replace(residual=self.residual[level], present=np.ones(len(level), bool))
+        shape = rows or values.shape
+        residual = np.abs(values, out=np.empty(shape))
+        return cls(name, residual.ravel(), tol, note, np.full(shape, present).ravel())
 
 
 class CheckTable(NamedTuple):
@@ -296,10 +289,12 @@ def _lie_derivative(d_theta: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def vertical_lie(s: AccRStructure, ks, reeb: np.ndarray) -> tuple:
     """(L_theta g, L_theta g_assoc) of theta = k xi for each k of ks on the
-    analyses of structure s whose D xi stack in reeb: arrays over (analyses,
-    ks), from one D theta, as lie_derivative_metric forms one of them."""
+    analyses of structure s whose D xi is reeb, one matrix or a stack of
+    them: arrays over (analyses, ks), from one D theta, as
+    lie_derivative_metric forms one of them."""
     k_value, k_prime = np.array([(k.value, k.xi_derivative) for k in ks], dtype=float).T
-    d_theta = _d_theta(k_value[:, None, None], k_prime[:, None, None], reeb[:, None], s)
+    reeb = reeb.reshape(-1, 1, *reeb.shape[-2:])
+    d_theta = _d_theta(k_value[:, None, None], k_prime[:, None, None], reeb, s)
     return tuple(_lie_derivative(d_theta, m.matrix) for m in (s.g, s.g_assoc))
 
 
@@ -627,18 +622,19 @@ def conformal_row(
     sum_assoc = psi_assoc + lam_assoc.
 
     Row i * points + j is beta[i] at point j. The checks that are free of
-    beta and the sums are computed once per point and shared onto its rows
-    (Column.shared): scalar_sum opens every report and ricci_einstein_like
-    closes it. The points' arrays broadcast against beta[:, None], as do
-    sum_g and sum_assoc, so every other check is one array expression over
-    all rows. Without both ricci and structure there are no Ricci checks,
-    tau_star is 2n - tau_assoc instead of the phi-trace, and a note says so;
-    a report's notes are that note, then notes, then the branch's.
+    beta and the sums are computed once per point and broadcast over its
+    rows (Column.of with rows (len(beta), points)): scalar_sum opens every
+    report and ricci_einstein_like closes it. The points' arrays broadcast
+    against beta[:, None], as do sum_g and sum_assoc, so every other check
+    is one array expression over all rows. Without both ricci and structure
+    there are no Ricci checks, tau_star is 2n - tau_assoc instead of the
+    phi-trace, and a note says so; a report's notes are that note, then
+    notes, then the branch's.
     """
     tau, tau_assoc = np.asarray(tau, dtype=float), np.asarray(tau_assoc, dtype=float)
-    head = Column.of(
-        "scalar_sum", tau + tau_assoc - 4.0 * n * (n + 1.0), note="tau + tau_assoc = 4n(n+1)"
-    )
+    rows = (len(beta), len(tau))
+    sums = tau + tau_assoc - 4.0 * n * (n + 1.0)
+    head = Column.of("scalar_sum", sums, note="tau + tau_assoc = 4n(n+1)", rows=rows)
     if ricci is None or structure is None:
         tail, ricci_notes = (), ("tau_star derived from tau_assoc; no Ricci tensor supplied",)
         tau_star = 2.0 * n - tau_assoc
@@ -652,11 +648,11 @@ def conformal_row(
             "ricci_einstein_like",
             np.abs(einstein_form).max(axis=(-2, -1)),
             note="rho = (tau/2n - 1) g + (tau_assoc/2n - 1) g_assoc",
+            rows=rows,
         )
         tail, ricci_notes = (einstein_like,), ()
         # the phi-trace of tensors.phi_trace, one per point
         tau_star = np.einsum("ij,tik,kj->t", structure.g.inverse, ricci, structure.phi.data)
-    point = np.arange(len(beta) * len(tau)) % len(tau)
     beta, sum_g, sum_assoc, tau, tau_assoc, tau_star = np.broadcast_arrays(
         np.asarray(beta, dtype=float)[:, None], sum_g, sum_assoc, tau, tau_assoc, tau_star
     )
@@ -743,7 +739,7 @@ def conformal_row(
         note = "rho + (psi+lam+beta tau) g + (psi_assoc+lam_assoc+beta tau_assoc) g_assoc = 0"
         form_residual = np.abs(soliton_form).max(axis=(-2, -1))
         columns.append(Column.of("ricci_from_soliton_coeffs", form_residual, note=note))
-    columns = (head.shared(point), *columns, *(column.shared(point) for column in tail))
+    columns = (head, *columns, *tail)
     branch_notes = {
         "beta at the branch point -1/(2n): the scalar curvatures decouple "
         "from the potential sums": branch,
@@ -797,8 +793,7 @@ def vertical_rows(
     taus, tau_assocs, _, sasaki_like = per_analysis
     shape = (len(taus), len(betas), len(ks))
     if lie is None:
-        reeb = a.pkg.conn.derivative_of_field(s.xi.data).reshape(len(taus), *s.phi.data.shape)
-        lie = vertical_lie(s, ks, reeb)
+        lie = vertical_lie(s, ks, a.pkg.conn.derivative_of_field(s.xi.data))
     beta, k_value, k_prime, tau, tau_assoc, ricci, sasaki, lie_g, lie_assoc = _operands(
         betas, ks, per_analysis, lie
     )

@@ -602,13 +602,53 @@ def test_curvature_tensor_is_built_only_where_it_is_listed(
         return original(conn, alg, metric)
 
     monkeypatch.setattr(accrgeo.geometry, "riemann", counted)
-    scenarios._example2_stack.cache_clear()
+    scenarios.example2_state.cache_clear()
     code, _, _ = run(capsys, *(path if arg is None else arg for arg in argv))
     assert code == 0
     assert len(metrics) == builds
     # example2 lies on the same flat carrier of n = 2 as the file
     assert not np.array_equal(a.s.g.matrix, a.s.g_assoc.matrix)
     assert all(np.array_equal(matrix, a.s.g.matrix) for matrix in metrics)
+
+
+def test_a_single_example2_point_is_analysed_once_as_one_algebra(capsys, monkeypatch):
+    # soliton's report and its printed scalars read one analysis of one
+    # algebra; inspect at the same (p, q) reads it again from the cache
+    geometry, tensors = accrgeo.geometry, accrgeo.tensors
+    calls, stacked = {}, []
+    kernels = ("levi_civita", "ricci", "riemann", "fundamental_tensor", "classify_sasaki_like")
+    for name in kernels:
+        original = getattr(geometry, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counted)
+    post_init = tensors.Tensor.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        stacked.append(self.stacked)
+
+    monkeypatch.setattr(tensors.Tensor, "__post_init__", recorded)
+    scenarios.example2_state.cache_clear()
+    scenarios._example2_stack.cache_clear()
+    point = ("--scenario", "example2", "--p", "1.5", "--q=-2")
+    code, _, _ = run(capsys, "soliton", *point, "--solve")
+    assert code == 0
+    assert calls == {
+        "levi_civita": 2,
+        "ricci": 2,
+        "riemann": 1,
+        "fundamental_tensor": 1,
+        "classify_sasaki_like": 1,
+    }
+    assert stacked and not any(stacked)
+    calls.clear()
+    code, _, _ = run(capsys, "inspect", *point)
+    assert code == 0
+    assert calls == {}
 
 
 @pytest.mark.parametrize(
